@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ class TimedSegment:
     label: ChordLabel
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise AnnotationError("non-finite time")
         if not self.end_s > self.start_s:
             raise AnnotationError(
                 f"segment end {self.end_s} not after start {self.start_s}")
@@ -243,7 +246,10 @@ def read_aam_arff(path, source_id: str | None = None) -> SegmentTrack:
                     label = parse_harte(text)
                 except ValueError as exc:
                     raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            segments.append(TimedSegment(start, end, label))
+            try:
+                segments.append(TimedSegment(start, end, label))
+            except AnnotationError as exc:
+                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
     if not in_data:
         raise AnnotationError(f"{path}: no @data section found")
     if source_id is None:

@@ -1,8 +1,9 @@
 """Command-line entry points (``chordbench <subcommand>``).
 
 Thin wrappers over the library: convert, eval, stats, extract, synth,
-train, predict, and xval.  Run ``chordbench <subcommand> --help`` for the
-flags of each.
+train, predict, and xval.  Features, template recognition and training
+windows come from the same library functions the harness calls.  Run
+``chordbench <subcommand> --help`` for the flags of each.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def cmd_extract(args):
         stem = os.path.splitext(os.path.basename(wav_path))[0]
         lab_path = os.path.join(args.labels, stem + ".lab")
         track = annotations.normalize(annotations.read_lab(lab_path))
-        logcqt = features.log_amplitude(features.cqt(features.load_wav(wav_path)))
+        logcqt = features.log_cqt_from_wav(wav_path)
         for k in shifts:
             shifted = features.pitch_shift_cqt(logcqt, k)
             shifted_track = annotations.SegmentTrack(
@@ -140,17 +141,7 @@ def cmd_train(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
     pairs = _load_cached_items(args.data)
-    stats_ = features.zscore_fit([m for m, _ in pairs])
-    items = []
-    for matrix, labels in pairs:
-        normed = features.zscore_apply(matrix, stats_)
-        for window in features.window_slices(normed):
-            targets = np.zeros(window.matrix.n_frames, dtype=np.int64)
-            mask = np.zeros(window.matrix.n_frames, dtype=bool)
-            n = window.valid_frames
-            targets[:n] = labels[window.start_frame:window.start_frame + n]
-            mask[:n] = True
-            items.append(labeler.SequenceExample(window.matrix.values, targets, mask))
+    items, stats_ = labeler.windowed_examples(pairs)
     config = labeler.LabelerConfig(
         input_dim=pairs[0][0].n_bins,
         model_dim=cfg.get("model_dim", 64),
@@ -178,16 +169,6 @@ def cmd_train(args):
     print(f"wrote {args.out}")
 
 
-def _features_for_predict(path, config, extra):
-    if path.endswith(".cbf"):
-        matrix, _ = features.read_feature_cache(path)
-        return matrix
-    logcqt = features.log_amplitude(features.cqt(features.load_wav(path)))
-    if config.input_dim == 12:
-        return templates.fold_to_chroma(logcqt)
-    return logcqt
-
-
 def cmd_predict(args):
     os.makedirs(args.out, exist_ok=True)
     inputs = sorted(glob.glob(os.path.join(args.indir, "*.wav")))
@@ -197,26 +178,22 @@ def cmd_predict(args):
     if not inputs:
         raise SystemExit(f"no .wav or .shift+0.cbf inputs in {args.indir}")
     if args.model == "template":
-        tmpl = templates.default_templates()
-        for path in inputs:
-            stem = os.path.splitext(os.path.basename(path))[0].split(".shift")[0]
-            logcqt = features.log_amplitude(features.cqt(features.load_wav(path))) \
-                if path.endswith(".wav") else features.read_feature_cache(path)[0]
-            chroma = templates.fold_to_chroma(logcqt)
-            classes = templates.template_predict(chroma, tmpl)
-            track = features.frames_to_track(classes, chroma.hop_samples,
-                                             chroma.sample_rate_hz, stem)
-            annotations.write_lab(track, os.path.join(args.out, stem + ".lab"))
-        print(f"wrote {len(inputs)} predictions to {args.out}")
-        return
-    config, params, extra = checkpoint.load_checkpoint(args.model)
-    stats_ = features.NormStats(extra["mean"], extra["std"])
+        recognize = templates.recognize_track
+    else:
+        config, params, extra = checkpoint.load_checkpoint(args.model)
+        stats_ = features.NormStats(extra["mean"], extra["std"])
+
+        def recognize(matrix, stem):
+            if config.input_dim == 12 and matrix.bin_kind == "cqt_log":
+                matrix = templates.fold_to_chroma(matrix)
+            normed = features.zscore_apply(matrix, stats_)
+            return labeler.predict_track(params, config, normed, stem)
     for path in inputs:
         stem = os.path.splitext(os.path.basename(path))[0].split(".shift")[0]
-        matrix = _features_for_predict(path, config, extra)
-        normed = features.zscore_apply(matrix, stats_)
-        track = labeler.predict_track(params, config, normed, stem)
-        annotations.write_lab(track, os.path.join(args.out, stem + ".lab"))
+        matrix = (features.log_cqt_from_wav(path) if path.endswith(".wav")
+                  else features.read_feature_cache(path)[0])
+        annotations.write_lab(recognize(matrix, stem),
+                              os.path.join(args.out, stem + ".lab"))
     print(f"wrote {len(inputs)} predictions to {args.out}")
 
 

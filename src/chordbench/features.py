@@ -208,6 +208,11 @@ def log_amplitude(features: FeatureMatrix) -> FeatureMatrix:
                          "cqt_log")
 
 
+def log_cqt_from_wav(path) -> FeatureMatrix:
+    """The feature recipe shared by every front end: log-CQT of a WAV file."""
+    return log_amplitude(cqt(load_wav(path)))
+
+
 def zscore_fit(training_features, per_bin: bool = False) -> NormStats:
     """Mean and standard deviation over every value of the training set.
 

@@ -5,7 +5,9 @@ datasets and scores its predictions on the validation split of each
 evaluation dataset, for every fold of a shared fold plan.  Fold assignment
 is by song, so multiple performances of the same song always share a fold.
 Completed folds are persisted as ``fold_<i>/scores.csv`` under the
-experiment directory and are not recomputed on rerun.
+experiment directory (written to a temporary name, then renamed) and are
+not recomputed on rerun.  The labeler runner computes each track's features
+once per experiment and reuses them in every fold.
 
 Summary scores are duration-weighted within a fold and reported as
 ``mean +/- std`` over folds, in percent.
@@ -21,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotations import normalize, read_lab
-from .features import load_wav, cqt, log_amplitude, zscore_apply, zscore_fit, window_slices, align_labels
-from .labeler import LabelerConfig, SequenceExample, predict_track, train
+from .features import align_labels, log_cqt_from_wav, zscore_apply
+from .labeler import LabelerConfig, predict_track, train, windowed_examples
 from .metrics import TrackScore, aggregate_fold, evaluate_pair
-from .templates import default_templates, fold_to_chroma, template_predict
-from .features import frames_to_track
+from .templates import fold_to_chroma, recognize_track
 from .synth import read_manifest
 
 DEFAULT_METRICS = ("root", "majmin", "ccm")
@@ -130,22 +131,10 @@ class ExperimentConfig:
 class TemplateRunner:
     """Training-free baseline: log-CQT fold plus triad template matching."""
 
-    def __init__(self):
-        self._cache = {}
-        self.templates = default_templates()
-
-    def _chroma(self, entry: SongEntry):
-        if entry.audio_path not in self._cache:
-            feats = log_amplitude(cqt(load_wav(entry.audio_path)))
-            self._cache[entry.audio_path] = fold_to_chroma(feats)
-        return self._cache[entry.audio_path]
-
     def fit(self, train_entries, seed):
         def predictor(entry: SongEntry):
-            chroma = self._chroma(entry)
-            classes = template_predict(chroma, self.templates)
-            return frames_to_track(classes, chroma.hop_samples,
-                                   chroma.sample_rate_hz, entry.song_id)
+            return recognize_track(log_cqt_from_wav(entry.audio_path),
+                                   entry.song_id)
         return predictor
 
 
@@ -168,27 +157,16 @@ class LabelerRunner:
 
     def _features_and_labels(self, entry: SongEntry):
         if entry.audio_path not in self._cache:
-            feats = fold_to_chroma(log_amplitude(cqt(load_wav(entry.audio_path))))
+            feats = fold_to_chroma(log_cqt_from_wav(entry.audio_path))
             track = normalize(read_lab(entry.label_path))
             labels = align_labels(track, feats)
             self._cache[entry.audio_path] = (feats, labels)
         return self._cache[entry.audio_path]
 
     def fit(self, train_entries, seed):
-        feats_list = [self._features_and_labels(e)[0] for e in train_entries]
-        stats = zscore_fit(feats_list)
-        items = []
-        for entry in train_entries:
-            feats, labels = self._features_and_labels(entry)
-            normed = zscore_apply(feats, stats)
-            for window in window_slices(normed, self.window_frames,
-                                        self.window_stride):
-                targets = np.zeros(window.matrix.n_frames, dtype=np.int64)
-                mask = np.zeros(window.matrix.n_frames, dtype=bool)
-                n = window.valid_frames
-                targets[:n] = labels[window.start_frame:window.start_frame + n]
-                mask[:n] = True
-                items.append(SequenceExample(window.matrix.values, targets, mask))
+        items, stats = windowed_examples(
+            [self._features_and_labels(e) for e in train_entries],
+            self.window_frames, self.window_stride)
         config = LabelerConfig(input_dim=12, model_dim=self.model_dim,
                                n_layers=self.n_layers, n_heads=self.n_heads,
                                context_frames=self.window_frames, seed=seed)
@@ -282,12 +260,14 @@ _FOLD_FIELDS = ["fold", "dataset", "song_id", "metric", "score", "duration_s"]
 
 
 def _write_fold_scores(path, rows):
-    with open(path, "w", newline="") as fh:
+    tmp_path = f"{path}.tmp"
+    with open(tmp_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_FOLD_FIELDS)
         writer.writeheader()
         for row in rows:
             writer.writerow({**row, "score": repr(float(row["score"])),
                              "duration_s": repr(float(row["duration_s"]))})
+    os.replace(tmp_path, path)
 
 
 def _read_fold_scores(path):

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureMatrix, frames_to_track
+from .features import (WINDOW_FRAMES, WINDOW_STRIDE, FeatureMatrix,
+                       frames_to_track, window_slices, zscore_apply, zscore_fit)
 
 LN_EPS = 1e-5
 
@@ -71,6 +72,26 @@ class SequenceExample:
         return np.asarray(self.mask, dtype=bool)
 
 
+def windowed_examples(tracks, window_frames: int = WINDOW_FRAMES,
+                      stride_frames: int = WINDOW_STRIDE):
+    """``(examples, norm_stats)`` from a list of ``(features, labels)`` pairs.
+
+    The z-score is fitted on all pairs; padded window tails are masked out.
+    """
+    stats = zscore_fit([feats for feats, _ in tracks])
+    examples = []
+    for feats, labels in tracks:
+        normed = zscore_apply(feats, stats)
+        for window in window_slices(normed, window_frames, stride_frames):
+            targets = np.zeros(window.matrix.n_frames, dtype=np.int64)
+            mask = np.zeros(window.matrix.n_frames, dtype=bool)
+            n = window.valid_frames
+            targets[:n] = labels[window.start_frame:window.start_frame + n]
+            mask[:n] = True
+            examples.append(SequenceExample(window.matrix.values, targets, mask))
+    return examples, stats
+
+
 @dataclass
 class TrainReport:
     """Per-epoch training trace."""
@@ -79,8 +100,6 @@ class TrainReport:
     val_losses: list = field(default_factory=list)
     accuracies: list = field(default_factory=list)
     epochs_run: int = 0
-    workers: int = 1
-    bit_reproducible: bool = True
 
 
 def init_params(config: LabelerConfig, dtype=np.float32) -> dict:
@@ -382,7 +401,7 @@ def train(config: LabelerConfig, train_items, val_items=None, lr=1e-3,
     Stops once the monitored loss (validation loss, or training loss when no
     validation items are given) has failed to improve for more than
     ``patience`` consecutive epochs, and returns the parameters from the
-    best epoch.  Deterministic given ``config.seed`` with a single worker.
+    best epoch.  Deterministic given ``config.seed``.
     """
     train_items = list(train_items)
     if not train_items:

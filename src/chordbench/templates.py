@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import BINS_PER_OCTAVE, FeatureError, FeatureMatrix
+from .annotations import SegmentTrack
+from .features import BINS_PER_OCTAVE, FeatureError, FeatureMatrix, frames_to_track
 from .labels import N_MAJMIN_CLASSES, NOCHORD_CLASS
 
 ADAPTIVE_THRESHOLD_FRACTION = 0.01
@@ -93,3 +94,11 @@ def template_predict(chroma, templates: ChromaTemplates | None = None) -> np.nda
     classes = sims.argmax(axis=1)
     classes[energy < threshold] = NOCHORD_CLASS
     return classes.astype(np.int64)
+
+
+def recognize_track(features: FeatureMatrix, source_id: str = "") -> SegmentTrack:
+    """The template recognizer: log-CQT features to a normalized chord track."""
+    chroma = fold_to_chroma(features)
+    classes = template_predict(chroma)
+    return frames_to_track(classes, chroma.hop_samples, chroma.sample_rate_hz,
+                           source_id)

@@ -216,6 +216,30 @@ class TestTrackInvariants:
             TimedSegment(1.0, 1.0, C)
 
 
+NON_FINITE_ROWS = {"inf": ("0", "inf"), "-inf": ("-inf", "1"),
+                   "nan": ("1", "nan")}
+
+
+@pytest.mark.parametrize("value", sorted(NON_FINITE_ROWS))
+@pytest.mark.parametrize("fmt", ["lab", "csv", "arff"])
+def test_non_finite_time_names_file_and_row(tmp_path, value, fmt):
+    start, end = NON_FINITE_ROWS[value]
+    p = tmp_path / f"a.{fmt}"
+    if fmt == "lab":
+        p.write_text(f"0.0 1.0 C:maj\n{start} {end} G:maj\n")
+        reader, row = read_lab, 2
+    elif fmt == "csv":
+        p.write_text(f"start,end,shorthand\n0.0,1.0,C:maj\n{start},{end},G:maj\n")
+        reader, row = read_winterreise_csv, 3
+    else:
+        p.write_text("@relation x\n@attribute onset numeric\n"
+                     "@attribute offset numeric\n@attribute chord string\n"
+                     f"@data\n0.0,1.0,'C:maj'\n{start},{end},'G:maj'\n")
+        reader, row = read_aam_arff, 7
+    with pytest.raises(AnnotationError, match=f"a.{fmt}:{row}: non-finite time"):
+        reader(p)
+
+
 def test_crop_trims_boundaries():
     t = crop(track((0.0, 2.0, "C:maj"), (2.0, 4.0, "G:maj")), 1.0, 3.0)
     assert [(s.start_s, s.end_s) for s in t] == [(1.0, 2.0), (2.0, 3.0)]

@@ -175,6 +175,23 @@ class TestExtractTrainPredict:
             scores.append(evaluate_pair(ref, pred)["majmin"].value)
         assert np.mean(scores) > 0.9
 
+    def test_template_predict_matches_harness_runner(self, tiny_dataset, tmp_path):
+        from chordbench.harness import TemplateRunner, load_corpus
+        data_dir, _ = tiny_dataset
+        out = tmp_path / "pred"
+        assert run("predict", "--model", "template", "--in", str(data_dir),
+                   "--out", str(out)) == 0
+        corpus = load_corpus(os.path.dirname(data_dir),
+                             {"tiny": os.path.basename(data_dir)})
+        predictor = TemplateRunner().fit([], 0)
+        for entry in corpus["tiny"]:
+            stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
+            written = read_lab(out / f"{stem}.lab")
+            expected = predictor(entry)
+            assert [(s.start_s, s.end_s, s.label) for s in written] == [
+                (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
+                for s in expected]
+
 
 class TestXval:
     def test_template_only_matrix(self, tiny_dataset, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -178,6 +179,28 @@ class TestRunExperiment:
             a = (tmp_path / "a" / "exp_0" / f"fold_{fold}" / "scores.csv").read_bytes()
             b = (tmp_path / "b" / "exp_0" / f"fold_{fold}" / "scores.csv").read_bytes()
             assert a == b
+
+    def test_interrupted_fold_write_leaves_no_scores(self, corpus, tmp_path,
+                                                     monkeypatch):
+        plan = make_folds(corpus["tiny"], seed=0)
+        real_writerow = csv.DictWriter.writerow
+
+        def failing_writerow(writer, row):
+            if row.get("fold") == 0:
+                raise OSError("disk full")
+            return real_writerow(writer, row)
+
+        monkeypatch.setattr(csv.DictWriter, "writerow", failing_writerow)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(self.config(), plan, corpus, tmp_path,
+                           runner=EchoRunner())
+        assert not (tmp_path / "exp_0" / "fold_0" / "scores.csv").exists()
+        monkeypatch.undo()
+        runner = EchoRunner()
+        summary = run_experiment(self.config(), plan, corpus, tmp_path,
+                                 runner=runner)
+        assert runner.fit_calls == 6
+        assert all(row["folds"] == 6 for row in summary)
 
     def test_unknown_dataset_error(self, corpus, tmp_path):
         plan = make_folds(corpus["tiny"], seed=0)

