@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from chordbench.annotations import SegmentTrack, TimedSegment
 from chordbench.features import (AudioBuffer, FeatureError, FeatureMatrix,
                                  HOP, LOG_EPS, LOG_FLOOR, N_BINS, SAMPLE_RATE,
-                                 align_labels, cqt, frames_to_track,
+                                 align_labels, cqt, cqt_bin_frequencies,
+                                 cqt_window_lengths, frames_to_track,
                                  ht_sequences, load_wav, log_amplitude,
                                  min_cqt_samples, pitch_shift_chroma,
                                  pitch_shift_cqt, read_chroma_file,
@@ -23,6 +25,38 @@ def interior_frames(n_samples, n_frames):
     lo = int(np.ceil(half / HOP))
     hi = min(n_frames - 1, (n_samples - half) // HOP)
     return lo, hi
+
+
+def cqt_per_bin(audio):
+    """Reference CQT: a loop of one windowed projection per bin."""
+    x = np.asarray(audio.samples, dtype=np.float64)
+    freqs = cqt_bin_frequencies()
+    win_lens = cqt_window_lengths()
+    max_win = int(win_lens[0])
+    n_frames = 1 + len(x) // HOP
+    pad = max_win // 2 + 1
+    xp = np.pad(x, (pad, pad))
+    stride = xp.strides[0]
+    mags = np.empty((n_frames, N_BINS), dtype=np.float64)
+    for k in range(N_BINS):
+        n_k = int(win_lens[k])
+        window = np.hanning(n_k)
+        window /= window.sum()
+        phase = 2.0 * np.pi * freqs[k] * np.arange(n_k) / SAMPLE_RATE
+        first = pad - n_k // 2
+        frames = as_strided(xp[first:], shape=(n_frames, n_k),
+                            strides=(stride * HOP, stride))
+        mags[:, k] = np.hypot(frames @ (window * np.cos(phase)),
+                              frames @ (window * np.sin(phase)))
+    return mags
+
+
+def triad_with_noise(seconds=3.0):
+    rng = np.random.default_rng(5)
+    t = np.arange(int(seconds * SAMPLE_RATE)) / SAMPLE_RATE
+    tones = sum(np.sin(2 * np.pi * f * t) for f in (261.63, 329.63, 392.00))
+    return AudioBuffer(tones / 3 + 0.05 * rng.standard_normal(t.size),
+                       SAMPLE_RATE)
 
 
 def matrix(values, kind="cqt_log", hop=HOP, rate=SAMPLE_RATE):
@@ -64,6 +98,33 @@ class TestCqt:
     def test_rejects_short_audio(self):
         with pytest.raises(FeatureError, match="at least"):
             cqt(AudioBuffer(np.zeros(min_cqt_samples() - 1), SAMPLE_RATE))
+
+    @pytest.mark.parametrize("audio", [
+        sine(32.7032), sine(440.0), sine(466.16), triad_with_noise(),
+        AudioBuffer(np.random.default_rng(3).standard_normal(min_cqt_samples()),
+                    SAMPLE_RATE),
+        # 1 + 41 frames: two full 16-frame blocks and a partial one of 10.
+        AudioBuffer(np.random.default_rng(4).standard_normal(41 * HOP + 7),
+                    SAMPLE_RATE),
+    ], ids=["sine-fmin", "sine-440", "sine-466", "triad-noise", "min-length",
+            "partial-block"])
+    def test_matches_per_bin_reference(self, audio):
+        expected = cqt_per_bin(audio)
+        got = cqt(audio).values
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+        assert np.array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    def test_reads_non_contiguous_read_only_samples(self):
+        mono = triad_with_noise().samples
+        stereo = np.stack([mono, -mono], axis=1)
+        view = stereo[:, 0]
+        view.flags.writeable = False
+        before = stereo.copy()
+        got = cqt(AudioBuffer(view, SAMPLE_RATE)).values
+        assert np.array_equal(stereo, before)
+        contiguous = cqt(AudioBuffer(np.ascontiguousarray(view), SAMPLE_RATE))
+        assert np.array_equal(got, contiguous.values)
 
 
 class TestLogAmplitude:
