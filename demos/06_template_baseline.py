@@ -1,14 +1,11 @@
 """End-to-end template recognizer on synthetic audio."""
 
-import numpy as np
-
 from chordbench.annotations import normalize
-from chordbench.features import (SAMPLE_RATE, cqt, frames_to_track,
-                                 log_amplitude)
+from chordbench.features import SAMPLE_RATE, cqt, log_amplitude
 from chordbench.metrics import aggregate_fold, evaluate_pair
 from chordbench.synth import (SynthSpec, default_pop_model, quantize_track,
                               render_audio, sample_progression)
-from chordbench.templates import fold_to_chroma, template_predict
+from chordbench.templates import recognize_track
 
 spec = SynthSpec(n_tracks=1, track_length_s=20.0, octaves=(3, 4), seed=0)
 model = default_pop_model()
@@ -18,10 +15,7 @@ for seed in range(8):
     track = normalize(quantize_track(
         sample_progression(model, spec.track_length_s, seed), SAMPLE_RATE))
     audio = render_audio(track, spec)
-    chroma = fold_to_chroma(log_amplitude(cqt(audio)))
-    classes = template_predict(chroma)
-    predicted = frames_to_track(classes, chroma.hop_samples,
-                                chroma.sample_rate_hz, track.source_id)
+    predicted = recognize_track(log_amplitude(cqt(audio)), track.source_id)
     scores = evaluate_pair(track, predicted, tuple(results))
     line = f"track {seed}:"
     for name in results:

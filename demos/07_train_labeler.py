@@ -4,12 +4,11 @@ gradients against finite differences."""
 import numpy as np
 
 from chordbench.annotations import normalize
-from chordbench.features import (SAMPLE_RATE, align_labels, cqt,
-                                 log_amplitude, window_slices, zscore_apply,
-                                 zscore_fit)
+from chordbench.features import SAMPLE_RATE, align_labels, cqt, log_amplitude
 from chordbench.labeler import (LabelerConfig, SequenceExample, count_params,
                                 flatten_params, init_params, loss_and_grad,
-                                loss_value, train, unflatten_params)
+                                loss_value, train, unflatten_params,
+                                windowed_examples)
 from chordbench.synth import (SynthSpec, default_pop_model, quantize_track,
                               render_audio, sample_progression)
 from chordbench.templates import fold_to_chroma
@@ -44,16 +43,7 @@ for seed in range(3):
     feats = fold_to_chroma(log_amplitude(cqt(render_audio(track, spec))))
     mats.append((feats, align_labels(track, feats)))
 
-stats = zscore_fit([m for m, _ in mats])
-items = []
-for feats, labels in mats:
-    normed = zscore_apply(feats, stats)
-    for w in window_slices(normed, 54, 54):
-        targets = np.zeros(54, dtype=np.int64)
-        mask = np.zeros(54, dtype=bool)
-        targets[:w.valid_frames] = labels[w.start_frame:w.start_frame + w.valid_frames]
-        mask[:w.valid_frames] = True
-        items.append(SequenceExample(w.matrix.values, targets, mask))
+items, _ = windowed_examples(mats, 54, 54)
 
 train_config = LabelerConfig(input_dim=12, model_dim=32, n_layers=1,
                              n_heads=4, context_frames=54, seed=1)

@@ -118,8 +118,18 @@ def read_lab(path, source_id: str | None = None) -> SegmentTrack:
                 raise AnnotationError(f"{path}:{lineno}: {exc}") from None
             rows.append(lineno)
             segments.append(seg)
+    return _track_from_rows(path, segments, rows, source_id)
+
+
+def _track_from_rows(path, segments, rows, source_id):
+    """The track of ``segments`` read from line numbers ``rows`` of ``path``.
+
+    Checks the order :class:`SegmentTrack` requires first, so an overlap or
+    a reversal names the file and both rows.
+    """
     for i in range(1, len(segments)):
-        if segments[i].start_s < segments[i - 1].end_s - TIME_EPS:
+        prev, seg = segments[i - 1], segments[i]
+        if seg.start_s < prev.start_s or seg.start_s < prev.end_s - TIME_EPS:
             raise AnnotationError(
                 f"{path}: rows {rows[i - 1]} and {rows[i]} overlap or are out of order")
     if source_id is None:
@@ -170,7 +180,7 @@ def read_winterreise_csv(path, notation: str = "shorthand",
             if colmap[key] not in header:
                 raise AnnotationError(
                     f"{path}: missing column {colmap[key]!r} (have {header})")
-        segments = []
+        segments, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             try:
                 start = float(row[colmap["start"]])
@@ -179,9 +189,8 @@ def read_winterreise_csv(path, notation: str = "shorthand",
                 segments.append(TimedSegment(start, end, label))
             except (TypeError, ValueError) as exc:
                 raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-    if source_id is None:
-        source_id = _stem(path)
-    return SegmentTrack(tuple(segments), source_id)
+            rows.append(lineno)
+    return _track_from_rows(path, segments, rows, source_id)
 
 
 # Literal found in some generated annotation exports; stands for no chord.
@@ -199,7 +208,7 @@ def read_aam_arff(path, source_id: str | None = None) -> SegmentTrack:
     become no-chord segments.
     """
     attributes = []
-    segments = []
+    segments, rows = [], []
     in_data = False
     onset_i = offset_i = chord_i = None
     with open(path) as fh:
@@ -250,11 +259,10 @@ def read_aam_arff(path, source_id: str | None = None) -> SegmentTrack:
                 segments.append(TimedSegment(start, end, label))
             except AnnotationError as exc:
                 raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+            rows.append(lineno)
     if not in_data:
         raise AnnotationError(f"{path}: no @data section found")
-    if source_id is None:
-        source_id = _stem(path)
-    return SegmentTrack(tuple(segments), source_id)
+    return _track_from_rows(path, segments, rows, source_id)
 
 
 def _find_attr(attributes, keys):

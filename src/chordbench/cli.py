@@ -165,7 +165,7 @@ def cmd_train(args):
     checkpoint.save_checkpoint(args.out, config, params, extra)
     print(f"trained {report.epochs_run} epochs, "
           f"final loss {report.losses[-1]:.4f}, "
-          f"train accuracy {report.accuracies[-1]:.3f}")
+          f"validation accuracy {report.accuracies[-1]:.3f}")
     print(f"wrote {args.out}")
 
 

@@ -501,5 +501,10 @@ def read_feature_cache(path):
             if labels.size != n_frames:
                 raise FeatureError(f"{path}: truncated label block")
             labels = labels.astype(np.int64)
+            bad = np.flatnonzero(labels > NOCHORD_CLASS)
+            if bad.size:
+                raise FeatureError(
+                    f"{path}: frame {bad[0]}: label {labels[bad[0]]} is not a "
+                    f"class index 0-{NOCHORD_CLASS}")
     matrix = FeatureMatrix(values, hop, rate, _CACHE_KIND_NAMES[kind_code])
     return matrix, labels

@@ -17,6 +17,7 @@ for gradient checking and float32 for training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,8 @@ def windowed_examples(tracks, window_frames: int = WINDOW_FRAMES,
 
 @dataclass
 class TrainReport:
-    """Per-epoch training trace."""
+    """Per-epoch training trace: mean training-batch loss (``losses``), then
+    loss and frame accuracy of the monitored set (see :func:`train`)."""
 
     losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
@@ -211,7 +213,7 @@ def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
     state = {"x": x}
     h = x @ params["in_proj.w"] + params["in_proj.b"]
     h = h + positional_encoding(h.shape[0], config.model_dim, h.dtype)
-    scale = 1.0 / np.sqrt(config.head_dim)
+    scale = 1.0 / math.sqrt(config.head_dim)  # a Python float keeps the dtype
     for i in range(config.n_layers):
         p = f"layers.{i}"
         state[f"h_in.{i}"] = h
@@ -247,7 +249,7 @@ def _backward(params, config, state, dscores):
     grads["classifier.w"] = h.T @ dscores
     grads["classifier.b"] = dscores.sum(axis=0)
     dh = dscores @ params["classifier.w"].T
-    scale = 1.0 / np.sqrt(config.head_dim)
+    scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}"
         qh, kh, vh, ctx, ln1_cache, h1, z1, u, ln2_cache = state[f"layer.{i}"]
@@ -306,15 +308,21 @@ def class_probabilities(scores: np.ndarray) -> np.ndarray:
 
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
     """Masked mean cross-entropy of a batch of :class:`SequenceExample`."""
-    total, n_valid = 0.0, 0
-    for item in batch:
+    return _loss_and_accuracy(params, config, batch)[0]
+
+
+def _loss_and_accuracy(params, config, items):
+    """Masked mean cross-entropy and frame accuracy from one forward sweep."""
+    total, n_correct, n_valid = 0.0, 0, 0
+    for item in items:
         scores = forward(params, config, item.inputs)
         mask = item.valid_mask()
         total += _cross_entropy_sum(scores, item.targets, mask)
+        n_correct += int(((scores.argmax(axis=1) == item.targets) & mask).sum())
         n_valid += int(mask.sum())
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
-    return total / n_valid
+    return total / n_valid, n_correct / n_valid
 
 
 def _cross_entropy_sum(scores, targets, mask) -> float:
@@ -383,25 +391,15 @@ class AdamOptimizer:
                 params[k].dtype)
 
 
-def frame_accuracy(params: dict, config: LabelerConfig, items) -> float:
-    correct, total = 0, 0
-    for item in items:
-        scores = forward(params, config, item.inputs)
-        pred = scores.argmax(axis=1)
-        mask = item.valid_mask()
-        correct += int(((pred == item.targets) & mask).sum())
-        total += int(mask.sum())
-    return correct / total if total else 0.0
-
-
 def train(config: LabelerConfig, train_items, val_items=None, lr=1e-3,
           batch_size=8, max_epochs=100, patience=10, dtype=np.float32):
     """Adam training with early stopping on validation loss.
 
-    Stops once the monitored loss (validation loss, or training loss when no
-    validation items are given) has failed to improve for more than
-    ``patience`` consecutive epochs, and returns the parameters from the
-    best epoch.  Deterministic given ``config.seed``.
+    After each epoch one forward sweep over the monitored set (the
+    validation items, or the training items when none are given) gives its
+    loss and frame accuracy.  Stops once the monitored loss has failed to
+    improve for more than ``patience`` consecutive epochs, and returns the
+    parameters from the best epoch.  Deterministic given ``config.seed``.
     """
     train_items = list(train_items)
     if not train_items:
@@ -424,9 +422,9 @@ def train(config: LabelerConfig, train_items, val_items=None, lr=1e-3,
             epoch_loss += loss
             n_batches += 1
         report.losses.append(epoch_loss / n_batches)
-        report.accuracies.append(frame_accuracy(params, config, train_items))
-        monitored = loss_value(params, config, monitor_items)
+        monitored, accuracy = _loss_and_accuracy(params, config, monitor_items)
         report.val_losses.append(monitored)
+        report.accuracies.append(accuracy)
         report.epochs_run += 1
         if not np.isfinite(monitored):
             raise TrainingError(f"non-finite validation loss: {monitored}")

@@ -1,7 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from chordbench.annotations import (AnnotationError, SegmentTrack,
+from chordbench.annotations import (TIME_EPS, AnnotationError, SegmentTrack,
                                     TimedSegment, crop, normalize,
                                     read_aam_arff, read_lab,
                                     read_winterreise_csv, write_lab)
@@ -238,6 +243,66 @@ def test_non_finite_time_names_file_and_row(tmp_path, value, fmt):
         reader, row = read_aam_arff, 7
     with pytest.raises(AnnotationError, match=f"a.{fmt}:{row}: non-finite time"):
         reader(p)
+
+
+OVERLAPS = {"overlap": ("0.0 2.0", "1.5 3.0"),
+            # within TIME_EPS of the previous end but before its start
+            "reversed": ("1.0 1.0000000005", "0.9999999999 2.0")}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAPS))
+@pytest.mark.parametrize("fmt", ["lab", "csv", "arff"])
+def test_out_of_order_rows_name_file_and_rows(tmp_path, case, fmt):
+    first, second = (r.split() for r in OVERLAPS[case])
+    p = tmp_path / f"a.{fmt}"
+    if fmt == "lab":
+        p.write_text(f"{' '.join(first)} C:maj\n{' '.join(second)} G:maj\n")
+        reader, rows = read_lab, (1, 2)
+    elif fmt == "csv":
+        p.write_text(f"start,end,shorthand\n{','.join(first)},C:maj\n"
+                     f"{','.join(second)},G:maj\n")
+        reader, rows = read_winterreise_csv, (2, 3)
+    else:
+        p.write_text("@relation x\n@attribute onset numeric\n"
+                     "@attribute offset numeric\n@attribute chord string\n"
+                     f"@data\n{','.join(first)},'C:maj'\n"
+                     f"{','.join(second)},'G:maj'\n")
+        reader, rows = read_aam_arff, (6, 7)
+    with pytest.raises(AnnotationError,
+                       match=f"a.{fmt}: rows {rows[0]} and {rows[1]} overlap"):
+        reader(p)
+
+
+# Time fields: any float's text (nan, +-inf, negative, huge, tiny) or any
+# text without a line break; rows may be reversed, overlapping or unordered.
+TIME_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(str),
+    st.sampled_from(["-0", "1e400", "-1e400", "NaN", "Infinity", "1_0", "0x10",
+                     "", " ", "1.0.0"]),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r")),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(TIME_TEXT, TIME_TEXT), min_size=1, max_size=4))
+def test_lab_time_fields_fuzz(tmp_path, rows):
+    p = tmp_path / "fuzz.lab"
+    p.write_text("".join(f"{start} {end} C:maj\n" for start, end in rows),
+                 encoding="utf-8")
+    try:
+        t = read_lab(p)
+    except AnnotationError as exc:
+        assert re.match(re.escape(str(p)) + r"(:\d+: |: rows \d+ and \d+ )",
+                        str(exc)), str(exc)
+        return
+    prev_end = -math.inf
+    for seg in t:
+        assert math.isfinite(seg.start_s) and math.isfinite(seg.end_s)
+        assert seg.end_s > seg.start_s
+        assert seg.start_s >= prev_end - TIME_EPS
+        prev_end = seg.end_s
 
 
 def test_crop_trims_boundaries():

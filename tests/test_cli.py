@@ -7,7 +7,8 @@ import pytest
 
 from chordbench.cli import main
 from chordbench.annotations import read_lab
-from chordbench.features import read_feature_cache
+from chordbench.features import (FeatureMatrix, read_feature_cache,
+                                 write_feature_cache)
 from chordbench.metrics import evaluate_pair
 from chordbench.stats import read_histogram_csv, read_transitions_csv
 
@@ -162,6 +163,23 @@ class TestExtractTrainPredict:
         labs = sorted(out.glob("*.lab"))
         assert len(labs) == 6
         read_lab(labs[0])  # parses cleanly
+
+    def test_train_rejects_out_of_range_cache_label(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        values = np.random.Generator(np.random.PCG64(1)).standard_normal((300, 12))
+        labels = np.zeros(300, dtype=np.int64)
+        labels[170] = 200
+        write_feature_cache(cache / "a.shift+0.cbf",
+                            FeatureMatrix(values, 2048, 22050, "chroma12"), labels)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                                   "max_epochs": 1}))
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(tmp_path / "model.ckpt")) == 1
+        err = capsys.readouterr().err
+        assert "a.shift+0.cbf: frame 170: label 200 is not a class index" in err
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_template_predict_quality(self, tiny_dataset, tmp_path):
         data_dir, entries = tiny_dataset

@@ -441,6 +441,14 @@ class TestCacheAndWav:
         with pytest.raises(FeatureError):
             read_feature_cache(p)
 
+    def test_cache_label_out_of_range_names_file_and_frame(self, tmp_path):
+        labels = np.array([0, 24, 200, 3])
+        p = tmp_path / "x.cbf"
+        write_feature_cache(p, matrix(np.zeros((4, 2))), labels)
+        with pytest.raises(FeatureError,
+                           match=r"x\.cbf: frame 2: label 200 is not a class"):
+            read_feature_cache(p)
+
     def test_wav_round_trip(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(42))
         audio = AudioBuffer(rng.uniform(-0.9, 0.9, 4000), SAMPLE_RATE)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chordbench import labeler
 from chordbench.checkpoint import (CheckpointError, load_checkpoint,
                                    save_checkpoint)
 from chordbench.features import FeatureMatrix
@@ -8,8 +9,8 @@ from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 TrainingError, class_probabilities,
                                 count_params, flatten_params, forward,
                                 init_params, loss_and_grad, loss_value,
-                                predict_track, train, unflatten_params,
-                                windowed_examples)
+                                predict_classes, predict_track, train,
+                                unflatten_params, windowed_examples)
 
 TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
                      context_frames=8, seed=3)
@@ -156,6 +157,18 @@ class TestGradient:
         with pytest.raises(TrainingError):
             loss_and_grad(params, TINY, [bad])
 
+    def test_float32_parameters_compute_in_float32(self):
+        params = init_params(TINY, dtype=np.float32)
+        batch = make_batch(TINY)
+        scores, state = forward(params, TINY, batch[0].inputs,
+                                return_state=True)
+        assert scores.dtype == np.float32
+        for i in range(TINY.n_layers):
+            assert state[f"attn.{i}"].dtype == np.float32
+        _, grads = loss_and_grad(params, TINY, batch)
+        assert set(grads) == set(params)
+        assert {k: g.dtype for k, g in grads.items() if g.dtype != np.float32} == {}
+
 
 class TestTraining:
     def toy_items(self, n=6, frames=10, seed=2):
@@ -214,6 +227,52 @@ class TestTraining:
                                max_epochs=30, patience=3)
         final = loss_value(params, cfg, items)
         assert final == pytest.approx(min(report.val_losses), abs=1e-9)
+
+    def test_one_forward_sweep_per_epoch(self, monkeypatch):
+        # Each epoch: one forward pass per training window for the gradient
+        # steps, then one per monitored window (the validation windows, or
+        # the training windows when there are none).
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(labeler, "forward", counting_forward)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
+                            context_frames=10, seed=7)
+        items = self.toy_items(n=6)
+        val_items = self.toy_items(n=4, seed=3)
+        _, report = train(cfg, items, lr=1e-2, batch_size=4, max_epochs=3,
+                          patience=3)
+        assert report.epochs_run == 3
+        assert len(calls) == 2 * len(items) * 3
+        calls.clear()
+        _, report = train(cfg, items, val_items, lr=1e-2, batch_size=4,
+                          max_epochs=3, patience=3)
+        assert report.epochs_run == 3
+        assert len(calls) == (len(items) + len(val_items)) * 3
+
+    def test_accuracy_is_measured_on_validation_set(self):
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
+                            context_frames=10, seed=8)
+        items = self.toy_items(n=6)
+        val_items = []
+        for k, item in enumerate(self.toy_items(n=4, seed=5)):
+            targets = item.targets.copy()
+            targets[::3] = (targets[::3] + 1) % 4  # a third of frames mislabeled
+            mask = np.ones(len(targets), dtype=bool)
+            mask[len(targets) - k:] = False
+            val_items.append(SequenceExample(item.inputs, targets, mask))
+        params, report = train(cfg, items, val_items, lr=1e-2, batch_size=3,
+                               max_epochs=6, patience=6)
+        # the returned parameters are those of the last epoch
+        assert int(np.argmin(report.val_losses)) == report.epochs_run - 1
+        correct = sum(int(((predict_classes(params, cfg, it.inputs)
+                            == it.targets) & it.mask).sum())
+                      for it in val_items)
+        valid = sum(int(it.mask.sum()) for it in val_items)
+        assert report.accuracies[-1] == correct / valid
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
