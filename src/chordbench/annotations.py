@@ -96,7 +96,7 @@ def read_lab(path, source_id: str | None = None) -> SegmentTrack:
     """
     segments = []
     rows = []
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -119,6 +119,25 @@ def read_lab(path, source_id: str | None = None) -> SegmentTrack:
             rows.append(lineno)
             segments.append(seg)
     return _track_from_rows(path, segments, rows, source_id)
+
+
+def _open_utf8(path, newline=None) -> io.StringIO:
+    """The text of a UTF-8 file, opened as :func:`open` would in text mode.
+
+    A byte sequence that is not UTF-8 raises :class:`AnnotationError` naming
+    the file and the line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].decode("utf-8")
+        lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise AnnotationError(
+            f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+            f"(byte 0x{raw[exc.start]:02x})") from None
+    return io.StringIO(text, newline=newline)
 
 
 def _track_from_rows(path, segments, rows, source_id):
@@ -167,7 +186,7 @@ def read_winterreise_csv(path, notation: str = "shorthand",
         colmap.update(columns)
     if notation not in colmap:
         raise AnnotationError(f"unknown notation {notation!r}")
-    with open(path, newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         sample = fh.read(4096)
         fh.seek(0)
         try:
@@ -211,7 +230,7 @@ def read_aam_arff(path, source_id: str | None = None) -> SegmentTrack:
     segments, rows = [], []
     in_data = False
     onset_i = offset_i = chord_i = None
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):

@@ -468,8 +468,15 @@ _CACHE_KIND_NAMES = {i: kind for kind, i in _CACHE_KIND_CODES.items()}
 def write_feature_cache(path, features: FeatureMatrix,
                         labels: np.ndarray | None = None) -> None:
     """Write a feature matrix (and optional frame labels) as a flat binary file."""
-    if labels is not None and len(labels) != features.n_frames:
-        raise FeatureError("label count does not match frame count")
+    if labels is not None:
+        if len(labels) != features.n_frames:
+            raise FeatureError("label count does not match frame count")
+        labels = np.asarray(labels)
+        bad = np.flatnonzero((labels < 0) | (labels > NOCHORD_CLASS))
+        if bad.size:
+            raise FeatureError(
+                f"{path}: frame {bad[0]}: label {labels[bad[0]]} is not a "
+                f"class index 0-{NOCHORD_CLASS}")
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<BBIIII", _CACHE_KIND_CODES[features.bin_kind],

@@ -6,8 +6,14 @@ evaluation dataset, for every fold of a shared fold plan.  Fold assignment
 is by song, so multiple performances of the same song always share a fold.
 Completed folds are persisted as ``fold_<i>/scores.csv`` under the
 experiment directory (written to a temporary name, then renamed) and are
-not recomputed on rerun.  The labeler runner computes each track's features
-once per experiment and reuses them in every fold.
+not recomputed on rerun.
+
+Every experiment of a run reads its log-CQT features from one feature store,
+``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
+docs/cache.md, kind ``cqt_log``), so each recording is analysed once per
+output directory, and a rerun or resumed run reuses the stored features.  A
+changed WAV gets a new key.  The store does not record the feature recipe:
+after a recipe change, use a fresh output directory.
 
 Summary scores are duration-weighted within a fold and reported as
 ``mean +/- std`` over folds, in percent.
@@ -16,14 +22,17 @@ Summary scores are duration-weighted within a fold and reported as
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .annotations import normalize, read_lab
-from .features import align_labels, log_cqt_from_wav, zscore_apply
+from .features import (FeatureMatrix, align_labels, log_cqt_from_wav,
+                       read_feature_cache, write_feature_cache, zscore_apply)
 from .labeler import LabelerConfig, predict_track, train, windowed_examples
 from .metrics import TrackScore, aggregate_fold, evaluate_pair
 from .templates import fold_to_chroma, recognize_track
@@ -128,22 +137,52 @@ class ExperimentConfig:
             raise HarnessError("trainable model requires training datasets")
 
 
+def stored_log_cqt(store_dir, audio_path) -> FeatureMatrix:
+    """The log-CQT of a WAV file, through the feature store ``store_dir``.
+
+    The store file is named by the blake2b digest of the WAV bytes.  On a
+    miss the features are computed and written to a unique temporary name,
+    then renamed into place, so a failed write leaves no store file.  The
+    result is always read back from the store, so every caller sees the
+    same float32-rounded values.
+    """
+    with open(audio_path, "rb") as fh:
+        key = hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
+    path = os.path.join(store_dir, f"{key}.cbf")
+    if not os.path.exists(path):
+        os.makedirs(store_dir, exist_ok=True)
+        tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            write_feature_cache(tmp_path, log_cqt_from_wav(audio_path))
+            os.replace(tmp_path, path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
+    features, _ = read_feature_cache(path)
+    return features
+
+
 class TemplateRunner:
     """Training-free baseline: log-CQT fold plus triad template matching."""
 
+    def __init__(self, feature_dir):
+        self.feature_dir = feature_dir
+
     def fit(self, train_entries, seed):
         def predictor(entry: SongEntry):
-            return recognize_track(log_cqt_from_wav(entry.audio_path),
-                                   entry.song_id)
+            return recognize_track(
+                stored_log_cqt(self.feature_dir, entry.audio_path),
+                entry.song_id)
         return predictor
 
 
 class LabelerRunner:
     """Trains the self-attention labeler on folded-chroma windows."""
 
-    def __init__(self, model_dim=32, n_layers=1, n_heads=4, lr=3e-3,
-                 batch_size=8, max_epochs=30, patience=5,
+    def __init__(self, feature_dir, model_dim=32, n_layers=1, n_heads=4,
+                 lr=3e-3, batch_size=8, max_epochs=30, patience=5,
                  window_frames=108, window_stride=54):
+        self.feature_dir = feature_dir
         self.model_dim = model_dim
         self.n_layers = n_layers
         self.n_heads = n_heads
@@ -153,20 +192,18 @@ class LabelerRunner:
         self.patience = patience
         self.window_frames = window_frames
         self.window_stride = window_stride
-        self._cache = {}
 
-    def _features_and_labels(self, entry: SongEntry):
-        if entry.audio_path not in self._cache:
-            feats = fold_to_chroma(log_cqt_from_wav(entry.audio_path))
-            track = normalize(read_lab(entry.label_path))
-            labels = align_labels(track, feats)
-            self._cache[entry.audio_path] = (feats, labels)
-        return self._cache[entry.audio_path]
+    def _chroma(self, entry: SongEntry):
+        return fold_to_chroma(stored_log_cqt(self.feature_dir, entry.audio_path))
 
     def fit(self, train_entries, seed):
-        items, stats = windowed_examples(
-            [self._features_and_labels(e) for e in train_entries],
-            self.window_frames, self.window_stride)
+        examples = []
+        for entry in train_entries:
+            feats = self._chroma(entry)
+            track = normalize(read_lab(entry.label_path))
+            examples.append((feats, align_labels(track, feats)))
+        items, stats = windowed_examples(examples, self.window_frames,
+                                         self.window_stride)
         config = LabelerConfig(input_dim=12, model_dim=self.model_dim,
                                n_layers=self.n_layers, n_heads=self.n_heads,
                                context_frames=self.window_frames, seed=seed)
@@ -176,16 +213,15 @@ class LabelerRunner:
                                 patience=self.patience)
 
         def predictor(entry: SongEntry):
-            feats, _ = self._features_and_labels(entry)
-            normed = zscore_apply(feats, stats)
+            normed = zscore_apply(self._chroma(entry), stats)
             return predict_track(params, config, normed, entry.song_id)
         return predictor
 
 
-def make_runner(config: ExperimentConfig):
+def make_runner(config: ExperimentConfig, feature_dir):
     if config.model == "template":
-        return TemplateRunner()
-    return LabelerRunner(**config.model_params)
+        return TemplateRunner(feature_dir)
+    return LabelerRunner(feature_dir, **config.model_params)
 
 
 def experiment_seed(config_seed: int, fold: int) -> int:
@@ -199,13 +235,14 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
 
     ``corpus`` maps dataset name to its song entries.  Folds with an
     existing ``scores.csv`` are loaded instead of recomputed, so interrupted
-    runs resume where they stopped.
+    runs resume where they stopped.  Features come from the store in
+    ``<out_dir>/features``, shared by every experiment run into ``out_dir``.
     """
     for name in set(config.train_datasets) | set(config.eval_datasets):
         if name not in corpus:
             raise HarnessError(f"experiment {config.id}: unknown dataset {name!r}")
     if runner is None:
-        runner = make_runner(config)
+        runner = make_runner(config, os.path.join(out_dir, "features"))
     exp_dir = os.path.join(out_dir, f"exp_{config.id}")
     all_rows = []
     for fold in range(fold_plan.k):

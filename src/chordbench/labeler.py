@@ -17,6 +17,7 @@ for gradient checking and float32 for training.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,14 +154,25 @@ def unflatten_params(template: dict, vector: np.ndarray) -> dict:
 
 
 def positional_encoding(n_frames: int, dim: int, dtype=np.float64) -> np.ndarray:
-    """Sinusoidal position features, shape (n_frames, dim)."""
+    """Sinusoidal position features, shape (n_frames, dim).
+
+    ``forward`` needs the same table on every call, so tables are memoized
+    per ``(n_frames, dim, dtype)`` and returned read-only.
+    """
+    return _positional_table(int(n_frames), int(dim), np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=16)
+def _positional_table(n_frames: int, dim: int, dtype: np.dtype) -> np.ndarray:
     pos = np.arange(n_frames)[:, None].astype(np.float64)
     idx = np.arange(0, dim, 2).astype(np.float64)
     rates = np.exp(-idx * np.log(10000.0) / dim)
     pe = np.zeros((n_frames, dim))
     pe[:, 0::2] = np.sin(pos * rates)
     pe[:, 1::2] = np.cos(pos * rates[: pe[:, 1::2].shape[1]])
-    return pe.astype(dtype)
+    pe = pe.astype(dtype)
+    pe.setflags(write=False)
+    return pe
 
 
 def _layer_norm(x, g, b):

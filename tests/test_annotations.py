@@ -273,6 +273,25 @@ def test_out_of_order_rows_name_file_and_rows(tmp_path, case, fmt):
         reader(p)
 
 
+@pytest.mark.parametrize("fmt", ["lab", "csv", "arff"])
+def test_non_utf8_bytes_name_file_and_line(tmp_path, fmt):
+    p = tmp_path / f"a.{fmt}"
+    if fmt == "lab":
+        p.write_bytes(b"0.0 1.0 C:maj\n1.0 2.0 \xff\xfe:maj\n")
+        reader, line = read_lab, 2
+    elif fmt == "csv":
+        p.write_bytes(b"start,end,shorthand\n0.0,1.0,C:maj\n1.0,2.0,\xff:maj\n")
+        reader, line = read_winterreise_csv, 3
+    else:
+        p.write_bytes(b"@relation x\n@attribute onset numeric\n"
+                      b"@attribute offset numeric\n@attribute chord string\n"
+                      b"@data\n0.0,1.0,'C:maj'\n1.0,2.0,'\xff:maj'\n")
+        reader, line = read_aam_arff, 7
+    with pytest.raises(AnnotationError,
+                       match=f"^{re.escape(str(p))}:{line}: not UTF-8 text"):
+        reader(p)
+
+
 # Time fields: any float's text (nan, +-inf, negative, huge, tiny) or any
 # text without a line break; rows may be reversed, overlapping or unordered.
 TIME_TEXT = st.one_of(

@@ -168,10 +168,12 @@ class TestExtractTrainPredict:
         cache = tmp_path / "cache"
         cache.mkdir()
         values = np.random.Generator(np.random.PCG64(1)).standard_normal((300, 12))
-        labels = np.zeros(300, dtype=np.int64)
-        labels[170] = 200
-        write_feature_cache(cache / "a.shift+0.cbf",
-                            FeatureMatrix(values, 2048, 22050, "chroma12"), labels)
+        path = cache / "a.shift+0.cbf"
+        write_feature_cache(path, FeatureMatrix(values, 2048, 22050, "chroma12"),
+                            np.zeros(300, dtype=np.int64))
+        data = bytearray(path.read_bytes())
+        data[-300 + 170] = 200  # frame 170 of the label block
+        path.write_bytes(bytes(data))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
                                    "max_epochs": 1}))
@@ -201,7 +203,7 @@ class TestExtractTrainPredict:
                    "--out", str(out)) == 0
         corpus = load_corpus(os.path.dirname(data_dir),
                              {"tiny": os.path.basename(data_dir)})
-        predictor = TemplateRunner().fit([], 0)
+        predictor = TemplateRunner(str(tmp_path / "features")).fit([], 0)
         for entry in corpus["tiny"]:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")

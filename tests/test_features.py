@@ -442,12 +442,23 @@ class TestCacheAndWav:
             read_feature_cache(p)
 
     def test_cache_label_out_of_range_names_file_and_frame(self, tmp_path):
-        labels = np.array([0, 24, 200, 3])
         p = tmp_path / "x.cbf"
-        write_feature_cache(p, matrix(np.zeros((4, 2))), labels)
+        write_feature_cache(p, matrix(np.zeros((4, 2))), np.array([0, 24, 0, 3]))
+        data = bytearray(p.read_bytes())
+        data[-2] = 200  # frame 2 of the 4-byte label block
+        p.write_bytes(bytes(data))
         with pytest.raises(FeatureError,
                            match=r"x\.cbf: frame 2: label 200 is not a class"):
             read_feature_cache(p)
+
+    @pytest.mark.parametrize("bad", [25, 300, -1])
+    def test_write_rejects_label_out_of_range(self, tmp_path, bad):
+        p = tmp_path / "x.cbf"
+        with pytest.raises(FeatureError,
+                           match=rf"x\.cbf: frame 1: label {bad} is not a class"):
+            write_feature_cache(p, matrix(np.zeros((3, 2))),
+                                np.array([0, bad, 24]))
+        assert not p.exists()
 
     def test_wav_round_trip(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(42))

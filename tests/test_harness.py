@@ -1,15 +1,21 @@
 import csv
+import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from chordbench import features, harness
 from chordbench.annotations import normalize, read_lab
+from chordbench.features import (load_wav, log_cqt_from_wav,
+                                 read_feature_cache, save_wav)
 from chordbench.harness import (ExperimentConfig, HarnessError,
                                 SongEntry, balance_datasets,
                                 default_experiments, emit_report,
                                 load_corpus, load_experiments, make_folds,
-                                read_summary_csv, run_experiment, summarize)
+                                read_summary_csv, run_experiment,
+                                stored_log_cqt, summarize)
 
 
 def songs_with_performances(n_songs, n_perf=2, dataset="d"):
@@ -212,6 +218,118 @@ class TestRunExperiment:
         with pytest.raises(HarnessError):
             ExperimentConfig(id=1, train_datasets=(), model="labeler",
                              eval_datasets=("tiny",))
+
+
+def count_cqt_inputs(monkeypatch):
+    """Patch ``features.cqt`` to record a digest of every signal it analyses."""
+    seen = []
+    real_cqt = features.cqt
+
+    def counting_cqt(audio):
+        seen.append(hashlib.blake2b(audio.samples.tobytes()).hexdigest())
+        return real_cqt(audio)
+
+    monkeypatch.setattr(features, "cqt", counting_cqt)
+    return seen
+
+
+def fold_scores(out):
+    return {path.relative_to(out): path.read_bytes()
+            for path in sorted(out.glob("exp_*/fold_*/scores.csv"))}
+
+
+class TestFeatureStore:
+    TEMPLATE = ExperimentConfig(id=0, train_datasets=(), model="template",
+                                eval_datasets=("tiny",), seed=7)
+    LABELER = ExperimentConfig(
+        id=1, train_datasets=("tiny",), model="labeler",
+        eval_datasets=("tiny",), seed=7,
+        model_params={"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                      "max_epochs": 1, "patience": 1})
+
+    @pytest.fixture()
+    def own_corpus(self, tiny_dataset, tmp_path):
+        """A private copy of the tiny dataset, safe to modify."""
+        data_dir, _ = tiny_dataset
+        shutil.copytree(data_dir, tmp_path / "data" / "tiny")
+        return load_corpus(tmp_path / "data", {"tiny": "tiny"})
+
+    def test_experiments_share_one_extraction_per_track(self, corpus, tmp_path,
+                                                        monkeypatch):
+        seen = count_cqt_inputs(monkeypatch)
+        plan = make_folds(corpus["tiny"], seed=0)
+        for config in (self.TEMPLATE, self.LABELER):
+            run_experiment(config, plan, corpus, tmp_path)
+        assert len(seen) == len(set(seen)) == len(corpus["tiny"])
+        assert len(list((tmp_path / "features").glob("*.cbf"))) == len(seen)
+
+    def test_rerun_reuses_store_and_scores_are_identical(self, corpus, tmp_path,
+                                                         monkeypatch):
+        plan = make_folds(corpus["tiny"], seed=0)
+        for config in (self.TEMPLATE, self.LABELER):
+            run_experiment(config, plan, corpus, tmp_path)
+        first = fold_scores(tmp_path)
+        assert len(first) == 12
+        for path in first:
+            os.remove(tmp_path / path)
+        seen = count_cqt_inputs(monkeypatch)
+        for config in (self.TEMPLATE, self.LABELER):
+            run_experiment(config, plan, corpus, tmp_path)
+        assert seen == []
+        assert fold_scores(tmp_path) == first
+
+    def test_changed_wav_recomputes_only_that_track(self, own_corpus, tmp_path,
+                                                    monkeypatch):
+        entries = own_corpus["tiny"]
+        plan = make_folds(entries, seed=0)
+        out = tmp_path / "out"
+        run_experiment(self.TEMPLATE, plan, own_corpus, out)
+        audio = load_wav(entries[0].audio_path)
+        save_wav(entries[0].audio_path,
+                 features.AudioBuffer(0.5 * audio.samples, audio.sample_rate_hz))
+        shutil.rmtree(out / "exp_0")
+        seen = count_cqt_inputs(monkeypatch)
+        run_experiment(self.TEMPLATE, plan, own_corpus, out)
+        assert seen == [hashlib.blake2b(
+            load_wav(entries[0].audio_path).samples.tobytes()).hexdigest()]
+        assert len(list((out / "features").glob("*.cbf"))) == len(entries) + 1
+
+    def test_failed_store_write_leaves_no_store_file(self, corpus, tmp_path,
+                                                     monkeypatch):
+        real_write = harness.write_feature_cache
+
+        def truncated_write(path, matrix, labels=None):
+            real_write(path, matrix, labels)
+            with open(path, "r+b") as fh:
+                fh.truncate(40)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "write_feature_cache", truncated_write)
+        plan = make_folds(corpus["tiny"], seed=0)
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_experiment(self.TEMPLATE, plan, corpus, tmp_path)
+        assert list((tmp_path / "features").iterdir()) == []
+        monkeypatch.undo()
+        summary = run_experiment(self.TEMPLATE, plan, corpus, tmp_path)
+        assert all(row["folds"] == 6 for row in summary)
+        assert len(list((tmp_path / "features").iterdir())) == len(corpus["tiny"])
+
+    def test_stored_features_match_recipe_within_float32(self, corpus, tmp_path):
+        wav = corpus["tiny"][0].audio_path
+        fresh = log_cqt_from_wav(wav)
+        stored = stored_log_cqt(tmp_path / "store", wav)
+        (path,) = (tmp_path / "store").glob("*.cbf")
+        with open(wav, "rb") as fh:
+            key = hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
+        assert path.stem == key
+        assert (stored.bin_kind, stored.hop_samples, stored.sample_rate_hz) == (
+            "cqt_log", fresh.hop_samples, fresh.sample_rate_hz)
+        assert np.array_equal(stored.values,
+                              fresh.values.astype(np.float32).astype(np.float64))
+        assert np.allclose(stored.values, fresh.values, rtol=2.0 ** -24, atol=0)
+        again = stored_log_cqt(tmp_path / "store", wav)
+        assert np.array_equal(again.values, stored.values)
+        assert np.array_equal(read_feature_cache(path)[0].values, stored.values)
 
 
 class TestReport:

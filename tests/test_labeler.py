@@ -73,6 +73,18 @@ class TestForward:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_positional_encoding_is_memoized_read_only(dtype):
+    table = labeler.positional_encoding(108, 32, dtype)
+    fresh = labeler._positional_table.__wrapped__(108, 32, np.dtype(dtype))
+    assert table.dtype == dtype
+    assert np.array_equal(table, fresh)
+    assert labeler.positional_encoding(108, 32, np.dtype(dtype)) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
 class TestLoss:
     def test_uniform_scores_loss(self):
         params = {k: np.zeros_like(v) for k, v in
