@@ -68,6 +68,9 @@ class AudioBuffer:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise FeatureError("empty audio buffer")
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            raise FeatureError(f"sample {int(np.argmin(finite))} is not finite")
 
     @property
     def duration_s(self) -> float:
@@ -130,7 +133,11 @@ class FeatureWindow:
 
 
 def load_wav(path) -> AudioBuffer:
-    """Read a WAV file; stereo is downmixed by averaging channels."""
+    """Read a WAV file; stereo is downmixed by averaging channels.
+
+    A NaN or infinite sample raises :class:`FeatureError` naming the path and
+    the first such sample.
+    """
     rate, data = wavfile.read(path)
     data = np.asarray(data)
     if data.dtype == np.int16:
@@ -143,7 +150,10 @@ def load_wav(path) -> AudioBuffer:
         raise FeatureError(f"{path}: unsupported sample format {data.dtype}")
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    return AudioBuffer(samples, int(rate))
+    try:
+        return AudioBuffer(samples, int(rate))
+    except FeatureError as err:
+        raise FeatureError(f"{path}: {err}") from None
 
 
 def save_wav(path, audio: AudioBuffer) -> None:

@@ -13,6 +13,12 @@ The feed-forward hidden width is twice the model width.  Loss is masked
 mean softmax cross-entropy over frames; padded frames are excluded.  All
 computation runs in the dtype of the parameters, so float64 is available
 for gradient checking and float32 for training.
+
+Each elementwise step makes one pass over an array: bias adds, residual
+adds, the softmax and the layer-norm arithmetic update their operand in
+place.  They do so only on arrays the function has just computed, never on
+``params``, on the caller's inputs (``np.asarray`` hands back the caller's
+array when its dtype already matches) or on the read-only positional table.
 """
 
 from __future__ import annotations
@@ -176,33 +182,49 @@ def _positional_table(n_frames: int, dim: int, dtype: np.dtype) -> np.ndarray:
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """Layer norm of the fresh array ``x``, which becomes ``xhat`` in place."""
+    x -= x.mean(axis=-1, keepdims=True)
+    var = np.einsum("ij,ij->i", x, x)[:, None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv, g)
+    x *= inv
+    y = x * g
+    y += b
+    return y, (x, inv, g)
 
 
 def _layer_norm_backward(dy, cache):
     xhat, inv, g = cache
-    dxhat = dy * g
-    dg = (dy * xhat).sum(axis=0)
+    n = dy.shape[-1]
+    dg = np.einsum("ij,ij->j", dy, xhat)
     db = dy.sum(axis=0)
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    dx = dy * g  # the gradient for xhat, turned into that for x in place
+    mean_dxhat_xhat = np.einsum("ij,ij->i", dx, xhat)[:, None] / n
+    dx -= dx.sum(axis=-1, keepdims=True) / n
+    dx -= xhat * mean_dxhat_xhat
+    dx *= inv
     return dx, dg, db
 
 
-def _softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax_inplace(x):
+    """Softmax over the last axis of the fresh array ``x``, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _log_softmax(scores):
+    """Float64 log-softmax over the last axis, in a new array."""
+    z = np.array(scores, dtype=np.float64)
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def _split_heads(x, n_heads):
     t, d = x.shape
-    return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
+    return np.ascontiguousarray(
+        x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2))
 
 
 def _merge_heads(x):
@@ -223,99 +245,110 @@ def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
         raise ValueError(
             f"expected (frames, {config.input_dim}) inputs, got {x.shape}")
     state = {"x": x}
-    h = x @ params["in_proj.w"] + params["in_proj.b"]
-    h = h + positional_encoding(h.shape[0], config.model_dim, h.dtype)
+    h = x @ params["in_proj.w"]
+    h += params["in_proj.b"]
+    h += positional_encoding(h.shape[0], config.model_dim, h.dtype)
     scale = 1.0 / math.sqrt(config.head_dim)  # a Python float keeps the dtype
     for i in range(config.n_layers):
         p = f"layers.{i}"
         state[f"h_in.{i}"] = h
-        q = h @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"]
-        k = h @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"]
-        v = h @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"]
+        q = h @ params[f"{p}.attn.wq"]
+        q += params[f"{p}.attn.bq"]
+        q *= scale
+        k = h @ params[f"{p}.attn.wk"]
+        k += params[f"{p}.attn.bk"]
+        v = h @ params[f"{p}.attn.wv"]
+        v += params[f"{p}.attn.bv"]
         qh = _split_heads(q, config.n_heads)
         kh = _split_heads(k, config.n_heads)
         vh = _split_heads(v, config.n_heads)
-        attn = _softmax(qh @ kh.transpose(0, 2, 1) * scale)
+        attn = _softmax_inplace(qh @ kh.transpose(0, 2, 1))
         ctx = _merge_heads(attn @ vh)
-        out = ctx @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-        h1, ln1_cache = _layer_norm(h + out, params[f"{p}.ln1.g"],
+        r1 = ctx @ params[f"{p}.attn.wo"]
+        r1 += params[f"{p}.attn.bo"]
+        r1 += h
+        h1, ln1_cache = _layer_norm(r1, params[f"{p}.ln1.g"],
                                     params[f"{p}.ln1.b"])
-        z1 = h1 @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]
-        u = np.maximum(z1, 0.0)
-        z2 = u @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
-        h2, ln2_cache = _layer_norm(h1 + z2, params[f"{p}.ln2.g"],
+        u = h1 @ params[f"{p}.ff.w1"]
+        u += params[f"{p}.ff.b1"]
+        np.maximum(u, 0.0, out=u)
+        r2 = u @ params[f"{p}.ff.w2"]
+        r2 += params[f"{p}.ff.b2"]
+        r2 += h1
+        h2, ln2_cache = _layer_norm(r2, params[f"{p}.ln2.g"],
                                     params[f"{p}.ln2.b"])
         state[f"attn.{i}"] = attn
-        state[f"layer.{i}"] = (qh, kh, vh, ctx, ln1_cache, h1, z1, u, ln2_cache)
+        state[f"layer.{i}"] = (qh, kh, vh, ctx, ln1_cache, h1, u, ln2_cache)
         h = h2
     state["h_final"] = h
-    scores = h @ params["classifier.w"] + params["classifier.b"]
+    scores = h @ params["classifier.w"]
+    scores += params["classifier.b"]
     if return_state:
         return scores, state
     return scores
 
 
-def _backward(params, config, state, dscores):
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+def _backward(params, config, state, dscores, grads):
+    """Add the gradient of one item, given ``dscores``, into ``grads``."""
     h = state["h_final"]
-    grads["classifier.w"] = h.T @ dscores
-    grads["classifier.b"] = dscores.sum(axis=0)
+    grads["classifier.w"] += h.T @ dscores
+    grads["classifier.b"] += dscores.sum(axis=0)
     dh = dscores @ params["classifier.w"].T
     scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.n_layers)):
         p = f"layers.{i}"
-        qh, kh, vh, ctx, ln1_cache, h1, z1, u, ln2_cache = state[f"layer.{i}"]
+        qh, kh, vh, ctx, ln1_cache, h1, u, ln2_cache = state[f"layer.{i}"]
         attn = state[f"attn.{i}"]
 
         dr2, dg2, db2 = _layer_norm_backward(dh, ln2_cache)
-        grads[f"{p}.ln2.g"] = dg2
-        grads[f"{p}.ln2.b"] = db2
+        grads[f"{p}.ln2.g"] += dg2
+        grads[f"{p}.ln2.b"] += db2
         # r2 = h1 + relu(h1 W1 + b1) W2 + b2
-        dz2 = dr2
-        grads[f"{p}.ff.w2"] = u.T @ dz2
-        grads[f"{p}.ff.b2"] = dz2.sum(axis=0)
-        du = dz2 @ params[f"{p}.ff.w2"].T
-        dz1 = du * (z1 > 0)
-        grads[f"{p}.ff.w1"] = h1.T @ dz1
-        grads[f"{p}.ff.b1"] = dz1.sum(axis=0)
-        dh1 = dr2 + dz1 @ params[f"{p}.ff.w1"].T
+        grads[f"{p}.ff.w2"] += u.T @ dr2
+        grads[f"{p}.ff.b2"] += dr2.sum(axis=0)
+        dz1 = dr2 @ params[f"{p}.ff.w2"].T
+        dz1 *= (u > 0)
+        grads[f"{p}.ff.w1"] += h1.T @ dz1
+        grads[f"{p}.ff.b1"] += dz1.sum(axis=0)
+        dh1 = dz1 @ params[f"{p}.ff.w1"].T
+        dh1 += dr2
 
         dr1, dg1, db1 = _layer_norm_backward(dh1, ln1_cache)
-        grads[f"{p}.ln1.g"] = dg1
-        grads[f"{p}.ln1.b"] = db1
-        # r1 = h_in + (attn context) Wo + bo
-        dout = dr1
-        grads[f"{p}.attn.wo"] = ctx.T @ dout
-        grads[f"{p}.attn.bo"] = dout.sum(axis=0)
-        dctx = dout @ params[f"{p}.attn.wo"].T
-        dctx_h = _split_heads(dctx, config.n_heads)
+        grads[f"{p}.ln1.g"] += dg1
+        grads[f"{p}.ln1.b"] += db1
+        # r1 = h_in + (attn context) Wo + bo; the scores are (q * scale) k^T
+        grads[f"{p}.attn.wo"] += ctx.T @ dr1
+        grads[f"{p}.attn.bo"] += dr1.sum(axis=0)
+        dctx_h = _split_heads(dr1 @ params[f"{p}.attn.wo"].T, config.n_heads)
         dattn = dctx_h @ vh.transpose(0, 2, 1)
         dvh = attn.transpose(0, 2, 1) @ dctx_h
-        dscores_attn = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dqh = dscores_attn @ kh * scale
-        dkh = dscores_attn.transpose(0, 2, 1) @ qh * scale
+        dattn -= np.einsum("hts,hts->ht", dattn, attn)[..., None]
+        dattn *= attn
+        dqh = dattn @ kh
+        dqh *= scale
+        dkh = dattn.transpose(0, 2, 1) @ qh
         dq = _merge_heads(dqh)
         dk = _merge_heads(dkh)
         dv = _merge_heads(dvh)
 
         h_in = state[f"h_in.{i}"]
-        grads[f"{p}.attn.wq"] = h_in.T @ dq
-        grads[f"{p}.attn.bq"] = dq.sum(axis=0)
-        grads[f"{p}.attn.wk"] = h_in.T @ dk
-        grads[f"{p}.attn.bk"] = dk.sum(axis=0)
-        grads[f"{p}.attn.wv"] = h_in.T @ dv
-        grads[f"{p}.attn.bv"] = dv.sum(axis=0)
-        dh = (dr1 + dq @ params[f"{p}.attn.wq"].T
-              + dk @ params[f"{p}.attn.wk"].T
-              + dv @ params[f"{p}.attn.wv"].T)
-    grads["in_proj.w"] = state["x"].T @ dh
-    grads["in_proj.b"] = dh.sum(axis=0)
-    return grads
+        grads[f"{p}.attn.wq"] += h_in.T @ dq
+        grads[f"{p}.attn.bq"] += dq.sum(axis=0)
+        grads[f"{p}.attn.wk"] += h_in.T @ dk
+        grads[f"{p}.attn.bk"] += dk.sum(axis=0)
+        grads[f"{p}.attn.wv"] += h_in.T @ dv
+        grads[f"{p}.attn.bv"] += dv.sum(axis=0)
+        dh = dq @ params[f"{p}.attn.wq"].T
+        dh += dk @ params[f"{p}.attn.wk"].T
+        dh += dv @ params[f"{p}.attn.wv"].T
+        dh += dr1
+    grads["in_proj.w"] += state["x"].T @ dh
+    grads["in_proj.b"] += dh.sum(axis=0)
 
 
 def class_probabilities(scores: np.ndarray) -> np.ndarray:
     """Softmax over the class axis of a score matrix."""
-    return _softmax(np.asarray(scores, dtype=np.float64))
+    return np.exp(_log_softmax(scores))
 
 
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
@@ -329,7 +362,7 @@ def _loss_and_accuracy(params, config, items):
     for item in items:
         scores = forward(params, config, item.inputs)
         mask = item.valid_mask()
-        total += _cross_entropy_sum(scores, item.targets, mask)
+        total -= _picked_sum(_log_softmax(scores), item.targets, mask)
         n_correct += int(((scores.argmax(axis=1) == item.targets) & mask).sum())
         n_valid += int(mask.sum())
     if n_valid == 0:
@@ -337,12 +370,9 @@ def _loss_and_accuracy(params, config, items):
     return total / n_valid, n_correct / n_valid
 
 
-def _cross_entropy_sum(scores, targets, mask) -> float:
-    s = np.asarray(scores, dtype=np.float64)
-    z = s - s.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    picked = logp[np.arange(len(targets)), targets]
-    return float(-(picked * mask).sum())
+def _picked_sum(logp, targets, mask) -> float:
+    """Sum over valid frames of the target's log-probability."""
+    return float((logp[np.arange(len(targets)), targets] * mask).sum())
 
 
 def loss_and_grad(params: dict, config: LabelerConfig, batch):
@@ -352,25 +382,20 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch):
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
     total = 0.0
-    grads = None
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     for item in batch:
         if len(item.targets) != len(item.inputs):
             raise ValueError("targets length does not match input frames")
         scores, state = forward(params, config, item.inputs, return_state=True)
         mask = item.valid_mask()
-        total += _cross_entropy_sum(scores, item.targets, mask)
-        probs = _softmax(np.asarray(scores, dtype=np.float64))
-        dscores = probs
+        logp = _log_softmax(scores)
+        total -= _picked_sum(logp, item.targets, mask)
+        dscores = np.exp(logp, out=logp)
         dscores[np.arange(len(item.targets)), item.targets] -= 1.0
         dscores *= mask[:, None]
         dscores /= n_valid
-        item_grads = _backward(params, config, state,
-                               dscores.astype(scores.dtype))
-        if grads is None:
-            grads = item_grads
-        else:
-            for k in grads:
-                grads[k] += item_grads[k]
+        _backward(params, config, state,
+                  dscores.astype(scores.dtype, copy=False), grads)
     loss = total / n_valid
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss: {loss}")
@@ -395,12 +420,23 @@ class AdamOptimizer:
         b2c = 1.0 - self.beta2 ** self.t
         for k in params:
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            mhat = self.m[k] / b1c
-            vhat = self.v[k] / b2c
-            params[k] -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
-                params[k].dtype)
+            # In place, in the order of m = b1 m + (1 - b1) g and
+            # v = b2 v + ((1 - b2) g) g, so every step is bit-identical to
+            # the same formulas computed into new arrays.
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            g2 = (1.0 - self.beta2) * g
+            g2 *= g
+            v += g2
+            denom = v / b2c
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / b1c
+            update *= self.lr
+            update /= denom
+            params[k] -= update
 
 
 def train(config: LabelerConfig, train_items, val_items=None, lr=1e-3,

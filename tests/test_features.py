@@ -469,6 +469,26 @@ class TestCacheAndWav:
         assert back.sample_rate_hz == SAMPLE_RATE
         assert np.allclose(back.samples, audio.samples, atol=1.0 / 32000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_float_wav_with_non_finite_sample_names_file_and_sample(
+            self, tmp_path, bad):
+        from scipy.io import wavfile
+        p = tmp_path / "f.wav"
+        samples = np.linspace(-0.5, 0.5, 3000, dtype=np.float32)
+        samples[1234] = bad
+        samples[2000] = bad
+        wavfile.write(p, SAMPLE_RATE, samples)
+        with pytest.raises(FeatureError,
+                           match=r"f\.wav: sample 1234 is not finite"):
+            load_wav(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_buffer_rejects_non_finite_samples(self, bad):
+        samples = np.zeros(500)
+        samples[7] = bad
+        with pytest.raises(FeatureError, match=r"^sample 7 is not finite$"):
+            AudioBuffer(samples, SAMPLE_RATE)
+
     def test_wav_stereo_downmix(self, tmp_path):
         from scipy.io import wavfile
         p = tmp_path / "s.wav"

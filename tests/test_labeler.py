@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,152 @@ from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
 
 TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
                      context_frames=8, seed=3)
+
+
+# Reference implementation of the network: every step allocates its result
+# and nothing is updated in place.  ``forward`` and ``_backward`` must agree
+# with it.
+
+def _reference_layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + labeler.LN_EPS)
+    xhat = (x - mu) * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def _reference_layer_norm_backward(dy, cache):
+    xhat, inv, g = cache
+    dxhat = dy * g
+    dg = (dy * xhat).sum(axis=0)
+    db = dy.sum(axis=0)
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return dx, dg, db
+
+
+def _reference_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_split_heads(x, n_heads):
+    t, d = x.shape
+    return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _reference_merge_heads(x):
+    h, t, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(t, h * dh)
+
+
+def reference_forward(params, config, inputs):
+    """``(scores, state)`` as :func:`labeler.forward` returns with state."""
+    x = np.asarray(inputs, dtype=params["in_proj.w"].dtype)
+    state = {"x": x}
+    h = x @ params["in_proj.w"] + params["in_proj.b"]
+    h = h + labeler.positional_encoding(h.shape[0], config.model_dim, h.dtype)
+    scale = 1.0 / math.sqrt(config.head_dim)
+    for i in range(config.n_layers):
+        p = f"layers.{i}"
+        state[f"h_in.{i}"] = h
+        q = h @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"]
+        k = h @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"]
+        v = h @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"]
+        qh = _reference_split_heads(q, config.n_heads)
+        kh = _reference_split_heads(k, config.n_heads)
+        vh = _reference_split_heads(v, config.n_heads)
+        attn = _reference_softmax(qh @ kh.transpose(0, 2, 1) * scale)
+        ctx = _reference_merge_heads(attn @ vh)
+        out = ctx @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
+        h1, ln1_cache = _reference_layer_norm(h + out, params[f"{p}.ln1.g"],
+                                              params[f"{p}.ln1.b"])
+        z1 = h1 @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]
+        u = np.maximum(z1, 0.0)
+        z2 = u @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
+        h2, ln2_cache = _reference_layer_norm(h1 + z2, params[f"{p}.ln2.g"],
+                                              params[f"{p}.ln2.b"])
+        state[f"attn.{i}"] = attn
+        state[f"layer.{i}"] = (qh, kh, vh, ctx, ln1_cache, h1, z1, u,
+                               ln2_cache)
+        h = h2
+    state["h_final"] = h
+    return h @ params["classifier.w"] + params["classifier.b"], state
+
+
+def reference_backward(params, config, state, dscores):
+    """Gradient of one item from ``reference_forward``'s state."""
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    h = state["h_final"]
+    grads["classifier.w"] = h.T @ dscores
+    grads["classifier.b"] = dscores.sum(axis=0)
+    dh = dscores @ params["classifier.w"].T
+    scale = 1.0 / math.sqrt(config.head_dim)
+    for i in reversed(range(config.n_layers)):
+        p = f"layers.{i}"
+        qh, kh, vh, ctx, ln1_cache, h1, z1, u, ln2_cache = state[f"layer.{i}"]
+        attn = state[f"attn.{i}"]
+        dr2, dg2, db2 = _reference_layer_norm_backward(dh, ln2_cache)
+        grads[f"{p}.ln2.g"] = dg2
+        grads[f"{p}.ln2.b"] = db2
+        grads[f"{p}.ff.w2"] = u.T @ dr2
+        grads[f"{p}.ff.b2"] = dr2.sum(axis=0)
+        dz1 = (dr2 @ params[f"{p}.ff.w2"].T) * (z1 > 0)
+        grads[f"{p}.ff.w1"] = h1.T @ dz1
+        grads[f"{p}.ff.b1"] = dz1.sum(axis=0)
+        dh1 = dr2 + dz1 @ params[f"{p}.ff.w1"].T
+        dr1, dg1, db1 = _reference_layer_norm_backward(dh1, ln1_cache)
+        grads[f"{p}.ln1.g"] = dg1
+        grads[f"{p}.ln1.b"] = db1
+        grads[f"{p}.attn.wo"] = ctx.T @ dr1
+        grads[f"{p}.attn.bo"] = dr1.sum(axis=0)
+        dctx_h = _reference_split_heads(dr1 @ params[f"{p}.attn.wo"].T,
+                                        config.n_heads)
+        dattn = dctx_h @ vh.transpose(0, 2, 1)
+        dvh = attn.transpose(0, 2, 1) @ dctx_h
+        dscores_attn = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dq = _reference_merge_heads(dscores_attn @ kh * scale)
+        dk = _reference_merge_heads(dscores_attn.transpose(0, 2, 1) @ qh * scale)
+        dv = _reference_merge_heads(dvh)
+        h_in = state[f"h_in.{i}"]
+        grads[f"{p}.attn.wq"] = h_in.T @ dq
+        grads[f"{p}.attn.bq"] = dq.sum(axis=0)
+        grads[f"{p}.attn.wk"] = h_in.T @ dk
+        grads[f"{p}.attn.bk"] = dk.sum(axis=0)
+        grads[f"{p}.attn.wv"] = h_in.T @ dv
+        grads[f"{p}.attn.bv"] = dv.sum(axis=0)
+        dh = (dr1 + dq @ params[f"{p}.attn.wq"].T
+              + dk @ params[f"{p}.attn.wk"].T
+              + dv @ params[f"{p}.attn.wv"].T)
+    grads["in_proj.w"] = state["x"].T @ dh
+    grads["in_proj.b"] = dh.sum(axis=0)
+    return grads
+
+
+def reference_loss_and_grad(params, config, batch):
+    """``(loss, grads, scores, attention)`` of the reference implementation."""
+    n_valid = sum(int(item.valid_mask().sum()) for item in batch)
+    total, grads, scores, attention = 0.0, None, [], []
+    for item in batch:
+        s, state = reference_forward(params, config, item.inputs)
+        mask = item.valid_mask()
+        s64 = s.astype(np.float64)
+        z = s64 - s64.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        total -= (logp[np.arange(len(item.targets)), item.targets] * mask).sum()
+        dscores = _reference_softmax(s64)
+        dscores[np.arange(len(item.targets)), item.targets] -= 1.0
+        dscores *= mask[:, None]
+        dscores /= n_valid
+        item_grads = reference_backward(params, config, state,
+                                        dscores.astype(s.dtype))
+        grads = item_grads if grads is None else {
+            k: grads[k] + item_grads[k] for k in grads}
+        scores.append(s)
+        attention.append([state[f"attn.{i}"] for i in range(config.n_layers)])
+    return total / n_valid, grads, scores, attention
 
 
 def make_batch(config, n_items=2, frames=8, seed=11, masked_tail=1):
@@ -83,6 +231,82 @@ def test_positional_encoding_is_memoized_read_only(dtype):
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
+
+
+ORACLE_CASES = {
+    "tiny": (TINY, dict(n_items=2, frames=8, masked_tail=1)),
+    "d32_l1_h4_108": (LabelerConfig(input_dim=12, model_dim=32, n_layers=1,
+                                    n_heads=4, context_frames=108, seed=5),
+                      dict(n_items=2, frames=108, masked_tail=0)),
+    "d16_l2_h2_masked": (LabelerConfig(input_dim=12, model_dim=16, n_layers=2,
+                                       n_heads=2, context_frames=20, seed=8),
+                         dict(n_items=3, frames=20, masked_tail=7)),
+}
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12),
+                                         (np.float32, 1e-5)])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_matches_reference_implementation(case, dtype, rtol):
+    config, shape = ORACLE_CASES[case]
+    params = init_params(config, dtype=dtype)
+    # Trained-looking parameters: perturb gains and biases away from 1 and 0.
+    rng = np.random.Generator(np.random.PCG64(17))
+    for k, v in params.items():
+        params[k] = (v + 0.1 * rng.standard_normal(v.shape)).astype(dtype)
+    batch = make_batch(config, seed=23, **shape)
+    batch[-1].mask[: len(batch) - 1] = False  # a masked head as well
+    ref_loss, ref_grads, ref_scores, ref_attn = reference_loss_and_grad(
+        params, config, batch)
+    loss, grads = loss_and_grad(params, config, batch)
+
+    assert loss == pytest.approx(ref_loss, rel=rtol, abs=0)
+    for item, want_scores, want_attn in zip(batch, ref_scores, ref_attn):
+        scores, state = forward(params, config, item.inputs, return_state=True)
+        assert scores.dtype == dtype
+        scale = np.abs(want_scores).max()
+        assert np.abs(scores - want_scores).max() <= rtol * scale
+        for i, want in enumerate(want_attn):
+            assert state[f"attn.{i}"].dtype == dtype
+            assert np.abs(state[f"attn.{i}"] - want).max() <= rtol
+    # One scale for the whole set: ``attn.bk`` has an exact gradient of
+    # zero (softmax ignores a per-row shift), so a per-parameter relative
+    # error would compare rounding noise with rounding noise.
+    grad_scale = max(np.abs(g).max() for g in ref_grads.values())
+    assert set(grads) == set(ref_grads)
+    for k, want in ref_grads.items():
+        assert grads[k].dtype == dtype, k
+        assert np.abs(grads[k] - want).max() <= rtol * grad_scale, k
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_calls_leave_their_arguments_unchanged(dtype):
+    config = ORACLE_CASES["d16_l2_h2_masked"][0]
+    params = init_params(config, dtype=dtype)
+    batch = [SequenceExample(item.inputs.astype(dtype), item.targets, item.mask)
+             for item in make_batch(config, frames=20, masked_tail=3)]
+    before_params = {k: v.copy() for k, v in params.items()}
+    before_items = [(item.inputs.copy(), item.targets.copy(), item.mask.copy())
+                    for item in batch]
+    scores = forward(params, config, batch[0].inputs).astype(np.float64)
+    before_scores = scores.copy()
+
+    forward(params, config, batch[0].inputs, return_state=True)
+    loss_and_grad(params, config, batch)
+    loss_value(params, config, batch)
+    class_probabilities(scores)
+
+    for k, v in before_params.items():
+        assert np.array_equal(params[k], v), k
+    for item, (inputs, targets, mask) in zip(batch, before_items):
+        assert np.array_equal(item.inputs, inputs)
+        assert np.array_equal(item.targets, targets)
+        assert np.array_equal(item.mask, mask)
+    assert np.array_equal(scores, before_scores)
+    table = labeler.positional_encoding(20, config.model_dim, dtype)
+    assert not table.flags.writeable
+    assert np.array_equal(table, labeler._positional_table.__wrapped__(
+        20, config.model_dim, np.dtype(dtype)))
 
 
 class TestLoss:
@@ -344,6 +568,27 @@ class TestAdam:
         # first step moves by ~lr in the gradient direction
         assert params["w"][0] == pytest.approx(1.0 - 0.1, abs=1e-6)
         assert params["w"][1] == pytest.approx(2.0 + 0.1, abs=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_steps_are_bit_identical_to_the_formulas(self, dtype):
+        params = init_params(TINY, dtype=dtype)
+        want = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        opt = AdamOptimizer(params, lr=3e-3)
+        rng = np.random.Generator(np.random.PCG64(19))
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(p.shape).astype(dtype)
+                     for k, p in params.items()}
+            opt.step(params, grads)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+                want[k] -= (3e-3 * (m[k] / (1.0 - 0.9 ** t))
+                            / (np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8))
+        for k in params:
+            assert params[k].dtype == dtype
+            assert np.array_equal(params[k], want[k]), k
 
 
 class TestCheckpoint:
