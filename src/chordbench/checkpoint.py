@@ -50,26 +50,38 @@ def save_checkpoint(path, config: LabelerConfig, params: dict,
 
 
 def load_checkpoint(path):
-    """Returns ``(config, params, extra)``."""
+    """Returns ``(config, params, extra)``.
+
+    A file that ends early raises :class:`CheckpointError` naming the path
+    and the part cut short.
+    """
     with open(path, "rb") as fh:
+        def read(size, part):
+            data = fh.read(size)
+            if len(data) != size:
+                raise CheckpointError(f"{path}: truncated {part}")
+            return data
+
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        version, blob_len = struct.unpack("<II", fh.read(8))
+        version, blob_len = struct.unpack("<II", read(8, "header"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        meta = json.loads(fh.read(blob_len).decode("utf-8"))
+        meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
         config = LabelerConfig(**meta["config"])
-        (n_tensors,) = struct.unpack("<I", fh.read(4))
+        (n_tensors,) = struct.unpack("<I", read(4, "tensor count"))
         params = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            width, ndim = struct.unpack("<BB", fh.read(2))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        for i in range(n_tensors):
+            (name_len,) = struct.unpack("<H", read(2, f"name length of tensor {i}"))
+            name = read(name_len, f"name of tensor {i}").decode("utf-8")
+            width, ndim = struct.unpack("<BB", read(2, f"layout of tensor {name!r}"))
+            if width not in (4, 8):
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has unsupported width {width}")
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"shape of tensor {name!r}"))
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(width * count), dtype=f"<f{width}")
-            if data.size != count:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            data = np.frombuffer(read(width * count, f"tensor {name!r}"),
+                                 dtype=f"<f{width}")
             dtype = np.float32 if width == 4 else np.float64
             params[name] = data.reshape(shape).astype(dtype)
     return config, params, meta.get("extra", {})

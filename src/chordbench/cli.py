@@ -13,6 +13,7 @@ import csv
 import glob
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -77,11 +78,13 @@ def cmd_stats(args):
 
 
 def _parse_shift_range(text):
-    lo, hi = text.split("..")
-    lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise SystemExit(f"bad shift range {text!r}")
-    return range(lo, hi + 1)
+    """``LO..HI`` as the shifts LO to HI, both within ``features.SHIFT_RANGE``."""
+    lo_min, hi_max = features.SHIFT_RANGE
+    m = re.fullmatch(r"([+-]?\d+)\.\.([+-]?\d+)", text)
+    if not m or not lo_min <= int(m[1]) <= int(m[2]) <= hi_max:
+        raise SystemExit(f"--aug: bad shift range {text!r}; expected LO..HI "
+                         f"with {lo_min} <= LO <= HI <= {hi_max}")
+    return range(int(m[1]), int(m[2]) + 1)
 
 
 def cmd_extract(args):
@@ -158,7 +161,7 @@ def cmd_train(args):
         config, train_items, val_items,
         lr=cfg.get("lr", 1e-3), batch_size=cfg.get("batch_size", 8),
         max_epochs=cfg.get("max_epochs", 50), patience=cfg.get("patience", 5))
-    extra = {"mean": float(stats_.mean), "std": float(stats_.std),
+    extra = {"mean": stats_.mean, "std": stats_.std,
              "bin_kind": pairs[0][0].bin_kind,
              "hop_samples": pairs[0][0].hop_samples,
              "sample_rate_hz": pairs[0][0].sample_rate_hz}

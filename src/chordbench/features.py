@@ -1,4 +1,4 @@
-"""Audio feature pipeline: constant-Q analysis, chroma ingestion, windowing.
+"""Audio feature pipeline: constant-Q analysis, normalization, windowing.
 
 The constant-Q transform covers 6 octaves from C1 (32.7032 Hz) at 24 bins
 per octave with a hop of 2048 samples at 22050 Hz.  Each bin is a direct
@@ -17,11 +17,6 @@ magnitude equals the bin-by-bin projection up to rounding (below 1e-12).
 Downstream stages: log amplitude with a 1e-6 floor, global z-normalization
 fitted on training data, 108-frame windows with 54-frame stride, and pitch
 augmentation as a 2-bins-per-semitone shift in the log-CQT domain.
-
-Precomputed 24-dimensional bass/treble chroma files (timestamp plus 24
-values per row) are ingested as-is; sequence construction for them pools a
-centered 21-frame context every 5 frames and groups 100 segments per
-sequence.
 """
 
 from __future__ import annotations
@@ -113,10 +108,10 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Scalar (or per-bin) mean and standard deviation for z-normalization."""
+    """Global mean and standard deviation for z-normalization."""
 
-    mean: np.ndarray | float
-    std: np.ndarray | float
+    mean: float
+    std: float
 
 
 @dataclass(frozen=True)
@@ -252,22 +247,11 @@ def log_cqt_from_wav(path) -> FeatureMatrix:
     return log_amplitude(cqt(load_wav(path)))
 
 
-def zscore_fit(training_features, per_bin: bool = False) -> NormStats:
-    """Mean and standard deviation over every value of the training set.
-
-    The default is one global scalar pair; ``per_bin`` fits one pair per
-    feature bin instead.
-    """
+def zscore_fit(training_features) -> NormStats:
+    """Mean and standard deviation over every value of the training set."""
     mats = [np.asarray(f.values, dtype=np.float64) for f in training_features]
     if not mats or sum(m.size for m in mats) < 2:
         raise FeatureError("need at least two training values to fit normalization")
-    if per_bin:
-        stacked = np.concatenate(mats, axis=0)
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
-        if np.any(std <= 0):
-            raise FeatureError("zero variance in at least one feature bin")
-        return NormStats(mean, std)
     flat = np.concatenate([m.ravel() for m in mats])
     mean = float(flat.mean())
     std = float(flat.std())
@@ -372,102 +356,6 @@ def frames_to_track(classes: np.ndarray, hop_samples: int, sample_rate_hz: int,
     return normalize(SegmentTrack(segments, source_id))
 
 
-CHROMA_HOP_TOL_S = 1e-4
-
-
-def read_chroma_file(path, sample_rate_hz: int = SAMPLE_RATE) -> FeatureMatrix:
-    """Read a precomputed bass/treble chroma text file.
-
-    Each row holds a timestamp followed by 24 values (12 treble then 12 bass
-    chroma), delimited by commas, semicolons, or whitespace.  Timestamps
-    must be uniformly spaced within 1e-4 s; the frame hop is inferred from
-    their spacing.
-    """
-    times = []
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip().strip(",;")
-            if not line:
-                continue
-            fields = [f for f in _split_delimited(line) if f]
-            if len(fields) != 25:
-                raise FeatureError(
-                    f"{path}:{lineno}: expected 25 fields, got {len(fields)}")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise FeatureError(f"{path}:{lineno}: non-numeric field") from None
-            times.append(values[0])
-            rows.append(values[1:])
-    if len(rows) < 2:
-        raise FeatureError(f"{path}: need at least two rows to infer the frame hop")
-    deltas = np.diff(times)
-    dt = float(deltas.mean())
-    if dt <= 0 or np.any(np.abs(deltas - dt) > CHROMA_HOP_TOL_S):
-        raise FeatureError(f"{path}: timestamps not uniformly spaced")
-    hop = int(round(dt * sample_rate_hz))
-    return FeatureMatrix(np.array(rows, dtype=np.float64), hop,
-                         sample_rate_hz, "chroma24")
-
-
-def _split_delimited(line: str) -> list:
-    for sep in (",", ";"):
-        if sep in line:
-            return [f.strip() for f in line.split(sep)]
-    return line.split()
-
-
-HT_SEQ_LEN = 100
-HT_FRAME_SIZE = 21
-HT_HOP_FRAMES = 5
-
-
-def ht_sequences(chroma: FeatureMatrix) -> list:
-    """Build pooled fixed-length sequences from a chroma track.
-
-    Every 5 frames, one segment is the mean of a centered 21-frame context
-    (truncated at the track edges); 100 consecutive segments form one
-    sequence, and sequences tile the track without overlap.  Returns
-    ``(sequence_matrix, center_frame_indices)`` pairs; indices are -1 for
-    zero-padded tail segments.
-    """
-    if chroma.bin_kind != "chroma24":
-        raise FeatureError(f"expected chroma24 features, got {chroma.bin_kind}")
-    n = chroma.n_frames
-    if n < HT_HOP_FRAMES:
-        raise FeatureError(
-            f"need at least {HT_HOP_FRAMES} frames to build a sequence, got {n}")
-    half = HT_FRAME_SIZE // 2
-    centers = np.arange(0, n, HT_HOP_FRAMES)
-    pooled = np.stack([
-        chroma.values[max(0, c - half):min(n, c + half + 1)].mean(axis=0)
-        for c in centers])
-    seq_hop = chroma.hop_samples * HT_HOP_FRAMES
-    out = []
-    for start in range(0, len(centers), HT_SEQ_LEN):
-        chunk = pooled[start:start + HT_SEQ_LEN]
-        idx = centers[start:start + HT_SEQ_LEN]
-        valid = chunk.shape[0]
-        if valid < HT_SEQ_LEN:
-            chunk = np.vstack([chunk, np.zeros((HT_SEQ_LEN - valid, chunk.shape[1]))])
-            idx = np.concatenate([idx, np.full(HT_SEQ_LEN - valid, -1)])
-        matrix = FeatureMatrix(chunk, seq_hop, chroma.sample_rate_hz, "chroma24")
-        out.append((matrix, idx))
-    return out
-
-
-def pitch_shift_chroma(chroma: FeatureMatrix, semitones: int) -> FeatureMatrix:
-    """Rotate the treble and bass chroma halves by ``semitones`` positions."""
-    if chroma.bin_kind != "chroma24":
-        raise FeatureError(f"expected chroma24 features, got {chroma.bin_kind}")
-    k = semitones % 12
-    values = np.concatenate([np.roll(chroma.values[:, :12], k, axis=1),
-                             np.roll(chroma.values[:, 12:], k, axis=1)], axis=1)
-    return FeatureMatrix(values, chroma.hop_samples, chroma.sample_rate_hz,
-                         "chroma24")
-
-
 # --- flat binary feature cache (docs/cache.md) ----------------------------
 
 CACHE_MAGIC = b"CBF1"
@@ -504,14 +392,18 @@ def read_feature_cache(path):
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
             raise FeatureError(f"{path}: not a feature cache file")
+        header = fh.read(18)
+        if len(header) != 18:
+            raise FeatureError(f"{path}: truncated header")
         kind_code, has_labels, hop, rate, n_frames, n_bins = struct.unpack(
-            "<BBIIII", fh.read(18))
+            "<BBIIII", header)
         if kind_code not in _CACHE_KIND_NAMES:
             raise FeatureError(f"{path}: unknown bin kind code {kind_code}")
-        values = np.frombuffer(fh.read(4 * n_frames * n_bins), dtype="<f4")
-        if values.size != n_frames * n_bins:
+        block = fh.read(4 * n_frames * n_bins)
+        if len(block) != 4 * n_frames * n_bins:
             raise FeatureError(f"{path}: truncated value block")
-        values = values.reshape(n_frames, n_bins).astype(np.float64)
+        values = np.frombuffer(block, dtype="<f4").reshape(
+            n_frames, n_bins).astype(np.float64)
         labels = None
         if has_labels:
             labels = np.frombuffer(fh.read(n_frames), dtype=np.uint8)

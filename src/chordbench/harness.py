@@ -318,8 +318,7 @@ def _read_fold_scores(path):
     return rows
 
 
-def summarize(config, rows, k, metrics=DEFAULT_METRICS,
-              duration_weighted: bool = True) -> list:
+def summarize(config, rows, k, metrics=DEFAULT_METRICS) -> list:
     """Fold-level aggregation and percent-scale mean/std over folds."""
     summary = []
     for dataset in config.eval_datasets:
@@ -330,7 +329,7 @@ def summarize(config, rows, k, metrics=DEFAULT_METRICS,
                           if r["fold"] == fold and r["dataset"] == dataset
                           and r["metric"] == metric]
                 if picked:
-                    fold_scores.append(aggregate_fold(picked, duration_weighted))
+                    fold_scores.append(aggregate_fold(picked))
             values = 100.0 * np.array(fold_scores)
             summary.append({"experiment": config.id, "dataset": dataset,
                             "metric": metric,

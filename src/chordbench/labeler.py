@@ -346,11 +346,6 @@ def _backward(params, config, state, dscores, grads):
     grads["in_proj.b"] += dh.sum(axis=0)
 
 
-def class_probabilities(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the class axis of a score matrix."""
-    return np.exp(_log_softmax(scores))
-
-
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
     """Masked mean cross-entropy of a batch of :class:`SequenceExample`."""
     return _loss_and_accuracy(params, config, batch)[0]

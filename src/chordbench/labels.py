@@ -257,11 +257,6 @@ def transpose(label: ChordLabel, semitones: int) -> ChordLabel:
     return ChordLabel((label.root + semitones) % 12, label.quality, label.bass)
 
 
-def root_of(label: ChordLabel) -> int | None:
-    """Root pitch class, or None for no-chord."""
-    return label.root
-
-
 def majmin_name(index: int) -> str:
     """Display name of a class in the 25-class vocabulary."""
     if index == NOCHORD_CLASS:

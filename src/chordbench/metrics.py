@@ -152,18 +152,12 @@ def evaluate_pair(ref_track: SegmentTrack, pred_track: SegmentTrack,
             for name in metrics}
 
 
-def aggregate_fold(scores, duration_weighted: bool = True) -> float:
-    """Combine per-song scores into one fold-level score.
-
-    By default songs are weighted by their evaluated duration; with
-    ``duration_weighted=False`` every song counts equally.
-    """
+def aggregate_fold(scores) -> float:
+    """Combine per-song scores into one fold-level score, weighted by duration."""
     scores = list(scores)
     if not scores:
         raise EvaluationError("no scores to aggregate")
-    if duration_weighted:
-        total = sum(s.total_duration_s for s in scores)
-        if total <= 0:
-            raise EvaluationError("zero total duration in fold")
-        return sum(s.value * s.total_duration_s for s in scores) / total
-    return sum(s.value for s in scores) / len(scores)
+    total = sum(s.total_duration_s for s in scores)
+    if total <= 0:
+        raise EvaluationError("zero total duration in fold")
+    return sum(s.value * s.total_duration_s for s in scores) / total

@@ -58,20 +58,6 @@ def chord_transitions(tracks, skip_n: bool = False) -> np.ndarray:
     return counts
 
 
-def export_stats(stats: np.ndarray, path, drop_n: bool = False) -> None:
-    """Write a histogram (1-D) or transition matrix (2-D) as CSV.
-
-    ``drop_n`` omits the no-chord bin / row / column.
-    """
-    stats = np.asarray(stats)
-    if stats.ndim == 1:
-        export_histogram_csv(stats, path, drop_n=drop_n)
-    elif stats.ndim == 2:
-        export_transitions_csv(stats, path, drop_n=drop_n)
-    else:
-        raise ValueError(f"expected 1-D or 2-D statistics, got shape {stats.shape}")
-
-
 def _kept_classes(drop_n: bool) -> list:
     classes = list(range(N_MAJMIN_CLASSES))
     if drop_n:

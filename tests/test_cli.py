@@ -147,6 +147,16 @@ class TestExtractTrainPredict:
         expected = np.array([transpose_majmin(int(c), 1) for c in base_labels])
         assert np.array_equal(up_labels, expected)
 
+    @pytest.mark.parametrize("aug", ["abc", "-9..0"])
+    def test_extract_rejects_bad_aug_before_extraction(self, tiny_dataset,
+                                                       tmp_path, aug):
+        data_dir, _ = tiny_dataset
+        out = tmp_path / "cache"
+        with pytest.raises(SystemExit, match=r"--aug: .* -5 <= LO <= HI <= 6"):
+            run("extract", "--in", str(data_dir), "--labels", str(data_dir),
+                f"--aug={aug}", "--out", str(out))
+        assert not out.exists()
+
     def test_train_and_predict(self, pipeline_dirs, tmp_path):
         data_dir, cache = pipeline_dirs
         cfg = tmp_path / "cfg.json"
@@ -181,6 +191,22 @@ class TestExtractTrainPredict:
                    "--out", str(tmp_path / "model.ckpt")) == 1
         err = capsys.readouterr().err
         assert "a.shift+0.cbf: frame 170: label 200 is not a class index" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_train_rejects_truncated_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "a.shift+0.cbf"
+        write_feature_cache(path, FeatureMatrix(np.zeros((300, 12)), 2048, 22050,
+                                                "chroma12"),
+                            np.zeros(300, dtype=np.int64))
+        path.write_bytes(path.read_bytes()[:10])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                                   "max_epochs": 1}))
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(tmp_path / "model.ckpt")) == 1
+        assert "a.shift+0.cbf: truncated header" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
     def test_template_predict_quality(self, tiny_dataset, tmp_path):

@@ -3,13 +3,12 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from chordbench.annotations import SegmentTrack, TimedSegment
-from chordbench.features import (AudioBuffer, FeatureError, FeatureMatrix,
-                                 HOP, LOG_EPS, LOG_FLOOR, N_BINS, SAMPLE_RATE,
-                                 align_labels, cqt, cqt_bin_frequencies,
-                                 cqt_window_lengths, frames_to_track,
-                                 ht_sequences, load_wav, log_amplitude,
-                                 min_cqt_samples, pitch_shift_chroma,
-                                 pitch_shift_cqt, read_chroma_file,
+from chordbench.features import (BIN_KINDS, AudioBuffer, FeatureError,
+                                 FeatureMatrix, HOP, LOG_EPS, LOG_FLOOR, N_BINS,
+                                 SAMPLE_RATE, align_labels, cqt,
+                                 cqt_bin_frequencies, cqt_window_lengths,
+                                 frames_to_track, load_wav, log_amplitude,
+                                 min_cqt_samples, pitch_shift_cqt,
                                  read_feature_cache, save_wav, window_slices,
                                  write_feature_cache, zscore_apply, zscore_fit)
 from chordbench.labels import parse_harte
@@ -184,16 +183,6 @@ class TestZscore:
         out = zscore_apply(fm, NormStats(0.0, 1.0))
         assert np.array_equal(out.values, fm.values)
 
-    def test_per_bin(self):
-        rng = np.random.Generator(np.random.PCG64(33))
-        mats = [matrix(rng.standard_normal((30, 3)) * np.array([1.0, 5.0, 0.1]))
-                for _ in range(3)]
-        stats = zscore_fit(mats, per_bin=True)
-        assert stats.std.shape == (3,)
-        normed = np.concatenate([zscore_apply(m, stats).values for m in mats])
-        assert np.allclose(normed.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(normed.std(axis=0), 1.0, atol=1e-9)
-
 
 class TestWindowSlices:
     def test_exact_tiling(self):
@@ -311,114 +300,11 @@ class TestFramesToTrack:
         assert t.end_s == pytest.approx(50 * period)
 
 
-class TestChromaFile:
-    def write(self, tmp_path, rows, delim=","):
-        p = tmp_path / "c.csv"
-        p.write_text("\n".join(delim.join(str(v) for v in row) for row in rows))
-        return p
-
-    def rows(self, n, dt=0.046439909):
-        rng = np.random.Generator(np.random.PCG64(37))
-        return [[i * dt] + list(rng.random(24)) for i in range(n)]
-
-    def test_read_infers_hop(self, tmp_path):
-        p = self.write(tmp_path, self.rows(40))
-        fm = read_chroma_file(p)
-        assert fm.bin_kind == "chroma24"
-        assert fm.n_bins == 24
-        assert fm.hop_samples == 1024  # 0.04644 s at 22050 Hz
-
-    def test_single_row_error(self, tmp_path):
-        p = self.write(tmp_path, self.rows(1))
-        with pytest.raises(FeatureError, match="two rows"):
-            read_chroma_file(p)
-
-    def test_non_uniform_error(self, tmp_path):
-        rows = self.rows(5)
-        rows[3][0] += 0.01
-        p = self.write(tmp_path, rows)
-        with pytest.raises(FeatureError, match="uniform"):
-            read_chroma_file(p)
-
-    def test_wrong_field_count(self, tmp_path):
-        p = self.write(tmp_path, [[0.0] + [0.1] * 23])
-        with pytest.raises(FeatureError, match="25 fields"):
-            read_chroma_file(p)
-
-    def test_whitespace_delimited(self, tmp_path):
-        p = self.write(tmp_path, self.rows(5), delim=" ")
-        assert read_chroma_file(p).n_frames == 5
-
-
-class TestHtSequences:
-    def chroma(self, n_frames, fill=None):
-        rng = np.random.Generator(np.random.PCG64(38))
-        values = rng.random((n_frames, 24)) if fill is None else \
-            np.full((n_frames, 24), fill)
-        return matrix(values, kind="chroma24", hop=1024)
-
-    def test_500_frames_single_sequence(self):
-        seqs = ht_sequences(self.chroma(500))
-        assert len(seqs) == 1
-        seq, centers = seqs[0]
-        assert seq.n_frames == 100
-        assert np.array_equal(centers, np.arange(0, 500, 5))
-
-    def test_sequence_time_span(self):
-        seq, _ = ht_sequences(self.chroma(500))[0]
-        span = 100 * seq.frame_period_s
-        assert span == pytest.approx(23.2, abs=0.1)
-
-    def test_constant_input(self):
-        seq, _ = ht_sequences(self.chroma(200, fill=0.5))[0]
-        assert np.allclose(seq.values[:40], 0.5)
-
-    def test_centers_arithmetic(self):
-        for seq, centers in ht_sequences(self.chroma(730)):
-            valid = centers[centers >= 0]
-            assert np.all(np.diff(valid) == 5)
-
-    def test_too_short(self):
-        with pytest.raises(FeatureError):
-            ht_sequences(self.chroma(4))
-
-    def test_padding_flagged(self):
-        seqs = ht_sequences(self.chroma(520))  # 104 segments -> 2 sequences
-        assert len(seqs) == 2
-        _, centers = seqs[1]
-        assert np.sum(centers >= 0) == 4
-        assert np.all(centers[4:] == -1)
-
-
-class TestPitchShiftChroma:
-    def chroma(self, values):
-        return matrix(values, kind="chroma24", hop=1024)
-
-    def test_full_rotation_identity(self):
-        rng = np.random.Generator(np.random.PCG64(39))
-        fm = self.chroma(rng.random((6, 24)))
-        assert np.allclose(pitch_shift_chroma(fm, 12).values, fm.values)
-
-    def test_moves_energy_up(self):
-        values = np.zeros((1, 24))
-        values[0, 0] = 1.0   # treble C
-        values[0, 12] = 1.0  # bass C
-        out = pitch_shift_chroma(self.chroma(values), 1)
-        assert out.values[0, 1] == 1.0 and out.values[0, 13] == 1.0
-        assert out.values[0, 0] == 0.0 and out.values[0, 12] == 0.0
-
-    def test_composition(self):
-        rng = np.random.Generator(np.random.PCG64(40))
-        fm = self.chroma(rng.random((4, 24)))
-        a = pitch_shift_chroma(pitch_shift_chroma(fm, 3), 7)
-        b = pitch_shift_chroma(fm, 10)
-        assert np.allclose(a.values, b.values)
-
-
 class TestCacheAndWav:
-    def test_cache_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("kind", BIN_KINDS)
+    def test_cache_round_trip(self, tmp_path, kind):
         rng = np.random.Generator(np.random.PCG64(41))
-        fm = matrix(rng.standard_normal((30, 12)).astype(np.float32))
+        fm = matrix(rng.standard_normal((30, 12)).astype(np.float32), kind=kind)
         labels = rng.integers(0, 25, 30)
         p = tmp_path / "x.cbf"
         write_feature_cache(p, fm, labels)
@@ -439,6 +325,15 @@ class TestCacheAndWav:
         p = tmp_path / "x.cbf"
         p.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(FeatureError):
+            read_feature_cache(p)
+
+    @pytest.mark.parametrize("cut", [10, 24, -5])
+    def test_cache_truncated_names_file_and_block(self, tmp_path, cut):
+        p = tmp_path / "x.cbf"
+        write_feature_cache(p, matrix(np.ones((4, 3))))
+        p.write_bytes(p.read_bytes()[:cut])
+        block = "header" if cut == 10 else "value block"  # 24, -5: mid-float
+        with pytest.raises(FeatureError, match=rf"x\.cbf: truncated {block}"):
             read_feature_cache(p)
 
     def test_cache_label_out_of_range_names_file_and_frame(self, tmp_path):

@@ -15,7 +15,7 @@ from chordbench.harness import (ExperimentConfig, HarnessError,
                                 default_experiments, emit_report,
                                 load_corpus, load_experiments, make_folds,
                                 read_summary_csv, run_experiment,
-                                stored_log_cqt, summarize)
+                                stored_log_cqt)
 
 
 def songs_with_performances(n_songs, n_perf=2, dataset="d"):
@@ -377,18 +377,3 @@ class TestExperimentsConfig:
         assert experiments[0].model == "template"
         assert experiments[3].balance
         assert experiments[3].train_datasets == ("synthA", "synthB")
-
-
-def test_summarize_uniform_flag(corpus, tmp_path):
-    plan = make_folds(corpus["tiny"], seed=0)
-    config = ExperimentConfig(id=0, train_datasets=(), model="template",
-                              eval_datasets=("tiny",), seed=7)
-    run_experiment(config, plan, corpus, tmp_path, runner=EchoRunner())
-    from chordbench.harness import _read_fold_scores
-    rows = []
-    for fold in range(6):
-        rows.extend(_read_fold_scores(
-            tmp_path / "exp_0" / f"fold_{fold}" / "scores.csv"))
-    weighted = summarize(config, rows, 6)
-    uniform = summarize(config, rows, 6, duration_weighted=False)
-    assert all(r["mean"] == pytest.approx(100.0) for r in weighted + uniform)

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ from chordbench.checkpoint import (CheckpointError, load_checkpoint,
                                    save_checkpoint)
 from chordbench.features import FeatureMatrix
 from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
-                                TrainingError, class_probabilities,
-                                count_params, flatten_params, forward,
+                                TrainingError, count_params, flatten_params, forward,
                                 init_params, loss_and_grad, loss_value,
                                 predict_classes, predict_track, train,
                                 unflatten_params, windowed_examples)
@@ -204,7 +205,7 @@ class TestForward:
                   init_params(TINY, dtype=np.float64).items()}
         scores = forward(params, TINY, np.zeros((5, 6)))
         assert np.allclose(scores, scores[0, 0])
-        probs = class_probabilities(scores)
+        probs = np.exp(labeler._log_softmax(scores))
         assert np.allclose(probs, 1.0 / 25.0)
 
     def test_attention_rows_sum_to_one(self):
@@ -217,7 +218,7 @@ class TestForward:
     def test_classifier_softmax_rows_sum_to_one(self):
         params = init_params(TINY, dtype=np.float64)
         scores = forward(params, TINY, make_batch(TINY)[0].inputs)
-        probs = class_probabilities(scores)
+        probs = np.exp(labeler._log_softmax(scores))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -294,7 +295,7 @@ def test_calls_leave_their_arguments_unchanged(dtype):
     forward(params, config, batch[0].inputs, return_state=True)
     loss_and_grad(params, config, batch)
     loss_value(params, config, batch)
-    class_probabilities(scores)
+    np.exp(labeler._log_softmax(scores))
 
     for k, v in before_params.items():
         assert np.array_equal(params[k], v), k
@@ -612,6 +613,46 @@ class TestCheckpoint:
         _, back, _ = load_checkpoint(p)
         assert all(back[k].dtype == np.float64 for k in back)
         assert all(np.array_equal(back[k], params[k]) for k in params)
+
+    def test_truncated_names_file_and_part(self, tmp_path):
+        params = init_params(TINY, dtype=np.float32)
+        full = tmp_path / "m.ckpt"
+        save_checkpoint(full, TINY, params)
+        data = full.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        first, last = next(iter(params)), list(params)[-1]
+        layout_at = 18 + meta_len + len(first)
+        data_at = layout_at + 2 + 4 * params[first].ndim
+        cuts = {
+            8: "header",
+            12 + meta_len // 2: "metadata",
+            14 + meta_len: "tensor count",
+            17 + meta_len: "name length of tensor 0",
+            19 + meta_len: "name of tensor 0",
+            layout_at + 1: f"layout of tensor {first!r}",
+            data_at - 1: f"shape of tensor {first!r}",
+            data_at + 3: f"tensor {first!r}",
+            len(data) - 5: f"tensor {last!r}",
+        }
+        p = tmp_path / "cut.ckpt"
+        for cut, part in cuts.items():
+            p.write_bytes(data[:cut])
+            with pytest.raises(CheckpointError,
+                               match=re.escape(f"cut.ckpt: truncated {part}")):
+                load_checkpoint(p)
+
+    def test_unsupported_width_names_tensor(self, tmp_path):
+        params = init_params(TINY, dtype=np.float32)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, TINY, params)
+        data = bytearray(p.read_bytes())
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        first = next(iter(params))
+        data[18 + meta_len + len(first)] = 2  # width byte of the first tensor
+        p.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"tensor {first!r} has unsupported width 2")):
+            load_checkpoint(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.ckpt"

@@ -4,7 +4,7 @@ import pytest
 from chordbench.labels import (MAJ, MIN, NO_CHORD, NOCHORD_CLASS, ChordLabel,
                                ChordParseError, ChordQuality, majmin_label,
                                majmin_name, parse_harte, pitch_class_set,
-                               render, root_of, to_majmin, transpose,
+                               render, to_majmin, transpose,
                                transpose_majmin)
 
 # a spread of labels touching every quality family
@@ -78,12 +78,6 @@ def test_transpose_examples():
     assert transpose(parse_harte("B:maj"), 2) == parse_harte("C#:maj")
     assert transpose(NO_CHORD, 5) == NO_CHORD
     assert transpose(parse_harte("C:min"), 0) == parse_harte("C:min")
-
-
-def test_root_of():
-    assert root_of(parse_harte("C:maj")) == 0
-    assert root_of(parse_harte("C:min")) == 0
-    assert root_of(NO_CHORD) is None
 
 
 def test_render_round_trip_fixed_point():

@@ -226,10 +226,6 @@ class TestAggregateFold:
         scores = [TrackScore(0.5, 10.0), TrackScore(1.0, 30.0)]
         assert aggregate_fold(scores) == pytest.approx(0.875)
 
-    def test_uniform_mean_flag(self):
-        scores = [TrackScore(0.5, 10.0), TrackScore(1.0, 30.0)]
-        assert aggregate_fold(scores, duration_weighted=False) == pytest.approx(0.75)
-
     def test_all_equal(self):
         scores = [TrackScore(0.6, d) for d in (5.0, 10.0, 20.0)]
         assert aggregate_fold(scores) == pytest.approx(0.6)

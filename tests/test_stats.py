@@ -4,8 +4,7 @@ import pytest
 from chordbench.annotations import SegmentTrack, TimedSegment
 from chordbench.labels import NOCHORD_CLASS, majmin_label, to_majmin
 from chordbench.stats import (chord_occurrences, chord_transitions,
-                              export_histogram_csv, export_stats,
-                              export_transitions_csv, read_histogram_csv,
+                              export_histogram_csv, export_transitions_csv, read_histogram_csv,
                               read_transitions_csv)
 
 
@@ -162,8 +161,8 @@ class TestExport:
         tracks = random_tracks(rng, 50)
         counts = chord_occurrences(tracks)
         matrix = chord_transitions(tracks)
-        export_stats(counts, tmp_path / "occ.csv")
-        export_stats(matrix, tmp_path / "trans.csv")
+        export_histogram_csv(counts, tmp_path / "occ.csv")
+        export_transitions_csv(matrix, tmp_path / "trans.csv")
         assert np.array_equal(read_histogram_csv(tmp_path / "occ.csv"), counts)
         assert np.array_equal(read_transitions_csv(tmp_path / "trans.csv"), matrix)
 
@@ -174,7 +173,3 @@ class TestExport:
         text = p.read_text()
         assert len(text.strip().splitlines()) == 25
         assert "\nN," not in text
-
-    def test_bad_shape(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_stats(np.zeros((2, 2, 2)), tmp_path / "x.csv")
