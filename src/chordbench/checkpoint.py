@@ -1,8 +1,8 @@
-"""Flat binary parameter checkpoints (format in docs/checkpoint.md).
+"""Flat binary checkpoints of a trained labeler (format in docs/checkpoint.md).
 
-A checkpoint stores a JSON metadata block (the labeler config plus any
-extras such as normalization statistics and the feature kind) followed by
-named tensors in 32- or 64-bit little-endian floats.
+A checkpoint stores a JSON metadata block (the labeler config, plus the
+normalization statistics, feature kind and frame timing of the training
+features) followed by named tensors in 32- or 64-bit little-endian floats.
 """
 
 from __future__ import annotations
@@ -13,26 +13,31 @@ import struct
 
 import numpy as np
 
-from .labeler import LabelerConfig
+from .features import NormStats
+from .labeler import LabelerConfig, TrainedLabeler
 
 CHECKPOINT_MAGIC = b"CBCK"
 CHECKPOINT_VERSION = 1
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(LabelerConfig))
+_EXTRA_KEYS = ("mean", "std", "bin_kind", "hop_samples", "sample_rate_hz")
 
 
 class CheckpointError(ValueError):
     """Raised for unreadable or inconsistent checkpoint files."""
 
 
-def save_checkpoint(path, config: LabelerConfig, params: dict,
-                    extra: dict | None = None) -> None:
-    meta = {"config": dataclasses.asdict(config), "extra": extra or {}}
+def save_checkpoint(path, model: TrainedLabeler) -> None:
+    extra = {"mean": model.stats.mean, "std": model.stats.std,
+             "bin_kind": model.bin_kind, "hop_samples": model.hop_samples,
+             "sample_rate_hz": model.sample_rate_hz}
+    meta = {"config": dataclasses.asdict(model.config), "extra": extra}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params.items():
+        fh.write(struct.pack("<I", len(model.params)))
+        for name, tensor in model.params.items():
             data = np.asarray(tensor)
             if data.dtype == np.float32:
                 width = 4
@@ -49,11 +54,12 @@ def save_checkpoint(path, config: LabelerConfig, params: dict,
             fh.write(np.ascontiguousarray(data, dtype=f"<f{width}").tobytes())
 
 
-def load_checkpoint(path):
-    """Returns ``(config, params, extra)``.
+def load_checkpoint(path) -> TrainedLabeler:
+    """The :class:`TrainedLabeler` stored in ``path``.
 
     A file that ends early raises :class:`CheckpointError` naming the path
-    and the part cut short.
+    and the part cut short; so does metadata whose ``config`` keys differ
+    from :class:`LabelerConfig`'s fields or whose ``extra`` lacks a key.
     """
     with open(path, "rb") as fh:
         def read(size, part):
@@ -68,7 +74,20 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
-        config = LabelerConfig(**meta["config"])
+        fields = meta.get("config", {})
+        if set(fields) != _CONFIG_KEYS:
+            raise CheckpointError(
+                f"{path}: config keys differ from LabelerConfig: unknown "
+                f"{sorted(set(fields) - _CONFIG_KEYS)}, missing "
+                f"{sorted(_CONFIG_KEYS - set(fields))}")
+        try:
+            config = LabelerConfig(**fields)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: config: {exc}") from None
+        extra = meta.get("extra", {})
+        missing = [key for key in _EXTRA_KEYS if key not in extra]
+        if missing:
+            raise CheckpointError(f"{path}: extra lacks {', '.join(missing)}")
         (n_tensors,) = struct.unpack("<I", read(4, "tensor count"))
         params = {}
         for i in range(n_tensors):
@@ -84,4 +103,6 @@ def load_checkpoint(path):
                                  dtype=f"<f{width}")
             dtype = np.float32 if width == 4 else np.float64
             params[name] = data.reshape(shape).astype(dtype)
-    return config, params, meta.get("extra", {})
+    return TrainedLabeler(config, params, NormStats(extra["mean"], extra["std"]),
+                          extra["bin_kind"], extra["hop_samples"],
+                          extra["sample_rate_hz"])

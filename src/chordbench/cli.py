@@ -1,9 +1,11 @@
 """Command-line entry points (``chordbench <subcommand>``).
 
 Thin wrappers over the library: convert, eval, stats, extract, synth,
-train, predict, and xval.  Features, template recognition and training
-windows come from the same library functions the harness calls.  Run
-``chordbench <subcommand> --help`` for the flags of each.
+train, predict, and xval.  Features, template recognition, labeler
+training (``labeler.fit``) and labeler prediction
+(``TrainedLabeler.recognize``) come from the same library functions the
+harness calls.  Run ``chordbench <subcommand> --help`` for the flags of
+each.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import json
 import os
 import re
 import sys
-
-import numpy as np
 
 from . import annotations, checkpoint, features, harness, labeler, metrics, stats, synth, templates
 from .labels import transpose
@@ -140,32 +140,18 @@ def _load_cached_items(data_dir):
     return pairs
 
 
+# Hyperparameters of ``train`` and their defaults; other config keys are ignored.
+TRAIN_DEFAULTS = {"seed": 0, "model_dim": 64, "n_layers": 2, "n_heads": 4,
+                  "lr": 1e-3, "batch_size": 8, "max_epochs": 50, "patience": 5,
+                  "val_fraction": 0.1}
+
+
 def cmd_train(args):
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = {**TRAIN_DEFAULTS, **json.load(fh)}
     pairs = _load_cached_items(args.data)
-    items, stats_ = labeler.windowed_examples(pairs)
-    config = labeler.LabelerConfig(
-        input_dim=pairs[0][0].n_bins,
-        model_dim=cfg.get("model_dim", 64),
-        n_layers=cfg.get("n_layers", 2),
-        n_heads=cfg.get("n_heads", 4),
-        context_frames=features.WINDOW_FRAMES,
-        seed=cfg.get("seed", 0))
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    order = rng.permutation(len(items))
-    n_val = max(1, int(len(items) * cfg.get("val_fraction", 0.1)))
-    val_items = [items[int(i)] for i in order[:n_val]]
-    train_items = [items[int(i)] for i in order[n_val:]]
-    params, report = labeler.train(
-        config, train_items, val_items,
-        lr=cfg.get("lr", 1e-3), batch_size=cfg.get("batch_size", 8),
-        max_epochs=cfg.get("max_epochs", 50), patience=cfg.get("patience", 5))
-    extra = {"mean": stats_.mean, "std": stats_.std,
-             "bin_kind": pairs[0][0].bin_kind,
-             "hop_samples": pairs[0][0].hop_samples,
-             "sample_rate_hz": pairs[0][0].sample_rate_hz}
-    checkpoint.save_checkpoint(args.out, config, params, extra)
+    model, report = labeler.fit(pairs, **{k: cfg[k] for k in TRAIN_DEFAULTS})
+    checkpoint.save_checkpoint(args.out, model)
     print(f"trained {report.epochs_run} epochs, "
           f"final loss {report.losses[-1]:.4f}, "
           f"validation accuracy {report.accuracies[-1]:.3f}")
@@ -183,20 +169,17 @@ def cmd_predict(args):
     if args.model == "template":
         recognize = templates.recognize_track
     else:
-        config, params, extra = checkpoint.load_checkpoint(args.model)
-        stats_ = features.NormStats(extra["mean"], extra["std"])
-
-        def recognize(matrix, stem):
-            if config.input_dim == 12 and matrix.bin_kind == "cqt_log":
-                matrix = templates.fold_to_chroma(matrix)
-            normed = features.zscore_apply(matrix, stats_)
-            return labeler.predict_track(params, config, normed, stem)
+        recognize = checkpoint.load_checkpoint(args.model).recognize
     for path in inputs:
         stem = os.path.splitext(os.path.basename(path))[0].split(".shift")[0]
         matrix = (features.log_cqt_from_wav(path) if path.endswith(".wav")
                   else features.read_feature_cache(path)[0])
-        annotations.write_lab(recognize(matrix, stem),
-                              os.path.join(args.out, stem + ".lab"))
+        try:
+            track = recognize(matrix, stem)
+        except features.FeatureError as exc:
+            raise features.FeatureError(
+                f"model {args.model} on {path}: {exc}") from None
+        annotations.write_lab(track, os.path.join(args.out, stem + ".lab"))
     print(f"wrote {len(inputs)} predictions to {args.out}")
 
 

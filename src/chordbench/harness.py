@@ -31,15 +31,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotations import normalize, read_lab
+from . import labeler
 from .features import (FeatureMatrix, align_labels, log_cqt_from_wav,
-                       read_feature_cache, write_feature_cache, zscore_apply)
-from .labeler import LabelerConfig, predict_track, train, windowed_examples
+                       read_feature_cache, write_feature_cache)
 from .metrics import TrackScore, aggregate_fold, evaluate_pair
 from .templates import fold_to_chroma, recognize_track
 from .synth import read_manifest
 
 DEFAULT_METRICS = ("root", "majmin", "ccm")
 DEFAULT_QUOTA = 192
+# The labeler's ``model_params`` keys and their defaults (docs/experiments.md).
+LABELER_DEFAULTS = {"model_dim": 32, "n_layers": 1, "n_heads": 4, "lr": 3e-3,
+                    "batch_size": 8, "max_epochs": 30, "patience": 5}
 
 
 class HarnessError(ValueError):
@@ -135,6 +138,11 @@ class ExperimentConfig:
             raise HarnessError(f"unknown model {self.model!r}")
         if self.model != "template" and not self.train_datasets:
             raise HarnessError("trainable model requires training datasets")
+        if self.model == "labeler":
+            for key in sorted(self.model_params):
+                if key not in LABELER_DEFAULTS:
+                    raise HarnessError(f"experiment {self.id}: unknown "
+                                       f"model_params key {key!r}")
 
 
 def stored_log_cqt(store_dir, audio_path) -> FeatureMatrix:
@@ -177,44 +185,33 @@ class TemplateRunner:
 
 
 class LabelerRunner:
-    """Trains the self-attention labeler on folded-chroma windows."""
+    """Trains the self-attention labeler on folded-chroma windows.
 
-    def __init__(self, feature_dir, model_dim=32, n_layers=1, n_heads=4,
-                 lr=3e-3, batch_size=8, max_epochs=30, patience=5,
-                 window_frames=108, window_stride=54):
+    ``model_params`` override :data:`LABELER_DEFAULTS`.
+    """
+
+    def __init__(self, feature_dir, **model_params):
         self.feature_dir = feature_dir
-        self.model_dim = model_dim
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self.lr = lr
-        self.batch_size = batch_size
-        self.max_epochs = max_epochs
-        self.patience = patience
-        self.window_frames = window_frames
-        self.window_stride = window_stride
+        self.model_params = {**LABELER_DEFAULTS, **model_params}
 
-    def _chroma(self, entry: SongEntry):
-        return fold_to_chroma(stored_log_cqt(self.feature_dir, entry.audio_path))
+    def fit_model(self, train_entries, seed) -> labeler.TrainedLabeler:
+        """The model :meth:`fit` trains and predicts with."""
+        pairs = []
+        for entry in train_entries:
+            chroma = fold_to_chroma(
+                stored_log_cqt(self.feature_dir, entry.audio_path))
+            track = normalize(read_lab(entry.label_path))
+            pairs.append((chroma, align_labels(track, chroma)))
+        model, _report = labeler.fit(pairs, seed, **self.model_params)
+        return model
 
     def fit(self, train_entries, seed):
-        examples = []
-        for entry in train_entries:
-            feats = self._chroma(entry)
-            track = normalize(read_lab(entry.label_path))
-            examples.append((feats, align_labels(track, feats)))
-        items, stats = windowed_examples(examples, self.window_frames,
-                                         self.window_stride)
-        config = LabelerConfig(input_dim=12, model_dim=self.model_dim,
-                               n_layers=self.n_layers, n_heads=self.n_heads,
-                               context_frames=self.window_frames, seed=seed)
-        params, _report = train(config, items, lr=self.lr,
-                                batch_size=self.batch_size,
-                                max_epochs=self.max_epochs,
-                                patience=self.patience)
+        model = self.fit_model(train_entries, seed)
 
         def predictor(entry: SongEntry):
-            normed = zscore_apply(self._chroma(entry), stats)
-            return predict_track(params, config, normed, entry.song_id)
+            return model.recognize(
+                stored_log_cqt(self.feature_dir, entry.audio_path),
+                entry.song_id)
         return predictor
 
 

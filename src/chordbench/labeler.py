@@ -19,6 +19,11 @@ adds, the softmax and the layer-norm arithmetic update their operand in
 place.  They do so only on arrays the function has just computed, never on
 ``params``, on the caller's inputs (``np.asarray`` hands back the caller's
 array when its dtype already matches) or on the read-only positional table.
+
+:func:`fit` trains the network on ``(features, labels)`` pairs and returns a
+:class:`TrainedLabeler`, which keeps the z-score and the feature kind and
+timing of its training data; ``chordbench train``, ``chordbench predict``
+and the harness all train and label through these two.
 """
 
 from __future__ import annotations
@@ -29,8 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import (WINDOW_FRAMES, WINDOW_STRIDE, FeatureMatrix,
-                       frames_to_track, window_slices, zscore_apply, zscore_fit)
+from .annotations import SegmentTrack
+from .features import (WINDOW_FRAMES, WINDOW_STRIDE, FeatureError, FeatureMatrix,
+                       NormStats, frames_to_track, window_slices, zscore_apply,
+                       zscore_fit)
+from .templates import fold_to_chroma
 
 LN_EPS = 1e-5
 
@@ -494,3 +502,74 @@ def predict_track(params: dict, config: LabelerConfig, features: FeatureMatrix,
     classes = predict_classes(params, config, features.values)
     return frames_to_track(classes, features.hop_samples,
                            features.sample_rate_hz, source_id)
+
+
+@dataclass(frozen=True)
+class TrainedLabeler:
+    """A fitted labeler together with the input recipe it was fitted on.
+
+    ``stats`` is the z-score fitted on the training features, and
+    ``bin_kind``, ``hop_samples`` and ``sample_rate_hz`` describe those
+    features.  :meth:`recognize` applies the model to a track the same way
+    whichever front end loaded or trained it.
+    """
+
+    config: LabelerConfig
+    params: dict
+    stats: NormStats
+    bin_kind: str
+    hop_samples: int
+    sample_rate_hz: int
+
+    def recognize(self, features: FeatureMatrix,
+                  source_id: str = "") -> SegmentTrack:
+        """Label a track, folding log-CQT input first for a ``chroma12`` model.
+
+        Features of another kind, bin count or frame timing raise
+        :class:`FeatureError` naming what the model takes and what it got.
+        """
+        if self.bin_kind == "chroma12" and features.bin_kind == "cqt_log":
+            features = fold_to_chroma(features)
+        want = (self.bin_kind, self.config.input_dim, self.hop_samples,
+                self.sample_rate_hz)
+        got = (features.bin_kind, features.n_bins, features.hop_samples,
+               features.sample_rate_hz)
+        if got != want:
+            raise FeatureError(f"model takes {_describe(*want)} features, "
+                               f"got {_describe(*got)}")
+        return predict_track(self.params, self.config,
+                             zscore_apply(features, self.stats), source_id)
+
+
+def _describe(bin_kind, n_bins, hop_samples, sample_rate_hz) -> str:
+    return f"{bin_kind} ({n_bins} bins, hop {hop_samples} at {sample_rate_hz} Hz)"
+
+
+def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
+        max_epochs, patience, val_fraction=0.0):
+    """Train a labeler on ``(features, labels)`` pairs.
+
+    Returns ``(TrainedLabeler, TrainReport)``.  The pairs become z-scored
+    108-frame windows (:func:`windowed_examples`); the model's input recipe
+    is that of the first pair.  With ``val_fraction`` above 0, a seeded
+    random ``max(1, int(n * val_fraction))`` of the n windows is held out
+    to pick the best epoch; otherwise the training windows are monitored
+    (see :func:`train`).
+    """
+    items, stats = windowed_examples(pairs)
+    first = pairs[0][0]
+    config = LabelerConfig(input_dim=first.n_bins, model_dim=model_dim,
+                           n_layers=n_layers, n_heads=n_heads,
+                           context_frames=WINDOW_FRAMES, seed=seed)
+    val_items = None
+    if val_fraction > 0:
+        order = np.random.Generator(np.random.PCG64(seed)).permutation(len(items))
+        n_val = max(1, int(len(items) * val_fraction))
+        val_items = [items[int(i)] for i in order[:n_val]]
+        items = [items[int(i)] for i in order[n_val:]]
+    params, report = train(config, items, val_items, lr=lr,
+                           batch_size=batch_size, max_epochs=max_epochs,
+                           patience=patience)
+    model = TrainedLabeler(config, params, stats, first.bin_kind,
+                           first.hop_samples, first.sample_rate_hz)
+    return model, report

@@ -13,12 +13,12 @@ import pytest
 from chordbench.annotations import SegmentTrack, TimedSegment, normalize
 from chordbench.features import (HOP, SAMPLE_RATE, align_labels, cqt,
                                  log_amplitude, min_cqt_samples,
-                                 pitch_shift_cqt, window_slices, zscore_apply,
-                                 zscore_fit)
+                                 pitch_shift_cqt, zscore_apply, zscore_fit)
 from chordbench.harness import SongEntry, balance_datasets, make_folds
 from chordbench.labeler import (LabelerConfig, SequenceExample, count_params,
-                                flatten_params, init_params, loss_and_grad,
-                                loss_value, train, unflatten_params)
+                                fit, flatten_params, init_params,
+                                loss_and_grad, loss_value, train,
+                                unflatten_params)
 from chordbench.labels import (NOCHORD_CLASS, majmin_label, parse_harte,
                                pitch_class_set, transpose)
 from chordbench.metrics import (METRICS, aggregate_fold, ccm,
@@ -312,33 +312,17 @@ def test_harness_protocol():
 
 def _train_and_score(train_corpus, eval_sets, seed):
     """Train the labeler on folded chroma and score each evaluation set."""
-    feats_list = [fold_to_chroma(f) for _, f in train_corpus]
-    stats = zscore_fit(feats_list)
-    items = []
-    for (track, _), chroma in zip(train_corpus, feats_list):
-        labels = align_labels(track, chroma)
-        normed = zscore_apply(chroma, stats)
-        for window in window_slices(normed, 108, 54):
-            targets = np.zeros(window.matrix.n_frames, dtype=np.int64)
-            mask = np.zeros(window.matrix.n_frames, dtype=bool)
-            n = window.valid_frames
-            targets[:n] = labels[window.start_frame:window.start_frame + n]
-            mask[:n] = True
-            items.append(SequenceExample(window.matrix.values, targets, mask))
-    config = LabelerConfig(input_dim=12, model_dim=32, n_layers=1, n_heads=4,
-                           context_frames=108, seed=seed)
-    params, _ = train(config, items, lr=3e-3, batch_size=8, max_epochs=30,
-                      patience=30)
+    pairs = []
+    for track, feats in train_corpus:
+        chroma = fold_to_chroma(feats)
+        pairs.append((chroma, align_labels(track, chroma)))
+    model, _ = fit(pairs, seed, model_dim=32, n_layers=1, n_heads=4, lr=3e-3,
+                   batch_size=8, max_epochs=30, patience=30)
     results = {}
     for name, eval_corpus in eval_sets.items():
         scores = []
         for track, feats in eval_corpus:
-            chroma = fold_to_chroma(feats)
-            normed = zscore_apply(chroma, stats)
-            from chordbench.labeler import predict_classes
-            classes = predict_classes(params, config, normed.values)
-            predicted = frames_to_track(classes, chroma.hop_samples,
-                                        chroma.sample_rate_hz, track.source_id)
+            predicted = model.recognize(feats, track.source_id)
             scores.append(evaluate_pair(track, predicted, ("majmin",))["majmin"])
         results[name] = 100.0 * aggregate_fold(scores)
     return results

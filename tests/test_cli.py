@@ -5,10 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from chordbench.cli import main
 from chordbench.annotations import read_lab
-from chordbench.features import (FeatureMatrix, read_feature_cache,
+from chordbench.checkpoint import save_checkpoint
+from chordbench.cli import main
+from chordbench.features import (FeatureMatrix, NormStats, read_feature_cache,
                                  write_feature_cache)
+from chordbench.harness import LabelerRunner, load_corpus
+from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
 from chordbench.metrics import evaluate_pair
 from chordbench.stats import read_histogram_csv, read_transitions_csv
 
@@ -174,6 +177,51 @@ class TestExtractTrainPredict:
         assert len(labs) == 6
         read_lab(labs[0])  # parses cleanly
 
+    def test_predict_matches_harness_labeler(self, pipeline_dirs, tmp_path):
+        """A model of the harness recipe, saved and run by ``predict``, writes
+        the tracks the harness predictor returns."""
+        data_dir, cache = pipeline_dirs
+        corpus = load_corpus(os.path.dirname(data_dir),
+                             {"tiny": os.path.basename(data_dir)})["tiny"]
+        runner = LabelerRunner(str(tmp_path / "features"), model_dim=16,
+                               n_heads=2, max_epochs=10, patience=10)
+        save_checkpoint(tmp_path / "model.ckpt",
+                        runner.fit_model(corpus[:4], 3))
+        predictor = runner.fit(corpus[:4], 3)
+        out = tmp_path / "pred"
+        assert run("predict", "--model", str(tmp_path / "model.ckpt"),
+                   "--in", str(cache), "--out", str(out)) == 0
+        labels = set()
+        for entry in corpus:
+            stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
+            written = read_lab(out / f"{stem}.lab")
+            expected = predictor(entry)
+            assert [(s.start_s, s.end_s, s.label) for s in written] == [
+                (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
+                for s in expected]
+            labels.update(s.label for s in expected)
+        assert len(labels) > 2  # the model tells chords apart
+
+    def test_predict_rejects_another_feature_kind(self, tmp_path, capsys):
+        config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
+                               n_heads=2)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, TrainedLabeler(
+            config, init_params(config), NormStats(0.0, 1.0), "cqt_log",
+            2048, 22050))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        write_feature_cache(cache / "a.shift+0.cbf",
+                            FeatureMatrix(np.zeros((200, 12)), 2048, 22050,
+                                          "chroma12"))
+        assert run("predict", "--model", str(ckpt), "--in", str(cache),
+                   "--out", str(tmp_path / "pred")) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: model {ckpt} on {cache / 'a.shift+0.cbf'}: model takes "
+            "cqt_log (144 bins, hop 2048 at 22050 Hz) features, got chroma12 "
+            "(12 bins, hop 2048 at 22050 Hz)\n")
+
     def test_train_rejects_out_of_range_cache_label(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.mkdir()
@@ -262,3 +310,23 @@ class TestXval:
         assert len(rows) == 3
         assert all(r["folds"] == 6 for r in rows)
         assert all(r["mean"] > 85.0 for r in rows)
+
+    def test_unknown_model_params_key_is_an_error(self, tiny_dataset, tmp_path,
+                                                   capsys):
+        data_dir, _ = tiny_dataset
+        experiments = {
+            "datasets": {"tiny": os.path.basename(data_dir)},
+            "experiments": [
+                {"id": 2, "model": "labeler", "train_datasets": ["tiny"],
+                 "eval_datasets": ["tiny"], "model_params": {"dropout": 0.1}},
+            ],
+        }
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps(experiments))
+        out = tmp_path / "results"
+        assert run("xval", "--experiments", str(cfg),
+                   "--data-root", str(os.path.dirname(data_dir)),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: experiment 2: unknown model_params key 'dropout'\n")
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
@@ -218,6 +219,13 @@ class TestRunExperiment:
         with pytest.raises(HarnessError):
             ExperimentConfig(id=1, train_datasets=(), model="labeler",
                              eval_datasets=("tiny",))
+
+    def test_unknown_model_params_key_error(self):
+        with pytest.raises(HarnessError, match=re.escape(
+                "experiment 4: unknown model_params key 'dropout'")):
+            ExperimentConfig(id=4, train_datasets=("tiny",), model="labeler",
+                             eval_datasets=("tiny",),
+                             model_params={"model_dim": 8, "dropout": 0.1})
 
 
 def count_cqt_inputs(monkeypatch):

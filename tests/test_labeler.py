@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import struct
@@ -8,12 +9,14 @@ import pytest
 from chordbench import labeler
 from chordbench.checkpoint import (CheckpointError, load_checkpoint,
                                    save_checkpoint)
-from chordbench.features import FeatureMatrix
+from chordbench.features import FeatureError, FeatureMatrix, NormStats, zscore_apply
 from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
-                                TrainingError, count_params, flatten_params, forward,
-                                init_params, loss_and_grad, loss_value,
-                                predict_classes, predict_track, train,
-                                unflatten_params, windowed_examples)
+                                TrainedLabeler, TrainingError, count_params, fit,
+                                flatten_params, forward, init_params,
+                                loss_and_grad, loss_value, predict_classes,
+                                predict_track, train, unflatten_params,
+                                windowed_examples)
+from chordbench.templates import fold_to_chroma
 
 TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
                      context_frames=8, seed=3)
@@ -560,6 +563,78 @@ class TestPredictTrack:
             LabelerConfig(input_dim=0)
 
 
+def _random_pairs(n_tracks=3, n_frames=150, seed=23):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [(FeatureMatrix(rng.standard_normal((n_frames, 12)), 2048, 22050,
+                           "chroma12"), rng.integers(0, 25, n_frames))
+            for _ in range(n_tracks)]
+
+
+class TestFit:
+    HYPER = dict(model_dim=8, n_layers=1, n_heads=2, lr=3e-3, batch_size=4,
+                 max_epochs=2, patience=2)
+
+    def test_val_split_is_the_seeded_window_permutation(self):
+        pairs = _random_pairs()
+        model, report = fit(pairs, 5, val_fraction=0.34, **self.HYPER)
+        items, stats = windowed_examples(pairs)
+        assert len(items) == 6
+        order = np.random.Generator(np.random.PCG64(5)).permutation(6)
+        val = [items[int(i)] for i in order[:2]]  # max(1, int(6 * 0.34))
+        rest = [items[int(i)] for i in order[2:]]
+        config = LabelerConfig(input_dim=12, model_dim=8, n_layers=1,
+                               n_heads=2, context_frames=108, seed=5)
+        params, want = train(config, rest, val, lr=3e-3, batch_size=4,
+                             max_epochs=2, patience=2)
+        assert model.config == config
+        assert model.stats == stats
+        assert (model.bin_kind, model.hop_samples, model.sample_rate_hz) == (
+            "chroma12", 2048, 22050)
+        assert report == want
+        assert all(np.array_equal(model.params[k], params[k]) for k in params)
+
+    def test_without_val_fraction_the_training_windows_are_monitored(self):
+        pairs = _random_pairs()
+        model, report = fit(pairs, 5, **self.HYPER)
+        items, _ = windowed_examples(pairs)
+        params, want = train(model.config, items, lr=3e-3, batch_size=4,
+                             max_epochs=2, patience=2)
+        assert report == want
+        assert all(np.array_equal(model.params[k], params[k]) for k in params)
+
+
+class TestRecognize:
+    def test_folds_log_cqt_for_a_chroma_model(self):
+        config = LabelerConfig(input_dim=12, model_dim=8, n_layers=1,
+                               n_heads=2, seed=3)
+        model = TrainedLabeler(config, init_params(config, np.float64),
+                               NormStats(0.3, 1.5), "chroma12", 2048, 22050)
+        rng = np.random.Generator(np.random.PCG64(4))
+        logcqt = FeatureMatrix(rng.standard_normal((40, 144)), 2048, 22050,
+                               "cqt_log")
+        chroma = fold_to_chroma(logcqt)
+        want = predict_track(model.params, config,
+                             zscore_apply(chroma, model.stats), "t")
+        assert model.recognize(logcqt, "t") == want
+        assert model.recognize(chroma, "t") == want
+
+    @pytest.mark.parametrize("kind, bins, hop, got", [
+        ("chroma12", 12, 2048, "chroma12 (12 bins, hop 2048 at 22050 Hz)"),
+        ("cqt_log", 120, 2048, "cqt_log (120 bins, hop 2048 at 22050 Hz)"),
+        ("cqt_log", 144, 1024, "cqt_log (144 bins, hop 1024 at 22050 Hz)"),
+    ])
+    def test_rejects_another_input_recipe(self, kind, bins, hop, got):
+        config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
+                               n_heads=2)
+        model = TrainedLabeler(config, init_params(config),
+                               NormStats(0.0, 1.0), "cqt_log", 2048, 22050)
+        features = FeatureMatrix(np.zeros((20, bins)), hop, 22050, kind)
+        with pytest.raises(FeatureError, match=re.escape(
+                "model takes cqt_log (144 bins, hop 2048 at 22050 Hz) "
+                f"features, got {got}")):
+            model.recognize(features)
+
+
 class TestAdam:
     def test_bias_corrected_first_step(self):
         params = {"w": np.array([1.0, 2.0])}
@@ -592,32 +667,78 @@ class TestAdam:
             assert np.array_equal(params[k], want[k]), k
 
 
+def _tiny_model(dtype=np.float32):
+    return TrainedLabeler(TINY, init_params(TINY, dtype=dtype),
+                          NormStats(0.5, 2.0), "chroma12", 2048, 22050)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        params = init_params(TINY, dtype=np.float32)
-        extra = {"mean": 0.5, "std": 2.0, "bin_kind": "chroma12"}
+        model = _tiny_model()
         p = tmp_path / "m.ckpt"
-        save_checkpoint(p, TINY, params, extra)
-        config, back, back_extra = load_checkpoint(p)
-        assert config == TINY
-        assert back_extra == extra
-        assert set(back) == set(params)
-        for k in params:
-            assert np.array_equal(back[k], params[k])
-            assert back[k].dtype == params[k].dtype
+        save_checkpoint(p, model)
+        back = load_checkpoint(p)
+        assert back.config == TINY
+        assert back.stats == model.stats
+        assert (back.bin_kind, back.hop_samples, back.sample_rate_hz) == (
+            "chroma12", 2048, 22050)
+        assert set(back.params) == set(model.params)
+        for k in model.params:
+            assert np.array_equal(back.params[k], model.params[k])
+            assert back.params[k].dtype == model.params[k].dtype
 
     def test_float64_round_trip(self, tmp_path):
-        params = init_params(TINY, dtype=np.float64)
+        model = _tiny_model(np.float64)
         p = tmp_path / "m.ckpt"
-        save_checkpoint(p, TINY, params)
-        _, back, _ = load_checkpoint(p)
+        save_checkpoint(p, model)
+        back = load_checkpoint(p).params
         assert all(back[k].dtype == np.float64 for k in back)
-        assert all(np.array_equal(back[k], params[k]) for k in params)
+        assert all(np.array_equal(back[k], model.params[k]) for k in back)
+
+    @staticmethod
+    def _with_meta(path, edit):
+        """Rewrite the checkpoint at ``path`` with ``edit`` applied to its metadata."""
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        meta = json.loads(data[12:12 + meta_len])
+        edit(meta)
+        blob = json.dumps(meta).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                         + data[12 + meta_len:])
+
+    def test_config_keys_must_match_labeler_config(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["config"].update(dropout=0.1))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: config keys differ from LabelerConfig: "
+                "unknown ['dropout'], missing []")):
+            load_checkpoint(p)
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["config"].pop("model_dim"))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: config keys differ from LabelerConfig: "
+                "unknown [], missing ['model_dim']")):
+            load_checkpoint(p)
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["config"].update(model_dim=0))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: config: model_dim must be at least 1")):
+            load_checkpoint(p)
+
+    def test_extra_must_hold_the_input_recipe(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["extra"].pop("hop_samples"))
+        with pytest.raises(CheckpointError,
+                           match=re.escape("m.ckpt: extra lacks hop_samples")):
+            load_checkpoint(p)
 
     def test_truncated_names_file_and_part(self, tmp_path):
-        params = init_params(TINY, dtype=np.float32)
+        model = _tiny_model()
+        params = model.params
         full = tmp_path / "m.ckpt"
-        save_checkpoint(full, TINY, params)
+        save_checkpoint(full, model)
         data = full.read_bytes()
         (meta_len,) = struct.unpack("<I", data[8:12])
         first, last = next(iter(params)), list(params)[-1]
@@ -642,9 +763,10 @@ class TestCheckpoint:
                 load_checkpoint(p)
 
     def test_unsupported_width_names_tensor(self, tmp_path):
-        params = init_params(TINY, dtype=np.float32)
+        model = _tiny_model()
+        params = model.params
         p = tmp_path / "m.ckpt"
-        save_checkpoint(p, TINY, params)
+        save_checkpoint(p, model)
         data = bytearray(p.read_bytes())
         (meta_len,) = struct.unpack("<I", data[8:12])
         first = next(iter(params))
