@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .features import NormStats
-from .labeler import LabelerConfig, TrainedLabeler
+from .labeler import LabelerConfig, TrainedLabeler, init_params
 
 CHECKPOINT_MAGIC = b"CBCK"
 CHECKPOINT_VERSION = 1
@@ -59,7 +59,8 @@ def load_checkpoint(path) -> TrainedLabeler:
 
     A file that ends early raises :class:`CheckpointError` naming the path
     and the part cut short; so does metadata whose ``config`` keys differ
-    from :class:`LabelerConfig`'s fields or whose ``extra`` lacks a key.
+    from :class:`LabelerConfig`'s fields or whose ``extra`` lacks a key, and
+    a tensor set whose names or shapes differ from ``init_params(config)``.
     """
     with open(path, "rb") as fh:
         def read(size, part):
@@ -103,6 +104,17 @@ def load_checkpoint(path) -> TrainedLabeler:
                                  dtype=f"<f{width}")
             dtype = np.float32 if width == 4 else np.float64
             params[name] = data.reshape(shape).astype(dtype)
+    expected = {name: p.shape for name, p in init_params(config).items()}
+    for name in params:
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+        if params[name].shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {params[name].shape}, "
+                f"expected {expected[name]}")
+    for name in expected:
+        if name not in params:
+            raise CheckpointError(f"{path}: tensor {name!r} missing")
     return TrainedLabeler(config, params, NormStats(extra["mean"], extra["std"]),
                           extra["bin_kind"], extra["hop_samples"],
                           extra["sample_rate_hz"])

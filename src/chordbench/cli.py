@@ -33,8 +33,6 @@ def cmd_convert(args):
         "arff": annotations.read_aam_arff,
     }
     track = readers[args.src_format](args.infile)
-    if args.dst_format != "lab":
-        raise SystemExit(f"unsupported output format {args.dst_format!r}")
     annotations.write_lab(track, args.outfile)
     print(f"wrote {args.outfile} ({len(track)} segments)")
 
@@ -140,7 +138,7 @@ def _load_cached_items(data_dir):
     return pairs
 
 
-# Hyperparameters of ``train`` and their defaults; other config keys are ignored.
+# Hyperparameters of ``train`` and their defaults; any other config key is an error.
 TRAIN_DEFAULTS = {"seed": 0, "model_dim": 64, "n_layers": 2, "n_heads": 4,
                   "lr": 1e-3, "batch_size": 8, "max_epochs": 50, "patience": 5,
                   "val_fraction": 0.1}
@@ -148,9 +146,12 @@ TRAIN_DEFAULTS = {"seed": 0, "model_dim": 64, "n_layers": 2, "n_heads": 4,
 
 def cmd_train(args):
     with open(args.config) as fh:
-        cfg = {**TRAIN_DEFAULTS, **json.load(fh)}
+        cfg = json.load(fh)
+    for key in sorted(cfg):
+        if key not in TRAIN_DEFAULTS:
+            raise ValueError(f"{args.config}: unknown key {key!r}")
     pairs = _load_cached_items(args.data)
-    model, report = labeler.fit(pairs, **{k: cfg[k] for k in TRAIN_DEFAULTS})
+    model, report = labeler.fit(pairs, **{**TRAIN_DEFAULTS, **cfg})
     checkpoint.save_checkpoint(args.out, model)
     print(f"trained {report.epochs_run} epochs, "
           f"final loss {report.losses[-1]:.4f}, "

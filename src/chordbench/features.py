@@ -102,9 +102,6 @@ class FeatureMatrix:
     def frame_period_s(self) -> float:
         return self.hop_samples / self.sample_rate_hz
 
-    def frame_times(self) -> np.ndarray:
-        return np.arange(self.n_frames) * self.frame_period_s
-
 
 @dataclass(frozen=True)
 class NormStats:

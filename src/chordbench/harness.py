@@ -2,8 +2,11 @@
 
 An experiment trains a recognizer on the training split of one or more
 datasets and scores its predictions on the validation split of each
-evaluation dataset, for every fold of a shared fold plan.  Fold assignment
-is by song, so multiple performances of the same song always share a fold.
+evaluation dataset, for every fold of a shared fold plan.  :func:`fit`
+returns a fold's recognizer, the callable ``chordbench predict`` also runs:
+``templates.recognize_track`` or a trained labeler's ``recognize``.  Fold
+assignment is by song, so multiple performances of the same song always
+share a fold.
 Completed folds are persisted as ``fold_<i>/scores.csv`` under the
 experiment directory (written to a temporary name, then renamed) and are
 not recomputed on rerun.
@@ -39,7 +42,6 @@ from .templates import fold_to_chroma, recognize_track
 from .synth import read_manifest
 
 DEFAULT_METRICS = ("root", "majmin", "ccm")
-DEFAULT_QUOTA = 192
 # The labeler's ``model_params`` keys and their defaults (docs/experiments.md).
 LABELER_DEFAULTS = {"model_dim": 32, "n_layers": 1, "n_heads": 4, "lr": 3e-3,
                     "batch_size": 8, "max_epochs": 30, "patience": 5}
@@ -56,10 +58,6 @@ class SongEntry:
     dataset: str = ""
     audio_path: str = ""
     label_path: str = ""
-
-    @property
-    def key(self):
-        return (self.song_id, self.performance_id)
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def make_folds(songs, seed, k: int = 6) -> FoldPlan:
     return FoldPlan(assignment, k, seed)
 
 
-def balance_datasets(datasets: dict, seed, quota: int = DEFAULT_QUOTA) -> dict:
+def balance_datasets(datasets: dict, seed, quota: int) -> dict:
     """Bring every dataset to ``quota`` entries.
 
     Larger datasets are subsampled deterministically; smaller ones are
@@ -170,55 +168,25 @@ def stored_log_cqt(store_dir, audio_path) -> FeatureMatrix:
     return features
 
 
-class TemplateRunner:
-    """Training-free baseline: log-CQT fold plus triad template matching."""
+def fit(config: ExperimentConfig, store_dir, train_entries, seed):
+    """The recognizer that labels one fold's tracks for ``config``.
 
-    def __init__(self, feature_dir):
-        self.feature_dir = feature_dir
-
-    def fit(self, train_entries, seed):
-        def predictor(entry: SongEntry):
-            return recognize_track(
-                stored_log_cqt(self.feature_dir, entry.audio_path),
-                entry.song_id)
-        return predictor
-
-
-class LabelerRunner:
-    """Trains the self-attention labeler on folded-chroma windows.
-
-    ``model_params`` override :data:`LABELER_DEFAULTS`.
+    The result is called as ``recognize(features, source_id)`` on each
+    track's stored log-CQT and returns its normalized chord track.  The
+    template model needs no training; the labeler is trained on folded
+    chroma of ``train_entries`` with ``config.model_params`` over
+    :data:`LABELER_DEFAULTS`.
     """
-
-    def __init__(self, feature_dir, **model_params):
-        self.feature_dir = feature_dir
-        self.model_params = {**LABELER_DEFAULTS, **model_params}
-
-    def fit_model(self, train_entries, seed) -> labeler.TrainedLabeler:
-        """The model :meth:`fit` trains and predicts with."""
-        pairs = []
-        for entry in train_entries:
-            chroma = fold_to_chroma(
-                stored_log_cqt(self.feature_dir, entry.audio_path))
-            track = normalize(read_lab(entry.label_path))
-            pairs.append((chroma, align_labels(track, chroma)))
-        model, _report = labeler.fit(pairs, seed, **self.model_params)
-        return model
-
-    def fit(self, train_entries, seed):
-        model = self.fit_model(train_entries, seed)
-
-        def predictor(entry: SongEntry):
-            return model.recognize(
-                stored_log_cqt(self.feature_dir, entry.audio_path),
-                entry.song_id)
-        return predictor
-
-
-def make_runner(config: ExperimentConfig, feature_dir):
     if config.model == "template":
-        return TemplateRunner(feature_dir)
-    return LabelerRunner(feature_dir, **config.model_params)
+        return recognize_track
+    pairs = []
+    for entry in train_entries:
+        chroma = fold_to_chroma(stored_log_cqt(store_dir, entry.audio_path))
+        track = normalize(read_lab(entry.label_path))
+        pairs.append((chroma, align_labels(track, chroma)))
+    model, _report = labeler.fit(pairs, seed,
+                                 **{**LABELER_DEFAULTS, **config.model_params})
+    return model.recognize
 
 
 def experiment_seed(config_seed: int, fold: int) -> int:
@@ -227,19 +195,22 @@ def experiment_seed(config_seed: int, fold: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
-                   out_dir, runner=None, metrics=DEFAULT_METRICS) -> list:
+                   out_dir, fit=None) -> list:
     """Run one experiment across all folds; returns summary rows.
 
     ``corpus`` maps dataset name to its song entries.  Folds with an
     existing ``scores.csv`` are loaded instead of recomputed, so interrupted
     runs resume where they stopped.  Features come from the store in
     ``<out_dir>/features``, shared by every experiment run into ``out_dir``.
+    Each computed fold calls ``fit`` (by default this module's :func:`fit`)
+    for the recognizer that labels its tracks.
     """
     for name in set(config.train_datasets) | set(config.eval_datasets):
         if name not in corpus:
             raise HarnessError(f"experiment {config.id}: unknown dataset {name!r}")
-    if runner is None:
-        runner = make_runner(config, os.path.join(out_dir, "features"))
+    if fit is None:
+        fit = globals()["fit"]  # looked up per call, so a patched fit runs
+    store_dir = os.path.join(out_dir, "features")
     exp_dir = os.path.join(out_dir, f"exp_{config.id}")
     all_rows = []
     for fold in range(fold_plan.k):
@@ -249,18 +220,17 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
             all_rows.extend(_read_fold_scores(scores_path))
             continue
         try:
-            rows = _run_fold(config, fold_plan, corpus, fold, runner, metrics)
+            rows = _run_fold(config, fold_plan, corpus, fold, store_dir, fit)
         except Exception as exc:
             raise RuntimeError(
                 f"experiment {config.id}, fold {fold}: {exc}") from exc
         os.makedirs(fold_dir, exist_ok=True)
         _write_fold_scores(scores_path, rows)
         all_rows.extend(rows)
-    summary = summarize(config, all_rows, fold_plan.k, metrics)
-    return summary
+    return summarize(config, all_rows, fold_plan.k)
 
 
-def _run_fold(config, fold_plan, corpus, fold, runner, metrics):
+def _run_fold(config, fold_plan, corpus, fold, store_dir, fit):
     train_by_dataset = {
         name: [e for e in corpus[name] if fold_plan.fold_of(e) != fold]
         for name in config.train_datasets}
@@ -272,16 +242,18 @@ def _run_fold(config, fold_plan, corpus, fold, runner, metrics):
                                             seed=config.seed, quota=quota)
     train_entries = [e for name in config.train_datasets
                      for e in train_by_dataset[name]]
-    predictor = runner.fit(train_entries, experiment_seed(config.seed, fold))
+    recognize = fit(config, store_dir, train_entries,
+                    experiment_seed(config.seed, fold))
     rows = []
     for name in config.eval_datasets:
         for entry in corpus[name]:
             if fold_plan.fold_of(entry) != fold:
                 continue
             reference = normalize(read_lab(entry.label_path))
-            predicted = predictor(entry)
-            scored = evaluate_pair(reference, predicted, metrics)
-            for metric in metrics:
+            predicted = recognize(stored_log_cqt(store_dir, entry.audio_path),
+                                  entry.song_id)
+            scored = evaluate_pair(reference, predicted, DEFAULT_METRICS)
+            for metric in DEFAULT_METRICS:
                 ts = scored[metric]
                 rows.append({"fold": fold, "dataset": name,
                              "song_id": entry.song_id,
@@ -315,11 +287,11 @@ def _read_fold_scores(path):
     return rows
 
 
-def summarize(config, rows, k, metrics=DEFAULT_METRICS) -> list:
+def summarize(config, rows, k) -> list:
     """Fold-level aggregation and percent-scale mean/std over folds."""
     summary = []
     for dataset in config.eval_datasets:
-        for metric in metrics:
+        for metric in DEFAULT_METRICS:
             fold_scores = []
             for fold in range(k):
                 picked = [TrackScore(r["score"], r["duration_s"]) for r in rows
@@ -339,7 +311,7 @@ def summarize(config, rows, k, metrics=DEFAULT_METRICS) -> list:
 _SUMMARY_FIELDS = ["experiment", "dataset", "metric", "mean", "std", "folds"]
 
 
-def emit_report(rows, csv_path, text_path=None) -> None:
+def emit_report(rows, csv_path, text_path) -> None:
     """Write summary rows as CSV plus an aligned text table.
 
     The text table has one row per experiment and one column per
@@ -354,8 +326,6 @@ def emit_report(rows, csv_path, text_path=None) -> None:
         for row in rows:
             writer.writerow({**row, "mean": repr(row["mean"]),
                              "std": repr(row["std"])})
-    if text_path is None:
-        return
     experiments = sorted({r["experiment"] for r in rows})
     columns = []
     for row in rows:
@@ -421,19 +391,40 @@ def load_corpus(data_root, datasets: dict) -> dict:
 
 
 def load_experiments(path):
-    """Read an experiments config file (format in docs/experiments.md)."""
+    """Read an experiments config file (format in docs/experiments.md).
+
+    A file that is not a JSON object, or an experiment that is not one,
+    lacks ``id``, ``model`` or ``eval_datasets``, or has a non-integer
+    ``id`` or ``seed``, raises :class:`HarnessError` naming the file and
+    the experiment's index in the ``experiments`` list.
+    """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise HarnessError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise HarnessError(f"{path}: not a JSON object")
     datasets = data.get("datasets", {})
     experiments = []
-    for item in data.get("experiments", []):
+    for index, item in enumerate(data.get("experiments", [])):
+        if not isinstance(item, dict):
+            raise HarnessError(f"{path}: experiments[{index}]: not a JSON object")
+        for key in ("id", "model", "eval_datasets"):
+            if key not in item:
+                raise HarnessError(
+                    f"{path}: experiments[{index}]: missing key {key!r}")
+        try:
+            exp_id, seed = int(item["id"]), int(item.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise HarnessError(f"{path}: experiments[{index}]: {exc}") from None
         experiments.append(ExperimentConfig(
-            id=int(item["id"]),
+            id=exp_id,
             train_datasets=tuple(item.get("train_datasets", ())),
             model=item["model"],
             eval_datasets=tuple(item["eval_datasets"]),
             balance=bool(item.get("balance", False)),
-            seed=int(item.get("seed", 0)),
+            seed=seed,
             balance_quota=item.get("balance_quota"),
             model_params=item.get("model_params", {})))
     return datasets, experiments

@@ -265,11 +265,25 @@ def emit_dataset(spec: SynthSpec, model: ProgressionModel, out_dir) -> list:
 
 
 def read_manifest(path) -> list:
-    """Read a JSON-lines dataset manifest."""
+    """Read a JSON-lines dataset manifest (format in docs/manifest.md).
+
+    A line that is not a JSON object with ``id`` and ``path`` keys raises
+    :class:`SynthError` naming ``<path>:<line>``; blank lines are skipped.
+    """
     entries = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                entries.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SynthError(f"{path}:{line_no}: not JSON: {exc}") from None
+            if not isinstance(entry, dict):
+                raise SynthError(f"{path}:{line_no}: not a JSON object")
+            for key in ("id", "path"):
+                if key not in entry:
+                    raise SynthError(f"{path}:{line_no}: missing key {key!r}")
+            entries.append(entry)
     return entries

@@ -10,7 +10,8 @@ from chordbench.checkpoint import save_checkpoint
 from chordbench.cli import main
 from chordbench.features import (FeatureMatrix, NormStats, read_feature_cache,
                                  write_feature_cache)
-from chordbench.harness import LabelerRunner, load_corpus
+from chordbench import harness
+from chordbench.harness import ExperimentConfig, load_corpus
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
 from chordbench.metrics import evaluate_pair
 from chordbench.stats import read_histogram_csv, read_transitions_csv
@@ -183,11 +184,14 @@ class TestExtractTrainPredict:
         data_dir, cache = pipeline_dirs
         corpus = load_corpus(os.path.dirname(data_dir),
                              {"tiny": os.path.basename(data_dir)})["tiny"]
-        runner = LabelerRunner(str(tmp_path / "features"), model_dim=16,
-                               n_heads=2, max_epochs=10, patience=10)
-        save_checkpoint(tmp_path / "model.ckpt",
-                        runner.fit_model(corpus[:4], 3))
-        predictor = runner.fit(corpus[:4], 3)
+        store = str(tmp_path / "features")
+        config = ExperimentConfig(
+            id=0, train_datasets=("tiny",), model="labeler",
+            eval_datasets=("tiny",),
+            model_params={"model_dim": 16, "n_heads": 2, "max_epochs": 10,
+                          "patience": 10})
+        recognize = harness.fit(config, store, corpus[:4], 3)
+        save_checkpoint(tmp_path / "model.ckpt", recognize.__self__)
         out = tmp_path / "pred"
         assert run("predict", "--model", str(tmp_path / "model.ckpt"),
                    "--in", str(cache), "--out", str(out)) == 0
@@ -195,7 +199,8 @@ class TestExtractTrainPredict:
         for entry in corpus:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")
-            expected = predictor(entry)
+            expected = recognize(harness.stored_log_cqt(store, entry.audio_path),
+                                 entry.song_id)
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
                 for s in expected]
@@ -221,6 +226,41 @@ class TestExtractTrainPredict:
             f"error: model {ckpt} on {cache / 'a.shift+0.cbf'}: model takes "
             "cqt_log (144 bins, hop 2048 at 22050 Hz) features, got chroma12 "
             "(12 bins, hop 2048 at 22050 Hz)\n")
+
+    def test_train_rejects_unknown_config_key(self, pipeline_dirs, tmp_path,
+                                              capsys):
+        _, cache = pipeline_dirs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                                   "max_epoch": 1}))
+        ckpt = tmp_path / "model.ckpt"
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(ckpt)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: unknown key 'max_epoch'\n")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("tensor, shape, message", [
+        ("classifier.b", None, "tensor 'classifier.b' missing"),
+        ("classifier.w", (8, 5),
+         "tensor 'classifier.w' has shape (8, 5), expected (8, 25)"),
+    ])
+    def test_predict_rejects_checkpoint_with_wrong_tensors(
+            self, pipeline_dirs, tmp_path, capsys, tensor, shape, message):
+        _, cache = pipeline_dirs
+        config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
+                               n_heads=2)
+        params = init_params(config)
+        if shape is None:
+            del params[tensor]
+        else:
+            params[tensor] = np.zeros(shape, dtype=np.float32)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, TrainedLabeler(config, params, NormStats(0.0, 1.0),
+                                             "cqt_log", 2048, 22050))
+        assert run("predict", "--model", str(ckpt), "--in", str(cache),
+                   "--out", str(tmp_path / "pred")) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
     def test_train_rejects_out_of_range_cache_label(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -270,18 +310,21 @@ class TestExtractTrainPredict:
         assert np.mean(scores) > 0.9
 
     def test_template_predict_matches_harness_runner(self, tiny_dataset, tmp_path):
-        from chordbench.harness import TemplateRunner, load_corpus
         data_dir, _ = tiny_dataset
         out = tmp_path / "pred"
         assert run("predict", "--model", "template", "--in", str(data_dir),
                    "--out", str(out)) == 0
         corpus = load_corpus(os.path.dirname(data_dir),
                              {"tiny": os.path.basename(data_dir)})
-        predictor = TemplateRunner(str(tmp_path / "features")).fit([], 0)
+        store = str(tmp_path / "features")
+        config = ExperimentConfig(id=0, train_datasets=(), model="template",
+                                  eval_datasets=("tiny",))
+        recognize = harness.fit(config, store, [], 0)
         for entry in corpus["tiny"]:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")
-            expected = predictor(entry)
+            expected = recognize(harness.stored_log_cqt(store, entry.audio_path),
+                                 entry.song_id)
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
                 for s in expected]
@@ -330,3 +373,43 @@ class TestXval:
         assert capsys.readouterr().err == (
             "error: experiment 2: unknown model_params key 'dropout'\n")
         assert not out.exists()
+
+    def test_experiment_without_eval_datasets_names_file_and_index(
+            self, tiny_dataset, tmp_path, capsys):
+        data_dir, _ = tiny_dataset
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"tiny": os.path.basename(data_dir)},
+            "experiments": [
+                {"id": 0, "model": "template", "eval_datasets": ["tiny"]},
+                {"id": 1, "model": "template"},
+            ]}))
+        out = tmp_path / "results"
+        assert run("xval", "--experiments", str(cfg),
+                   "--data-root", str(os.path.dirname(data_dir)),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: experiments[1]: missing key 'eval_datasets'\n")
+        assert not out.exists()
+
+    def test_manifest_line_without_path_names_file_and_line(
+            self, tiny_dataset, tmp_path, capsys):
+        data_dir, _ = tiny_dataset
+        root = tmp_path / "data"
+        root.mkdir()
+        manifest = root / "tiny" / "manifest.jsonl"
+        manifest.parent.mkdir()
+        lines = (data_dir / "manifest.jsonl").read_text().splitlines()
+        entry = json.loads(lines[1])
+        del entry["path"]
+        lines[1] = json.dumps(entry)
+        manifest.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"tiny": "tiny"},
+            "experiments": [
+                {"id": 0, "model": "template", "eval_datasets": ["tiny"]}]}))
+        assert run("xval", "--experiments", str(cfg), "--data-root", str(root),
+                   "--out", str(tmp_path / "results")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}:2: missing key 'path'\n")

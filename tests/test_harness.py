@@ -17,6 +17,7 @@ from chordbench.harness import (ExperimentConfig, HarnessError,
                                 load_corpus, load_experiments, make_folds,
                                 read_summary_csv, run_experiment,
                                 stored_log_cqt)
+from chordbench.synth import SynthError
 
 
 def songs_with_performances(n_songs, n_perf=2, dataset="d"):
@@ -98,21 +99,24 @@ class TestBalanceDatasets:
 
     def test_empty_dataset_error(self):
         with pytest.raises(HarnessError):
-            balance_datasets({"empty": []}, seed=0)
+            balance_datasets({"empty": []}, seed=0, quota=192)
 
 
-class EchoRunner:
-    """Perfect predictor: returns the reference annotation."""
+class EchoFit:
+    """A ``fit`` whose recognizer is perfect: it returns the reference
+    annotation of the song it is asked to label."""
 
-    def __init__(self):
+    def __init__(self, corpus):
+        self.label_path = {e.song_id: e.label_path
+                           for entries in corpus.values() for e in entries}
         self.fit_calls = 0
 
-    def fit(self, train_entries, seed):
+    def __call__(self, config, store_dir, train_entries, seed):
         self.fit_calls += 1
 
-        def predictor(entry):
-            return normalize(read_lab(entry.label_path))
-        return predictor
+        def recognize(features, source_id):
+            return normalize(read_lab(self.label_path[source_id]))
+        return recognize
 
 
 @pytest.fixture()
@@ -140,18 +144,18 @@ class TestRunExperiment:
     def test_perfect_predictor_scores_100(self, corpus, tmp_path):
         plan = make_folds(corpus["tiny"], seed=0)
         summary = run_experiment(self.config(), plan, corpus, tmp_path,
-                                 runner=EchoRunner())
+                                 fit=EchoFit(corpus))
         for row in summary:
             assert row["mean"] == pytest.approx(100.0)
             assert row["std"] == pytest.approx(0.0)
 
     def test_resumable_skips_completed_folds(self, corpus, tmp_path):
         plan = make_folds(corpus["tiny"], seed=0)
-        runner = EchoRunner()
-        first = run_experiment(self.config(), plan, corpus, tmp_path, runner=runner)
-        assert runner.fit_calls == 6
-        second = run_experiment(self.config(), plan, corpus, tmp_path, runner=runner)
-        assert runner.fit_calls == 6  # nothing recomputed
+        fit = EchoFit(corpus)
+        first = run_experiment(self.config(), plan, corpus, tmp_path, fit=fit)
+        assert fit.fit_calls == 6
+        second = run_experiment(self.config(), plan, corpus, tmp_path, fit=fit)
+        assert fit.fit_calls == 6  # nothing recomputed
         assert first == second
 
     def test_summary_matches_hand_computation(self, corpus, tmp_path):
@@ -200,13 +204,13 @@ class TestRunExperiment:
         monkeypatch.setattr(csv.DictWriter, "writerow", failing_writerow)
         with pytest.raises(OSError, match="disk full"):
             run_experiment(self.config(), plan, corpus, tmp_path,
-                           runner=EchoRunner())
+                           fit=EchoFit(corpus))
         assert not (tmp_path / "exp_0" / "fold_0" / "scores.csv").exists()
         monkeypatch.undo()
-        runner = EchoRunner()
+        fit = EchoFit(corpus)
         summary = run_experiment(self.config(), plan, corpus, tmp_path,
-                                 runner=runner)
-        assert runner.fit_calls == 6
+                                 fit=fit)
+        assert fit.fit_calls == 6
         assert all(row["folds"] == 6 for row in summary)
 
     def test_unknown_dataset_error(self, corpus, tmp_path):
@@ -355,7 +359,7 @@ class TestReport:
 
     def test_csv_round_trip_exact(self, tmp_path):
         p = tmp_path / "summary.csv"
-        emit_report(self.rows(), p)
+        emit_report(self.rows(), p, tmp_path / "summary.txt")
         assert read_summary_csv(p) == self.rows()
 
     def test_one_marked_cell_per_column(self, tmp_path):
@@ -371,7 +375,7 @@ class TestReport:
 
     def test_empty_error(self, tmp_path):
         with pytest.raises(HarnessError):
-            emit_report([], tmp_path / "x.csv")
+            emit_report([], tmp_path / "x.csv", tmp_path / "x.txt")
 
 
 class TestExperimentsConfig:
@@ -385,3 +389,43 @@ class TestExperimentsConfig:
         assert experiments[0].model == "template"
         assert experiments[3].balance
         assert experiments[3].train_datasets == ("synthA", "synthB")
+
+    @pytest.mark.parametrize("key", ["id", "model", "eval_datasets"])
+    def test_missing_key_names_file_and_index(self, tmp_path, key):
+        import json
+        matrix = default_experiments()
+        del matrix["experiments"][2][key]
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps(matrix))
+        with pytest.raises(HarnessError, match=re.escape(
+                f"{p}: experiments[2]: missing key {key!r}")):
+            load_experiments(p)
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"experiments": [', "not JSON: Expecting value: line 1 column 18"),
+        ("[]", "not a JSON object"),
+        ('{"experiments": [7]}', "experiments[0]: not a JSON object"),
+        ('{"experiments": [{"id": "x", "model": "template", '
+         '"eval_datasets": []}]}',
+         "experiments[0]: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_malformed_file_is_named(self, tmp_path, text, reason):
+        p = tmp_path / "experiments.json"
+        p.write_text(text)
+        with pytest.raises(HarnessError, match=re.escape(f"{p}: {reason}")):
+            load_experiments(p)
+
+
+class TestLoadCorpus:
+    @pytest.mark.parametrize("line, reason", [
+        ('{"id": "x"}', "missing key 'path'"),
+        ('{"path": "x.wav"}', "missing key 'id'"),
+        ('{"id": "x", "path": ', "not JSON: Expecting value"),
+        ('["x.wav"]', "not a JSON object"),
+    ])
+    def test_bad_manifest_line_names_file_and_line(self, tmp_path, line, reason):
+        manifest = tmp_path / "d" / "manifest.jsonl"
+        manifest.parent.mkdir()
+        manifest.write_text('{"id": "a", "path": "a.wav"}\n\n' + line + "\n")
+        with pytest.raises(SynthError, match=re.escape(f"{manifest}:3: {reason}")):
+            load_corpus(tmp_path, {"d": "d"})

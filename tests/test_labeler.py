@@ -776,6 +776,41 @@ class TestCheckpoint:
                            match=re.escape(f"tensor {first!r} has unsupported width 2")):
             load_checkpoint(p)
 
+    def test_missing_tensor_names_file_and_tensor(self, tmp_path):
+        model = _tiny_model()
+        params = {k: v for k, v in model.params.items() if k != "classifier.b"}
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, TrainedLabeler(model.config, params, model.stats,
+                                          model.bin_kind, model.hop_samples,
+                                          model.sample_rate_hz))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor 'classifier.b' missing")):
+            load_checkpoint(p)
+
+    def test_tensor_shape_must_match_config(self, tmp_path):
+        model = _tiny_model()
+        params = {**model.params,
+                  "classifier.w": np.zeros((8, 5), dtype=np.float32)}
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, TrainedLabeler(model.config, params, model.stats,
+                                          model.bin_kind, model.hop_samples,
+                                          model.sample_rate_hz))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor 'classifier.w' has shape (8, 5), "
+                "expected (8, 25)")):
+            load_checkpoint(p)
+
+    def test_unexpected_tensor_names_file_and_tensor(self, tmp_path):
+        model = _tiny_model()
+        params = {**model.params, "layers.1.ln1.g": np.ones(8, dtype=np.float32)}
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, TrainedLabeler(model.config, params, model.stats,
+                                          model.bin_kind, model.hop_samples,
+                                          model.sample_rate_hz))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: unexpected tensor 'layers.1.ln1.g'")):
+            load_checkpoint(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.ckpt"
         p.write_bytes(b"JUNKJUNKJUNK")
