@@ -283,7 +283,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, harness.FoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -8,11 +8,16 @@ windowed complex projection: bin k has center frequency
 at multiples of the hop; the edges are zero-padded.
 
 The projections are computed half an octave at a time.  The 12 bins of a
-group are zero-padded to the group's longest window, keeping each window
-centred where it was, so they read the same frame of samples; their cosine
-and sine kernels form one matrix, and one matrix product per block of 16
-frames computes all 24 projections.  The padding adds only zeros, so each
-magnitude equals the bin-by-bin projection up to rounding (below 1e-12).
+group are zero-padded to the group's longest window W, keeping each window
+centred where it was, so they read the same frame of samples.  The signal
+is read in hop-aligned blocks of 2048 samples: frame t's window starts at
+``t * 2048 - W // 2`` and so spans the ``m = ceil(W / 2048)`` consecutive
+blocks that start there.  The 24 cosine and sine kernels are cut into m
+pieces of one block each, and one matrix product of a chunk of blocks with
+all the pieces gives every block's partial projections; a frame's
+projection is the sum of its m partials.  The padding adds only zeros, so
+each magnitude equals the bin-by-bin projection up to rounding (below
+1e-12).
 
 Downstream stages: log amplitude with a 1e-6 floor, global z-normalization
 fitted on training data, 108-frame windows with 54-frame stride, and pitch
@@ -39,7 +44,7 @@ FMIN_HZ = 32.7032  # C1
 Q_FACTOR = 1.0 / (2.0 ** (1.0 / BINS_PER_OCTAVE) - 1.0)
 MAX_WINDOW = 32768  # largest power of two at most 2 s of audio at 22050 Hz
 _GROUP_BINS = 12  # bins sharing one CQT kernel matrix: half an octave
-_FRAME_BLOCK = 16  # frames per CQT matrix product
+_CHUNK_FRAMES = 128  # frames per CQT matrix product
 LOG_EPS = 1e-6
 LOG_FLOOR = float(np.log(LOG_EPS))
 
@@ -175,14 +180,18 @@ def cqt(audio: AudioBuffer) -> FeatureMatrix:
     t is centered at sample ``t * 2048``, and there are
     ``1 + n_samples // 2048`` frames.
 
-    The bins are computed in 12 groups as the module docstring describes:
-    each group's kernels form one ``(L, 24)`` matrix for its longest window
-    ``L``, and the frames are copied 16 at a time into a contiguous block,
-    with zeros past either end of the signal, for one matrix product with
-    it.  The caller's samples are only read, and no padded copy of them is
-    made.  The kernels are built on every call, not cached, to keep memory
-    flat: all 12 together hold 15 MB, while one kernel and one frame block
-    take at most 7.4 MB, and building them is a small part of the call.
+    The bins are computed in 12 groups as the module docstring describes.
+    A group's kernels form one ``(24 * m, 2048)`` matrix whose row
+    ``i * m + j`` holds samples ``j * 2048`` to ``(j + 1) * 2048 - 1`` of
+    column i, zero past W.  For each chunk of at most 128 frames, the
+    ``chunk + m - 1`` blocks those frames read are copied with one slice,
+    with zeros past either end of the signal, into one buffer, and one
+    matrix product of that buffer with the kernel gives all their partial
+    projections.  The caller's samples are only read, and no padded copy of
+    them is made.  The kernels are built on every call, not cached, so
+    memory stays flat whatever the track length: besides the output and a
+    few small arrays, one kernel of at most 4.7 MB and one chunk buffer of
+    at most 2.3 MB are live at a time.
     """
     if audio.sample_rate_hz != SAMPLE_RATE:
         raise FeatureError(
@@ -200,34 +209,44 @@ def cqt(audio: AudioBuffer) -> FeatureMatrix:
     n_frames = 1 + len(x) // HOP
     mags = np.empty((n_frames, N_BINS), dtype=np.float64)
     for lo in range(0, N_BINS, _GROUP_BINS):
-        width = int(win_lens[lo])
-        kernel = np.zeros((width, 2 * _GROUP_BINS), dtype=np.float64)
-        for i, k in enumerate(range(lo, lo + _GROUP_BINS)):
-            n_k = int(win_lens[k])
-            window = np.hanning(n_k)
-            window /= window.sum()
-            phase = 2.0 * np.pi * freqs[k] * np.arange(n_k) / SAMPLE_RATE
-            offset = width // 2 - n_k // 2
-            kernel[offset:offset + n_k, i] = window * np.cos(phase)
-            kernel[offset:offset + n_k, _GROUP_BINS + i] = window * np.sin(phase)
-        block = np.empty((_FRAME_BLOCK, width), dtype=np.float64)
-        for start in range(0, n_frames, _FRAME_BLOCK):
-            count = min(_FRAME_BLOCK, n_frames - start)
-            centers = range(start * HOP, (start + count) * HOP, HOP)
-            for row, center in zip(block, centers):
-                _read_frame(x, center - width // 2, row)
-            prod = block[:count] @ kernel
-            mags[start:start + count, lo:lo + _GROUP_BINS] = np.hypot(
-                prod[:, :_GROUP_BINS], prod[:, _GROUP_BINS:])
+        group = slice(lo, lo + _GROUP_BINS)
+        _group_magnitudes(x, freqs[group], win_lens[group], mags[:, group])
     return FeatureMatrix(mags, HOP, SAMPLE_RATE, "cqt_mag")
 
 
-def _read_frame(x: np.ndarray, first: int, out: np.ndarray) -> None:
-    """Copy ``x[first:first + len(out)]`` into ``out``, zero outside ``x``."""
-    lo, hi = max(first, 0), min(first + len(out), len(x))
-    if hi - lo < len(out):
-        out.fill(0.0)
-    out[lo - first:hi - first] = x[lo:hi]
+def _group_magnitudes(x: np.ndarray, freqs: np.ndarray, win_lens: np.ndarray,
+                      out: np.ndarray) -> None:
+    """Magnitudes of one group's bins, longest window first, into ``out``."""
+    width = int(win_lens[0])
+    m = -(-width // HOP)
+    kernel = np.zeros((2 * _GROUP_BINS, m * HOP), dtype=np.float64)
+    for i, (freq, n_k) in enumerate(zip(freqs, win_lens)):
+        n_k = int(n_k)
+        window = np.hanning(n_k)
+        window /= window.sum()
+        phase = 2.0 * np.pi * freq * np.arange(n_k) / SAMPLE_RATE
+        offset = width // 2 - n_k // 2
+        kernel[i, offset:offset + n_k] = window * np.cos(phase)
+        kernel[_GROUP_BINS + i, offset:offset + n_k] = window * np.sin(phase)
+    # Row i * m + j: piece j of column i, one block long.
+    kernel = kernel.reshape(2 * _GROUP_BINS * m, HOP)
+    n_frames = len(out)
+    buf = np.empty((min(_CHUNK_FRAMES, n_frames) + m - 1) * HOP)
+    for start in range(0, n_frames, _CHUNK_FRAMES):
+        count = min(_CHUNK_FRAMES, n_frames - start)
+        n_blocks = count + m - 1
+        blocks = buf[:n_blocks * HOP]
+        first = start * HOP - width // 2
+        lo, hi = max(first, 0), min(first + len(blocks), len(x))
+        if hi - lo < len(blocks):
+            blocks.fill(0.0)
+        blocks[lo - first:hi - first] = x[lo:hi]
+        # part[u, c, j]: block start + u against piece j of column c.
+        part = (blocks.reshape(n_blocks, HOP) @ kernel.T).reshape(
+            n_blocks, 2 * _GROUP_BINS, m)
+        proj = sum(part[j:j + count, :, j] for j in range(m))
+        out[start:start + count] = np.hypot(proj[:, :_GROUP_BINS],
+                                            proj[:, _GROUP_BINS:])
 
 
 def log_amplitude(features: FeatureMatrix) -> FeatureMatrix:

@@ -51,6 +51,10 @@ class HarnessError(ValueError):
     """Raised for invalid experiment setups."""
 
 
+class FoldError(RuntimeError):
+    """Raised by :func:`run_experiment` for any error inside one fold."""
+
+
 @dataclass(frozen=True)
 class SongEntry:
     song_id: str
@@ -136,6 +140,11 @@ class ExperimentConfig:
             raise HarnessError(f"unknown model {self.model!r}")
         if self.model != "template" and not self.train_datasets:
             raise HarnessError("trainable model requires training datasets")
+        quota = self.balance_quota
+        if quota is not None and (isinstance(quota, bool)
+                                  or not isinstance(quota, int) or quota < 1):
+            raise HarnessError(f"experiment {self.id}: balance_quota must be a "
+                               f"positive integer, got {quota!r}")
         if self.model == "labeler":
             for key in sorted(self.model_params):
                 if key not in LABELER_DEFAULTS:
@@ -203,7 +212,8 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
     runs resume where they stopped.  Features come from the store in
     ``<out_dir>/features``, shared by every experiment run into ``out_dir``.
     Each computed fold calls ``fit`` (by default this module's :func:`fit`)
-    for the recognizer that labels its tracks.
+    for the recognizer that labels its tracks.  An error inside a fold is
+    raised as :class:`FoldError`, prefixed with the experiment and fold.
     """
     for name in set(config.train_datasets) | set(config.eval_datasets):
         if name not in corpus:
@@ -222,7 +232,7 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
         try:
             rows = _run_fold(config, fold_plan, corpus, fold, store_dir, fit)
         except Exception as exc:
-            raise RuntimeError(
+            raise FoldError(
                 f"experiment {config.id}, fold {fold}: {exc}") from exc
         os.makedirs(fold_dir, exist_ok=True)
         _write_fold_scores(scores_path, rows)

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chordbench
 from chordbench.annotations import read_lab
 from chordbench.checkpoint import save_checkpoint
 from chordbench.cli import main
@@ -413,3 +417,34 @@ class TestXval:
                    "--out", str(tmp_path / "results")) == 1
         assert capsys.readouterr().err == (
             f"error: {manifest}:2: missing key 'path'\n")
+
+    def test_fold_error_is_one_line_without_traceback(self, tiny_dataset,
+                                                       tmp_path):
+        data_dir, _ = tiny_dataset
+        root = tmp_path / "data"
+        shutil.copytree(data_dir, root / "tiny")
+        corpus = load_corpus(str(root), {"tiny": "tiny"})
+        entry = corpus["tiny"][1]
+        with open(entry.label_path) as fh:
+            rows = fh.read().splitlines()
+        rows.insert(2, "oops not a row")
+        with open(entry.label_path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        fold = harness.make_folds(corpus["tiny"], seed=0).fold_of(entry)
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"tiny": "tiny"},
+            "experiments": [
+                {"id": 0, "model": "template", "eval_datasets": ["tiny"]}]}))
+        src_dir = os.path.dirname(os.path.dirname(chordbench.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chordbench.cli", "xval",
+             "--experiments", str(cfg), "--data-root", str(root),
+             "--out", str(tmp_path / "results")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src_dir})
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"error: experiment 0, fold {fold}: {entry.label_path}:3: "
+            "bad time field in 'oops not a row'\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
@@ -50,6 +52,11 @@ def cqt_per_bin(audio):
     return mags
 
 
+def noise(n_samples, seed):
+    rng = np.random.default_rng(seed)
+    return AudioBuffer(rng.standard_normal(n_samples), SAMPLE_RATE)
+
+
 def triad_with_noise(seconds=3.0):
     rng = np.random.default_rng(5)
     t = np.arange(int(seconds * SAMPLE_RATE)) / SAMPLE_RATE
@@ -99,20 +106,44 @@ class TestCqt:
             cqt(AudioBuffer(np.zeros(min_cqt_samples() - 1), SAMPLE_RATE))
 
     @pytest.mark.parametrize("audio", [
-        sine(32.7032), sine(440.0), sine(466.16), triad_with_noise(),
-        AudioBuffer(np.random.default_rng(3).standard_normal(min_cqt_samples()),
-                    SAMPLE_RATE),
-        # 1 + 41 frames: two full 16-frame blocks and a partial one of 10.
-        AudioBuffer(np.random.default_rng(4).standard_normal(41 * HOP + 7),
-                    SAMPLE_RATE),
-    ], ids=["sine-fmin", "sine-440", "sine-466", "triad-noise", "min-length",
-            "partial-block"])
+        pytest.param(sine(32.7032), id="sine-fmin"),
+        pytest.param(sine(440.0), id="sine-440"),
+        pytest.param(sine(466.16), id="sine-466"),
+        pytest.param(triad_with_noise(), id="triad-noise"),
+        pytest.param(noise(min_cqt_samples(), 3), id="min-length"),
+        # 42 frames: one chunk, shorter than the 128 frames a chunk holds.
+        pytest.param(noise(41 * HOP + 7, 4), id="partial-block"),
+        pytest.param(noise(127 * HOP + 5, 6), id="128-frames"),
+        pytest.param(noise(128 * HOP + 5, 7), id="129-frames"),
+        # 301 frames: two full chunks and a partial one of 45.
+        pytest.param(noise(300 * HOP + 900, 8), id="three-chunks"),
+        # Around a hop multiple: one sample short of a 51st frame, then
+        # frame 50 centred one past the last sample, then on it.
+        pytest.param(noise(50 * HOP - 1, 9), id="k-hop-minus-1"),
+        pytest.param(noise(50 * HOP, 10), id="k-hop"),
+        pytest.param(noise(50 * HOP + 1, 11), id="k-hop-plus-1"),
+    ])
     def test_matches_per_bin_reference(self, audio):
         expected = cqt_per_bin(audio)
         got = cqt(audio).values
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-12
         assert np.array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    def test_memory_does_not_grow_with_track_length(self):
+        def peak_beyond_output(seconds):
+            audio = noise(int(seconds * SAMPLE_RATE), 12)
+            tracemalloc.start()
+            try:
+                values = cqt(audio).values
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - values.nbytes
+
+        short, long = peak_beyond_output(30), peak_beyond_output(300)
+        assert long <= 16 * 2**20
+        assert abs(long - short) <= 2**20
 
     def test_reads_non_contiguous_read_only_samples(self):
         mono = triad_with_noise().samples

@@ -231,6 +231,16 @@ class TestRunExperiment:
                              eval_datasets=("tiny",),
                              model_params={"model_dim": 8, "dropout": 0.1})
 
+    @pytest.mark.parametrize("quota, shown", [("x", "'x'"), (0, "0"),
+                                              (True, "True")])
+    def test_balance_quota_must_be_positive_integer(self, quota, shown):
+        with pytest.raises(HarnessError, match=re.escape(
+                f"experiment 3: balance_quota must be a positive integer, "
+                f"got {shown}")):
+            ExperimentConfig(id=3, train_datasets=("a", "b"), model="labeler",
+                             eval_datasets=("a",), balance=True,
+                             balance_quota=quota)
+
 
 def count_cqt_inputs(monkeypatch):
     """Patch ``features.cqt`` to record a digest of every signal it analyses."""
