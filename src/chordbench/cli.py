@@ -151,11 +151,14 @@ def cmd_train(args):
         if key not in TRAIN_DEFAULTS:
             raise ValueError(f"{args.config}: unknown key {key!r}")
     pairs = _load_cached_items(args.data)
-    model, report = labeler.fit(pairs, **{**TRAIN_DEFAULTS, **cfg})
+    hyper = {**TRAIN_DEFAULTS, **cfg}
+    model, report = labeler.fit(pairs, **hyper)
     checkpoint.save_checkpoint(args.out, model)
+    # ``accuracies`` are those of the set that picked the best epoch.
+    monitored = "validation" if hyper["val_fraction"] > 0 else "training"
     print(f"trained {report.epochs_run} epochs, "
           f"final loss {report.losses[-1]:.4f}, "
-          f"validation accuracy {report.accuracies[-1]:.3f}")
+          f"{monitored} accuracy {report.accuracies[-1]:.3f}")
     print(f"wrote {args.out}")
 
 

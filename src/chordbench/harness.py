@@ -14,9 +14,11 @@ not recomputed on rerun.
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
 docs/cache.md, kind ``cqt_log``), so each recording is analysed once per
-output directory, and a rerun or resumed run reuses the stored features.  A
-changed WAV gets a new key.  The store does not record the feature recipe:
-after a recipe change, use a fresh output directory.
+output directory, and a rerun or resumed run reuses the stored features.
+:func:`run_experiment` hashes each WAV it uses once, before its first
+computed fold, so a changed WAV gets a new key in the next experiment.  The
+store does not record the feature recipe: after a recipe change, use a fresh
+output directory.
 
 Summary scores are duration-weighted within a fold and reported as
 ``mean +/- std`` over folds, in percent.
@@ -29,7 +31,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,11 +59,18 @@ class FoldError(RuntimeError):
 
 @dataclass(frozen=True)
 class SongEntry:
+    """One recording; ``feature_key`` is its feature-store key, once known."""
+
     song_id: str
     performance_id: str | None = None
     dataset: str = ""
     audio_path: str = ""
     label_path: str = ""
+    feature_key: str | None = None
+
+    def log_cqt(self, store_dir) -> FeatureMatrix:
+        """This recording's log-CQT through the feature store ``store_dir``."""
+        return stored_log_cqt(store_dir, self.audio_path, self.feature_key)
 
 
 @dataclass(frozen=True)
@@ -152,17 +161,24 @@ class ExperimentConfig:
                                        f"model_params key {key!r}")
 
 
-def stored_log_cqt(store_dir, audio_path) -> FeatureMatrix:
+def _wav_key(audio_path) -> str:
+    """The feature-store key of a WAV file: the blake2b digest of its bytes."""
+    with open(audio_path, "rb") as fh:
+        return hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
+
+
+def stored_log_cqt(store_dir, audio_path, key=None) -> FeatureMatrix:
     """The log-CQT of a WAV file, through the feature store ``store_dir``.
 
-    The store file is named by the blake2b digest of the WAV bytes.  On a
-    miss the features are computed and written to a unique temporary name,
-    then renamed into place, so a failed write leaves no store file.  The
-    result is always read back from the store, so every caller sees the
-    same float32-rounded values.
+    The store file is named by ``key``, the blake2b digest of the WAV bytes,
+    which is computed from the file when not given.  On a miss the features
+    are computed and written to a unique temporary name, then renamed into
+    place, so a failed write leaves no store file.  The result is always
+    read back from the store, so every caller sees the same float32-rounded
+    values.
     """
-    with open(audio_path, "rb") as fh:
-        key = hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
+    if key is None:
+        key = _wav_key(audio_path)
     path = os.path.join(store_dir, f"{key}.cbf")
     if not os.path.exists(path):
         os.makedirs(store_dir, exist_ok=True)
@@ -190,7 +206,7 @@ def fit(config: ExperimentConfig, store_dir, train_entries, seed):
         return recognize_track
     pairs = []
     for entry in train_entries:
-        chroma = fold_to_chroma(stored_log_cqt(store_dir, entry.audio_path))
+        chroma = fold_to_chroma(entry.log_cqt(store_dir))
         track = normalize(read_lab(entry.label_path))
         pairs.append((chroma, align_labels(track, chroma)))
     model, _report = labeler.fit(pairs, seed,
@@ -210,7 +226,9 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
     ``corpus`` maps dataset name to its song entries.  Folds with an
     existing ``scores.csv`` are loaded instead of recomputed, so interrupted
     runs resume where they stopped.  Features come from the store in
-    ``<out_dir>/features``, shared by every experiment run into ``out_dir``.
+    ``<out_dir>/features``, shared by every experiment run into ``out_dir``;
+    each WAV the experiment uses is hashed for its store key once, before
+    the first computed fold.
     Each computed fold calls ``fit`` (by default this module's :func:`fit`)
     for the recognizer that labels its tracks.  An error inside a fold is
     raised as :class:`FoldError`, prefixed with the experiment and fold.
@@ -222,6 +240,7 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
         fit = globals()["fit"]  # looked up per call, so a patched fit runs
     store_dir = os.path.join(out_dir, "features")
     exp_dir = os.path.join(out_dir, f"exp_{config.id}")
+    keyed = None
     all_rows = []
     for fold in range(fold_plan.k):
         fold_dir = os.path.join(exp_dir, f"fold_{fold}")
@@ -230,7 +249,9 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
             all_rows.extend(_read_fold_scores(scores_path))
             continue
         try:
-            rows = _run_fold(config, fold_plan, corpus, fold, store_dir, fit)
+            if keyed is None:
+                keyed = _with_feature_keys(config, corpus)
+            rows = _run_fold(config, fold_plan, keyed, fold, store_dir, fit)
         except Exception as exc:
             raise FoldError(
                 f"experiment {config.id}, fold {fold}: {exc}") from exc
@@ -238,6 +259,14 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
         _write_fold_scores(scores_path, rows)
         all_rows.extend(rows)
     return summarize(config, all_rows, fold_plan.k)
+
+
+def _with_feature_keys(config, corpus) -> dict:
+    """The datasets ``config`` uses, each entry with its ``feature_key``."""
+    names = dict.fromkeys(config.train_datasets + config.eval_datasets)
+    return {name: [replace(e, feature_key=_wav_key(e.audio_path))
+                   for e in corpus[name]]
+            for name in names}
 
 
 def _run_fold(config, fold_plan, corpus, fold, store_dir, fit):
@@ -260,8 +289,7 @@ def _run_fold(config, fold_plan, corpus, fold, store_dir, fit):
             if fold_plan.fold_of(entry) != fold:
                 continue
             reference = normalize(read_lab(entry.label_path))
-            predicted = recognize(stored_log_cqt(store_dir, entry.audio_path),
-                                  entry.song_id)
+            predicted = recognize(entry.log_cqt(store_dir), entry.song_id)
             scored = evaluate_pair(reference, predicted, DEFAULT_METRICS)
             for metric in DEFAULT_METRICS:
                 ts = scored[metric]

@@ -359,18 +359,29 @@ def loss_value(params: dict, config: LabelerConfig, batch) -> float:
     return _loss_and_accuracy(params, config, batch)[0]
 
 
-def _loss_and_accuracy(params, config, items):
-    """Masked mean cross-entropy and frame accuracy from one forward sweep."""
+def _loss_and_accuracy(params, config, items, keep=()):
+    """Masked mean cross-entropy and frame accuracy from one forward sweep.
+
+    Also returns ``{index: (scores, state)}``, the forward results with
+    state of the items at the indices in ``keep``.
+    """
+    keep = {int(j) for j in keep}
+    kept = {}
     total, n_correct, n_valid = 0.0, 0, 0
-    for item in items:
-        scores = forward(params, config, item.inputs)
+    for index, item in enumerate(items):
+        if index in keep:
+            scores, state = forward(params, config, item.inputs,
+                                    return_state=True)
+            kept[index] = (scores, state)
+        else:
+            scores = forward(params, config, item.inputs)
         mask = item.valid_mask()
         total -= _picked_sum(_log_softmax(scores), item.targets, mask)
         n_correct += int(((scores.argmax(axis=1) == item.targets) & mask).sum())
         n_valid += int(mask.sum())
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
-    return total / n_valid, n_correct / n_valid
+    return total / n_valid, n_correct / n_valid, kept
 
 
 def _picked_sum(logp, targets, mask) -> float:
@@ -378,18 +389,31 @@ def _picked_sum(logp, targets, mask) -> float:
     return float((logp[np.arange(len(targets)), targets] * mask).sum())
 
 
-def loss_and_grad(params: dict, config: LabelerConfig, batch):
-    """Loss plus its exact gradient with respect to every parameter."""
+def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
+    """Loss plus its exact gradient with respect to every parameter.
+
+    ``forwarded``, when given, holds for each batch item the ``(scores,
+    state)`` that ``forward(params, config, item.inputs, return_state=True)``
+    returns with these ``params``; they are used instead of running
+    ``forward`` again.
+    """
     batch = list(batch)
+    if forwarded is not None and len(forwarded) != len(batch):
+        raise ValueError(f"forwarded holds {len(forwarded)} results for "
+                         f"{len(batch)} batch items")
     n_valid = sum(int(item.valid_mask().sum()) for item in batch)
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
     total = 0.0
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    for item in batch:
+    for index, item in enumerate(batch):
         if len(item.targets) != len(item.inputs):
             raise ValueError("targets length does not match input frames")
-        scores, state = forward(params, config, item.inputs, return_state=True)
+        if forwarded is None:
+            scores, state = forward(params, config, item.inputs,
+                                    return_state=True)
+        else:
+            scores, state = forwarded[index]
         mask = item.valid_mask()
         logp = _log_softmax(scores)
         total -= _picked_sum(logp, item.targets, mask)
@@ -451,29 +475,47 @@ def train(config: LabelerConfig, train_items, val_items=None, lr=1e-3,
     loss and frame accuracy.  Stops once the monitored loss has failed to
     improve for more than ``patience`` consecutive epochs, and returns the
     parameters from the best epoch.  Deterministic given ``config.seed``.
+
+    When the training items are monitored, the sweep runs ``forward`` with
+    the same parameters as the next epoch's first batch, before any step.
+    Its ``(scores, state)`` for the up to ``batch_size`` windows of that
+    batch are kept across the epoch boundary and handed to
+    :func:`loss_and_grad`, so each window is passed forward once per
+    parameter version; the results are bit-identical to running ``forward``
+    again.
     """
     train_items = list(train_items)
     if not train_items:
         raise ValueError("empty training set")
-    monitor_items = list(val_items) if val_items else train_items
+    monitor_train = not val_items
+    monitor_items = train_items if monitor_train else list(val_items)
     params = init_params(config, dtype=dtype)
     optimizer = AdamOptimizer(params, lr=lr)
+    # Only permutations are drawn from ``rng``, so drawing each epoch's
+    # before the previous epoch's sweep leaves the stream unchanged.
     rng = np.random.Generator(np.random.PCG64(config.seed))
     report = TrainReport()
     best_loss = np.inf
     best_params = {k: v.copy() for k, v in params.items()}
     epochs_since_best = 0
+    order = rng.permutation(len(train_items))
+    forwarded = None
     for _ in range(max_epochs):
-        order = rng.permutation(len(train_items))
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(order), batch_size):
             batch = [train_items[j] for j in order[start:start + batch_size]]
-            loss, grads = loss_and_grad(params, config, batch)
+            loss, grads = loss_and_grad(params, config, batch, forwarded)
+            forwarded = None
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
         report.losses.append(epoch_loss / n_batches)
-        monitored, accuracy = _loss_and_accuracy(params, config, monitor_items)
+        order = rng.permutation(len(train_items))
+        first_batch = order[:batch_size] if monitor_train else ()
+        monitored, accuracy, kept = _loss_and_accuracy(
+            params, config, monitor_items, first_batch)
+        if monitor_train:
+            forwarded = [kept[int(j)] for j in first_batch]
         report.val_losses.append(monitored)
         report.accuracies.append(accuracy)
         report.epochs_run += 1
@@ -554,8 +596,12 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     is that of the first pair.  With ``val_fraction`` above 0, a seeded
     random ``max(1, int(n * val_fraction))`` of the n windows is held out
     to pick the best epoch; otherwise the training windows are monitored
-    (see :func:`train`).
+    (see :func:`train`).  ``val_fraction`` must lie in [0, 1) and leave at
+    least one training window.
     """
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must be at least 0 and below 1, "
+                         f"got {val_fraction!r}")
     items, stats = windowed_examples(pairs)
     first = pairs[0][0]
     config = LabelerConfig(input_dim=first.n_bins, model_dim=model_dim,
@@ -565,6 +611,9 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     if val_fraction > 0:
         order = np.random.Generator(np.random.PCG64(seed)).permutation(len(items))
         n_val = max(1, int(len(items) * val_fraction))
+        if n_val == len(items):
+            raise ValueError(f"val_fraction {val_fraction} leaves no training "
+                             f"window: it holds out {n_val} of {len(items)}")
         val_items = [items[int(i)] for i in order[:n_val]]
         items = [items[int(i)] for i in order[n_val:]]
     params, report = train(config, items, val_items, lr=lr,

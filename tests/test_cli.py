@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -230,6 +231,27 @@ class TestExtractTrainPredict:
             f"error: model {ckpt} on {cache / 'a.shift+0.cbf'}: model takes "
             "cqt_log (144 bins, hop 2048 at 22050 Hz) features, got chroma12 "
             "(12 bins, hop 2048 at 22050 Hz)\n")
+
+    @pytest.mark.parametrize("val_fraction, monitored", [
+        (0.0, "training"), (0.25, "validation")])
+    def test_train_names_the_monitored_set(self, tmp_path, capsys,
+                                           val_fraction, monitored):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        rng = np.random.Generator(np.random.PCG64(2))
+        write_feature_cache(cache / "a.shift+0.cbf",
+                            FeatureMatrix(rng.standard_normal((300, 12)), 2048,
+                                          22050, "chroma12"),
+                            rng.integers(0, 25, 300))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                                   "max_epochs": 1,
+                                   "val_fraction": val_fraction}))
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(tmp_path / "model.ckpt")) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(rf"trained 1 epochs, final loss \d+\.\d{{4}}, "
+                            rf"{monitored} accuracy \d\.\d{{3}}", first)
 
     def test_train_rejects_unknown_config_key(self, pipeline_dirs, tmp_path,
                                               capsys):

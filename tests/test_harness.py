@@ -300,6 +300,31 @@ class TestFeatureStore:
         assert seen == []
         assert fold_scores(tmp_path) == first
 
+    def test_each_wav_is_hashed_once_per_experiment(self, corpus, tmp_path,
+                                                    monkeypatch):
+        hashed = []
+        real_key = harness._wav_key
+
+        def counting_key(audio_path):
+            hashed.append(audio_path)
+            return real_key(audio_path)
+
+        monkeypatch.setattr(harness, "_wav_key", counting_key)
+        plan = make_folds(corpus["tiny"], seed=0)
+        paths = sorted(e.audio_path for e in corpus["tiny"])
+        for config in (self.TEMPLATE, self.LABELER):
+            hashed.clear()
+            run_experiment(config, plan, corpus, tmp_path)
+            assert sorted(hashed) == paths
+        first = fold_scores(tmp_path)
+        hashed.clear()
+        run_experiment(self.LABELER, plan, corpus, tmp_path)
+        assert hashed == []  # every fold resumed
+        os.remove(tmp_path / "exp_1" / "fold_2" / "scores.csv")
+        run_experiment(self.LABELER, plan, corpus, tmp_path)
+        assert sorted(hashed) == paths
+        assert fold_scores(tmp_path) == first
+
     def test_changed_wav_recomputes_only_that_track(self, own_corpus, tmp_path,
                                                     monkeypatch):
         entries = own_corpus["tiny"]

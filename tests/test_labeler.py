@@ -168,6 +168,62 @@ def reference_loss_and_grad(params, config, batch):
     return total / n_valid, grads, scores, attention
 
 
+def _reference_sweep(params, config, items):
+    """Monitored loss and frame accuracy, one ``forward`` per item."""
+    total, n_correct, n_valid = 0.0, 0, 0
+    for item in items:
+        scores = forward(params, config, item.inputs)
+        mask = item.valid_mask()
+        s64 = scores.astype(np.float64)
+        z = s64 - s64.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        total -= float((logp[np.arange(len(item.targets)), item.targets]
+                        * mask).sum())
+        n_correct += int(((scores.argmax(axis=1) == item.targets) & mask).sum())
+        n_valid += int(mask.sum())
+    return total / n_valid, n_correct / n_valid
+
+
+def reference_train(config, train_items, val_items=None, lr=1e-3,
+                    batch_size=8, max_epochs=100, patience=10,
+                    dtype=np.float32):
+    """The epoch loop of :func:`labeler.train` with no forward result shared:
+    every batch runs ``forward`` itself, after the sweep over the same
+    parameters."""
+    train_items = list(train_items)
+    monitor_items = list(val_items) if val_items else train_items
+    params = init_params(config, dtype=dtype)
+    optimizer = AdamOptimizer(params, lr=lr)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    report = labeler.TrainReport()
+    best_loss = np.inf
+    best_params = {k: v.copy() for k, v in params.items()}
+    epochs_since_best = 0
+    for _ in range(max_epochs):
+        order = rng.permutation(len(train_items))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(order), batch_size):
+            batch = [train_items[j] for j in order[start:start + batch_size]]
+            loss, grads = loss_and_grad(params, config, batch)
+            optimizer.step(params, grads)
+            epoch_loss += loss
+            n_batches += 1
+        report.losses.append(epoch_loss / n_batches)
+        monitored, accuracy = _reference_sweep(params, config, monitor_items)
+        report.val_losses.append(monitored)
+        report.accuracies.append(accuracy)
+        report.epochs_run += 1
+        if monitored < best_loss:
+            best_loss = monitored
+            best_params = {k: v.copy() for k, v in params.items()}
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best > patience:
+                break
+    return best_params, report
+
+
 def make_batch(config, n_items=2, frames=8, seed=11, masked_tail=1):
     rng = np.random.Generator(np.random.PCG64(seed))
     batch = []
@@ -468,10 +524,47 @@ class TestTraining:
         final = loss_value(params, cfg, items)
         assert final == pytest.approx(min(report.val_losses), abs=1e-9)
 
+    # (training windows, validation windows, train keyword arguments)
+    TRAIN_CASES = {
+        "fewer_windows_than_a_batch": (3, 0, dict(lr=1e-2, batch_size=8,
+                                                  max_epochs=4, patience=4)),
+        "exactly_one_batch": (4, 0, dict(lr=1e-2, batch_size=4, max_epochs=4,
+                                         patience=4)),
+        "ragged_last_batch": (7, 0, dict(lr=1e-2, batch_size=3, max_epochs=4,
+                                         patience=4)),
+        "patience_stop": (6, 0, dict(lr=2.0, batch_size=4, max_epochs=50,
+                                     patience=0)),
+        "validation_set": (6, 4, dict(lr=1e-2, batch_size=4, max_epochs=4,
+                                      patience=4)),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_matches_reference_epoch_loop(self, case, dtype):
+        n_train, n_val, kwargs = self.TRAIN_CASES[case]
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
+                            context_frames=10, seed=4)
+        items = self.toy_items(n=n_train)
+        val_items = self.toy_items(n=n_val, seed=3) if n_val else None
+        want_params, want = reference_train(cfg, items, val_items,
+                                            dtype=dtype, **kwargs)
+        params, report = train(cfg, items, val_items, dtype=dtype, **kwargs)
+        if case == "patience_stop":
+            assert want.epochs_run < kwargs["max_epochs"]
+        else:
+            assert want.epochs_run == kwargs["max_epochs"]
+        assert report == want
+        assert set(params) == set(want_params)
+        for k in params:
+            assert params[k].dtype == dtype
+            assert np.array_equal(params[k], want_params[k]), k
+
     def test_one_forward_sweep_per_epoch(self, monkeypatch):
         # Each epoch: one forward pass per training window for the gradient
         # steps, then one per monitored window (the validation windows, or
-        # the training windows when there are none).
+        # the training windows when there are none).  A sweep over the
+        # training windows hands its results for the next epoch's first
+        # batch on, so that batch runs no forward pass of its own.
         calls = []
 
         def counting_forward(*args, **kwargs):
@@ -486,7 +579,7 @@ class TestTraining:
         _, report = train(cfg, items, lr=1e-2, batch_size=4, max_epochs=3,
                           patience=3)
         assert report.epochs_run == 3
-        assert len(calls) == 2 * len(items) * 3
+        assert len(calls) == 2 * len(items) * 3 - min(4, len(items)) * (3 - 1)
         calls.clear()
         _, report = train(cfg, items, val_items, lr=1e-2, batch_size=4,
                           max_epochs=3, patience=3)
@@ -517,6 +610,25 @@ class TestTraining:
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
             train(TINY, [])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_loss_and_grad_takes_forward_results(self, monkeypatch, dtype):
+        params = init_params(TINY, dtype=dtype)
+        batch = make_batch(TINY, n_items=3)
+        want_loss, want_grads = loss_and_grad(params, TINY, batch)
+        forwarded = [forward(params, TINY, item.inputs, return_state=True)
+                     for item in batch]
+        calls = []
+        monkeypatch.setattr(labeler, "forward",
+                            lambda *a, **k: calls.append(1) or forward(*a, **k))
+        loss, grads = labeler.loss_and_grad(params, TINY, batch, forwarded)
+        assert calls == []
+        assert loss == want_loss
+        for k in want_grads:
+            assert np.array_equal(grads[k], want_grads[k]), k
+        with pytest.raises(ValueError, match="forwarded holds 2 results for "
+                                             "3 batch items"):
+            labeler.loss_and_grad(params, TINY, batch, forwarded[:2])
 
     def test_report_flags(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
@@ -592,6 +704,20 @@ class TestFit:
             "chroma12", 2048, 22050)
         assert report == want
         assert all(np.array_equal(model.params[k], params[k]) for k in params)
+
+    @pytest.mark.parametrize("val_fraction", [-0.5, 1.0, 1.5, float("nan")])
+    def test_val_fraction_must_lie_in_0_to_1(self, val_fraction):
+        with pytest.raises(ValueError, match=re.escape(
+                f"val_fraction must be at least 0 and below 1, "
+                f"got {val_fraction!r}")):
+            fit(_random_pairs(), 5, val_fraction=val_fraction, **self.HYPER)
+
+    def test_val_split_must_leave_a_training_window(self):
+        pairs = _random_pairs(n_tracks=1, n_frames=100)  # one window
+        with pytest.raises(ValueError, match=re.escape(
+                "val_fraction 0.1 leaves no training window: it holds out 1 "
+                "of 1")):
+            fit(pairs, 5, val_fraction=0.1, **self.HYPER)
 
     def test_without_val_fraction_the_training_windows_are_monitored(self):
         pairs = _random_pairs()
