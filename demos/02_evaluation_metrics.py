@@ -29,7 +29,7 @@ print("aligned intervals (boundary union):")
 for seg in align(reference, predicted):
     print(f"  [{seg.start_s:.1f}, {seg.end_s:.1f})  "
           f"ref={seg.ref_label}  pred={seg.pred_label}")
-score = weighted_score(reference, predicted, "majmin")
+score = weighted_score(reference, predicted, METRICS["majmin"])
 print(f"majmin weighted score: {score.value:.3f} "
       f"over {score.total_duration_s:.1f} s  (3 of 4 seconds correct)")
 

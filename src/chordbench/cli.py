@@ -18,8 +18,10 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import annotations, checkpoint, features, harness, labeler, metrics, stats, synth, templates
-from .labels import transpose
+from .labels import N_MAJMIN_CLASSES, transpose_majmin
 
 
 def _lab_files(directory):
@@ -48,9 +50,8 @@ def cmd_eval(args):
         pred_path = os.path.join(args.pred, song_id + ".lab")
         if not os.path.exists(pred_path):
             raise SystemExit(f"no prediction for {song_id!r} in {args.pred}")
-        reference = annotations.normalize(annotations.read_lab(ref_path))
-        predicted = annotations.read_lab(pred_path)
-        scored = metrics.evaluate_pair(reference, predicted, names)
+        scored = metrics.evaluate_pair(annotations.read_lab(ref_path),
+                                       annotations.read_lab(pred_path), names)
         for name in names:
             ts = scored[name]
             rows.append([song_id, name, repr(ts.value), repr(ts.total_duration_s)])
@@ -96,15 +97,13 @@ def cmd_extract(args):
         lab_path = os.path.join(args.labels, stem + ".lab")
         track = annotations.normalize(annotations.read_lab(lab_path))
         logcqt = features.log_cqt_from_wav(wav_path)
+        labels = features.align_labels(track, logcqt)
         for k in shifts:
             shifted = features.pitch_shift_cqt(logcqt, k)
-            shifted_track = annotations.SegmentTrack(
-                tuple(annotations.TimedSegment(s.start_s, s.end_s,
-                                               transpose(s.label, k))
-                      for s in track), track.source_id)
-            labels = features.align_labels(shifted_track, shifted)
+            table = np.array([transpose_majmin(c, k)
+                              for c in range(N_MAJMIN_CLASSES)])
             out_path = os.path.join(args.out, f"{stem}.shift{k:+d}.cbf")
-            features.write_feature_cache(out_path, shifted, labels)
+            features.write_feature_cache(out_path, shifted, table[labels])
         print(f"{stem}: {len(shifts)} shift(s)")
     print(f"wrote caches to {args.out}")
 
@@ -147,9 +146,10 @@ TRAIN_DEFAULTS = {"seed": 0, "model_dim": 64, "n_layers": 2, "n_heads": 4,
 def cmd_train(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
-    for key in sorted(cfg):
-        if key not in TRAIN_DEFAULTS:
-            raise ValueError(f"{args.config}: unknown key {key!r}")
+    try:
+        labeler.check_hyperparameters(cfg, TRAIN_DEFAULTS, "key")
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     pairs = _load_cached_items(args.data)
     hyper = {**TRAIN_DEFAULTS, **cfg}
     model, report = labeler.fit(pairs, **hyper)

@@ -4,9 +4,10 @@ An experiment trains a recognizer on the training split of one or more
 datasets and scores its predictions on the validation split of each
 evaluation dataset, for every fold of a shared fold plan.  :func:`fit`
 returns a fold's recognizer, the callable ``chordbench predict`` also runs:
-``templates.recognize_track`` or a trained labeler's ``recognize``.  Fold
-assignment is by song, so multiple performances of the same song always
-share a fold.
+``templates.recognize_track`` or a trained labeler's ``recognize``; tests
+and the benchmark tracer substitute their own by patching ``harness.fit``.
+Fold assignment is by song, so multiple performances of the same song
+always share a fold.
 Completed folds are persisted as ``fold_<i>/scores.csv`` under the
 experiment directory (written to a temporary name, then renamed) and are
 not recomputed on rerun.
@@ -63,7 +64,6 @@ class SongEntry:
 
     song_id: str
     performance_id: str | None = None
-    dataset: str = ""
     audio_path: str = ""
     label_path: str = ""
     feature_key: str | None = None
@@ -155,10 +155,12 @@ class ExperimentConfig:
             raise HarnessError(f"experiment {self.id}: balance_quota must be a "
                                f"positive integer, got {quota!r}")
         if self.model == "labeler":
-            for key in sorted(self.model_params):
-                if key not in LABELER_DEFAULTS:
-                    raise HarnessError(f"experiment {self.id}: unknown "
-                                       f"model_params key {key!r}")
+            try:
+                labeler.check_hyperparameters(self.model_params,
+                                              LABELER_DEFAULTS,
+                                              "model_params key")
+            except ValueError as exc:
+                raise HarnessError(f"experiment {self.id}: {exc}") from None
 
 
 def _wav_key(audio_path) -> str:
@@ -220,7 +222,7 @@ def experiment_seed(config_seed: int, fold: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
-                   out_dir, fit=None) -> list:
+                   out_dir) -> list:
     """Run one experiment across all folds; returns summary rows.
 
     ``corpus`` maps dataset name to its song entries.  Folds with an
@@ -229,15 +231,13 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
     ``<out_dir>/features``, shared by every experiment run into ``out_dir``;
     each WAV the experiment uses is hashed for its store key once, before
     the first computed fold.
-    Each computed fold calls ``fit`` (by default this module's :func:`fit`)
+    Each computed fold calls :func:`fit` (a patched ``harness.fit`` too)
     for the recognizer that labels its tracks.  An error inside a fold is
     raised as :class:`FoldError`, prefixed with the experiment and fold.
     """
     for name in set(config.train_datasets) | set(config.eval_datasets):
         if name not in corpus:
             raise HarnessError(f"experiment {config.id}: unknown dataset {name!r}")
-    if fit is None:
-        fit = globals()["fit"]  # looked up per call, so a patched fit runs
     store_dir = os.path.join(out_dir, "features")
     exp_dir = os.path.join(out_dir, f"exp_{config.id}")
     keyed = None
@@ -251,7 +251,7 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
         try:
             if keyed is None:
                 keyed = _with_feature_keys(config, corpus)
-            rows = _run_fold(config, fold_plan, keyed, fold, store_dir, fit)
+            rows = _run_fold(config, fold_plan, keyed, fold, store_dir)
         except Exception as exc:
             raise FoldError(
                 f"experiment {config.id}, fold {fold}: {exc}") from exc
@@ -269,7 +269,7 @@ def _with_feature_keys(config, corpus) -> dict:
             for name in names}
 
 
-def _run_fold(config, fold_plan, corpus, fold, store_dir, fit):
+def _run_fold(config, fold_plan, corpus, fold, store_dir):
     train_by_dataset = {
         name: [e for e in corpus[name] if fold_plan.fold_of(e) != fold]
         for name in config.train_datasets}
@@ -288,9 +288,9 @@ def _run_fold(config, fold_plan, corpus, fold, store_dir, fit):
         for entry in corpus[name]:
             if fold_plan.fold_of(entry) != fold:
                 continue
-            reference = normalize(read_lab(entry.label_path))
             predicted = recognize(entry.log_cqt(store_dir), entry.song_id)
-            scored = evaluate_pair(reference, predicted, DEFAULT_METRICS)
+            scored = evaluate_pair(read_lab(entry.label_path), predicted,
+                                   DEFAULT_METRICS)
             for metric in DEFAULT_METRICS:
                 ts = scored[metric]
                 rows.append({"fold": fold, "dataset": name,
@@ -422,8 +422,7 @@ def load_corpus(data_root, datasets: dict) -> dict:
             audio = os.path.join(base, item["path"])
             label = os.path.splitext(audio)[0] + ".lab"
             entries.append(SongEntry(song_id=f"{name}/{item['id']}",
-                                     dataset=name, audio_path=audio,
-                                     label_path=label))
+                                     audio_path=audio, label_path=label))
         corpus[name] = entries
     return corpus
 

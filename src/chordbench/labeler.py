@@ -41,6 +41,7 @@ from .features import (WINDOW_FRAMES, WINDOW_STRIDE, FeatureError, FeatureMatrix
 from .templates import fold_to_chroma
 
 LN_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -432,34 +433,31 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
 class AdamOptimizer:
     """Adaptive moment estimation over a named parameter dict."""
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for k in params:
             g = grads[k]
             # In place, in the order of m = b1 m + (1 - b1) g and
             # v = b2 v + ((1 - b2) g) g, so every step is bit-identical to
             # the same formulas computed into new arrays.
             m, v = self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            g2 = (1.0 - self.beta2) * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            g2 = (1.0 - ADAM_BETA2) * g
             g2 *= g
             v += g2
             denom = v / b2c
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             update = m / b1c
             update *= self.lr
             update /= denom
@@ -585,6 +583,28 @@ class TrainedLabeler:
 
 def _describe(bin_kind, n_bins, hop_samples, sample_rate_hz) -> str:
     return f"{bin_kind} ({n_bins} bins, hop {hop_samples} at {sample_rate_hz} Hz)"
+
+
+def check_hyperparameters(params: dict, known, what: str) -> None:
+    """Check :func:`fit` keyword arguments read from a config file.
+
+    ``params`` must be a dict and each of its keys must be in ``known``.
+    ``lr`` and ``val_fraction`` take an int or a float, every other key an
+    int; a ``bool`` is neither.  The first bad key raises ``ValueError``,
+    which calls the key ``what`` (e.g. ``"model_params key"``).
+    """
+    if not isinstance(params, dict):
+        raise ValueError(f"expected a JSON object of {what}s, got {params!r}")
+    for key in sorted(params):
+        if key not in known:
+            raise ValueError(f"unknown {what} {key!r}")
+        value = params[key]
+        real = key in ("lr", "val_fraction")
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if real else int):
+            raise ValueError(f"{what} {key!r} must be "
+                             f"{'a number' if real else 'an integer'}, "
+                             f"got {value!r}")
 
 
 def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,

@@ -83,18 +83,17 @@ class TrackScore:
     total_duration_s: float
 
 
-def align(ref_track: SegmentTrack, pred_track: SegmentTrack,
-          tol: float = 1e-6) -> list:
+def align(ref_track: SegmentTrack, pred_track: SegmentTrack) -> list:
     """Overlay two normalized tracks on the union of their boundaries.
 
-    Both tracks must partition the same span (within ``tol``).  Every output
+    Both tracks must partition the same span (within 1e-6 s).  Every output
     interval carries exactly one reference and one predicted label, and the
     intervals partition the span.
     """
     if not ref_track.segments or not pred_track.segments:
         raise EvaluationError("cannot align empty tracks")
-    if (abs(ref_track.start_s - pred_track.start_s) > tol
-            or abs(ref_track.end_s - pred_track.end_s) > tol):
+    if (abs(ref_track.start_s - pred_track.start_s) > 1e-6
+            or abs(ref_track.end_s - pred_track.end_s) > 1e-6):
         raise EvaluationError(
             f"span mismatch: reference ({ref_track.start_s}, {ref_track.end_s}) "
             f"vs prediction ({pred_track.start_s}, {pred_track.end_s})")
@@ -124,9 +123,10 @@ def align(ref_track: SegmentTrack, pred_track: SegmentTrack,
 def weighted_score(ref_track: SegmentTrack, pred_track: SegmentTrack,
                    metric) -> TrackScore:
     """Duration-weighted mean of a single-chord metric over aligned segments."""
-    if isinstance(metric, str):
-        metric = METRICS[metric]
-    pairs = align(ref_track, pred_track)
+    return _weighted(align(ref_track, pred_track), metric)
+
+
+def _weighted(pairs, metric) -> TrackScore:
     total = sum(p.duration_s for p in pairs)
     if total <= 0:
         raise EvaluationError("zero-length evaluation span")
@@ -140,16 +140,15 @@ def evaluate_pair(ref_track: SegmentTrack, pred_track: SegmentTrack,
 
     The evaluation span runs from 0.0 to the reference end; both tracks are
     gap-filled with no-chord over that span and the prediction is cropped to
-    it.  Returns ``{metric_name: TrackScore}``.
+    it.  The two are aligned once and scored with each metric named in
+    ``metrics``; returns ``{metric_name: TrackScore}``.
     """
     if not ref_track.segments:
         raise EvaluationError("empty reference track")
     span = (0.0, ref_track.end_s)
-    ref_n = normalize(ref_track, span)
-    pred_c = crop(pred_track, *span)
-    pred_n = normalize(pred_c, span)
-    return {name: weighted_score(ref_n, pred_n, METRICS[name] if isinstance(name, str) else name)
-            for name in metrics}
+    pairs = align(normalize(ref_track, span),
+                  normalize(crop(pred_track, *span), span))
+    return {name: _weighted(pairs, METRICS[name]) for name in metrics}
 
 
 def aggregate_fold(scores) -> float:

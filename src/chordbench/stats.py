@@ -86,27 +86,62 @@ _NAME_TO_CLASS = {majmin_name(c): c for c in range(N_MAJMIN_CLASSES)}
 
 
 def read_histogram_csv(path) -> np.ndarray:
-    """Inverse of :func:`export_histogram_csv`; missing classes read as zero."""
+    """Inverse of :func:`export_histogram_csv`; missing classes read as zero.
+
+    A row without a count, an unknown class name or a count that is not a
+    non-negative integer raises ``ValueError`` naming ``<path>:<row>``.
+    """
     counts = np.zeros(N_MAJMIN_CLASSES, dtype=np.int64)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["class", "count"]:
             raise ValueError(f"{path}: unexpected histogram header {header}")
-        for row in reader:
-            counts[_NAME_TO_CLASS[row[0]]] = int(row[1])
+        for row_no, row in enumerate(reader, 2):
+            if len(row) < 2:
+                raise ValueError(f"{path}:{row_no}: expected a class and a "
+                                 f"count, got {row}")
+            counts[_class_cell(path, row_no, row[0])] = _count_cell(
+                path, row_no, row[1])
     return counts
 
 
 def read_transitions_csv(path) -> np.ndarray:
-    """Inverse of :func:`export_transitions_csv`; missing classes read as zero."""
+    """Inverse of :func:`export_transitions_csv`; missing classes read as zero.
+
+    The header must start with ``from\\to``.  A row whose length differs
+    from the header's, an unknown class name or a count that is not a
+    non-negative integer raises ``ValueError`` naming ``<path>:<row>``.
+    """
     matrix = np.zeros((N_MAJMIN_CLASSES, N_MAJMIN_CLASSES), dtype=np.int64)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        cols = [_NAME_TO_CLASS[name] for name in header[1:]]
-        for row in reader:
-            a = _NAME_TO_CLASS[row[0]]
+        header = next(reader, [])
+        if header[:1] != ["from\\to"]:
+            raise ValueError(f"{path}: unexpected transitions header {header}")
+        cols = [_class_cell(path, 1, name) for name in header[1:]]
+        for row_no, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{row_no}: {len(row)} cells, the "
+                                 f"header has {len(header)}")
+            a = _class_cell(path, row_no, row[0])
             for b, value in zip(cols, row[1:]):
-                matrix[a, b] = int(value)
+                matrix[a, b] = _count_cell(path, row_no, value)
     return matrix
+
+
+def _class_cell(path, row_no, name) -> int:
+    if name not in _NAME_TO_CLASS:
+        raise ValueError(f"{path}:{row_no}: unknown class {name!r}")
+    return _NAME_TO_CLASS[name]
+
+
+def _count_cell(path, row_no, cell) -> int:
+    try:
+        count = int(cell)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{path}:{row_no}: count {cell!r} is not a "
+                         f"non-negative integer")
+    return count

@@ -28,6 +28,7 @@ ROW_SUM_TOL = 1e-9
 FADE_S = 0.010
 PEAK_LEVEL = 0.9
 DEFAULT_DURATION_RANGE = (1.0, 4.0)
+TRANSITION_SMOOTHING = 0.1
 
 
 class SynthError(ValueError):
@@ -78,9 +79,7 @@ class SynthSpec:
             raise SynthError("track_length_s must be at least 10 s")
 
 
-def model_from_stats(matrix: np.ndarray, histogram: np.ndarray,
-                     duration_s: tuple = DEFAULT_DURATION_RANGE,
-                     smoothing: float = 0.1) -> ProgressionModel:
+def model_from_stats(matrix: np.ndarray, histogram: np.ndarray) -> ProgressionModel:
     """Build a progression model from transition counts and occurrences.
 
     Rows are normalized with additive smoothing on the off-diagonal entries,
@@ -93,7 +92,7 @@ def model_from_stats(matrix: np.ndarray, histogram: np.ndarray,
         raise SynthError(f"transition counts have shape {counts.shape}")
     if not np.any(counts):
         raise SynthError("all-zero transition matrix")
-    smoothed = counts + smoothing
+    smoothed = counts + TRANSITION_SMOOTHING
     np.fill_diagonal(smoothed, 0.0)
     transition = smoothed / smoothed.sum(axis=1, keepdims=True)
 
@@ -102,16 +101,16 @@ def model_from_stats(matrix: np.ndarray, histogram: np.ndarray,
         raise SynthError(f"histogram has shape {occ.shape}")
     initial = occ / occ.sum() if occ.sum() > 0 else np.full(N_MAJMIN_CLASSES,
                                                             1.0 / N_MAJMIN_CLASSES)
-    return ProgressionModel(transition, initial, duration_s)
+    return ProgressionModel(transition, initial)
 
 
-def uniform_model(duration_s: tuple = DEFAULT_DURATION_RANGE) -> ProgressionModel:
+def uniform_model() -> ProgressionModel:
     """Uniform transitions to every other class; uniform start."""
     t = np.full((N_MAJMIN_CLASSES, N_MAJMIN_CLASSES),
                 1.0 / (N_MAJMIN_CLASSES - 1))
     np.fill_diagonal(t, 0.0)
     p = np.full(N_MAJMIN_CLASSES, 1.0 / N_MAJMIN_CLASSES)
-    return ProgressionModel(t, p, duration_s)
+    return ProgressionModel(t, p)
 
 
 # Root movements favored by common progressions (semitones up, weight).
@@ -123,7 +122,7 @@ _POP_CROSS_FAMILY = 0.5
 _POP_TO_N = 1.0
 
 
-def default_pop_model(duration_s: tuple = DEFAULT_DURATION_RANGE) -> ProgressionModel:
+def default_pop_model() -> ProgressionModel:
     """A progression model skewed toward fourth/fifth root movement.
 
     Stands in for the statistics of popular-music corpora: strong diagonal
@@ -147,7 +146,7 @@ def default_pop_model(duration_s: tuple = DEFAULT_DURATION_RANGE) -> Progression
     initial[:12] = 2.0  # start on a major chord more often than a minor one
     initial[12:24] = 1.0
     initial /= initial.sum()
-    return ProgressionModel(transition, initial, duration_s)
+    return ProgressionModel(transition, initial)
 
 
 def sample_progression(model: ProgressionModel, length_s: float,

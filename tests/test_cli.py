@@ -13,11 +13,12 @@ import chordbench
 from chordbench.annotations import read_lab
 from chordbench.checkpoint import save_checkpoint
 from chordbench.cli import main
-from chordbench.features import (FeatureMatrix, NormStats, read_feature_cache,
-                                 write_feature_cache)
+from chordbench.features import (FeatureMatrix, NormStats, pitch_shift_cqt,
+                                 read_feature_cache, write_feature_cache)
 from chordbench import harness
 from chordbench.harness import ExperimentConfig, load_corpus
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
+from chordbench.labels import NOCHORD_CLASS, transpose_majmin
 from chordbench.metrics import evaluate_pair
 from chordbench.stats import read_histogram_csv, read_transitions_csv
 
@@ -119,6 +120,46 @@ class TestSynthCli:
         assert (out / "synth_0000.wav").exists()
 
 
+TRANSITIONS = "from\\to,C:maj,G:maj\nC:maj,0,3\nG:maj,2,0\n"
+
+
+@pytest.mark.parametrize("transitions, histogram, message", [
+    ("from\\to,C:maj,X:maj\nC:maj,0,3\n", None,
+     "{t}:1: unknown class 'X:maj'"),
+    ("from\\to,C:maj,G:maj\nC:maj,0,3\nH:min,2,0\n", None,
+     "{t}:3: unknown class 'H:min'"),
+    ("from\\to,C:maj,G:maj\nC:maj,0,1.5\n", None,
+     "{t}:2: count '1.5' is not a non-negative integer"),
+    ("from\\to,C:maj,G:maj\nC:maj,0\n", None,
+     "{t}:2: 2 cells, the header has 3"),
+    ("class,C:maj,G:maj\nC:maj,0,3\n", None,
+     "{t}: unexpected transitions header ['class', 'C:maj', 'G:maj']"),
+    (TRANSITIONS, "class,count\nC:maj,4\nX:maj,1\n",
+     "{h}:3: unknown class 'X:maj'"),
+    (TRANSITIONS, "class,count\nC:maj,x\n",
+     "{h}:2: count 'x' is not a non-negative integer"),
+    (TRANSITIONS, "class,count\nC:maj,-1\n",
+     "{h}:2: count '-1' is not a non-negative integer"),
+    (TRANSITIONS, "class,count\nC:maj\n",
+     "{h}:2: expected a class and a count, got ['C:maj']"),
+], ids=["header-class", "row-class", "float-count", "short-row", "header",
+        "hist-class", "hist-text-count", "hist-negative-count",
+        "hist-no-count"])
+def test_synth_names_malformed_stats_csv(tmp_path, capsys, transitions,
+                                         histogram, message):
+    t, h = tmp_path / "t.csv", tmp_path / "h.csv"
+    t.write_text(transitions)
+    argv = ["synth", "--n", "1", "--len", "10", "--model", str(t),
+            "--out", str(tmp_path / "data")]
+    if histogram is not None:
+        h.write_text(histogram)
+        argv += ["--hist", str(h)]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {message.format(t=t, h=h)}\n")
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline_dirs(tmp_path_factory, tiny_dataset):
     data_dir, _entries = tiny_dataset
@@ -144,17 +185,21 @@ class TestExtractTrainPredict:
         single.mkdir()
         first = entries[0]["id"]
         os.symlink(data_dir / f"{first}.wav", single / f"{first}.wav")
-        os.symlink(data_dir / f"{first}.lab", single / f"{first}.lab")
+        (single / f"{first}.lab").write_text(
+            "0.0 2.0 N\n2.0 5.0 A:min\n5.0 7.5 Bb:7/3\n7.5 9.0 B:hdim7\n")
         out = tmp_path / "cache"
         assert run("extract", "--in", str(single), "--labels", str(single),
-                   "--aug=-1..1", "--out", str(out)) == 0
-        assert len(list(out.glob("*.cbf"))) == 3
+                   "--aug=-5..6", "--out", str(out)) == 0
+        assert len(list(out.glob("*.cbf"))) == 12
         base, base_labels = read_feature_cache(out / f"{first}.shift+0.cbf")
-        up, up_labels = read_feature_cache(out / f"{first}.shift+1.cbf")
-        assert np.allclose(up.values[:, 2:], base.values[:, :-2], atol=1e-6)
-        from chordbench.labels import transpose_majmin
-        expected = np.array([transpose_majmin(int(c), 1) for c in base_labels])
-        assert np.array_equal(up_labels, expected)
+        assert {NOCHORD_CLASS, 12 + 9, 10, 12 + 11} == set(base_labels)
+        for k in range(-5, 7):
+            shifted, labels = read_feature_cache(out / f"{first}.shift{k:+d}.cbf")
+            # The cache stores float32, the vacated bins' LOG_FLOOR included.
+            want = pitch_shift_cqt(base, k).values.astype(np.float32)
+            assert np.array_equal(shifted.values, want), k
+            expected = [transpose_majmin(int(c), k) for c in base_labels]
+            assert np.array_equal(labels, expected), k
 
     @pytest.mark.parametrize("aug", ["abc", "-9..0"])
     def test_extract_rejects_bad_aug_before_extraction(self, tiny_dataset,
@@ -264,6 +309,26 @@ class TestExtractTrainPredict:
                    "--out", str(ckpt)) == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}: unknown key 'max_epoch'\n")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"val_fraction": "0.1"}, "key 'val_fraction' must be a number, got '0.1'"),
+        ({"max_epochs": "1"}, "key 'max_epochs' must be an integer, got '1'"),
+        ({"lr": True}, "key 'lr' must be a number, got True"),
+        ({"batch_size": True}, "key 'batch_size' must be an integer, got True"),
+        ({"n_layers": 1.0}, "key 'n_layers' must be an integer, got 1.0"),
+        ([], "expected a JSON object of keys, got []"),
+    ], ids=["val_fraction-str", "max_epochs-str", "lr-bool", "batch_size-bool",
+            "n_layers-float", "list"])
+    def test_train_rejects_config_value_of_wrong_type(
+            self, pipeline_dirs, tmp_path, capsys, config, message):
+        _, cache = pipeline_dirs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        ckpt = tmp_path / "model.ckpt"
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(ckpt)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("tensor, shape, message", [
@@ -398,6 +463,26 @@ class TestXval:
                    "--out", str(out)) == 1
         assert capsys.readouterr().err == (
             "error: experiment 2: unknown model_params key 'dropout'\n")
+        assert not out.exists()
+
+    def test_model_params_type_error_stops_before_any_experiment(
+            self, tiny_dataset, tmp_path, capsys):
+        data_dir, _ = tiny_dataset
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"tiny": os.path.basename(data_dir)},
+            "experiments": [
+                {"id": 0, "model": "template", "eval_datasets": ["tiny"]},
+                {"id": 1, "model": "labeler", "train_datasets": ["tiny"],
+                 "eval_datasets": ["tiny"],
+                 "model_params": {"max_epochs": "1"}}]}))
+        out = tmp_path / "results"
+        assert run("xval", "--experiments", str(cfg),
+                   "--data-root", str(os.path.dirname(data_dir)),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: experiment 1: model_params key 'max_epochs' must be an "
+            "integer, got '1'\n")
         assert not out.exists()
 
     def test_experiment_without_eval_datasets_names_file_and_index(

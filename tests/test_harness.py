@@ -20,9 +20,8 @@ from chordbench.harness import (ExperimentConfig, HarnessError,
 from chordbench.synth import SynthError
 
 
-def songs_with_performances(n_songs, n_perf=2, dataset="d"):
-    return [SongEntry(song_id=f"song{i:03d}", performance_id=f"p{j}",
-                      dataset=dataset)
+def songs_with_performances(n_songs, n_perf=2):
+    return [SongEntry(song_id=f"song{i:03d}", performance_id=f"p{j}")
             for i in range(n_songs) for j in range(n_perf)]
 
 
@@ -61,8 +60,7 @@ class TestMakeFolds:
 
 class TestBalanceDatasets:
     def entries(self, n, dataset):
-        return [SongEntry(song_id=f"{dataset}{i:05d}", dataset=dataset)
-                for i in range(n)]
+        return [SongEntry(song_id=f"{dataset}{i:05d}") for i in range(n)]
 
     def test_paper_scheme(self):
         datasets = {"big": self.entries(3000, "big"),
@@ -141,20 +139,23 @@ class TestRunExperiment:
         for fold in range(6):
             assert os.path.exists(tmp_path / "exp_0" / f"fold_{fold}" / "scores.csv")
 
-    def test_perfect_predictor_scores_100(self, corpus, tmp_path):
+    def test_perfect_predictor_scores_100(self, corpus, tmp_path,
+                                          monkeypatch):
         plan = make_folds(corpus["tiny"], seed=0)
-        summary = run_experiment(self.config(), plan, corpus, tmp_path,
-                                 fit=EchoFit(corpus))
+        monkeypatch.setattr(harness, "fit", EchoFit(corpus))
+        summary = run_experiment(self.config(), plan, corpus, tmp_path)
         for row in summary:
             assert row["mean"] == pytest.approx(100.0)
             assert row["std"] == pytest.approx(0.0)
 
-    def test_resumable_skips_completed_folds(self, corpus, tmp_path):
+    def test_resumable_skips_completed_folds(self, corpus, tmp_path,
+                                             monkeypatch):
         plan = make_folds(corpus["tiny"], seed=0)
         fit = EchoFit(corpus)
-        first = run_experiment(self.config(), plan, corpus, tmp_path, fit=fit)
+        monkeypatch.setattr(harness, "fit", fit)
+        first = run_experiment(self.config(), plan, corpus, tmp_path)
         assert fit.fit_calls == 6
-        second = run_experiment(self.config(), plan, corpus, tmp_path, fit=fit)
+        second = run_experiment(self.config(), plan, corpus, tmp_path)
         assert fit.fit_calls == 6  # nothing recomputed
         assert first == second
 
@@ -202,14 +203,14 @@ class TestRunExperiment:
             return real_writerow(writer, row)
 
         monkeypatch.setattr(csv.DictWriter, "writerow", failing_writerow)
+        monkeypatch.setattr(harness, "fit", EchoFit(corpus))
         with pytest.raises(OSError, match="disk full"):
-            run_experiment(self.config(), plan, corpus, tmp_path,
-                           fit=EchoFit(corpus))
+            run_experiment(self.config(), plan, corpus, tmp_path)
         assert not (tmp_path / "exp_0" / "fold_0" / "scores.csv").exists()
         monkeypatch.undo()
         fit = EchoFit(corpus)
-        summary = run_experiment(self.config(), plan, corpus, tmp_path,
-                                 fit=fit)
+        monkeypatch.setattr(harness, "fit", fit)
+        summary = run_experiment(self.config(), plan, corpus, tmp_path)
         assert fit.fit_calls == 6
         assert all(row["folds"] == 6 for row in summary)
 
@@ -230,6 +231,26 @@ class TestRunExperiment:
             ExperimentConfig(id=4, train_datasets=("tiny",), model="labeler",
                              eval_datasets=("tiny",),
                              model_params={"model_dim": 8, "dropout": 0.1})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_epochs", "1", "must be an integer, got '1'"),
+        ("patience", 2.0, "must be an integer, got 2.0"),
+        ("n_heads", True, "must be an integer, got True"),
+        ("lr", "0.1", "must be a number, got '0.1'"),
+    ])
+    def test_model_params_types_are_checked(self, key, value, message):
+        with pytest.raises(HarnessError, match=re.escape(
+                f"experiment 5: model_params key {key!r} {message}")):
+            ExperimentConfig(id=5, train_datasets=("tiny",), model="labeler",
+                             eval_datasets=("tiny",),
+                             model_params={"lr": 1, key: value})
+
+    def test_model_params_must_be_an_object(self):
+        with pytest.raises(HarnessError, match=re.escape(
+                "experiment 5: expected a JSON object of model_params keys, "
+                "got 5")):
+            ExperimentConfig(id=5, train_datasets=("tiny",), model="labeler",
+                             eval_datasets=("tiny",), model_params=5)
 
     @pytest.mark.parametrize("quota, shown", [("x", "'x'"), (0, "0"),
                                               (True, "True")])

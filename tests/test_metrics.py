@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chordbench import metrics
 from chordbench.annotations import SegmentTrack, TimedSegment, normalize
 from chordbench.labels import (majmin_label, parse_harte, pitch_class_set,
                                transpose)
@@ -216,6 +217,21 @@ class TestEvaluatePair:
         ref = track((0, 4, "C:maj"))
         pred = track((0, 2, "C:maj"))
         assert evaluate_pair(ref, pred)["majmin"].value == pytest.approx(0.5)
+
+    def test_aligns_once_for_every_metric(self, monkeypatch):
+        ref, pred = random_normalized_pair(np.random.Generator(np.random.PCG64(12)))
+        calls = []
+
+        def counting_align(a, b):
+            calls.append((a, b))
+            return align(a, b)
+
+        monkeypatch.setattr(metrics, "align", counting_align)
+        scores = evaluate_pair(ref, pred)
+        assert len(calls) == 1
+        assert list(scores) == list(METRICS)
+        for name, metric in METRICS.items():
+            assert scores[name] == weighted_score(ref, pred, metric)
 
 
 class TestAggregateFold:

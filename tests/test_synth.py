@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,12 +78,12 @@ class TestSampleProgression:
         assert all(a != b for a, b in zip(classes[:-1], classes[1:]))
 
     def test_degenerate_single_chord(self):
-        model = uniform_model(duration_s=(1000.0, 1000.0))
+        model = replace(uniform_model(), duration_s=(1000.0, 1000.0))
         track = sample_progression(model, 12.0, 3)
         assert len(track) == 1
 
     def test_chain_frequencies_match_rows(self):
-        model = default_pop_model(duration_s=(0.01, 0.011))
+        model = replace(default_pop_model(), duration_s=(0.01, 0.011))
         rng_steps = 100_000
         track = sample_progression(model, rng_steps * 0.0105, 17)
         classes = [to_majmin(s.label) for s in track]
@@ -105,7 +107,8 @@ class TestRenderAudio:
 
     def test_c_major_spectrum_peaks(self):
         track = quantize_track(sample_progression(
-            uniform_model(duration_s=(100.0, 100.0)), 10.0, 0), SAMPLE_RATE)
+            replace(uniform_model(), duration_s=(100.0, 100.0)), 10.0, 0),
+            SAMPLE_RATE)
         # force a C major chord regardless of the sampled state
         from chordbench.annotations import SegmentTrack, TimedSegment
         from chordbench.labels import parse_harte
