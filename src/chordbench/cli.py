@@ -117,7 +117,10 @@ def cmd_synth(args):
         matrix = stats.read_transitions_csv(args.model)
         histogram = (stats.read_histogram_csv(args.hist) if args.hist
                      else matrix.sum(axis=1))
-        model = synth.model_from_stats(matrix, histogram)
+        try:
+            model = synth.model_from_stats(matrix, histogram)
+        except synth.SynthError as exc:
+            raise synth.SynthError(f"{args.model}: {exc}") from None
     spec = synth.SynthSpec(n_tracks=args.n, track_length_s=args.length,
                            seed=args.seed)
     entries = synth.emit_dataset(spec, model, args.out)

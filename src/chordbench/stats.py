@@ -13,6 +13,7 @@ import csv
 
 import numpy as np
 
+from .annotations import _open_utf8
 from .labels import N_MAJMIN_CLASSES, NOCHORD_CLASS, majmin_name, to_majmin
 
 
@@ -88,11 +89,12 @@ _NAME_TO_CLASS = {majmin_name(c): c for c in range(N_MAJMIN_CLASSES)}
 def read_histogram_csv(path) -> np.ndarray:
     """Inverse of :func:`export_histogram_csv`; missing classes read as zero.
 
-    A row without a count, an unknown class name or a count that is not a
-    non-negative integer raises ``ValueError`` naming ``<path>:<row>``.
+    Bytes that are not UTF-8, a row without a count, an unknown class name
+    or a count that is not a non-negative integer raise ``ValueError``
+    naming ``<path>:<row>``.
     """
     counts = np.zeros(N_MAJMIN_CLASSES, dtype=np.int64)
-    with open(path, newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:2] != ["class", "count"]:
@@ -109,12 +111,13 @@ def read_histogram_csv(path) -> np.ndarray:
 def read_transitions_csv(path) -> np.ndarray:
     """Inverse of :func:`export_transitions_csv`; missing classes read as zero.
 
-    The header must start with ``from\\to``.  A row whose length differs
-    from the header's, an unknown class name or a count that is not a
-    non-negative integer raises ``ValueError`` naming ``<path>:<row>``.
+    The header must start with ``from\\to``.  Bytes that are not UTF-8, a
+    row whose length differs from the header's, an unknown class name or a
+    count that is not a non-negative integer raise ``ValueError`` naming
+    ``<path>:<row>``.
     """
     matrix = np.zeros((N_MAJMIN_CLASSES, N_MAJMIN_CLASSES), dtype=np.int64)
-    with open(path, newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:1] != ["from\\to"]:

@@ -142,22 +142,39 @@ TRANSITIONS = "from\\to,C:maj,G:maj\nC:maj,0,3\nG:maj,2,0\n"
      "{h}:2: count '-1' is not a non-negative integer"),
     (TRANSITIONS, "class,count\nC:maj\n",
      "{h}:2: expected a class and a count, got ['C:maj']"),
+    ("from\\to,C:maj,G:maj\nC:maj,0,3\nG:maj,\xff,0\n", None,
+     "{t}:3: not UTF-8 text: invalid start byte (byte 0xff)"),
+    (TRANSITIONS, "class,count\nC:maj,4\nG:maj,\xff\n",
+     "{h}:3: not UTF-8 text: invalid start byte (byte 0xff)"),
+    ("from\\to,C:maj,G:maj\nC:maj,0,0\nG:maj,0,0\n", None,
+     "{t}: all-zero transition matrix"),
 ], ids=["header-class", "row-class", "float-count", "short-row", "header",
         "hist-class", "hist-text-count", "hist-negative-count",
-        "hist-no-count"])
+        "hist-no-count", "not-utf8", "hist-not-utf8", "all-zero"])
 def test_synth_names_malformed_stats_csv(tmp_path, capsys, transitions,
                                          histogram, message):
+    # Latin-1 writes "\xff" as the single byte 0xff, which is not UTF-8.
     t, h = tmp_path / "t.csv", tmp_path / "h.csv"
-    t.write_text(transitions)
+    t.write_text(transitions, encoding="latin-1")
     argv = ["synth", "--n", "1", "--len", "10", "--model", str(t),
             "--out", str(tmp_path / "data")]
     if histogram is not None:
-        h.write_text(histogram)
+        h.write_text(histogram, encoding="latin-1")
         argv += ["--hist", str(h)]
     assert run(*argv) == 1
     assert capsys.readouterr().err == (
         f"error: {message.format(t=t, h=h)}\n")
     assert not (tmp_path / "data").exists()
+
+
+def test_front_ends_import_without_scipy():
+    src_dir = os.path.dirname(os.path.dirname(chordbench.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chordbench.cli, chordbench.harness; "
+         "assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src_dir})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
+from scipy.io import wavfile
 
 from chordbench.annotations import SegmentTrack, TimedSegment
 from chordbench.features import (BIN_KINDS, AudioBuffer, FeatureError,
@@ -12,7 +15,8 @@ from chordbench.features import (BIN_KINDS, AudioBuffer, FeatureError,
                                  frames_to_track, load_wav, log_amplitude,
                                  min_cqt_samples, pitch_shift_cqt,
                                  read_feature_cache, save_wav, window_slices,
-                                 write_feature_cache, zscore_apply, zscore_fit)
+                                 write_feature_cache, zscore_apply, zscore_fit,
+                                 _group_kernel)
 from chordbench.labels import parse_harte
 
 
@@ -141,9 +145,34 @@ class TestCqt:
                 tracemalloc.stop()
             return peak - values.nbytes
 
+        # The first call of a process builds and keeps the 12 kernels.
+        _group_kernel.cache_clear()
+        cold = peak_beyond_output(30)
+        assert _group_kernel.cache_info().currsize == N_BINS // 12
+        kernel_bytes = sum(_group_kernel(lo).nbytes
+                           for lo in range(0, N_BINS, 12))
+        assert kernel_bytes == 16_515_072
+        assert cold <= kernel_bytes + 4 * 2**20
         short, long = peak_beyond_output(30), peak_beyond_output(300)
         assert long <= 16 * 2**20
+        assert long <= 4 * 2**20
         assert abs(long - short) <= 2**20
+
+    def test_cached_kernels_give_bit_identical_output(self):
+        audio = triad_with_noise()
+        _group_kernel.cache_clear()
+        cold = cqt(audio).values
+        warm = cqt(audio).values
+        assert cold.tobytes() == warm.tobytes()
+        assert _group_kernel.cache_info().hits == N_BINS // 12
+        for lo in range(0, N_BINS, 12):
+            kernel = _group_kernel(lo)
+            assert not kernel.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kernel[0, 0] = 1.0
+            fresh = _group_kernel.__wrapped__(lo)
+            assert fresh is not kernel
+            assert fresh.tobytes() == kernel.tobytes()
 
     def test_reads_non_contiguous_read_only_samples(self):
         mono = triad_with_noise().samples
@@ -424,3 +453,151 @@ class TestCacheAndWav:
         audio = load_wav(p)
         assert audio.samples.ndim == 1
         assert audio.samples[0] == pytest.approx(4000 / 32768)
+
+
+def fmt_body(tag, channels, bits, extensible=False):
+    """A ``fmt `` chunk body; ``extensible`` wraps ``tag`` as a sub-format GUID."""
+    block = channels * bits // 8
+    body = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels,
+                       SAMPLE_RATE, SAMPLE_RATE * block, block, bits)
+    if extensible:
+        body += struct.pack("<HHI", 22, bits, 0) + struct.pack("<H", tag) + (
+            b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+    return body
+
+
+def riff(*chunks):
+    """A RIFF WAVE file of ``(id, body)`` chunks, each odd body padded."""
+    out = b"WAVE"
+    for chunk_id, body in chunks:
+        out += struct.pack("<4sI", chunk_id, len(body)) + body
+        out += b"\x00" * (len(body) % 2)
+    return b"RIFF" + struct.pack("<I", len(out)) + out
+
+
+def int24_bytes(values):
+    """Little-endian 24-bit PCM bytes of an int array."""
+    raw = np.asarray(values, dtype="<i4").reshape(-1, 1).view(np.uint8)
+    return raw[:, :3].tobytes()
+
+
+def scipy_load(path):
+    """``load_wav`` as it was written on ``scipy.io.wavfile.read``."""
+    rate, data = wavfile.read(path)
+    scale = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
+    samples = data.astype(np.float64)
+    if data.dtype in scale:
+        samples = samples / scale[data.dtype]
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return rate, samples
+
+
+def assert_loads_as_scipy(path):
+    rate, samples = scipy_load(path)
+    audio = load_wav(path)
+    assert audio.sample_rate_hz == rate
+    assert audio.samples.dtype == np.float64
+    assert audio.samples.tobytes() == samples.tobytes()
+    return audio
+
+
+class TestWavReader:
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", ["int16", "int32", "float32",
+                                       "float64"])
+    def test_matches_scipy(self, tmp_path, dtype, channels):
+        rng = np.random.default_rng(channels)
+        data = rng.uniform(-0.9, 0.9, (1500, channels))
+        if dtype.startswith("int"):
+            data = np.round(data * np.iinfo(dtype).max)
+        data = data.astype(dtype)
+        p = tmp_path / "x.wav"
+        wavfile.write(p, SAMPLE_RATE, data[:, 0] if channels == 1 else data)
+        audio = assert_loads_as_scipy(p)
+        assert len(audio.samples) == 1500
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_int24(self, tmp_path, channels):
+        values = np.array([0, 1, -1, 2**23 - 1, -2**23, 123456, -654321, 7,
+                           -8, 2**22] * channels)
+        p = tmp_path / "x.wav"
+        p.write_bytes(riff((b"fmt ", fmt_body(1, channels, 24)),
+                           (b"data", int24_bytes(values))))
+        audio = assert_loads_as_scipy(p)
+        expected = (values / 2**23).reshape(-1, channels).mean(axis=1)
+        assert np.array_equal(audio.samples, expected)
+
+    @pytest.mark.parametrize("tag, bits, dtype", [
+        (1, 16, "<i2"), (1, 24, None), (1, 32, "<i4"), (3, 32, "<f4"),
+        (3, 64, "<f8")])
+    def test_wave_format_extensible(self, tmp_path, tag, bits, dtype):
+        rng = np.random.default_rng(bits)
+        if dtype is None:
+            data = int24_bytes(rng.integers(-2**23, 2**23, 2 * 700))
+        elif tag == 1:
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, 2 * 700,
+                                dtype=dtype).tobytes()
+        else:
+            data = rng.uniform(-1, 1, 2 * 700).astype(dtype).tobytes()
+        p = tmp_path / "x.wav"
+        p.write_bytes(riff((b"fmt ", fmt_body(tag, 2, bits, extensible=True)),
+                           (b"data", data)))
+        assert len(assert_loads_as_scipy(p).samples) == 700
+
+    def test_skips_list_and_odd_sized_chunks(self, tmp_path):
+        pcm = np.arange(-600, 600, 3, dtype="<i2")
+        p = tmp_path / "x.wav"
+        p.write_bytes(riff((b"LIST", b"INFOISFT\x04\x00\x00\x00abc\x00"),
+                           (b"fmt ", fmt_body(1, 1, 16)),
+                           (b"JUNK", b"12345"),
+                           (b"data", pcm.tobytes())))
+        assert b"12345\x00data" in p.read_bytes()
+        audio = assert_loads_as_scipy(p)
+        assert np.array_equal(audio.samples, pcm / 32768.0)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"hello, not audio at all", "not a RIFF WAVE file"),
+        (b"", "not a RIFF WAVE file"),
+        (riff((b"LIST", b"INFO")), "no 'fmt ' chunk"),
+        (riff((b"data", b"\x00\x00" * 10)), "no 'fmt ' chunk before 'data'"),
+        (riff((b"fmt ", fmt_body(1, 1, 16))), "no 'data' chunk"),
+        (riff((b"fmt ", fmt_body(1, 1, 16)), (b"data", b"\x01\x00" * 500)
+              )[:-10], "truncated 'data' chunk: 990 of 1000 bytes"),
+        (riff((b"fmt ", fmt_body(1, 1, 8)), (b"data", b"\x80" * 1000)),
+         "unsupported sample format 8-bit PCM"),
+        (riff((b"fmt ", fmt_body(1, 1, 8, extensible=True)),
+              (b"data", b"\x80" * 1000)),
+         "unsupported sample format 8-bit PCM"),
+        (riff((b"fmt ", fmt_body(3, 1, 16)), (b"data", b"\x00" * 1000)),
+         "unsupported sample format 16-bit float"),
+        (riff((b"fmt ", fmt_body(2, 1, 16)), (b"data", b"\x00" * 1000)),
+         "unsupported sample format format tag 0x0002"),
+        (riff((b"fmt ", fmt_body(1, 1, 16, extensible=True)[:-1] + b"\x00"),
+              (b"data", b"\x00" * 1000)),
+         "unknown WAVE_FORMAT_EXTENSIBLE sub-format"),
+        (riff((b"fmt ", fmt_body(1, 1, 16)[:10]), (b"data", b"\x00" * 1000)),
+         "'fmt ' chunk has 10 of 16 bytes"),
+        (riff((b"fmt ", fmt_body(1, 0, 16)), (b"data", b"\x00" * 1000)),
+         "'fmt ' chunk declares 0 channels"),
+    ], ids=["junk", "empty", "no-fmt", "data-before-fmt", "no-data",
+            "truncated-data", "pcm8", "pcm8-extensible", "float16", "adpcm",
+            "unknown-guid", "short-fmt", "no-channels"])
+    def test_bad_file_names_path(self, tmp_path, content, message):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(content)
+        with pytest.raises(FeatureError,
+                           match=f"^{re.escape(f'{p}: {message}')}"):
+            load_wav(p)
+
+    def test_save_wav_matches_scipy_bytes(self, tmp_path):
+        rng = np.random.default_rng(9)
+        audio = AudioBuffer(rng.uniform(-1.2, 1.2, 4001), SAMPLE_RATE)
+        pcm = np.clip(np.round(audio.samples * 32768.0), -32768,
+                      32767).astype(np.int16)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+        save_wav(ours, audio)
+        wavfile.write(theirs, SAMPLE_RATE, pcm)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert np.array_equal(load_wav(ours).samples, pcm / 32768.0)
