@@ -12,14 +12,21 @@ Completed folds are persisted as ``fold_<i>/scores.csv`` under the
 experiment directory (written to a temporary name, then renamed) and are
 not recomputed on rerun.
 
+The folds of a trained-model experiment run in up to one worker process per
+usable CPU, with results identical to running them one after another.  Each
+worker is a fresh interpreter that holds its own numpy and model, so patching
+``harness.fit`` or tracing functions reaches only folds run in-process:
+template folds, and every fold when only one worker would run.
+
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
 docs/cache.md, kind ``cqt_log``), so each recording is analysed once per
 output directory, and a rerun or resumed run reuses the stored features.
 :func:`run_experiment` hashes each WAV it uses once, before its first
-computed fold, so a changed WAV gets a new key in the next experiment.  The
-store does not record the feature recipe: after a recipe change, use a fresh
-output directory.
+computed fold, so a changed WAV gets a new key in the next experiment, and
+stores every missing feature file before any fold runs, so workers only read
+the store.  The store does not record the feature recipe: after a recipe
+change, use a fresh output directory.
 
 Summary scores are duration-weighted within a fold and reported as
 ``mean +/- std`` over folds, in percent.
@@ -27,10 +34,14 @@ Summary scores are duration-weighted within a fold and reported as
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import os
+import pickle
+import subprocess
+import sys
 import uuid
 from dataclasses import dataclass, field, replace
 
@@ -181,6 +192,12 @@ def stored_log_cqt(store_dir, audio_path, key=None) -> FeatureMatrix:
     """
     if key is None:
         key = _wav_key(audio_path)
+    features, _ = read_feature_cache(_store(store_dir, audio_path, key))
+    return features
+
+
+def _store(store_dir, audio_path, key) -> str:
+    """The path of ``key``'s store file, computed from the WAV if missing."""
     path = os.path.join(store_dir, f"{key}.cbf")
     if not os.path.exists(path):
         os.makedirs(store_dir, exist_ok=True)
@@ -191,8 +208,7 @@ def stored_log_cqt(store_dir, audio_path, key=None) -> FeatureMatrix:
         finally:
             if os.path.exists(tmp_path):
                 os.remove(tmp_path)
-    features, _ = read_feature_cache(path)
-    return features
+    return path
 
 
 def fit(config: ExperimentConfig, store_dir, train_entries, seed):
@@ -229,47 +245,91 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
     existing ``scores.csv`` are loaded instead of recomputed, so interrupted
     runs resume where they stopped.  Features come from the store in
     ``<out_dir>/features``, shared by every experiment run into ``out_dir``;
-    each WAV the experiment uses is hashed for its store key once, before
-    the first computed fold.
-    Each computed fold calls :func:`fit` (a patched ``harness.fit`` too)
-    for the recognizer that labels its tracks.  An error inside a fold is
-    raised as :class:`FoldError`, prefixed with the experiment and fold.
+    each WAV the experiment uses is hashed for its store key once, and its
+    missing store file is computed in this process, before any fold runs.
+    Each computed fold calls :func:`fit` for the recognizer that labels its
+    tracks.  A trained model's folds run in ``min(folds to compute, usable
+    CPUs)`` worker processes, each on a round-robin share of the folds; each
+    worker is a fresh interpreter with its own numpy and model, and results
+    are identical to running the folds here.  Template folds, and all folds
+    when only one worker would run, run in this process, where a patched
+    ``harness.fit`` or a tracer sees them.  Fold files are written in fold
+    order; an error inside a fold is raised as :class:`FoldError`, prefixed
+    with the experiment and fold, and no later fold is written.  Every
+    worker has exited when this function returns or raises.
     """
     for name in set(config.train_datasets) | set(config.eval_datasets):
         if name not in corpus:
             raise HarnessError(f"experiment {config.id}: unknown dataset {name!r}")
     store_dir = os.path.join(out_dir, "features")
-    exp_dir = os.path.join(out_dir, f"exp_{config.id}")
-    keyed = None
-    all_rows = []
-    for fold in range(fold_plan.k):
-        fold_dir = os.path.join(exp_dir, f"fold_{fold}")
-        scores_path = os.path.join(fold_dir, "scores.csv")
-        if os.path.exists(scores_path):
-            all_rows.extend(_read_fold_scores(scores_path))
-            continue
-        try:
-            if keyed is None:
-                keyed = _with_feature_keys(config, corpus)
-            rows = _run_fold(config, fold_plan, keyed, fold, store_dir)
-        except Exception as exc:
-            raise FoldError(
-                f"experiment {config.id}, fold {fold}: {exc}") from exc
-        os.makedirs(fold_dir, exist_ok=True)
-        _write_fold_scores(scores_path, rows)
-        all_rows.extend(rows)
+    scores_paths = [os.path.join(out_dir, f"exp_{config.id}", f"fold_{fold}",
+                                 "scores.csv") for fold in range(fold_plan.k)]
+    todo = [fold for fold, path in enumerate(scores_paths)
+            if not os.path.exists(path)]
+    if todo:
+        keyed = _key_and_store(config, fold_plan, corpus, todo, store_dir)
+        n_workers = min(len(todo), _usable_cpus())
+        if config.model == "template":
+            n_workers = 1  # a fold takes less time than starting a worker
+        with contextlib.ExitStack() as stack:
+            workers = []
+            if n_workers > 1:
+                workers = [_start_worker(stack, (config, fold_plan, keyed,
+                                                 todo[w::n_workers], store_dir))
+                           for w in range(n_workers)]
+            for index, fold in enumerate(todo):
+                if workers:
+                    rows = _fold_result(workers[index % n_workers], config, fold)
+                else:
+                    with _in_fold(config, fold):
+                        rows = _run_fold(config, fold_plan, keyed, fold,
+                                         store_dir)
+                os.makedirs(os.path.dirname(scores_paths[fold]), exist_ok=True)
+                _write_fold_scores(scores_paths[fold], rows)
+    all_rows = [row for path in scores_paths for row in _read_fold_scores(path)]
     return summarize(config, all_rows, fold_plan.k)
 
 
-def _with_feature_keys(config, corpus) -> dict:
-    """The datasets ``config`` uses, each entry with its ``feature_key``."""
+@contextlib.contextmanager
+def _in_fold(config, fold):
+    """Raise any error of the block as ``config``'s :class:`FoldError` ``fold``."""
+    try:
+        yield
+    except Exception as exc:
+        raise FoldError(f"experiment {config.id}, fold {fold}: {exc}") from exc
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _key_and_store(config, fold_plan, corpus, todo, store_dir) -> dict:
+    """The datasets ``config`` uses, each entry with its ``feature_key``.
+
+    Every entry that a fold in ``todo`` trains or scores on has its store
+    file once this returns.  An error is raised as the :class:`FoldError` of
+    the first fold in ``todo`` that uses the failing entry, the fold that
+    would have met it first.
+    """
     names = dict.fromkeys(config.train_datasets + config.eval_datasets)
-    return {name: [replace(e, feature_key=_wav_key(e.audio_path))
-                   for e in corpus[name]]
-            for name in names}
+    with _in_fold(config, todo[0]):
+        keyed = {name: [replace(e, feature_key=_wav_key(e.audio_path))
+                        for e in corpus[name]]
+                 for name in names}
+    for fold in todo:
+        with _in_fold(config, fold):
+            train_entries, to_score = _fold_split(config, fold_plan, keyed,
+                                                  fold)
+            for entry in train_entries + [entry for _, entry in to_score]:
+                _store(store_dir, entry.audio_path, entry.feature_key)
+    return keyed
 
 
-def _run_fold(config, fold_plan, corpus, fold, store_dir):
+def _fold_split(config, fold_plan, corpus, fold):
+    """One fold's training entries and its ``(dataset, entry)`` pairs to score."""
     train_by_dataset = {
         name: [e for e in corpus[name] if fold_plan.fold_of(e) != fold]
         for name in config.train_datasets}
@@ -281,23 +341,97 @@ def _run_fold(config, fold_plan, corpus, fold, store_dir):
                                             seed=config.seed, quota=quota)
     train_entries = [e for name in config.train_datasets
                      for e in train_by_dataset[name]]
+    to_score = [(name, entry) for name in config.eval_datasets
+                for entry in corpus[name] if fold_plan.fold_of(entry) == fold]
+    return train_entries, to_score
+
+
+def _run_fold(config, fold_plan, corpus, fold, store_dir):
+    train_entries, to_score = _fold_split(config, fold_plan, corpus, fold)
     recognize = fit(config, store_dir, train_entries,
                     experiment_seed(config.seed, fold))
     rows = []
-    for name in config.eval_datasets:
-        for entry in corpus[name]:
-            if fold_plan.fold_of(entry) != fold:
-                continue
-            predicted = recognize(entry.log_cqt(store_dir), entry.song_id)
-            scored = evaluate_pair(read_lab(entry.label_path), predicted,
-                                   DEFAULT_METRICS)
-            for metric in DEFAULT_METRICS:
-                ts = scored[metric]
-                rows.append({"fold": fold, "dataset": name,
-                             "song_id": entry.song_id,
-                             "metric": metric, "score": ts.value,
-                             "duration_s": ts.total_duration_s})
+    for name, entry in to_score:
+        predicted = recognize(entry.log_cqt(store_dir), entry.song_id)
+        scored = evaluate_pair(read_lab(entry.label_path), predicted,
+                               DEFAULT_METRICS)
+        for metric in DEFAULT_METRICS:
+            ts = scored[metric]
+            rows.append({"fold": fold, "dataset": name,
+                         "song_id": entry.song_id,
+                         "metric": metric, "score": ts.value,
+                         "duration_s": ts.total_duration_s})
     return rows
+
+
+# A fold worker ignores Ctrl-C: the parent stops it when interrupted.
+_WORKER_CODE = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                "from chordbench.harness import _fold_worker; _fold_worker()")
+
+
+def _start_worker(stack, job):
+    """A worker process running ``_run_fold`` on ``job``'s folds.
+
+    ``job`` is ``(config, fold_plan, corpus, folds, store_dir)``.  The worker
+    imports this copy of the package, inherits the ``-W`` options, and is
+    killed and waited for when ``stack`` closes.
+    """
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src_dir, path] if path else [src_dir])}
+    proc = subprocess.Popen(
+        [sys.executable, *(f"-W{option}" for option in sys.warnoptions),
+         "-c", _WORKER_CODE],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+    stack.callback(_stop_worker, proc)
+    try:
+        with proc.stdin:
+            pickle.dump(job, proc.stdin)
+    except BrokenPipeError:
+        pass  # the worker died; reading its first result reports how
+    return proc
+
+
+def _stop_worker(proc):
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+
+
+def _fold_result(proc, config, fold):
+    """The rows of ``fold``, the next result of the worker ``proc``."""
+    try:
+        rows, error = pickle.load(proc.stdout)
+    except (EOFError, pickle.UnpicklingError):
+        raise FoldError(f"experiment {config.id}, fold {fold}: worker process "
+                        f"exited with code {proc.wait()} before returning "
+                        "the fold") from None
+    if error is not None:
+        raise FoldError(f"experiment {config.id}, fold {fold}: {error}") from error
+    return rows
+
+
+def _fold_worker():
+    """Run the folds of the job pickled on stdin; see :func:`_start_worker`.
+
+    Writes one pickled ``(rows, exception)`` per fold, in the job's order,
+    to the original stdout, and stops after the first failed fold.  Anything
+    else printed goes to stderr.
+    """
+    with os.fdopen(os.dup(1), "wb") as results:
+        os.dup2(2, 1)
+        config, fold_plan, corpus, folds, store_dir = pickle.load(sys.stdin.buffer)
+        for fold in folds:
+            try:
+                rows, error = _run_fold(config, fold_plan, corpus, fold,
+                                        store_dir), None
+            except Exception as exc:
+                rows, error = None, exc
+            results.write(pickle.dumps((rows, error)))
+            results.flush()
+            if error is not None:
+                break
 
 
 _FOLD_FIELDS = ["fold", "dataset", "song_id", "metric", "score", "duration_s"]

@@ -572,3 +572,51 @@ class TestXval:
         assert proc.stderr == (
             f"error: experiment 0, fold {fold}: {entry.label_path}:3: "
             "bad time field in 'oops not a row'\n")
+
+    def test_worker_fold_error_is_one_line_without_traceback(
+            self, tiny_dataset, tmp_path, monkeypatch, capfd):
+        data_dir, _ = tiny_dataset
+        root = tmp_path / "data"
+        for name in ("train", "eval"):
+            shutil.copytree(data_dir, root / name)
+        datasets = {"train": "train", "eval": "eval"}
+        corpus = load_corpus(str(root), datasets)
+        plan = harness.make_folds([e for v in corpus.values() for e in v],
+                                  seed=0)
+        # Fold 0 does not train on its own songs, so a malformed label in
+        # fold 0 of the training set first fails fold 1, in the second worker.
+        entry = next(e for e in corpus["train"] if plan.fold_of(e) == 0)
+        with open(entry.label_path) as fh:
+            rows = fh.read().splitlines()
+        rows.insert(2, "oops not a row")
+        with open(entry.label_path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": datasets,
+            "experiments": [
+                {"id": 1, "model": "labeler", "train_datasets": ["train"],
+                 "eval_datasets": ["eval"], "seed": 1,
+                 "model_params": {"model_dim": 8, "n_heads": 2,
+                                  "max_epochs": 1, "patience": 1}}]}))
+        started = []
+        real_popen = subprocess.Popen
+
+        def spy(args, **kwargs):
+            started.append(args)
+            return real_popen(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "results"
+        assert run("xval", "--experiments", str(cfg), "--data-root", str(root),
+                   "--out", str(out)) == 1
+        assert len(started) == 2
+        # Captured at the file descriptors, so the workers' stderr is in it.
+        _, err = capfd.readouterr()
+        assert "Traceback" not in err
+        assert err == (f"error: experiment 1, fold 1: {entry.label_path}:3: "
+                       "bad time field in 'oops not a row'\n")
+        written = [(out / "exp_1" / f"fold_{fold}" / "scores.csv").exists()
+                   for fold in range(6)]
+        assert written == [True] + [False] * 5

@@ -3,6 +3,9 @@ import hashlib
 import os
 import re
 import shutil
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from chordbench import features, harness
 from chordbench.annotations import normalize, read_lab
 from chordbench.features import (load_wav, log_cqt_from_wav,
                                  read_feature_cache, save_wav)
-from chordbench.harness import (ExperimentConfig, HarnessError,
+from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
                                 SongEntry, balance_datasets,
                                 default_experiments, emit_report,
                                 load_corpus, load_experiments, make_folds,
@@ -276,6 +279,14 @@ def count_cqt_inputs(monkeypatch):
     return seen
 
 
+@pytest.fixture()
+def own_corpus(tiny_dataset, tmp_path):
+    """A private copy of the tiny dataset, safe to modify."""
+    data_dir, _ = tiny_dataset
+    shutil.copytree(data_dir, tmp_path / "data" / "tiny")
+    return load_corpus(tmp_path / "data", {"tiny": "tiny"})
+
+
 def fold_scores(out):
     return {path.relative_to(out): path.read_bytes()
             for path in sorted(out.glob("exp_*/fold_*/scores.csv"))}
@@ -289,13 +300,6 @@ class TestFeatureStore:
         eval_datasets=("tiny",), seed=7,
         model_params={"model_dim": 8, "n_layers": 1, "n_heads": 2,
                       "max_epochs": 1, "patience": 1})
-
-    @pytest.fixture()
-    def own_corpus(self, tiny_dataset, tmp_path):
-        """A private copy of the tiny dataset, safe to modify."""
-        data_dir, _ = tiny_dataset
-        shutil.copytree(data_dir, tmp_path / "data" / "tiny")
-        return load_corpus(tmp_path / "data", {"tiny": "tiny"})
 
     def test_experiments_share_one_extraction_per_track(self, corpus, tmp_path,
                                                         monkeypatch):
@@ -398,6 +402,107 @@ class TestFeatureStore:
         again = stored_log_cqt(tmp_path / "store", wav)
         assert np.array_equal(again.values, stored.values)
         assert np.array_equal(read_feature_cache(path)[0].values, stored.values)
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """The argument list of every process ``subprocess.Popen`` starts."""
+    argvs = []
+    real_popen = subprocess.Popen
+
+    def spy(args, **kwargs):
+        argvs.append(args)
+        return real_popen(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return argvs
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def no_child_left():
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def corrupt_label(entry):
+    """Make row 3 of ``entry``'s ``.lab`` file malformed."""
+    with open(entry.label_path) as fh:
+        rows = fh.read().splitlines()
+    rows.insert(2, "oops not a row")
+    with open(entry.label_path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+class TestFoldWorkers:
+    LABELER = replace(TestFeatureStore.LABELER, model_params={
+        **TestFeatureStore.LABELER.model_params, "max_epochs": 2,
+        "patience": 2})
+
+    def test_workers_write_the_bytes_of_in_process_folds(
+            self, corpus, tmp_path, monkeypatch, started):
+        plan = make_folds(corpus["tiny"], seed=0)
+        # Workers take the parent's -W options: training must not warn.
+        monkeypatch.setattr(sys, "warnoptions", ["error"])
+        use_cpus(monkeypatch, {0, 1})
+        parallel = run_experiment(self.LABELER, plan, corpus, tmp_path / "a")
+        assert len(started) == 2
+        assert all("-Werror" in argv for argv in started)
+        use_cpus(monkeypatch, {0})
+        serial = run_experiment(self.LABELER, plan, corpus, tmp_path / "b")
+        assert len(started) == 2  # one usable CPU: no worker
+        assert parallel == serial
+        in_workers = fold_scores(tmp_path / "a")
+        assert len(in_workers) == 6
+        assert in_workers == fold_scores(tmp_path / "b")
+
+    def test_features_are_computed_in_the_parent(self, corpus, tmp_path,
+                                                 monkeypatch, started):
+        use_cpus(monkeypatch, {0, 1})
+        seen = count_cqt_inputs(monkeypatch)
+        plan = make_folds(corpus["tiny"], seed=0)
+        run_experiment(self.LABELER, plan, corpus, tmp_path)
+        assert len(started) == 2
+        assert len(seen) == len(set(seen)) == len(corpus["tiny"])
+        assert len(list((tmp_path / "features").glob("*.cbf"))) == len(seen)
+        assert no_child_left()
+        run_experiment(TestFeatureStore.TEMPLATE, plan, corpus, tmp_path)
+        assert len(started) == 2  # template folds run in-process
+        assert len(seen) == len(corpus["tiny"])
+
+    def test_failed_fold_in_a_worker_ends_the_run(self, own_corpus, tmp_path,
+                                                  monkeypatch, started):
+        use_cpus(monkeypatch, {0, 1})
+        entry = own_corpus["tiny"][1]
+        corrupt_label(entry)
+        plan = make_folds(own_corpus["tiny"], seed=0)
+        out = tmp_path / "out"
+        # Every fold reads the label: fold 0 fails first, in a worker.
+        with pytest.raises(FoldError, match=re.escape(
+                f"experiment 1, fold 0: {entry.label_path}:3: bad time field")):
+            run_experiment(self.LABELER, plan, own_corpus, out)
+        assert len(started) == 2
+        assert fold_scores(out) == {}
+        assert no_child_left()
+
+    def test_worker_that_dies_names_its_fold_and_exit_code(
+            self, corpus, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(harness, "_WORKER_CODE",
+                            "import sys; sys.stdin.buffer.read(); sys.exit(3)")
+        plan = make_folds(corpus["tiny"], seed=0)
+        with pytest.raises(FoldError, match=re.escape(
+                "experiment 1, fold 0: worker process exited with code 3 "
+                "before returning the fold")):
+            run_experiment(self.LABELER, plan, corpus, tmp_path)
+        assert fold_scores(tmp_path) == {}
+        assert no_child_left()
 
 
 class TestReport:
