@@ -29,7 +29,7 @@ up = pitch_shift_cqt(logf, 1)
 print(f"shift +1 semitone moves the peak to bin {up.values[mid].argmax()} "
       "(2 bins per semitone)")
 
-windows = window_slices(normed)
+windows = window_slices(normed.n_frames)
 print(f"{normed.n_frames} frames -> {len(windows)} training windows of 108 "
-      f"frames, stride 54; last window has {windows[-1].valid_frames} valid "
-      "frames")
+      f"frames, stride 54; last window has "
+      f"{len(normed.values[windows[-1]])} valid frames")

@@ -43,11 +43,11 @@ for seed in range(3):
     feats = fold_to_chroma(log_amplitude(cqt(render_audio(track, spec))))
     mats.append((feats, align_labels(track, feats)))
 
-items, _ = windowed_examples(mats, 54, 54)
+items, _ = windowed_examples(mats)
 
 train_config = LabelerConfig(input_dim=12, model_dim=32, n_layers=1,
-                             n_heads=4, context_frames=54, seed=1)
-print(f"\ntraining on {len(items)} excerpts of 54 frames...")
+                             n_heads=4, context_frames=108, seed=1)
+print(f"\ntraining on {len(items)} windows of 108 frames...")
 params, report = train(train_config, items, lr=3e-3, batch_size=len(items),
                        max_epochs=120, patience=120)
 for epoch in (0, 19, 59, report.epochs_run - 1):

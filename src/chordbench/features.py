@@ -122,19 +122,6 @@ class NormStats:
     std: float
 
 
-@dataclass(frozen=True)
-class FeatureWindow:
-    """A fixed-length slice of a feature matrix, zero-padded at the tail."""
-
-    matrix: FeatureMatrix
-    start_frame: int
-    valid_frames: int
-
-    @property
-    def padded(self) -> bool:
-        return self.valid_frames < self.matrix.n_frames
-
-
 def load_wav(path) -> AudioBuffer:
     """Read a WAV file; stereo is downmixed by averaging channels.
 
@@ -389,31 +376,18 @@ def zscore_apply(features: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
                          features.bin_kind)
 
 
-def window_slices(features: FeatureMatrix,
-                  window_frames: int = WINDOW_FRAMES,
-                  stride_frames: int = WINDOW_STRIDE) -> list:
-    """Cut a track into fixed-length windows with half-window overlap.
+def window_slices(n_frames: int) -> list:
+    """The training windows of an ``n_frames``-frame track, as slices.
 
-    The final window is zero-padded up to ``window_frames`` and carries its
-    count of valid frames.
+    Windows are ``WINDOW_FRAMES`` long and start ``WINDOW_STRIDE`` apart,
+    half a window, from frame 0 until one reaches the last frame; that last
+    window may run past the end, and slicing with it gives fewer frames.
     """
-    n = features.n_frames
-    if n == 0:
+    if n_frames < 1:
         raise FeatureError("empty feature matrix")
-    n_windows = max(1, -(-(n - window_frames) // stride_frames) + 1)
-    out = []
-    for w in range(n_windows):
-        start = w * stride_frames
-        chunk = features.values[start:start + window_frames]
-        valid = chunk.shape[0]
-        if valid < window_frames:
-            pad = np.zeros((window_frames - valid, features.n_bins),
-                           dtype=chunk.dtype)
-            chunk = np.vstack([chunk, pad])
-        matrix = FeatureMatrix(chunk, features.hop_samples,
-                               features.sample_rate_hz, features.bin_kind)
-        out.append(FeatureWindow(matrix, start, valid))
-    return out
+    n_windows = max(1, -(-(n_frames - WINDOW_FRAMES) // WINDOW_STRIDE) + 1)
+    return [slice(start, start + WINDOW_FRAMES)
+            for start in range(0, n_windows * WINDOW_STRIDE, WINDOW_STRIDE)]
 
 
 def pitch_shift_cqt(features: FeatureMatrix, semitones: int) -> FeatureMatrix:

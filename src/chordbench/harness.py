@@ -42,6 +42,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import uuid
 from dataclasses import dataclass, field, replace
 
@@ -88,7 +89,6 @@ class SongEntry:
 class FoldPlan:
     fold_of_song: dict
     k: int
-    seed: int
 
     def fold_of(self, entry: SongEntry) -> int:
         return self.fold_of_song[entry.song_id]
@@ -106,7 +106,7 @@ def make_folds(songs, seed, k: int = 6) -> FoldPlan:
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(song_ids))
     assignment = {song_ids[int(j)]: i % k for i, j in enumerate(order)}
-    return FoldPlan(assignment, k, seed)
+    return FoldPlan(assignment, k)
 
 
 def balance_datasets(datasets: dict, seed, quota: int) -> dict:
@@ -201,14 +201,23 @@ def _store(store_dir, audio_path, key) -> str:
     path = os.path.join(store_dir, f"{key}.cbf")
     if not os.path.exists(path):
         os.makedirs(store_dir, exist_ok=True)
-        tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
-        try:
+        with _replacing(path) as tmp_path:
             write_feature_cache(tmp_path, log_cqt_from_wav(audio_path))
-            os.replace(tmp_path, path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
     return path
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A unique temporary name beside ``path``, renamed to ``path`` once the
+    block has written it; if the block fails, the temporary file is removed
+    and ``path`` is left as it was."""
+    tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        yield tmp_path
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
 
 
 def fit(config: ExperimentConfig, store_dir, train_entries, seed):
@@ -374,7 +383,9 @@ def _start_worker(stack, job):
 
     ``job`` is ``(config, fold_plan, corpus, folds, store_dir)``.  The worker
     imports this copy of the package, inherits the ``-W`` options, and is
-    killed and waited for when ``stack`` closes.
+    killed and waited for when ``stack`` closes.  Its stdin stays open until
+    then, so the worker also ends when this process dies without closing
+    ``stack``.
     """
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.environ.get("PYTHONPATH")
@@ -386,8 +397,8 @@ def _start_worker(stack, job):
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
     stack.callback(_stop_worker, proc)
     try:
-        with proc.stdin:
-            pickle.dump(job, proc.stdin)
+        pickle.dump(job, proc.stdin)
+        proc.stdin.flush()
     except BrokenPipeError:
         pass  # the worker died; reading its first result reports how
     return proc
@@ -397,6 +408,8 @@ def _stop_worker(proc):
     proc.kill()
     proc.wait()
     proc.stdout.close()
+    with contextlib.suppress(BrokenPipeError):  # part of the job was unsent
+        proc.stdin.close()
 
 
 def _fold_result(proc, config, fold):
@@ -417,11 +430,13 @@ def _fold_worker():
 
     Writes one pickled ``(rows, exception)`` per fold, in the job's order,
     to the original stdout, and stops after the first failed fold.  Anything
-    else printed goes to stderr.
+    else printed goes to stderr.  Exits at once when stdin reaches its end,
+    which happens when the parent dies.
     """
     with os.fdopen(os.dup(1), "wb") as results:
         os.dup2(2, 1)
         config, fold_plan, corpus, folds, store_dir = pickle.load(sys.stdin.buffer)
+        threading.Thread(target=_exit_at_end_of_stdin, daemon=True).start()
         for fold in folds:
             try:
                 rows, error = _run_fold(config, fold_plan, corpus, fold,
@@ -434,18 +449,21 @@ def _fold_worker():
                 break
 
 
+def _exit_at_end_of_stdin():
+    sys.stdin.buffer.read()
+    os._exit(1)
+
+
 _FOLD_FIELDS = ["fold", "dataset", "song_id", "metric", "score", "duration_s"]
 
 
 def _write_fold_scores(path, rows):
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", newline="") as fh:
+    with _replacing(path) as tmp_path, open(tmp_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_FOLD_FIELDS)
         writer.writeheader()
         for row in rows:
             writer.writerow({**row, "score": repr(float(row["score"])),
                              "duration_s": repr(float(row["duration_s"]))})
-    os.replace(tmp_path, path)
 
 
 def _read_fold_scores(path):

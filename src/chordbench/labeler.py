@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotations import SegmentTrack
-from .features import (WINDOW_FRAMES, WINDOW_STRIDE, FeatureError, FeatureMatrix,
-                       NormStats, frames_to_track, window_slices, zscore_apply,
-                       zscore_fit)
+from .features import (WINDOW_FRAMES, FeatureError, FeatureMatrix, NormStats,
+                       frames_to_track, window_slices, zscore_apply, zscore_fit)
 from .templates import fold_to_chroma
 
 LN_EPS = 1e-5
@@ -89,23 +88,27 @@ class SequenceExample:
         return np.asarray(self.mask, dtype=bool)
 
 
-def windowed_examples(tracks, window_frames: int = WINDOW_FRAMES,
-                      stride_frames: int = WINDOW_STRIDE):
+def windowed_examples(tracks):
     """``(examples, norm_stats)`` from a list of ``(features, labels)`` pairs.
 
-    The z-score is fitted on all pairs; padded window tails are masked out.
+    The z-score is fitted on all pairs and applied once per track, which is
+    then cut by :func:`~chordbench.features.window_slices`.  A full window's
+    inputs are a view of the z-scored track; the window that runs past the
+    end is copied, zero-padded to ``WINDOW_FRAMES`` and its tail masked out.
     """
     stats = zscore_fit([feats for feats, _ in tracks])
     examples = []
     for feats, labels in tracks:
-        normed = zscore_apply(feats, stats)
-        for window in window_slices(normed, window_frames, stride_frames):
-            targets = np.zeros(window.matrix.n_frames, dtype=np.int64)
-            mask = np.zeros(window.matrix.n_frames, dtype=bool)
-            n = window.valid_frames
-            targets[:n] = labels[window.start_frame:window.start_frame + n]
-            mask[:n] = True
-            examples.append(SequenceExample(window.matrix.values, targets, mask))
+        normed = zscore_apply(feats, stats).values
+        for window in window_slices(len(normed)):
+            inputs = normed[window]
+            n = len(inputs)
+            if n < WINDOW_FRAMES:
+                inputs = np.pad(inputs, ((0, WINDOW_FRAMES - n), (0, 0)))
+            targets = np.zeros(WINDOW_FRAMES, dtype=np.int64)
+            targets[:n] = labels[window]
+            examples.append(SequenceExample(inputs, targets,
+                                            np.arange(WINDOW_FRAMES) < n))
     return examples, stats
 
 
@@ -433,7 +436,7 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
 class AdamOptimizer:
     """Adaptive moment estimation over a named parameter dict."""
 
-    def __init__(self, params: dict, lr=1e-3):
+    def __init__(self, params: dict, *, lr):
         self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -464,8 +467,8 @@ class AdamOptimizer:
             params[k] -= update
 
 
-def train(config: LabelerConfig, train_items, val_items=None, lr=1e-3,
-          batch_size=8, max_epochs=100, patience=10, dtype=np.float32):
+def train(config: LabelerConfig, train_items, val_items=None, *, lr,
+          batch_size, max_epochs, patience, dtype=np.float32):
     """Adam training with early stopping on validation loss.
 
     After each epoch one forward sweep over the monitored set (the
@@ -588,10 +591,11 @@ def _describe(bin_kind, n_bins, hop_samples, sample_rate_hz) -> str:
 def check_hyperparameters(params: dict, known, what: str) -> None:
     """Check :func:`fit` keyword arguments read from a config file.
 
-    ``params`` must be a dict and each of its keys must be in ``known``.
-    ``lr`` and ``val_fraction`` take an int or a float, every other key an
-    int; a ``bool`` is neither.  The first bad key raises ``ValueError``,
-    which calls the key ``what`` (e.g. ``"model_params key"``).
+    ``params`` must be a dict and each of its keys must be in ``known``,
+    the dict of default values.  A key whose default is a float (``lr``,
+    ``val_fraction``) takes an int or a float, every other key an int; a
+    ``bool`` is neither.  The first bad key raises ``ValueError``, which
+    calls the key ``what`` (e.g. ``"model_params key"``).
     """
     if not isinstance(params, dict):
         raise ValueError(f"expected a JSON object of {what}s, got {params!r}")
@@ -599,7 +603,7 @@ def check_hyperparameters(params: dict, known, what: str) -> None:
         if key not in known:
             raise ValueError(f"unknown {what} {key!r}")
         value = params[key]
-        real = key in ("lr", "val_fraction")
+        real = isinstance(known[key], float)
         if isinstance(value, bool) or not isinstance(
                 value, (int, float) if real else int):
             raise ValueError(f"{what} {key!r} must be "

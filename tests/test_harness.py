@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import hashlib
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +213,7 @@ class TestRunExperiment:
         with pytest.raises(OSError, match="disk full"):
             run_experiment(self.config(), plan, corpus, tmp_path)
         assert not (tmp_path / "exp_0" / "fold_0" / "scores.csv").exists()
+        assert list((tmp_path / "exp_0" / "fold_0").glob("*.tmp")) == []
         monkeypatch.undo()
         fit = EchoFit(corpus)
         monkeypatch.setattr(harness, "fit", fit)
@@ -495,7 +499,8 @@ class TestFoldWorkers:
             self, corpus, tmp_path, monkeypatch):
         use_cpus(monkeypatch, {0, 1})
         monkeypatch.setattr(harness, "_WORKER_CODE",
-                            "import sys; sys.stdin.buffer.read(); sys.exit(3)")
+                            "import pickle, sys; pickle.load(sys.stdin.buffer); "
+                            "sys.exit(3)")
         plan = make_folds(corpus["tiny"], seed=0)
         with pytest.raises(FoldError, match=re.escape(
                 "experiment 1, fold 0: worker process exited with code 3 "
@@ -503,6 +508,72 @@ class TestFoldWorkers:
             run_experiment(self.LABELER, plan, corpus, tmp_path)
         assert fold_scores(tmp_path) == {}
         assert no_child_left()
+
+    # Runs a labeler experiment far too long to finish on two workers and
+    # appends each worker's PID to <out>/pids as it starts.
+    DRIVER = """
+import os, sys
+from chordbench import harness
+data_root, name, out = sys.argv[1:]
+os.sched_getaffinity = lambda pid: {0, 1}
+start_worker = harness._start_worker
+def announce(stack, job):
+    proc = start_worker(stack, job)
+    with open(os.path.join(out, "pids"), "a") as fh:
+        fh.write(f"{proc.pid}\\n")
+    return proc
+harness._start_worker = announce
+corpus = harness.load_corpus(data_root, {name: name})
+config = harness.ExperimentConfig(
+    id=1, train_datasets=(name,), model="labeler", eval_datasets=(name,),
+    model_params={"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                  "max_epochs": 100000, "patience": 100000})
+harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
+                       corpus, out)
+"""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads process states from /proc")
+    def test_workers_end_when_the_parent_is_killed(self, tiny_dataset,
+                                                   tmp_path):
+        data_dir, _ = tiny_dataset
+        src_dir = os.path.dirname(os.path.dirname(harness.__file__))
+        pids_path = tmp_path / "pids"
+        with open(tmp_path / "driver.err", "wb") as err:
+            driver = subprocess.Popen(
+                [sys.executable, "-c", self.DRIVER, str(data_dir.parent),
+                 data_dir.name, str(tmp_path)],
+                stderr=err, env={**os.environ, "PYTHONPATH": src_dir})
+        pids = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and driver.poll() is None:
+                assert time.monotonic() < deadline, "no two workers started"
+                time.sleep(0.05)
+                if pids_path.exists():
+                    pids = [int(p) for p in pids_path.read_text().split()]
+            assert len(pids) == 2, (tmp_path / "driver.err").read_text()
+            driver.kill()
+            driver.wait()
+            deadline = time.monotonic() + 5
+            while not all(map(ended, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if not ended(pid)] == []
+        finally:
+            driver.kill()
+            driver.wait()
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def ended(pid):
+    """Whether process ``pid`` has exited: gone, or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 class TestReport:

@@ -609,7 +609,7 @@ class TestTraining:
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
-            train(TINY, [])
+            train(TINY, [], lr=1e-3, batch_size=8, max_epochs=1, patience=0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_loss_and_grad_takes_forward_results(self, monkeypatch, dtype):
@@ -656,6 +656,11 @@ def test_windowed_examples_targets_and_mask():
             ex.inputs[:valid],
             (features.values[start:start + valid] - stats.mean) / stats.std)
     assert examples[-1].mask.sum() == 217 - 162
+    # Full windows are views of one z-scored array; only the last is a copy.
+    base = examples[0].inputs.base
+    assert base is not None and base.shape == (217, 12)
+    assert all(np.shares_memory(ex.inputs, base) for ex in examples[:3])
+    assert not np.shares_memory(examples[-1].inputs, base)
 
 
 class TestPredictTrack:
