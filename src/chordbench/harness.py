@@ -450,7 +450,9 @@ def _fold_worker():
 
 
 def _exit_at_end_of_stdin():
-    sys.stdin.buffer.read()
+    # Takes no lock of sys.stdin, which shutdown needs once the folds are
+    # done.  The parent sends nothing after the job: a return means EOF.
+    os.read(sys.stdin.fileno(), 1)
     os._exit(1)
 
 

@@ -480,6 +480,22 @@ class TestFoldWorkers:
         assert len(started) == 2  # template folds run in-process
         assert len(seen) == len(corpus["tiny"])
 
+    def test_workers_that_finish_early_exit_cleanly(
+            self, corpus, tmp_path, monkeypatch, capfd):
+        use_cpus(monkeypatch, {0, 1})
+        plan = make_folds(corpus["tiny"], seed=0)
+        write = harness._write_fold_scores
+
+        def slow_write(path, rows):
+            write(path, rows)
+            if rows[0]["fold"] == plan.k - 1:
+                time.sleep(2)  # both workers are done and shutting down
+
+        monkeypatch.setattr(harness, "_write_fold_scores", slow_write)
+        run_experiment(self.LABELER, plan, corpus, tmp_path)
+        assert len(fold_scores(tmp_path)) == plan.k
+        assert "Fatal Python error" not in capfd.readouterr().err
+
     def test_failed_fold_in_a_worker_ends_the_run(self, own_corpus, tmp_path,
                                                   monkeypatch, started):
         use_cpus(monkeypatch, {0, 1})
