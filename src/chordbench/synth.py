@@ -3,8 +3,11 @@
 A Markov progression model over the 25-class vocabulary drives segment
 sampling; each segment is rendered as an additive sum of sines at the
 chord's pitch classes across the configured octaves, with short linear
-fades at the boundaries.  Annotation boundaries are quantized to sample
-boundaries, so the emitted .lab files are exact.
+fades at the boundaries.  Every segment's sines start at phase 0, so a
+segment's sine is a prefix of the same pitch's sine in any longer segment:
+each pitch's sine is computed once per track, at the length of the
+longest segment that sounds it.  Annotation boundaries are quantized to
+sample boundaries, so the emitted .lab files are exact.
 
 Randomness comes from numpy's PCG64 generator seeded per track, which makes
 dataset generation a pure function of (spec, model): regenerating with the
@@ -77,6 +80,15 @@ class SynthSpec:
             raise SynthError("n_tracks must be at least 1")
         if self.track_length_s < 10:
             raise SynthError("track_length_s must be at least 10 s")
+        if (not isinstance(self.octaves, tuple) or not self.octaves
+                or not all(type(o) is int for o in self.octaves)):
+            raise SynthError(
+                f"octaves must be a non-empty tuple of ints, not {self.octaves!r}")
+        sr = self.sample_rate_hz
+        fmax = max(_pitch_frequency(11, o) for o in self.octaves)
+        if sr < 1000 or fmax >= sr / 2:
+            raise SynthError(
+                f"unsupported sample rate {sr} Hz for octaves {self.octaves}")
 
 
 def model_from_stats(matrix: np.ndarray, histogram: np.ndarray) -> ProgressionModel:
@@ -193,34 +205,41 @@ def render_audio(track: SegmentTrack, spec: SynthSpec) -> AudioBuffer:
     Every pitch class of each chord sounds in every configured octave with
     equal amplitude; segments get a 10 ms linear fade at both ends and the
     whole track is peak-normalized to 0.9.  No-chord renders silence.
+    Each segment's sines start at phase 0, so each pitch's sine is computed
+    once, at the length of the longest segment that sounds it, and added
+    as a prefix into every segment that sounds it: ascending pitch classes,
+    octaves in spec order, the same sums as rendering segment by segment.
     """
     sr = spec.sample_rate_hz
-    fmax = max((_pitch_frequency(11, o) for o in spec.octaves), default=0.0)
-    if sr < 1000 or fmax >= sr / 2:
-        raise SynthError(
-            f"unsupported sample rate {sr} Hz for octaves {spec.octaves}")
     q = quantize_track(track, sr)
     n_total = round(q.end_s * sr) if q.segments else round(track.end_s * sr)
     buf = np.zeros(n_total, dtype=np.float64)
     fade_n = round(FADE_S * sr)
+    chords = []  # (first sample, end sample, pitch classes)
     for seg in q:
         pcs = pitch_class_set(seg.label)
-        if not pcs:
+        if pcs:
+            chords.append((round(seg.start_s * sr), round(seg.end_s * sr), pcs))
+    # Rounding can give two chords one shared sample, which the later chord
+    # owns: the earlier one sounds only up to where the later one starts.
+    stops = [min(i1, nxt[0]) for (_, i1, _), nxt
+             in zip(chords, chords[1:] + [(n_total,)])]
+    for pc in range(12):
+        spans = [(i0, stop) for (i0, _, pcs), stop in zip(chords, stops)
+                 if pc in pcs]
+        if not spans:
             continue
-        i0 = round(seg.start_s * sr)
-        i1 = round(seg.end_s * sr)
-        n = i1 - i0
-        t = np.arange(n) / sr
-        wave = np.zeros(n)
-        for pc in sorted(pcs):
-            for octave in spec.octaves:
-                wave += np.sin(2.0 * np.pi * _pitch_frequency(pc, octave) * t)
-        m = min(fade_n, n // 2)
+        t = np.arange(max(stop - i0 for i0, stop in spans)) / sr
+        for octave in spec.octaves:
+            wave = np.sin(2.0 * np.pi * _pitch_frequency(pc, octave) * t)
+            for i0, stop in spans:
+                buf[i0:stop] += wave[:stop - i0]
+    for (i0, i1, _), stop in zip(chords, stops):
+        m = min(fade_n, (i1 - i0) // 2)
         if m > 0:
             ramp = np.linspace(0.0, 1.0, m, endpoint=False)
-            wave[:m] *= ramp
-            wave[n - m:] *= ramp[::-1]
-        buf[i0:i1] = wave
+            buf[i0:i0 + m] *= ramp
+            buf[i1 - m:stop] *= ramp[::-1][:stop - (i1 - m)]
     peak = np.abs(buf).max()
     if peak > 0:
         buf *= PEAK_LEVEL / peak
