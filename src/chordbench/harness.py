@@ -12,21 +12,25 @@ Completed folds are persisted as ``fold_<i>/scores.csv`` under the
 experiment directory (written to a temporary name, then renamed) and are
 not recomputed on rerun.
 
-The folds of a trained-model experiment run in up to one worker process per
-usable CPU, with results identical to running them one after another.  Each
-worker is a fresh interpreter that holds its own numpy and model, so patching
-``harness.fit`` or tracing functions reaches only folds run in-process:
-template folds, and every fold when only one worker would run.
+Before any fold runs, :func:`run_experiment` builds one job per fold to
+compute: the fold, its training ``(store file, .lab path)`` pairs and its
+``(dataset, song_id, store file, .lab path)`` rows to score.  A fold runs
+from its job alone.  The folds of a trained-model experiment run in up to one
+worker process per usable CPU, with results identical to running them one
+after another.  Each worker is a fresh interpreter that holds its own numpy
+and model and receives only its folds' jobs, so patching ``harness.fit`` or
+tracing functions reaches only folds run in-process: template folds, and
+every fold when only one worker would run.
 
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
 docs/cache.md, kind ``cqt_log``), so each recording is analysed once per
 output directory, and a rerun or resumed run reuses the stored features.
-:func:`run_experiment` hashes each WAV it uses once, before its first
-computed fold, so a changed WAV gets a new key in the next experiment, and
-stores every missing feature file before any fold runs, so workers only read
-the store.  The store does not record the feature recipe: after a recipe
-change, use a fresh output directory.
+While building the jobs, each WAV the folds to compute use is hashed once,
+by the first fold that uses it, so a changed WAV gets a new key in the next
+experiment, and its missing feature file is stored then, so workers only
+read the store.  The store does not record the feature recipe: after a
+recipe change, use a fresh output directory.
 
 Summary scores are duration-weighted within a fold and reported as
 ``mean +/- std`` over folds, in percent.
@@ -44,7 +48,7 @@ import subprocess
 import sys
 import threading
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,17 +76,12 @@ class FoldError(RuntimeError):
 
 @dataclass(frozen=True)
 class SongEntry:
-    """One recording; ``feature_key`` is its feature-store key, once known."""
+    """One recording: a performance of a song, its WAV and ``.lab`` files."""
 
     song_id: str
     performance_id: str | None = None
     audio_path: str = ""
     label_path: str = ""
-    feature_key: str | None = None
-
-    def log_cqt(self, store_dir) -> FeatureMatrix:
-        """This recording's log-CQT through the feature store ``store_dir``."""
-        return stored_log_cqt(store_dir, self.audio_path, self.feature_key)
 
 
 @dataclass(frozen=True)
@@ -180,25 +179,22 @@ def _wav_key(audio_path) -> str:
         return hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
 
 
-def stored_log_cqt(store_dir, audio_path, key=None) -> FeatureMatrix:
+def stored_log_cqt(store_dir, audio_path) -> FeatureMatrix:
     """The log-CQT of a WAV file, through the feature store ``store_dir``.
 
-    The store file is named by ``key``, the blake2b digest of the WAV bytes,
-    which is computed from the file when not given.  On a miss the features
-    are computed and written to a unique temporary name, then renamed into
-    place, so a failed write leaves no store file.  The result is always
-    read back from the store, so every caller sees the same float32-rounded
-    values.
+    The store file is named by the blake2b digest of the WAV bytes.  On a
+    miss the features are computed and written to a unique temporary name,
+    then renamed into place, so a failed write leaves no store file.  The
+    result is always read back from the store, so every caller sees the same
+    float32-rounded values.
     """
-    if key is None:
-        key = _wav_key(audio_path)
-    features, _ = read_feature_cache(_store(store_dir, audio_path, key))
+    features, _ = read_feature_cache(_store(store_dir, audio_path))
     return features
 
 
-def _store(store_dir, audio_path, key) -> str:
-    """The path of ``key``'s store file, computed from the WAV if missing."""
-    path = os.path.join(store_dir, f"{key}.cbf")
+def _store(store_dir, audio_path) -> str:
+    """The path of the WAV's store file, computed from the WAV if missing."""
+    path = os.path.join(store_dir, f"{_wav_key(audio_path)}.cbf")
     if not os.path.exists(path):
         os.makedirs(store_dir, exist_ok=True)
         with _replacing(path) as tmp_path:
@@ -220,21 +216,21 @@ def _replacing(path):
             os.remove(tmp_path)
 
 
-def fit(config: ExperimentConfig, store_dir, train_entries, seed):
+def fit(config: ExperimentConfig, train, seed):
     """The recognizer that labels one fold's tracks for ``config``.
 
     The result is called as ``recognize(features, source_id)`` on each
     track's stored log-CQT and returns its normalized chord track.  The
-    template model needs no training; the labeler is trained on folded
-    chroma of ``train_entries`` with ``config.model_params`` over
-    :data:`LABELER_DEFAULTS`.
+    template model needs no training; the labeler is trained on ``train``,
+    the fold's ``(store file, .lab path)`` pairs, as folded chroma with
+    ``config.model_params`` over :data:`LABELER_DEFAULTS`.
     """
     if config.model == "template":
         return recognize_track
     pairs = []
-    for entry in train_entries:
-        chroma = fold_to_chroma(entry.log_cqt(store_dir))
-        track = normalize(read_lab(entry.label_path))
+    for store_path, label_path in train:
+        chroma = fold_to_chroma(read_feature_cache(store_path)[0])
+        track = normalize(read_lab(label_path))
         pairs.append((chroma, align_labels(track, chroma)))
     model, _report = labeler.fit(pairs, seed,
                                  **{**LABELER_DEFAULTS, **config.model_params})
@@ -253,19 +249,21 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
     ``corpus`` maps dataset name to its song entries.  Folds with an
     existing ``scores.csv`` are loaded instead of recomputed, so interrupted
     runs resume where they stopped.  Features come from the store in
-    ``<out_dir>/features``, shared by every experiment run into ``out_dir``;
-    each WAV the experiment uses is hashed for its store key once, and its
-    missing store file is computed in this process, before any fold runs.
-    Each computed fold calls :func:`fit` for the recognizer that labels its
-    tracks.  A trained model's folds run in ``min(folds to compute, usable
-    CPUs)`` worker processes, each on a round-robin share of the folds; each
-    worker is a fresh interpreter with its own numpy and model, and results
-    are identical to running the folds here.  Template folds, and all folds
-    when only one worker would run, run in this process, where a patched
-    ``harness.fit`` or a tracer sees them.  Fold files are written in fold
-    order; an error inside a fold is raised as :class:`FoldError`, prefixed
-    with the experiment and fold, and no later fold is written.  Every
-    worker has exited when this function returns or raises.
+    ``<out_dir>/features``, shared by every experiment run into ``out_dir``.
+    Before any fold runs, this process builds each fold's job, with its
+    training and scoring split; each WAV those folds use is hashed for its
+    store key once, and its missing store file computed, by the first fold
+    that uses it.  Each computed fold calls :func:`fit` for the recognizer
+    that labels its tracks.  A trained model's folds run in ``min(folds to
+    compute, usable CPUs)`` worker processes, each on a round-robin share of
+    the fold jobs; each worker is a fresh interpreter with its own numpy and
+    model, and results are identical to running the folds here.  Template
+    folds, and all folds when only one worker would run, run in this
+    process, where a patched ``harness.fit`` or a tracer sees them.  Fold
+    files are written in fold order; an error inside a fold is raised as
+    :class:`FoldError`, prefixed with the experiment and fold, and no later
+    fold is written.  Every worker has exited when this function returns or
+    raises.
     """
     for name in set(config.train_datasets) | set(config.eval_datasets):
         if name not in corpus:
@@ -276,23 +274,22 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
     todo = [fold for fold, path in enumerate(scores_paths)
             if not os.path.exists(path)]
     if todo:
-        keyed = _key_and_store(config, fold_plan, corpus, todo, store_dir)
-        n_workers = min(len(todo), _usable_cpus())
+        jobs = _fold_jobs(config, fold_plan, corpus, todo, store_dir)
+        n_workers = min(len(jobs), _usable_cpus())
         if config.model == "template":
             n_workers = 1  # a fold takes less time than starting a worker
         with contextlib.ExitStack() as stack:
             workers = []
             if n_workers > 1:
-                workers = [_start_worker(stack, (config, fold_plan, keyed,
-                                                 todo[w::n_workers], store_dir))
+                workers = [_start_worker(stack, (config, jobs[w::n_workers]))
                            for w in range(n_workers)]
-            for index, fold in enumerate(todo):
+            for index, job in enumerate(jobs):
+                fold = job[0]
                 if workers:
                     rows = _fold_result(workers[index % n_workers], config, fold)
                 else:
                     with _in_fold(config, fold):
-                        rows = _run_fold(config, fold_plan, keyed, fold,
-                                         store_dir)
+                        rows = _run_fold(config, job)
                 os.makedirs(os.path.dirname(scores_paths[fold]), exist_ok=True)
                 _write_fold_scores(scores_paths[fold], rows)
     all_rows = [row for path in scores_paths for row in _read_fold_scores(path)]
@@ -315,59 +312,55 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _key_and_store(config, fold_plan, corpus, todo, store_dir) -> dict:
-    """The datasets ``config`` uses, each entry with its ``feature_key``.
+def _fold_jobs(config, fold_plan, corpus, todo, store_dir) -> list:
+    """The ``(fold, train, to_score)`` job of each fold in ``todo``.
 
-    Every entry that a fold in ``todo`` trains or scores on has its store
-    file once this returns.  An error is raised as the :class:`FoldError` of
-    the first fold in ``todo`` that uses the failing entry, the fold that
-    would have met it first.
+    ``train`` holds the fold's ``(store file, .lab path)`` training pairs,
+    balanced if ``config`` asks for it, and ``to_score`` its ``(dataset,
+    song_id, store file, .lab path)`` rows.  A recording is hashed, and its
+    missing store file computed, by the first fold that uses it, so an error
+    there is raised as that fold's :class:`FoldError`.
     """
-    names = dict.fromkeys(config.train_datasets + config.eval_datasets)
-    with _in_fold(config, todo[0]):
-        keyed = {name: [replace(e, feature_key=_wav_key(e.audio_path))
-                        for e in corpus[name]]
-                 for name in names}
+    stored = {}
+
+    def store(entry):
+        if entry.audio_path not in stored:
+            stored[entry.audio_path] = _store(store_dir, entry.audio_path)
+        return stored[entry.audio_path]
+
+    jobs = []
     for fold in todo:
         with _in_fold(config, fold):
-            train_entries, to_score = _fold_split(config, fold_plan, keyed,
-                                                  fold)
-            for entry in train_entries + [entry for _, entry in to_score]:
-                _store(store_dir, entry.audio_path, entry.feature_key)
-    return keyed
-
-
-def _fold_split(config, fold_plan, corpus, fold):
-    """One fold's training entries and its ``(dataset, entry)`` pairs to score."""
-    train_by_dataset = {
-        name: [e for e in corpus[name] if fold_plan.fold_of(e) != fold]
-        for name in config.train_datasets}
-    if config.balance and len(config.train_datasets) > 1:
-        quota = config.balance_quota
-        if quota is None:
-            quota = min(len(v) for v in train_by_dataset.values())
-        train_by_dataset = balance_datasets(train_by_dataset,
-                                            seed=config.seed, quota=quota)
-    train_entries = [e for name in config.train_datasets
+            train_by_dataset = {
+                name: [e for e in corpus[name] if fold_plan.fold_of(e) != fold]
+                for name in config.train_datasets}
+            if config.balance and len(config.train_datasets) > 1:
+                quota = config.balance_quota
+                if quota is None:
+                    quota = min(len(v) for v in train_by_dataset.values())
+                train_by_dataset = balance_datasets(train_by_dataset,
+                                                    seed=config.seed,
+                                                    quota=quota)
+            train = [(store(e), e.label_path) for name in config.train_datasets
                      for e in train_by_dataset[name]]
-    to_score = [(name, entry) for name in config.eval_datasets
-                for entry in corpus[name] if fold_plan.fold_of(entry) == fold]
-    return train_entries, to_score
+            to_score = [(name, e.song_id, store(e), e.label_path)
+                        for name in config.eval_datasets for e in corpus[name]
+                        if fold_plan.fold_of(e) == fold]
+        jobs.append((fold, train, to_score))
+    return jobs
 
 
-def _run_fold(config, fold_plan, corpus, fold, store_dir):
-    train_entries, to_score = _fold_split(config, fold_plan, corpus, fold)
-    recognize = fit(config, store_dir, train_entries,
-                    experiment_seed(config.seed, fold))
+def _run_fold(config, job):
+    fold, train, to_score = job
+    recognize = fit(config, train, experiment_seed(config.seed, fold))
     rows = []
-    for name, entry in to_score:
-        predicted = recognize(entry.log_cqt(store_dir), entry.song_id)
-        scored = evaluate_pair(read_lab(entry.label_path), predicted,
+    for name, song_id, store_path, label_path in to_score:
+        features, _ = read_feature_cache(store_path)
+        scored = evaluate_pair(read_lab(label_path), recognize(features, song_id),
                                DEFAULT_METRICS)
         for metric in DEFAULT_METRICS:
             ts = scored[metric]
-            rows.append({"fold": fold, "dataset": name,
-                         "song_id": entry.song_id,
+            rows.append({"fold": fold, "dataset": name, "song_id": song_id,
                          "metric": metric, "score": ts.value,
                          "duration_s": ts.total_duration_s})
     return rows
@@ -381,11 +374,11 @@ _WORKER_CODE = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
 def _start_worker(stack, job):
     """A worker process running ``_run_fold`` on ``job``'s folds.
 
-    ``job`` is ``(config, fold_plan, corpus, folds, store_dir)``.  The worker
-    imports this copy of the package, inherits the ``-W`` options, and is
-    killed and waited for when ``stack`` closes.  Its stdin stays open until
-    then, so the worker also ends when this process dies without closing
-    ``stack``.
+    ``job`` is ``(config, fold jobs)``, the jobs as :func:`_fold_jobs` builds
+    them.  The worker imports this copy of the package, inherits the ``-W``
+    options, and is killed and waited for when ``stack`` closes.  Its stdin
+    stays open until then, so the worker also ends when this process dies
+    without closing ``stack``.
     """
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.environ.get("PYTHONPATH")
@@ -435,12 +428,11 @@ def _fold_worker():
     """
     with os.fdopen(os.dup(1), "wb") as results:
         os.dup2(2, 1)
-        config, fold_plan, corpus, folds, store_dir = pickle.load(sys.stdin.buffer)
+        config, jobs = pickle.load(sys.stdin.buffer)
         threading.Thread(target=_exit_at_end_of_stdin, daemon=True).start()
-        for fold in folds:
+        for job in jobs:
             try:
-                rows, error = _run_fold(config, fold_plan, corpus, fold,
-                                        store_dir), None
+                rows, error = _run_fold(config, job), None
             except Exception as exc:
                 rows, error = None, exc
             results.write(pickle.dumps((rows, error)))

@@ -257,7 +257,9 @@ class TestExtractTrainPredict:
             eval_datasets=("tiny",),
             model_params={"model_dim": 16, "n_heads": 2, "max_epochs": 10,
                           "patience": 10})
-        recognize = harness.fit(config, store, corpus[:4], 3)
+        train = [(harness._store(store, e.audio_path), e.label_path)
+                 for e in corpus[:4]]
+        recognize = harness.fit(config, train, 3)
         save_checkpoint(tmp_path / "model.ckpt", recognize.__self__)
         out = tmp_path / "pred"
         assert run("predict", "--model", str(tmp_path / "model.ckpt"),
@@ -427,7 +429,7 @@ class TestExtractTrainPredict:
         store = str(tmp_path / "features")
         config = ExperimentConfig(id=0, train_datasets=(), model="template",
                                   eval_datasets=("tiny",))
-        recognize = harness.fit(config, store, [], 0)
+        recognize = harness.fit(config, [], 0)
         for entry in corpus["tiny"]:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")

@@ -115,7 +115,7 @@ class EchoFit:
                            for entries in corpus.values() for e in entries}
         self.fit_calls = 0
 
-    def __call__(self, config, store_dir, train_entries, seed):
+    def __call__(self, config, train, seed):
         self.fit_calls += 1
 
         def recognize(features, source_id):
@@ -283,6 +283,19 @@ def count_cqt_inputs(monkeypatch):
     return seen
 
 
+def count_wav_keys(monkeypatch):
+    """Patch ``harness._wav_key`` to record the path of every WAV it hashes."""
+    hashed = []
+    real_key = harness._wav_key
+
+    def counting_key(audio_path):
+        hashed.append(audio_path)
+        return real_key(audio_path)
+
+    monkeypatch.setattr(harness, "_wav_key", counting_key)
+    return hashed
+
+
 @pytest.fixture()
 def own_corpus(tiny_dataset, tmp_path):
     """A private copy of the tiny dataset, safe to modify."""
@@ -331,14 +344,7 @@ class TestFeatureStore:
 
     def test_each_wav_is_hashed_once_per_experiment(self, corpus, tmp_path,
                                                     monkeypatch):
-        hashed = []
-        real_key = harness._wav_key
-
-        def counting_key(audio_path):
-            hashed.append(audio_path)
-            return real_key(audio_path)
-
-        monkeypatch.setattr(harness, "_wav_key", counting_key)
+        hashed = count_wav_keys(monkeypatch)
         plan = make_folds(corpus["tiny"], seed=0)
         paths = sorted(e.audio_path for e in corpus["tiny"])
         for config in (self.TEMPLATE, self.LABELER):
@@ -353,6 +359,33 @@ class TestFeatureStore:
         run_experiment(self.LABELER, plan, corpus, tmp_path)
         assert sorted(hashed) == paths
         assert fold_scores(tmp_path) == first
+
+    def test_resumed_fold_hashes_only_its_recordings(self, corpus, tmp_path,
+                                                     monkeypatch):
+        plan = make_folds(corpus["tiny"], seed=0)
+        run_experiment(self.TEMPLATE, plan, corpus, tmp_path)
+        first = fold_scores(tmp_path)
+        os.remove(tmp_path / "exp_0" / "fold_2" / "scores.csv")
+        hashed = count_wav_keys(monkeypatch)
+        seen = count_cqt_inputs(monkeypatch)
+        run_experiment(self.TEMPLATE, plan, corpus, tmp_path)
+        assert hashed == [e.audio_path for e in corpus["tiny"]
+                          if plan.fold_of(e) == 2]
+        assert seen == []
+        assert fold_scores(tmp_path) == first
+
+    def test_unreadable_wav_fails_the_fold_that_uses_it(self, own_corpus,
+                                                        tmp_path):
+        entries = own_corpus["tiny"]
+        plan = make_folds(entries, seed=0)
+        (entry,) = [e for e in entries if plan.fold_of(e) == 3]
+        os.remove(entry.audio_path)
+        out = tmp_path / "out"
+        with pytest.raises(FoldError, match=re.escape(
+                "experiment 0, fold 3: [Errno 2] No such file or directory: "
+                f"{entry.audio_path!r}")):
+            run_experiment(self.TEMPLATE, plan, own_corpus, out)
+        assert fold_scores(out) == {}
 
     def test_changed_wav_recomputes_only_that_track(self, own_corpus, tmp_path,
                                                     monkeypatch):
