@@ -88,37 +88,24 @@ class SegmentTrack:
         return sum(s.duration_s for s in self.segments)
 
 
-def read_lab(path, source_id: str | None = None) -> SegmentTrack:
+def read_lab(path) -> SegmentTrack:
     """Read a ``start end label`` annotation file.
 
-    Raises :class:`AnnotationError` with the line number for unparseable
-    rows, and names both offending rows for overlaps or non-monotonic times.
+    Each non-blank line is one row, split at whitespace into three fields.
+    A line with fewer fields raises :class:`AnnotationError` naming the
+    file and line; every row then follows the contract of :func:`_read_rows`.
     """
-    segments = []
-    rows = []
-    with _open_utf8(path) as fh:
+    def rows(fh):
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise AnnotationError(f"{path}:{lineno}: expected 'start end label', got {line!r}")
-            try:
-                start, end = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise AnnotationError(f"{path}:{lineno}: bad time field in {line!r}") from None
-            try:
-                label = parse_harte(parts[2])
-            except ValueError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            try:
-                seg = TimedSegment(start, end, label)
-            except AnnotationError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            rows.append(lineno)
-            segments.append(seg)
-    return _track_from_rows(path, segments, rows, source_id)
+            if len(parts) == 3:
+                yield lineno, parts[0], parts[1], parts[2].strip()
+            elif parts:
+                raise AnnotationError(
+                    f"{path}:{lineno}: expected 'start end label', got {line.strip()!r}")
+
+    with _open_utf8(path) as fh:
+        return _read_rows(path, rows(fh))
 
 
 def _open_utf8(path, newline=None) -> io.StringIO:
@@ -140,20 +127,34 @@ def _open_utf8(path, newline=None) -> io.StringIO:
     return io.StringIO(text, newline=newline)
 
 
-def _track_from_rows(path, segments, rows, source_id):
-    """The track of ``segments`` read from line numbers ``rows`` of ``path``.
+def _read_rows(path, rows) -> SegmentTrack:
+    """The track of ``rows`` read from ``path``, its stem as ``source_id``.
 
-    Checks the order :class:`SegmentTrack` requires first, so an overlap or
-    a reversal names the file and both rows.
+    Each row is a ``(line number, start text, end text, label text)`` tuple.
+    A row whose times are not numbers, whose label does not parse, or whose
+    segment is invalid raises :class:`AnnotationError` as
+    ``<path>:<line>: <reason>``.  Once every row has parsed, rows that
+    overlap or are out of order raise ``<path>: rows i and j ...``.
     """
+    segments, lines = [], []
+    for lineno, start, end, label in rows:
+        try:
+            times = float(start), float(end)
+        except ValueError:
+            raise AnnotationError(f"{path}:{lineno}: bad time field in "
+                                  f"{' '.join((start, end, label))!r}") from None
+        try:
+            segments.append(TimedSegment(*times, parse_harte(label)))
+        except ValueError as exc:
+            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+        lines.append(lineno)
     for i in range(1, len(segments)):
         prev, seg = segments[i - 1], segments[i]
         if seg.start_s < prev.start_s or seg.start_s < prev.end_s - TIME_EPS:
             raise AnnotationError(
-                f"{path}: rows {rows[i - 1]} and {rows[i]} overlap or are out of order")
-    if source_id is None:
-        source_id = _stem(path)
-    return SegmentTrack(tuple(segments), source_id)
+                f"{path}: rows {lines[i - 1]} and {lines[i]} overlap or are out of order")
+    stem = str(path).replace("\\", "/").rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return SegmentTrack(tuple(segments), stem)
 
 
 def write_lab(track: SegmentTrack, path) -> None:
@@ -172,14 +173,15 @@ _DEFAULT_CSV_COLUMNS = {
 
 
 def read_winterreise_csv(path, notation: str = "shorthand",
-                         columns: dict | None = None,
-                         source_id: str | None = None) -> SegmentTrack:
+                         columns: dict | None = None) -> SegmentTrack:
     """Read a per-notation chord annotation CSV.
 
     ``notation`` selects which label column is parsed ("shorthand" or
     "majmin").  ``columns`` overrides the default column-name mapping when a
     file uses different headers.  Delimiter is auto-detected among comma,
-    semicolon, and tab.
+    semicolon, and tab.  Each row is named by the line it ends on, and a
+    short row reads its missing fields as empty text; every row then
+    follows the contract of :func:`_read_rows`.
     """
     colmap = dict(_DEFAULT_CSV_COLUMNS)
     if columns:
@@ -193,23 +195,15 @@ def read_winterreise_csv(path, notation: str = "shorthand",
             dialect = csv.Sniffer().sniff(sample, delimiters=",;\t")
         except csv.Error:
             dialect = csv.excel
-        reader = csv.DictReader(fh, dialect=dialect)
+        reader = csv.DictReader(fh, dialect=dialect, restval="")
         header = reader.fieldnames or []
-        for key in ("start", "end", notation):
-            if colmap[key] not in header:
+        keys = [colmap[key] for key in ("start", "end", notation)]
+        for key in keys:
+            if key not in header:
                 raise AnnotationError(
-                    f"{path}: missing column {colmap[key]!r} (have {header})")
-        segments, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                start = float(row[colmap["start"]])
-                end = float(row[colmap["end"]])
-                label = parse_harte(row[colmap[notation]])
-                segments.append(TimedSegment(start, end, label))
-            except (TypeError, ValueError) as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            rows.append(lineno)
-    return _track_from_rows(path, segments, rows, source_id)
+                    f"{path}: missing column {key!r} (have {header})")
+        return _read_rows(path, ((reader.line_num, *(row[k] for k in keys))
+                                 for row in reader))
 
 
 # Literal found in some generated annotation exports; stands for no chord.
@@ -219,82 +213,54 @@ _ARFF_ATTR_RE = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)",
                            re.IGNORECASE)
 
 
-def read_aam_arff(path, source_id: str | None = None) -> SegmentTrack:
+def read_aam_arff(path) -> SegmentTrack:
     """Read chord segments from an ARFF file.
 
     Looks for numeric onset/offset (or start/end) attributes and a chord
     attribute; rows whose chord value is the literal ``BASS NOTE EXCEPTION``
-    become no-chord segments.
+    become no-chord segments.  A data row with the wrong number of fields
+    raises :class:`AnnotationError` naming the file and line; every row
+    then follows the contract of :func:`_read_rows`.
     """
-    attributes = []
-    segments, rows = [], []
-    in_data = False
-    onset_i = offset_i = chord_i = None
-    with _open_utf8(path) as fh:
+    def rows(fh):
+        attributes, columns = [], None
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
             low = line.lower()
-            if not in_data:
-                if low.startswith("@relation"):
-                    continue
-                if low.startswith("@attribute"):
-                    m = _ARFF_ATTR_RE.match(line)
-                    if not m:
-                        raise AnnotationError(f"{path}:{lineno}: bad @attribute line")
-                    attributes.append(m.group(1).strip("'\""))
-                    continue
-                if low.startswith("@data"):
-                    onset_i = _find_attr(attributes, ("onset", "start"))
-                    offset_i = _find_attr(attributes, ("offset", "end"))
-                    chord_i = _find_attr(attributes, ("chord", "label"))
-                    for name, idx in (("onset", onset_i), ("offset", offset_i),
-                                      ("chord", chord_i)):
-                        if idx is None:
-                            raise AnnotationError(
-                                f"{path}: no {name} attribute among {attributes}")
-                    in_data = True
-                    continue
+            if columns is not None:
+                fields = next(csv.reader(io.StringIO(line), quotechar="'"))
+                if len(fields) != len(attributes):
+                    raise AnnotationError(f"{path}:{lineno}: expected "
+                                          f"{len(attributes)} fields, got {len(fields)}")
+                start, end, chord = (fields[i] for i in columns)
+                text = chord.strip().strip("'\"")
+                yield lineno, start, end, "N" if text == BASS_NOTE_EXCEPTION else text
+            elif low.startswith("@attribute"):
+                m = _ARFF_ATTR_RE.match(line)
+                if not m:
+                    raise AnnotationError(f"{path}:{lineno}: bad @attribute line")
+                attributes.append(m.group(1).strip("'\""))
+            elif low.startswith("@data"):
+                columns = [_find_attr(path, attributes, keys) for keys in
+                           (("onset", "start"), ("offset", "end"), ("chord", "label"))]
+            elif not low.startswith("@relation"):
                 raise AnnotationError(f"{path}:{lineno}: unexpected header line {line!r}")
-            fields = next(csv.reader(io.StringIO(line), quotechar="'"))
-            if len(fields) != len(attributes):
-                raise AnnotationError(
-                    f"{path}:{lineno}: expected {len(attributes)} fields, got {len(fields)}")
-            try:
-                start = float(fields[onset_i])
-                end = float(fields[offset_i])
-            except ValueError:
-                raise AnnotationError(f"{path}:{lineno}: bad time field") from None
-            text = fields[chord_i].strip().strip("'\"")
-            if text == BASS_NOTE_EXCEPTION:
-                label = NO_CHORD
-            else:
-                try:
-                    label = parse_harte(text)
-                except ValueError as exc:
-                    raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            try:
-                segments.append(TimedSegment(start, end, label))
-            except AnnotationError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            rows.append(lineno)
-    if not in_data:
-        raise AnnotationError(f"{path}: no @data section found")
-    return _track_from_rows(path, segments, rows, source_id)
+        if columns is None:
+            raise AnnotationError(f"{path}: no @data section found")
+
+    with _open_utf8(path) as fh:
+        return _read_rows(path, rows(fh))
 
 
-def _find_attr(attributes, keys):
+def _find_attr(path, attributes, keys):
+    """The index of the first attribute whose name contains one of ``keys``."""
     for i, name in enumerate(attributes):
         low = name.lower()
         if any(k in low for k in keys):
             return i
-    return None
-
-
-def _stem(path) -> str:
-    name = str(path).replace("\\", "/").rsplit("/", 1)[-1]
-    return name.rsplit(".", 1)[0] if "." in name else name
+    raise AnnotationError(f"{path}: no {keys[0]} attribute among {attributes}")
 
 
 def normalize(track: SegmentTrack,

@@ -79,7 +79,6 @@ class SongEntry:
     """One recording: a performance of a song, its WAV and ``.lab`` files."""
 
     song_id: str
-    performance_id: str | None = None
     audio_path: str = ""
     label_path: str = ""
 
@@ -111,13 +110,14 @@ def make_folds(songs, seed, k: int = 6) -> FoldPlan:
 def balance_datasets(datasets: dict, seed, quota: int) -> dict:
     """Bring every dataset to ``quota`` entries.
 
-    Larger datasets are subsampled deterministically; smaller ones are
-    repeated whole-number times, topped up with a seeded sample of the
-    remainder.  A dataset already at quota passes through unchanged.
+    Entries are taken in ``(song_id, audio_path)`` order.  Larger datasets
+    are subsampled deterministically; smaller ones are repeated
+    whole-number times, topped up with a seeded sample of the remainder.
+    A dataset already at quota passes through unchanged.
     """
     out = {}
     for name in sorted(datasets):
-        entries = sorted(datasets[name], key=lambda e: (e.song_id, str(e.performance_id)))
+        entries = sorted(datasets[name], key=lambda e: (e.song_id, e.audio_path))
         if not entries:
             raise HarnessError(f"dataset {name!r} is empty")
         rng = np.random.Generator(np.random.PCG64([seed, _name_entropy(name)]))
@@ -164,6 +164,9 @@ class ExperimentConfig:
                                   or not isinstance(quota, int) or quota < 1):
             raise HarnessError(f"experiment {self.id}: balance_quota must be a "
                                f"positive integer, got {quota!r}")
+        if quota is not None and not (self.balance and len(self.train_datasets) > 1):
+            raise HarnessError(f"experiment {self.id}: balance_quota needs "
+                               "balance: true and two or more train_datasets")
         if self.model == "labeler":
             try:
                 labeler.check_hyperparameters(self.model_params,
@@ -576,10 +579,13 @@ def load_corpus(data_root, datasets: dict) -> dict:
 def load_experiments(path):
     """Read an experiments config file (format in docs/experiments.md).
 
-    A file that is not a JSON object, or an experiment that is not one,
-    lacks ``id``, ``model`` or ``eval_datasets``, or has a non-integer
-    ``id`` or ``seed``, raises :class:`HarnessError` naming the file and
-    the experiment's index in the ``experiments`` list.
+    A file that is not a JSON object, a ``datasets`` that is not one, or
+    an experiment that is not one, lacks ``id``, ``model`` or
+    ``eval_datasets``, has a non-integer ``id`` or ``seed``, an ``id`` an
+    earlier experiment has, a ``balance`` that is not a boolean, or
+    ``train_datasets`` or ``eval_datasets`` that are not a list of names in
+    ``datasets``, raises :class:`HarnessError` naming the file and the
+    experiment's index in the ``experiments`` list.
     """
     with open(path) as fh:
         try:
@@ -589,6 +595,8 @@ def load_experiments(path):
     if not isinstance(data, dict):
         raise HarnessError(f"{path}: not a JSON object")
     datasets = data.get("datasets", {})
+    if not isinstance(datasets, dict):
+        raise HarnessError(f"{path}: datasets: not a JSON object")
     experiments = []
     for index, item in enumerate(data.get("experiments", [])):
         if not isinstance(item, dict):
@@ -601,12 +609,25 @@ def load_experiments(path):
             exp_id, seed = int(item["id"]), int(item.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise HarnessError(f"{path}: experiments[{index}]: {exc}") from None
+        if any(e.id == exp_id for e in experiments):
+            # Both would write, and resume from, exp_<id>/fold_*/scores.csv.
+            raise HarnessError(f"{path}: experiments[{index}]: duplicate id {exp_id}")
+        if not isinstance(item.get("balance", False), bool):
+            raise HarnessError(f"{path}: experiments[{index}]: balance must be "
+                               f"true or false, got {item['balance']!r}")
+        for key in ("train_datasets", "eval_datasets"):
+            names = item.get(key, [])
+            if not (isinstance(names, list)
+                    and all(isinstance(n, str) and n in datasets for n in names)):
+                raise HarnessError(
+                    f"{path}: experiments[{index}]: {key} must be a list of "
+                    f"names in datasets {sorted(datasets)}, got {names!r}")
         experiments.append(ExperimentConfig(
             id=exp_id,
             train_datasets=tuple(item.get("train_datasets", ())),
             model=item["model"],
             eval_datasets=tuple(item["eval_datasets"]),
-            balance=bool(item.get("balance", False)),
+            balance=item.get("balance", False),
             seed=seed,
             balance_quota=item.get("balance_quota"),
             model_params=item.get("model_params", {})))

@@ -17,6 +17,7 @@ same inputs reproduces every file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -188,14 +189,21 @@ def _pitch_frequency(pitch_class: int, octave: int) -> float:
 
 
 def quantize_track(track: SegmentTrack, sample_rate_hz: int) -> SegmentTrack:
-    """Snap segment boundaries to exact sample boundaries."""
+    """Snap segment boundaries to exact sample boundaries.
+
+    Each segment starts no earlier than the previous one's end sample, so
+    two segments that overlap by less than ``TIME_EPS`` never share a
+    sample; a segment left without a sample is dropped.
+    """
     out = []
+    prev_e = -math.inf
     for seg in track:
-        s = round(seg.start_s * sample_rate_hz)
+        s = max(round(seg.start_s * sample_rate_hz), prev_e)
         e = round(seg.end_s * sample_rate_hz)
         if e > s:
             out.append(TimedSegment(s / sample_rate_hz, e / sample_rate_hz,
                                     seg.label))
+            prev_e = e
     return SegmentTrack(tuple(out), track.source_id)
 
 
@@ -220,26 +228,21 @@ def render_audio(track: SegmentTrack, spec: SynthSpec) -> AudioBuffer:
         pcs = pitch_class_set(seg.label)
         if pcs:
             chords.append((round(seg.start_s * sr), round(seg.end_s * sr), pcs))
-    # Rounding can give two chords one shared sample, which the later chord
-    # owns: the earlier one sounds only up to where the later one starts.
-    stops = [min(i1, nxt[0]) for (_, i1, _), nxt
-             in zip(chords, chords[1:] + [(n_total,)])]
     for pc in range(12):
-        spans = [(i0, stop) for (i0, _, pcs), stop in zip(chords, stops)
-                 if pc in pcs]
+        spans = [(i0, i1) for i0, i1, pcs in chords if pc in pcs]
         if not spans:
             continue
-        t = np.arange(max(stop - i0 for i0, stop in spans)) / sr
+        t = np.arange(max(i1 - i0 for i0, i1 in spans)) / sr
         for octave in spec.octaves:
             wave = np.sin(2.0 * np.pi * _pitch_frequency(pc, octave) * t)
-            for i0, stop in spans:
-                buf[i0:stop] += wave[:stop - i0]
-    for (i0, i1, _), stop in zip(chords, stops):
+            for i0, i1 in spans:
+                buf[i0:i1] += wave[:i1 - i0]
+    for i0, i1, _ in chords:
         m = min(fade_n, (i1 - i0) // 2)
         if m > 0:
             ramp = np.linspace(0.0, 1.0, m, endpoint=False)
             buf[i0:i0 + m] *= ramp
-            buf[i1 - m:stop] *= ramp[::-1][:stop - (i1 - m)]
+            buf[i1 - m:i1] *= ramp[::-1]
     peak = np.abs(buf).max()
     if peak > 0:
         buf *= PEAK_LEVEL / peak

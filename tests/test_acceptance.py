@@ -282,7 +282,7 @@ def test_labeler_capacity(synth_corpus):
 
 def test_harness_protocol():
     start = time.time()
-    entries = [SongEntry(song_id=f"song{i:02d}", performance_id=f"take{j}")
+    entries = [SongEntry(song_id=f"song{i:02d}", audio_path=f"take{j}.wav")
                for i in range(24) for j in range(2)]
     plan = make_folds(entries, seed=3)
     folds_by_song = {}

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 
@@ -75,7 +77,7 @@ class TestLab:
             t = random_track(rng, source_id=f"r{i}")
             p = tmp_path / f"r{i}.lab"
             write_lab(t, p)
-            back = read_lab(p, source_id=t.source_id)
+            back = read_lab(p)
             assert back == t
 
 
@@ -161,7 +163,7 @@ class TestArff:
         t = read_aam_arff(src)
         out = tmp_path / "a.lab"
         write_lab(t, out)
-        back = read_lab(out, source_id=t.source_id)
+        back = read_lab(out)
         for a, b in zip(t, back):
             assert abs(a.start_s - b.start_s) < 1e-6
             assert abs(a.end_s - b.end_s) < 1e-6
@@ -292,6 +294,64 @@ def test_non_utf8_bytes_name_file_and_line(tmp_path, fmt):
         reader(p)
 
 
+def write_rows(path, fmt, rows):
+    """Write ``(start, end, label)`` rows as ``fmt``, ``None`` for a blank
+    line, with a lone surrogate written as the byte it escapes; returns the
+    line number of each row."""
+    header = {"lab": [], "csv": ["start,end,shorthand"],
+              "arff": ["@relation x", "@attribute onset numeric",
+                       "@attribute offset numeric", "@attribute chord string",
+                       "@data"]}[fmt]
+    template = {"lab": "{} {} {}", "csv": "{},{},{}", "arff": "{},{},'{}'"}[fmt]
+    lines = header + ["" if row is None else template.format(*row) for row in rows]
+    path.write_bytes("".join(line + "\n" for line in lines)
+                     .encode("utf-8", "surrogateescape"))
+    return [len(header) + i + 1 for i, row in enumerate(rows) if row is not None]
+
+
+C_ROW = ("0", "1", "C:maj")
+# case: (rows, reason the last row fails with); "rows" stands for the order
+# error naming the last row and the one before it
+BAD_ROWS = {
+    "bad-time": ([C_ROW, ("1", "x", "G:maj")], "bad time field in '1 x G:maj'"),
+    "bad-label": ([C_ROW, ("1", "2", "X:bad")], "malformed chord label 'X:bad'"),
+    "non-finite": ([C_ROW, ("1", "inf", "G:maj")], "non-finite time"),
+    "end-before-start": ([C_ROW, ("2", "1", "G:maj")],
+                         "segment end 1.0 not after start 2.0"),
+    "overlap": ([("0", "2", "C:maj"), ("1.5", "3", "G:maj")], "rows"),
+    "reversal": ([("1", "2", "C:maj"), ("0", "0.5", "G:maj")], "rows"),
+    "not-utf8": ([C_ROW, ("1", "2", "\udcff:maj")],
+                 "not UTF-8 text: invalid start byte (byte 0xff)"),
+    "blank-then-bad-label": ([C_ROW, None, ("1", "2", "X:bad")],
+                             "malformed chord label 'X:bad'"),
+    "blank-then-overlap": ([("0", "2", "C:maj"), None, None, ("1.5", "3", "G:maj")],
+                           "rows"),
+}
+READERS = {"lab": read_lab, "csv": read_winterreise_csv, "arff": read_aam_arff}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_bad_row_names_file_and_physical_line(tmp_path, fmt, case):
+    rows, reason = BAD_ROWS[case]
+    p = tmp_path / f"a.{fmt}"
+    lines = write_rows(p, fmt, rows)
+    if reason == "rows":
+        expected = f"{p}: rows {lines[-2]} and {lines[-1]} overlap or are out of order"
+    else:
+        expected = f"{p}:{lines[-1]}: {reason}"
+    with pytest.raises(AnnotationError, match=f"^{re.escape(expected)}$"):
+        READERS[fmt](p)
+
+
+def test_short_csv_row_is_a_bad_time_field(tmp_path):
+    p = tmp_path / "w.csv"
+    p.write_text("start,end,shorthand\n0,1,C:maj\n1\n")
+    with pytest.raises(AnnotationError, match=re.escape(
+            f"{p}:3: bad time field in '1  '")):
+        read_winterreise_csv(p)
+
+
 # Time fields: any float's text (nan, +-inf, negative, huge, tiny) or any
 # text without a line break; rows may be reversed, overlapping or unordered.
 TIME_TEXT = st.one_of(
@@ -303,17 +363,18 @@ TIME_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(TIME_TEXT, TIME_TEXT), min_size=1, max_size=4))
-def test_lab_time_fields_fuzz(tmp_path, rows):
-    p = tmp_path / "fuzz.lab"
-    p.write_text("".join(f"{start} {end} C:maj\n" for start, end in rows),
-                 encoding="utf-8")
+def fuzz_time_fields(test):
+    """Run ``test(tmp_path, rows)`` on 300 lists of 1-4 ``(start, end)`` texts."""
+    return settings(max_examples=300, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])(
+        given(st.lists(st.tuples(TIME_TEXT, TIME_TEXT), min_size=1, max_size=4))(test))
+
+
+def assert_valid_track_or_named_error(path, reader):
     try:
-        t = read_lab(p)
+        t = reader(path)
     except AnnotationError as exc:
-        assert re.match(re.escape(str(p)) + r"(:\d+: |: rows \d+ and \d+ )",
+        assert re.match(re.escape(str(path)) + r"(:\d+: |: rows \d+ and \d+ )",
                         str(exc)), str(exc)
         return
     prev_end = -math.inf
@@ -322,6 +383,36 @@ def test_lab_time_fields_fuzz(tmp_path, rows):
         assert seg.end_s > seg.start_s
         assert seg.start_s >= prev_end - TIME_EPS
         prev_end = seg.end_s
+
+
+@fuzz_time_fields
+def test_lab_time_fields_fuzz(tmp_path, rows):
+    p = tmp_path / "fuzz.lab"
+    p.write_text("".join(f"{start} {end} C:maj\n" for start, end in rows),
+                 encoding="utf-8")
+    assert_valid_track_or_named_error(p, read_lab)
+
+
+@fuzz_time_fields
+def test_csv_time_fields_fuzz(tmp_path, rows):
+    p = tmp_path / "fuzz.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["start", "end", "shorthand"])
+        writer.writerows([start, end, "C:maj"] for start, end in rows)
+    assert_valid_track_or_named_error(p, read_winterreise_csv)
+
+
+@fuzz_time_fields
+def test_arff_time_fields_fuzz(tmp_path, rows):
+    p = tmp_path / "fuzz.arff"
+    data = io.StringIO()
+    csv.writer(data, quotechar="'", lineterminator="\n").writerows(
+        [start, end, "C:maj"] for start, end in rows)
+    p.write_text("@relation x\n@attribute onset numeric\n"
+                 "@attribute offset numeric\n@attribute chord string\n"
+                 "@data\n" + data.getvalue(), encoding="utf-8")
+    assert_valid_track_or_named_error(p, read_aam_arff)
 
 
 def test_crop_trims_boundaries():

@@ -504,6 +504,24 @@ class TestXval:
             "integer, got '1'\n")
         assert not out.exists()
 
+    def test_dataset_name_string_stops_before_any_experiment(
+            self, tiny_dataset, tmp_path, capsys):
+        data_dir, _ = tiny_dataset
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"tiny": os.path.basename(data_dir)},
+            "experiments": [
+                {"id": 0, "model": "template", "eval_datasets": ["tiny"]},
+                {"id": 1, "model": "template", "eval_datasets": "tiny"}]}))
+        out = tmp_path / "results"
+        assert run("xval", "--experiments", str(cfg),
+                   "--data-root", str(os.path.dirname(data_dir)),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: experiments[1]: eval_datasets must be a list of "
+            "names in datasets ['tiny'], got 'tiny'\n")
+        assert not out.exists()
+
     def test_experiment_without_eval_datasets_names_file_and_index(
             self, tiny_dataset, tmp_path, capsys):
         data_dir, _ = tiny_dataset

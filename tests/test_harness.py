@@ -27,7 +27,7 @@ from chordbench.synth import SynthError
 
 
 def songs_with_performances(n_songs, n_perf=2):
-    return [SongEntry(song_id=f"song{i:03d}", performance_id=f"p{j}")
+    return [SongEntry(song_id=f"song{i:03d}", audio_path=f"p{j}.wav")
             for i in range(n_songs) for j in range(n_perf)]
 
 
@@ -680,6 +680,63 @@ class TestExperimentsConfig:
         p.write_text(json.dumps(matrix))
         with pytest.raises(HarnessError, match=re.escape(
                 f"{p}: experiments[2]: missing key {key!r}")):
+            load_experiments(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("eval_datasets", "synthA"),
+        ("eval_datasets", ["synthA", "synthC"]),
+        ("train_datasets", "synthB"),
+        ("train_datasets", [1]),
+        ("train_datasets", {"synthB": 1}),
+    ])
+    def test_dataset_lists_must_name_datasets(self, tmp_path, key, value):
+        import json
+        matrix = default_experiments()
+        matrix["experiments"][2][key] = value
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps(matrix))
+        with pytest.raises(HarnessError, match=re.escape(
+                f"{p}: experiments[2]: {key} must be a list of names in "
+                f"datasets ['synthA', 'synthB'], got {value!r}")):
+            load_experiments(p)
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"id": 1}, "duplicate id 1"),
+        ({"balance": "false"}, "balance must be true or false, got 'false'"),
+        ({"balance": 1}, "balance must be true or false, got 1"),
+    ])
+    def test_ambiguous_experiment_is_named(self, tmp_path, change, reason):
+        import json
+        matrix = default_experiments()
+        matrix["experiments"][2].update(change)
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps(matrix))
+        with pytest.raises(HarnessError, match=re.escape(
+                f"{p}: experiments[2]: {reason}")):
+            load_experiments(p)
+
+    def test_datasets_must_be_an_object(self, tmp_path):
+        import json
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps({"datasets": ["synthA"], "experiments": []}))
+        with pytest.raises(HarnessError, match=re.escape(
+                f"{p}: datasets: not a JSON object")):
+            load_experiments(p)
+
+    @pytest.mark.parametrize("index, change", [
+        (3, {"balance": False, "balance_quota": 2}),
+        (2, {"balance_quota": 2}),
+        (2, {"balance": True, "balance_quota": 2}),
+    ])
+    def test_quota_without_effect_is_an_error(self, tmp_path, index, change):
+        import json
+        matrix = default_experiments()
+        matrix["experiments"][index].update(change)
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps(matrix))
+        with pytest.raises(HarnessError, match=re.escape(
+                f"experiment {index}: balance_quota needs balance: true and "
+                "two or more train_datasets")):
             load_experiments(p)
 
     @pytest.mark.parametrize("text, reason", [

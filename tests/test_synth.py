@@ -158,8 +158,7 @@ def render_per_segment(track, spec):
     """Reference renderer: each segment's sines computed at its own length.
 
     This is the loop ``render_audio`` replaced; it writes each chord over
-    ``buf``, so a later chord overwrites a sample it shares with the one
-    before it.
+    ``buf`` (``quantize_track`` gives no two chords a shared sample).
     """
     sr = spec.sample_rate_hz
     q = quantize_track(track, sr)
@@ -244,10 +243,9 @@ class TestRenderMatchesPerSegment:
 
     def test_rounded_spans_that_share_a_sample(self):
         # TIME_EPS lets a segment start up to 1e-9 s before the previous one
-        # ends; at 2 GHz that is two samples, so rounded spans can overlap.
-        # The later chord owns the shared sample, which its fade-in zeroes.
-        # At octave 10 the earlier chords' sines are negative at that sample,
-        # so summing both chords there would give -0.0 instead of 0.0.
+        # ends; at 2 GHz that is two samples, so rounded spans could overlap.
+        # Each span starts at the previous span's end sample instead, and
+        # the one-sample G:maj, left without a sample, is dropped.
         spec = SynthSpec(1, 10.0, sample_rate_hz=2 * 10**9, octaves=(10,))
         sr = spec.sample_rate_hz
         bounds = [(0, 50000.6), (50000.4, 100000), (100000, 150000.6),
@@ -257,10 +255,21 @@ class TestRenderMatchesPerSegment:
         track = track_from_samples(bounds, labels, sr)
         spans = [(round(s.start_s * sr), round(s.end_s * sr))
                  for s in quantize_track(track, sr)]
-        assert spans == [(0, 50001), (50000, 100000), (100000, 150001),
-                         (150000, 200001), (200000, 250001),
-                         (250000, 250001), (250000, 300000)]
+        assert spans == [(0, 50001), (50001, 100000), (100000, 150001),
+                         (150001, 200001), (200001, 250001), (250001, 300000)]
         assert_renders_like_reference(track, spec)
+
+    def test_sub_eps_overlap_across_a_half_sample(self):
+        # The segments overlap by 9e-11 s, which SegmentTrack accepts, but
+        # the boundaries round to samples 1001 and 1000.
+        sr = SAMPLE_RATE
+        track = SegmentTrack((
+            TimedSegment(0.0, (1000.5 + 1e-6) / sr, parse_harte("C:maj")),
+            TimedSegment((1000.5 - 1e-6) / sr, 0.1, parse_harte("A:min"))))
+        spans = [(round(s.start_s * sr), round(s.end_s * sr))
+                 for s in quantize_track(track, sr)]
+        assert spans == [(0, 1001), (1001, 2205)]
+        assert_renders_like_reference(track, SynthSpec(1, 10.0, octaves=(4,)))
 
 
 class TestEmitDataset:
