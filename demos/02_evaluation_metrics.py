@@ -35,5 +35,5 @@ print(f"majmin weighted score: {score.value:.3f} "
 
 print("\nevaluate_pair crops and pads to the reference extent:")
 long_prediction = track((0, 2, "C:maj"), (2, 9, "G:maj"))
-for name, ts in evaluate_pair(reference, long_prediction).items():
+for name, ts in evaluate_pair(reference, long_prediction, METRICS).items():
     print(f"  {name:>7}: {ts.value:.3f}")

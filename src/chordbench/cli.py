@@ -50,8 +50,11 @@ def cmd_eval(args):
         pred_path = os.path.join(args.pred, song_id + ".lab")
         if not os.path.exists(pred_path):
             raise SystemExit(f"no prediction for {song_id!r} in {args.pred}")
-        scored = metrics.evaluate_pair(annotations.read_lab(ref_path),
-                                       annotations.read_lab(pred_path), names)
+        try:
+            scored = metrics.evaluate_pair(annotations.read_lab(ref_path),
+                                           annotations.read_lab(pred_path), names)
+        except metrics.EvaluationError as exc:
+            raise metrics.EvaluationError(f"{ref_path}: {exc}") from None
         for name in names:
             ts = scored[name]
             rows.append([song_id, name, repr(ts.value), repr(ts.total_duration_s)])
@@ -147,10 +150,12 @@ TRAIN_DEFAULTS = {"seed": 0, "model_dim": 64, "n_layers": 2, "n_heads": 4,
 
 
 def cmd_train(args):
-    with open(args.config) as fh:
-        cfg = json.load(fh)
     try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
         labeler.check_hyperparameters(cfg, TRAIN_DEFAULTS, "key")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: not JSON: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
     pairs = _load_cached_items(args.data)
@@ -167,10 +172,11 @@ def cmd_train(args):
 
 def cmd_predict(args):
     os.makedirs(args.out, exist_ok=True)
-    inputs = sorted(glob.glob(os.path.join(args.indir, "*.wav")))
-    cached = sorted(glob.glob(os.path.join(args.indir, "*.shift+0.cbf")))
-    if not inputs and cached:
-        inputs = cached
+    suffix = ".wav"
+    inputs = sorted(glob.glob(os.path.join(args.indir, "*" + suffix)))
+    if not inputs:
+        suffix = ".shift+0.cbf"
+        inputs = sorted(glob.glob(os.path.join(args.indir, "*" + suffix)))
     if not inputs:
         raise SystemExit(f"no .wav or .shift+0.cbf inputs in {args.indir}")
     if args.model == "template":
@@ -178,8 +184,9 @@ def cmd_predict(args):
     else:
         recognize = checkpoint.load_checkpoint(args.model).recognize
     for path in inputs:
-        stem = os.path.splitext(os.path.basename(path))[0].split(".shift")[0]
-        matrix = (features.log_cqt_from_wav(path) if path.endswith(".wav")
+        # All inputs end in ``suffix``, so no two of them share a stem.
+        stem = os.path.basename(path)[:-len(suffix)]
+        matrix = (features.log_cqt_from_wav(path) if suffix == ".wav"
                   else features.read_feature_cache(path)[0])
         try:
             track = recognize(matrix, stem)

@@ -353,8 +353,15 @@ def log_amplitude(features: FeatureMatrix) -> FeatureMatrix:
 
 
 def log_cqt_from_wav(path) -> FeatureMatrix:
-    """The feature recipe shared by every front end: log-CQT of a WAV file."""
-    return log_amplitude(cqt(load_wav(path)))
+    """The feature recipe shared by every front end: log-CQT of a WAV file.
+
+    An error of :func:`cqt` (sample rate, length) is raised naming the path.
+    """
+    audio = load_wav(path)
+    try:
+        return log_amplitude(cqt(audio))
+    except FeatureError as err:
+        raise FeatureError(f"{path}: {err}") from None
 
 
 def zscore_fit(training_features) -> NormStats:

@@ -48,14 +48,14 @@ import subprocess
 import sys
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .annotations import normalize, read_lab
 from . import labeler
-from .features import (FeatureMatrix, align_labels, log_cqt_from_wav,
-                       read_feature_cache, write_feature_cache)
+from .features import (align_labels, log_cqt_from_wav, read_feature_cache,
+                       write_feature_cache)
 from .metrics import TrackScore, aggregate_fold, evaluate_pair
 from .templates import fold_to_chroma, recognize_track
 from .synth import read_manifest
@@ -182,21 +182,15 @@ def _wav_key(audio_path) -> str:
         return hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
 
 
-def stored_log_cqt(store_dir, audio_path) -> FeatureMatrix:
-    """The log-CQT of a WAV file, through the feature store ``store_dir``.
+def _store(store_dir, audio_path) -> str:
+    """The path of the WAV's store file in ``store_dir``, computed if missing.
 
     The store file is named by the blake2b digest of the WAV bytes.  On a
-    miss the features are computed and written to a unique temporary name,
-    then renamed into place, so a failed write leaves no store file.  The
-    result is always read back from the store, so every caller sees the same
-    float32-rounded values.
+    miss the log-CQT is computed and written to a unique temporary name,
+    then renamed into place, so a failed write leaves no store file.  Every
+    caller reads the features back from the store, so every caller sees the
+    same float32-rounded values.
     """
-    features, _ = read_feature_cache(_store(store_dir, audio_path))
-    return features
-
-
-def _store(store_dir, audio_path) -> str:
-    """The path of the WAV's store file, computed from the WAV if missing."""
     path = os.path.join(store_dir, f"{_wav_key(audio_path)}.cbf")
     if not os.path.exists(path):
         os.makedirs(store_dir, exist_ok=True)
@@ -544,17 +538,6 @@ def emit_report(rows, csv_path, text_path) -> None:
             fh.write("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n")
 
 
-def read_summary_csv(path) -> list:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({"experiment": int(row["experiment"]),
-                         "dataset": row["dataset"], "metric": row["metric"],
-                         "mean": float(row["mean"]), "std": float(row["std"]),
-                         "folds": int(row["folds"])})
-    return rows
-
-
 def load_corpus(data_root, datasets: dict) -> dict:
     """Load song entries from per-dataset manifests.
 
@@ -579,13 +562,14 @@ def load_corpus(data_root, datasets: dict) -> dict:
 def load_experiments(path):
     """Read an experiments config file (format in docs/experiments.md).
 
-    A file that is not a JSON object, a ``datasets`` that is not one, or
-    an experiment that is not one, lacks ``id``, ``model`` or
-    ``eval_datasets``, has a non-integer ``id`` or ``seed``, an ``id`` an
-    earlier experiment has, a ``balance`` that is not a boolean, or
-    ``train_datasets`` or ``eval_datasets`` that are not a list of names in
-    ``datasets``, raises :class:`HarnessError` naming the file and the
-    experiment's index in the ``experiments`` list.
+    A file that is not a JSON object or has a key other than ``datasets``
+    and ``experiments``, a ``datasets`` that is not an object, or an
+    experiment that is not one, has a key that no ExperimentConfig field
+    has, lacks ``id``, ``model`` or ``eval_datasets``, has a non-integer
+    ``id`` or ``seed``, an earlier experiment's ``id``, a non-boolean
+    ``balance``, or ``train_datasets`` or ``eval_datasets`` that are not a
+    list of names in ``datasets``, raises :class:`HarnessError` naming the
+    file and the experiment's index in the ``experiments`` list.
     """
     with open(path) as fh:
         try:
@@ -594,13 +578,21 @@ def load_experiments(path):
             raise HarnessError(f"{path}: not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise HarnessError(f"{path}: not a JSON object")
+    for key in data:
+        if key not in ("datasets", "experiments"):
+            raise HarnessError(f"{path}: unknown key {key!r}")
     datasets = data.get("datasets", {})
     if not isinstance(datasets, dict):
         raise HarnessError(f"{path}: datasets: not a JSON object")
+    known = {f.name for f in fields(ExperimentConfig)}
     experiments = []
     for index, item in enumerate(data.get("experiments", [])):
         if not isinstance(item, dict):
             raise HarnessError(f"{path}: experiments[{index}]: not a JSON object")
+        for key in item:
+            if key not in known:
+                raise HarnessError(
+                    f"{path}: experiments[{index}]: unknown key {key!r}")
         for key in ("id", "model", "eval_datasets"):
             if key not in item:
                 raise HarnessError(

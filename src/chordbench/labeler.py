@@ -11,8 +11,8 @@ path is inspectable and checkable against finite differences:
 
 The feed-forward hidden width is twice the model width.  Loss is masked
 mean softmax cross-entropy over frames; padded frames are excluded.  All
-computation runs in the dtype of the parameters, so float64 is available
-for gradient checking and float32 for training.
+computation runs in the dtype of the parameters: float64 serves gradient
+checks, and :func:`train` always computes in float32.
 
 Each elementwise step makes one pass over an array: bias adds, residual
 adds, the softmax and the layer-norm arithmetic update their operand in
@@ -37,6 +37,7 @@ import numpy as np
 from .annotations import SegmentTrack
 from .features import (WINDOW_FRAMES, FeatureError, FeatureMatrix, NormStats,
                        frames_to_track, window_slices, zscore_apply, zscore_fit)
+from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
 
 LN_EPS = 1e-5
@@ -50,12 +51,12 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class LabelerConfig:
     input_dim: int
-    model_dim: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    context_frames: int = 108
-    n_classes: int = 25
-    seed: int = 0
+    model_dim: int
+    n_layers: int
+    n_heads: int
+    seed: int
+    context_frames: int = WINDOW_FRAMES
+    n_classes: int = N_MAJMIN_CLASSES
 
     def __post_init__(self):
         for name in ("input_dim", "model_dim", "n_layers", "n_heads",
@@ -171,7 +172,7 @@ def unflatten_params(template: dict, vector: np.ndarray) -> dict:
     return out
 
 
-def positional_encoding(n_frames: int, dim: int, dtype=np.float64) -> np.ndarray:
+def positional_encoding(n_frames: int, dim: int, dtype) -> np.ndarray:
     """Sinusoidal position features, shape (n_frames, dim).
 
     ``forward`` needs the same table on every call, so tables are memoized
@@ -468,8 +469,8 @@ class AdamOptimizer:
 
 
 def train(config: LabelerConfig, train_items, val_items=None, *, lr,
-          batch_size, max_epochs, patience, dtype=np.float32):
-    """Adam training with early stopping on validation loss.
+          batch_size, max_epochs, patience):
+    """Adam training in float32 with early stopping on validation loss.
 
     After each epoch one forward sweep over the monitored set (the
     validation items, or the training items when none are given) gives its
@@ -490,7 +491,7 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
         raise ValueError("empty training set")
     monitor_train = not val_items
     monitor_items = train_items if monitor_train else list(val_items)
-    params = init_params(config, dtype=dtype)
+    params = init_params(config)
     optimizer = AdamOptimizer(params, lr=lr)
     # Only permutations are drawn from ``rng``, so drawing each epoch's
     # before the previous epoch's sweep leaves the stream unchanged.
@@ -533,16 +534,10 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
     return best_params, report
 
 
-def predict_classes(params: dict, config: LabelerConfig,
-                    inputs: np.ndarray) -> np.ndarray:
-    """Per-frame argmax class indices."""
-    return forward(params, config, inputs).argmax(axis=1).astype(np.int64)
-
-
 def predict_track(params: dict, config: LabelerConfig, features: FeatureMatrix,
-                  source_id: str = ""):
+                  source_id: str):
     """Label a whole track and merge equal consecutive frames into segments."""
-    classes = predict_classes(params, config, features.values)
+    classes = forward(params, config, features.values).argmax(axis=1)
     return frames_to_track(classes, features.hop_samples,
                            features.sample_rate_hz, source_id)
 
@@ -564,8 +559,7 @@ class TrainedLabeler:
     hop_samples: int
     sample_rate_hz: int
 
-    def recognize(self, features: FeatureMatrix,
-                  source_id: str = "") -> SegmentTrack:
+    def recognize(self, features: FeatureMatrix, source_id: str) -> SegmentTrack:
         """Label a track, folding log-CQT input first for a ``chroma12`` model.
 
         Features of another kind, bin count or frame timing raise
@@ -629,8 +623,7 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     items, stats = windowed_examples(pairs)
     first = pairs[0][0]
     config = LabelerConfig(input_dim=first.n_bins, model_dim=model_dim,
-                           n_layers=n_layers, n_heads=n_heads,
-                           context_frames=WINDOW_FRAMES, seed=seed)
+                           n_layers=n_layers, n_heads=n_heads, seed=seed)
     val_items = None
     if val_fraction > 0:
         order = np.random.Generator(np.random.PCG64(seed)).permutation(len(items))

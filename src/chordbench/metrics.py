@@ -135,7 +135,7 @@ def _weighted(pairs, metric) -> TrackScore:
 
 
 def evaluate_pair(ref_track: SegmentTrack, pred_track: SegmentTrack,
-                  metrics=("root", "majmin", "mirex", "ccm")) -> dict:
+                  metrics) -> dict:
     """Score a prediction against a reference over the reference extent.
 
     The evaluation span runs from 0.0 to the reference end; both tracks are

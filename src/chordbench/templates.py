@@ -51,15 +51,15 @@ def fold_to_chroma(features: FeatureMatrix) -> FeatureMatrix:
                          "chroma12")
 
 
-def template_predict(chroma) -> np.ndarray:
+def template_predict(chroma: FeatureMatrix) -> np.ndarray:
     """Per-frame class indices from cosine similarity against the triads.
 
-    ``chroma`` is a (frames, 12) array or a chroma FeatureMatrix.  Ties
-    break toward the lowest class index; low-energy frames map to no-chord.
+    ``chroma`` is a ``chroma12`` FeatureMatrix.  Ties break toward the
+    lowest class index; low-energy frames map to no-chord.
     """
-    values = chroma.values if isinstance(chroma, FeatureMatrix) else np.asarray(chroma)
-    if values.ndim != 2 or values.shape[1] != 12:
-        raise FeatureError(f"expected (frames, 12) chroma, got {values.shape}")
+    if chroma.bin_kind != "chroma12":
+        raise FeatureError(f"expected chroma12 features, got {chroma.bin_kind}")
+    values = chroma.values
 
     energy = values.sum(axis=1)
     threshold = ADAPTIVE_THRESHOLD_FRACTION * float(np.median(energy))
@@ -75,7 +75,7 @@ def template_predict(chroma) -> np.ndarray:
     return classes.astype(np.int64)
 
 
-def recognize_track(features: FeatureMatrix, source_id: str = "") -> SegmentTrack:
+def recognize_track(features: FeatureMatrix, source_id: str) -> SegmentTrack:
     """The template recognizer: log-CQT features to a normalized chord track."""
     chroma = fold_to_chroma(features)
     classes = template_predict(chroma)

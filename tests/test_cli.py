@@ -11,10 +11,11 @@ import pytest
 
 import chordbench
 from chordbench.annotations import read_lab
-from chordbench.checkpoint import save_checkpoint
+from chordbench.checkpoint import load_checkpoint, save_checkpoint
 from chordbench.cli import main
-from chordbench.features import (FeatureMatrix, NormStats, pitch_shift_cqt,
-                                 read_feature_cache, write_feature_cache)
+from chordbench.features import (AudioBuffer, FeatureMatrix, NormStats,
+                                 pitch_shift_cqt, read_feature_cache, save_wav,
+                                 write_feature_cache)
 from chordbench import harness
 from chordbench.harness import ExperimentConfig, load_corpus
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
@@ -85,6 +86,15 @@ class TestEvalAndStats:
         majmin = next(r for r in rows if r["metric"] == "majmin")
         assert float(majmin["score"]) == pytest.approx(0.75)
         assert float(majmin["duration_s"]) == pytest.approx(4.0)
+
+    def test_eval_names_an_empty_reference(self, tmp_path, capsys):
+        ref, pred = self.make_dirs(tmp_path)
+        (ref / "s1.lab").write_text("")
+        assert run("eval", "--ref", str(ref), "--pred", str(pred),
+                   "--metrics", "majmin", "--out",
+                   str(tmp_path / "scores.csv")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ref / 's1.lab'}: empty reference track\n")
 
     def test_stats_outputs(self, tmp_path):
         ref, _ = self.make_dirs(tmp_path)
@@ -268,8 +278,8 @@ class TestExtractTrainPredict:
         for entry in corpus:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")
-            expected = recognize(harness.stored_log_cqt(store, entry.audio_path),
-                                 entry.song_id)
+            stored = harness._store(store, entry.audio_path)
+            expected = recognize(read_feature_cache(stored)[0], entry.song_id)
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
                 for s in expected]
@@ -278,7 +288,7 @@ class TestExtractTrainPredict:
 
     def test_predict_rejects_another_feature_kind(self, tmp_path, capsys):
         config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
-                               n_heads=2)
+                               n_heads=2, seed=0)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, TrainedLabeler(
             config, init_params(config), NormStats(0.0, 1.0), "cqt_log",
@@ -316,6 +326,57 @@ class TestExtractTrainPredict:
         first = capsys.readouterr().out.splitlines()[0]
         assert re.fullmatch(rf"trained 1 epochs, final loss \d+\.\d{{4}}, "
                             rf"{monitored} accuracy \d\.\d{{3}}", first)
+
+    def test_train_writes_float32_tensors(self, pipeline_dirs, tmp_path):
+        _, cache = pipeline_dirs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                                   "max_epochs": 1}))
+        ckpt = tmp_path / "model.ckpt"
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(ckpt)) == 0
+        # A tensor stored with width 4 loads as float32, one of width 8 as
+        # float64.
+        params = load_checkpoint(ckpt).params
+        assert {k: v.dtype for k, v in params.items()
+                if v.dtype != np.float32} == {}
+
+    def test_train_names_a_config_that_is_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{bad")
+        assert run("train", "--config", str(cfg), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "model.ckpt")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: not JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)\n")
+
+    @pytest.mark.parametrize("rate, n_samples, reason", [
+        (44100, 88200, "expected 22050 Hz audio, got 44100 Hz; resample "
+                       "before analysis"),
+        (22050, 1000, "audio too short for analysis: 1000 samples"),
+    ], ids=["sample-rate", "too-short"])
+    def test_predict_names_a_wav_it_cannot_analyse(self, tmp_path, capsys,
+                                                   rate, n_samples, reason):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        wav = indir / "a.wav"
+        save_wav(wav, AudioBuffer(np.zeros(n_samples), rate))
+        assert run("predict", "--model", "template", "--in", str(indir),
+                   "--out", str(tmp_path / "pred")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {wav}: {reason}")
+
+    def test_predict_keeps_shift_in_wav_names(self, tiny_dataset, tmp_path):
+        data_dir, entries = tiny_dataset
+        indir = tmp_path / "in"
+        indir.mkdir()
+        wav = data_dir / f"{entries[0]['id']}.wav"
+        for name in ("take.shift1.wav", "take.shift2.wav"):
+            os.symlink(wav, indir / name)
+        out = tmp_path / "pred"
+        assert run("predict", "--model", "template", "--in", str(indir),
+                   "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "take.shift1.lab", "take.shift2.lab"]
 
     def test_train_rejects_unknown_config_key(self, pipeline_dirs, tmp_path,
                                               capsys):
@@ -359,7 +420,7 @@ class TestExtractTrainPredict:
             self, pipeline_dirs, tmp_path, capsys, tensor, shape, message):
         _, cache = pipeline_dirs
         config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
-                               n_heads=2)
+                               n_heads=2, seed=0)
         params = init_params(config)
         if shape is None:
             del params[tensor]
@@ -416,7 +477,7 @@ class TestExtractTrainPredict:
         for entry in entries:
             ref = read_lab(data_dir / f"{entry['id']}.lab")
             pred = read_lab(out / f"{entry['id']}.lab")
-            scores.append(evaluate_pair(ref, pred)["majmin"].value)
+            scores.append(evaluate_pair(ref, pred, ["majmin"])["majmin"].value)
         assert np.mean(scores) > 0.9
 
     def test_template_predict_matches_harness_runner(self, tiny_dataset, tmp_path):
@@ -433,8 +494,8 @@ class TestExtractTrainPredict:
         for entry in corpus["tiny"]:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")
-            expected = recognize(harness.stored_log_cqt(store, entry.audio_path),
-                                 entry.song_id)
+            stored = harness._store(store, entry.audio_path)
+            expected = recognize(read_feature_cache(stored)[0], entry.song_id)
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
                 for s in expected]
@@ -458,11 +519,11 @@ class TestXval:
                    "--out", str(out)) == 0
         assert (out / "summary.csv").exists()
         assert (out / "summary.txt").exists()
-        from chordbench.harness import read_summary_csv
-        rows = read_summary_csv(out / "summary.csv")
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 3
-        assert all(r["folds"] == 6 for r in rows)
-        assert all(r["mean"] > 85.0 for r in rows)
+        assert all(int(r["folds"]) == 6 for r in rows)
+        assert all(float(r["mean"]) > 85.0 for r in rows)
 
     def test_unknown_model_params_key_is_an_error(self, tiny_dataset, tmp_path,
                                                    capsys):

@@ -21,8 +21,7 @@ from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
                                 SongEntry, balance_datasets,
                                 default_experiments, emit_report,
                                 load_corpus, load_experiments, make_folds,
-                                read_summary_csv, run_experiment,
-                                stored_log_cqt)
+                                run_experiment)
 from chordbench.synth import SynthError
 
 
@@ -426,7 +425,7 @@ class TestFeatureStore:
     def test_stored_features_match_recipe_within_float32(self, corpus, tmp_path):
         wav = corpus["tiny"][0].audio_path
         fresh = log_cqt_from_wav(wav)
-        stored = stored_log_cqt(tmp_path / "store", wav)
+        stored = read_feature_cache(harness._store(tmp_path / "store", wav))[0]
         (path,) = (tmp_path / "store").glob("*.cbf")
         with open(wav, "rb") as fh:
             key = hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
@@ -436,7 +435,7 @@ class TestFeatureStore:
         assert np.array_equal(stored.values,
                               fresh.values.astype(np.float32).astype(np.float64))
         assert np.allclose(stored.values, fresh.values, rtol=2.0 ** -24, atol=0)
-        again = stored_log_cqt(tmp_path / "store", wav)
+        again = read_feature_cache(harness._store(tmp_path / "store", wav))[0]
         assert np.array_equal(again.values, stored.values)
         assert np.array_equal(read_feature_cache(path)[0].values, stored.values)
 
@@ -641,7 +640,11 @@ class TestReport:
     def test_csv_round_trip_exact(self, tmp_path):
         p = tmp_path / "summary.csv"
         emit_report(self.rows(), p, tmp_path / "summary.txt")
-        assert read_summary_csv(p) == self.rows()
+        with open(p, newline="") as fh:
+            rows = [{**row, "experiment": int(row["experiment"]),
+                     "mean": float(row["mean"]), "std": float(row["std"]),
+                     "folds": int(row["folds"])} for row in csv.DictReader(fh)]
+        assert rows == self.rows()
 
     def test_one_marked_cell_per_column(self, tmp_path):
         csv_p = tmp_path / "summary.csv"
@@ -704,6 +707,8 @@ class TestExperimentsConfig:
         ({"id": 1}, "duplicate id 1"),
         ({"balance": "false"}, "balance must be true or false, got 'false'"),
         ({"balance": 1}, "balance must be true or false, got 1"),
+        ({"model_param": {"max_epochs": 1}}, "unknown key 'model_param'"),
+        ({"balanse": True}, "unknown key 'balanse'"),
     ])
     def test_ambiguous_experiment_is_named(self, tmp_path, change, reason):
         import json
@@ -742,6 +747,7 @@ class TestExperimentsConfig:
     @pytest.mark.parametrize("text, reason", [
         ('{"experiments": [', "not JSON: Expecting value: line 1 column 18"),
         ("[]", "not a JSON object"),
+        ('{"experiments": [], "experiment": []}', "unknown key 'experiment'"),
         ('{"experiments": [7]}', "experiments[0]: not a JSON object"),
         ('{"experiments": [{"id": "x", "model": "template", '
          '"eval_datasets": []}]}',

@@ -13,9 +13,8 @@ from chordbench.features import FeatureError, FeatureMatrix, NormStats, zscore_a
 from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 TrainedLabeler, TrainingError, count_params, fit,
                                 flatten_params, forward, init_params,
-                                loss_and_grad, loss_value, predict_classes,
-                                predict_track, train, unflatten_params,
-                                windowed_examples)
+                                loss_and_grad, loss_value, predict_track,
+                                train, unflatten_params, windowed_examples)
 from chordbench.templates import fold_to_chroma
 
 TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
@@ -538,7 +537,8 @@ class TestTraining:
                                       patience=4)),
     }
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    # train computes in float32 only.
+    @pytest.mark.parametrize("dtype", [np.float32])
     @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
     def test_matches_reference_epoch_loop(self, case, dtype):
         n_train, n_val, kwargs = self.TRAIN_CASES[case]
@@ -548,7 +548,7 @@ class TestTraining:
         val_items = self.toy_items(n=n_val, seed=3) if n_val else None
         want_params, want = reference_train(cfg, items, val_items,
                                             dtype=dtype, **kwargs)
-        params, report = train(cfg, items, val_items, dtype=dtype, **kwargs)
+        params, report = train(cfg, items, val_items, **kwargs)
         if case == "patience_stop":
             assert want.epochs_run < kwargs["max_epochs"]
         else:
@@ -601,7 +601,7 @@ class TestTraining:
                                max_epochs=6, patience=6)
         # the returned parameters are those of the last epoch
         assert int(np.argmin(report.val_losses)) == report.epochs_run - 1
-        correct = sum(int(((predict_classes(params, cfg, it.inputs)
+        correct = sum(int(((forward(params, cfg, it.inputs).argmax(axis=1)
                             == it.targets) & it.mask).sum())
                       for it in val_items)
         valid = sum(int(it.mask.sum()) for it in val_items)
@@ -675,9 +675,11 @@ class TestPredictTrack:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LabelerConfig(input_dim=6, model_dim=10, n_heads=3)
+            LabelerConfig(input_dim=6, model_dim=10, n_layers=1, n_heads=3,
+                          seed=0)
         with pytest.raises(ValueError):
-            LabelerConfig(input_dim=0)
+            LabelerConfig(input_dim=0, model_dim=8, n_layers=1, n_heads=2,
+                          seed=0)
 
 
 def _random_pairs(n_tracks=3, n_frames=150, seed=23):
@@ -724,6 +726,11 @@ class TestFit:
                 "of 1")):
             fit(pairs, 5, val_fraction=0.1, **self.HYPER)
 
+    def test_trains_in_float32(self):
+        model, _ = fit(_random_pairs(), 5, **self.HYPER)
+        assert {k: v.dtype for k, v in model.params.items()
+                if v.dtype != np.float32} == {}
+
     def test_without_val_fraction_the_training_windows_are_monitored(self):
         pairs = _random_pairs()
         model, report = fit(pairs, 5, **self.HYPER)
@@ -756,14 +763,14 @@ class TestRecognize:
     ])
     def test_rejects_another_input_recipe(self, kind, bins, hop, got):
         config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
-                               n_heads=2)
+                               n_heads=2, seed=0)
         model = TrainedLabeler(config, init_params(config),
                                NormStats(0.0, 1.0), "cqt_log", 2048, 22050)
         features = FeatureMatrix(np.zeros((20, bins)), hop, 22050, kind)
         with pytest.raises(FeatureError, match=re.escape(
                 "model takes cqt_log (144 bins, hop 2048 at 22050 Hz) "
                 f"features, got {got}")):
-            model.recognize(features)
+            model.recognize(features, "t")
 
 
 class TestAdam:

@@ -13,6 +13,11 @@ def log_matrix(values):
                          SAMPLE_RATE, "cqt_log")
 
 
+def chroma(values):
+    return FeatureMatrix(np.asarray(values, dtype=np.float64), HOP,
+                         SAMPLE_RATE, "chroma12")
+
+
 class TestFoldToChroma:
     def test_sine_folds_to_pitch_class(self):
         audio = sine(440.0)
@@ -40,32 +45,32 @@ class TestTemplatePredict:
     def test_exact_major_chroma(self):
         frame = np.zeros((1, 12))
         frame[0, [0, 4, 7]] = 1.0
-        assert template_predict(frame)[0] == 0
+        assert template_predict(chroma(frame))[0] == 0
 
     def test_zero_frame_is_nochord(self):
         frames = np.zeros((5, 12))
         frames[:3, [2, 6, 9]] = 1.0  # keep median energy nonzero
-        classes = template_predict(frames)
+        classes = template_predict(chroma(frames))
         assert classes[3] == NOCHORD_CLASS
         assert classes[4] == NOCHORD_CLASS
 
     def test_minor_chroma(self):
         frame = np.zeros((1, 12))
         frame[0, [9, 0, 4]] = 1.0  # A minor
-        assert template_predict(frame)[0] == 12 + 9
+        assert template_predict(chroma(frame))[0] == 12 + 9
 
     def test_tie_breaks_to_lowest_index(self):
         # uniform chroma ties every template; lowest class index wins
         frame = np.ones((1, 12))
-        assert template_predict(frame)[0] == 0
+        assert template_predict(chroma(frame))[0] == 0
 
     def test_rotation_consistency(self):
         rng = np.random.Generator(np.random.PCG64(51))
         frames = rng.random((40, 12)) + 0.05
-        base = template_predict(frames)
+        base = template_predict(chroma(frames))
         for k in range(12):
             rotated = np.roll(frames, k, axis=1)
-            shifted = template_predict(rotated)
+            shifted = template_predict(chroma(rotated))
             expected = np.array([transpose_majmin(int(c), k) for c in base])
             assert np.array_equal(shifted, expected), k
 
@@ -73,9 +78,14 @@ class TestTemplatePredict:
         rng = np.random.Generator(np.random.PCG64(52))
         frames = rng.random((60, 12)) + 0.01
         frames[::7] *= 1e-4  # silent-ish frames
-        quiet = template_predict(frames)
-        loud = template_predict(frames * 250.0)
+        quiet = template_predict(chroma(frames))
+        loud = template_predict(chroma(frames * 250.0))
         assert np.array_equal(quiet, loud)
+
+    def test_rejects_other_feature_kinds(self):
+        with pytest.raises(FeatureError, match="expected chroma12 features, "
+                                               "got cqt_log"):
+            template_predict(log_matrix(np.zeros((2, N_BINS))))
 
 
 def test_end_to_end_c_major_track():
