@@ -164,29 +164,17 @@ def write_lab(track: SegmentTrack, path) -> None:
             fh.write(f"{seg.start_s:.6f}\t{seg.end_s:.6f}\t{render(seg.label)}\n")
 
 
-_DEFAULT_CSV_COLUMNS = {
-    "start": "start",
-    "end": "end",
-    "shorthand": "shorthand",
-    "majmin": "majmin",
-}
-
-
-def read_winterreise_csv(path, notation: str = "shorthand",
-                         columns: dict | None = None) -> SegmentTrack:
+def read_winterreise_csv(path, notation: str = "shorthand") -> SegmentTrack:
     """Read a per-notation chord annotation CSV.
 
-    ``notation`` selects which label column is parsed ("shorthand" or
-    "majmin").  ``columns`` overrides the default column-name mapping when a
-    file uses different headers.  Delimiter is auto-detected among comma,
-    semicolon, and tab.  Each row is named by the line it ends on, and a
-    short row reads its missing fields as empty text; every row then
-    follows the contract of :func:`_read_rows`.
+    The file has ``start`` and ``end`` columns and a label column per
+    notation; ``notation`` selects which one is parsed ("shorthand" or
+    "majmin").  Delimiter is auto-detected among comma, semicolon, and tab.
+    Each row is named by the line it ends on, and a short row reads its
+    missing fields as empty text; every row then follows the contract of
+    :func:`_read_rows`.
     """
-    colmap = dict(_DEFAULT_CSV_COLUMNS)
-    if columns:
-        colmap.update(columns)
-    if notation not in colmap:
+    if notation not in ("shorthand", "majmin"):
         raise AnnotationError(f"unknown notation {notation!r}")
     with _open_utf8(path, newline="") as fh:
         sample = fh.read(4096)
@@ -197,7 +185,7 @@ def read_winterreise_csv(path, notation: str = "shorthand",
             dialect = csv.excel
         reader = csv.DictReader(fh, dialect=dialect, restval="")
         header = reader.fieldnames or []
-        keys = [colmap[key] for key in ("start", "end", notation)]
+        keys = ("start", "end", notation)
         for key in keys:
             if key not in header:
                 raise AnnotationError(

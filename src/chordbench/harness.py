@@ -143,6 +143,10 @@ def _name_entropy(name: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked by the rules of docs/experiments.md as it is
+    built; the dataset lists are stored as tuples.  The first rule broken
+    raises :class:`HarnessError` as ``experiment <id>: <reason>``."""
+
     id: int
     train_datasets: tuple
     model: str
@@ -153,27 +157,42 @@ class ExperimentConfig:
     model_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "train_datasets", tuple(self.train_datasets))
-        object.__setattr__(self, "eval_datasets", tuple(self.eval_datasets))
-        if self.model not in ("template", "labeler"):
-            raise HarnessError(f"unknown model {self.model!r}")
-        if self.model != "template" and not self.train_datasets:
-            raise HarnessError("trainable model requires training datasets")
-        quota = self.balance_quota
-        if quota is not None and (isinstance(quota, bool)
-                                  or not isinstance(quota, int) or quota < 1):
-            raise HarnessError(f"experiment {self.id}: balance_quota must be a "
-                               f"positive integer, got {quota!r}")
-        if quota is not None and not (self.balance and len(self.train_datasets) > 1):
-            raise HarnessError(f"experiment {self.id}: balance_quota needs "
-                               "balance: true and two or more train_datasets")
-        if self.model == "labeler":
-            try:
-                labeler.check_hyperparameters(self.model_params,
-                                              LABELER_DEFAULTS,
-                                              "model_params key")
-            except ValueError as exc:
-                raise HarnessError(f"experiment {self.id}: {exc}") from None
+        try:
+            for key in ("train_datasets", "eval_datasets"):
+                names = getattr(self, key)
+                if not (isinstance(names, (list, tuple))
+                        and all(isinstance(name, str) for name in names)):
+                    raise ValueError(f"{key} must be a list of dataset names, "
+                                     f"got {names!r}")
+                object.__setattr__(self, key, tuple(names))
+            # type() rather than isinstance(), which takes a bool as an int.
+            if type(self.id) is not int:
+                raise ValueError(f"id must be an integer, got {self.id!r}")
+            if not (type(self.seed) is int and self.seed >= 0):
+                raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+            if not self.eval_datasets:
+                raise ValueError("eval_datasets must not be empty")
+            if self.model not in ("template", "labeler"):
+                raise ValueError(f"unknown model {self.model!r}")
+            if self.model == "labeler" and not self.train_datasets:
+                raise ValueError("model 'labeler' needs train_datasets")
+            if self.model == "template" and self.train_datasets:
+                raise ValueError("model 'template' takes no train_datasets")
+            if not isinstance(self.balance, bool):
+                raise ValueError(f"balance must be true or false, got {self.balance!r}")
+            if self.balance and len(self.train_datasets) < 2:
+                raise ValueError("balance needs two or more train_datasets")
+            quota = self.balance_quota
+            if quota is not None and not (type(quota) is int and quota >= 1):
+                raise ValueError(f"balance_quota must be a positive integer, "
+                                 f"got {quota!r}")
+            if quota is not None and not self.balance:
+                raise ValueError("balance_quota needs balance: true")
+            if self.model == "labeler":
+                labeler.check_hyperparameters(
+                    self.model_params, LABELER_DEFAULTS, "model_params key")
+        except ValueError as exc:
+            raise HarnessError(f"experiment {self.id}: {exc}") from None
 
 
 def _wav_key(audio_path) -> str:
@@ -245,22 +264,13 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
 
     ``corpus`` maps dataset name to its song entries.  Folds with an
     existing ``scores.csv`` are loaded instead of recomputed, so interrupted
-    runs resume where they stopped.  Features come from the store in
-    ``<out_dir>/features``, shared by every experiment run into ``out_dir``.
-    Before any fold runs, this process builds each fold's job, with its
-    training and scoring split; each WAV those folds use is hashed for its
-    store key once, and its missing store file computed, by the first fold
-    that uses it.  Each computed fold calls :func:`fit` for the recognizer
-    that labels its tracks.  A trained model's folds run in ``min(folds to
-    compute, usable CPUs)`` worker processes, each on a round-robin share of
-    the fold jobs; each worker is a fresh interpreter with its own numpy and
-    model, and results are identical to running the folds here.  Template
-    folds, and all folds when only one worker would run, run in this
-    process, where a patched ``harness.fit`` or a tracer sees them.  Fold
-    files are written in fold order; an error inside a fold is raised as
-    :class:`FoldError`, prefixed with the experiment and fold, and no later
-    fold is written.  Every worker has exited when this function returns or
-    raises.
+    runs resume where they stopped.  The folds to compute become jobs
+    (:func:`_fold_jobs`) that run in this process or in workers, as the
+    module docstring says, and each calls :func:`fit` for its recognizer.
+    Fold files are written in fold order; an error inside a fold is raised
+    as :class:`FoldError`, prefixed with the experiment and fold, and no
+    later fold is written.  Every worker has exited when this function
+    returns or raises.
     """
     for name in set(config.train_datasets) | set(config.eval_datasets):
         if name not in corpus:
@@ -282,11 +292,9 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
                            for w in range(n_workers)]
             for index, job in enumerate(jobs):
                 fold = job[0]
-                if workers:
-                    rows = _fold_result(workers[index % n_workers], config, fold)
-                else:
-                    with _in_fold(config, fold):
-                        rows = _run_fold(config, job)
+                with _in_fold(config, fold):
+                    rows = (_fold_result(workers[index % n_workers]) if workers
+                            else _run_fold(config, job))
                 os.makedirs(os.path.dirname(scores_paths[fold]), exist_ok=True)
                 _write_fold_scores(scores_paths[fold], rows)
     all_rows = [row for path in scores_paths for row in _read_fold_scores(path)]
@@ -331,7 +339,7 @@ def _fold_jobs(config, fold_plan, corpus, todo, store_dir) -> list:
             train_by_dataset = {
                 name: [e for e in corpus[name] if fold_plan.fold_of(e) != fold]
                 for name in config.train_datasets}
-            if config.balance and len(config.train_datasets) > 1:
+            if config.balance:
                 quota = config.balance_quota
                 if quota is None:
                     quota = min(len(v) for v in train_by_dataset.values())
@@ -402,16 +410,15 @@ def _stop_worker(proc):
         proc.stdin.close()
 
 
-def _fold_result(proc, config, fold):
-    """The rows of ``fold``, the next result of the worker ``proc``."""
+def _fold_result(proc):
+    """The rows of the next fold of the worker ``proc``; its error is raised."""
     try:
         rows, error = pickle.load(proc.stdout)
     except (EOFError, pickle.UnpicklingError):
-        raise FoldError(f"experiment {config.id}, fold {fold}: worker process "
-                        f"exited with code {proc.wait()} before returning "
-                        "the fold") from None
+        raise RuntimeError(f"worker process exited with code {proc.wait()} "
+                           "before returning the fold") from None
     if error is not None:
-        raise FoldError(f"experiment {config.id}, fold {fold}: {error}") from error
+        raise error
     return rows
 
 
@@ -562,14 +569,12 @@ def load_corpus(data_root, datasets: dict) -> dict:
 def load_experiments(path):
     """Read an experiments config file (format in docs/experiments.md).
 
-    A file that is not a JSON object or has a key other than ``datasets``
-    and ``experiments``, a ``datasets`` that is not an object, or an
-    experiment that is not one, has a key that no ExperimentConfig field
-    has, lacks ``id``, ``model`` or ``eval_datasets``, has a non-integer
-    ``id`` or ``seed``, an earlier experiment's ``id``, a non-boolean
-    ``balance``, or ``train_datasets`` or ``eval_datasets`` that are not a
-    list of names in ``datasets``, raises :class:`HarnessError` naming the
-    file and the experiment's index in the ``experiments`` list.
+    Returns ``(datasets, experiments)``.  Each experiment is built as
+    ``ExperimentConfig(**item)``, which checks it; a missing
+    ``train_datasets`` is read as ``[]``.  Checked here is only what needs
+    the whole file: JSON shape, unknown and missing keys, duplicate ids and
+    dataset names that ``datasets`` lacks.  Errors raise :class:`HarnessError`
+    prefixed ``<file>: `` and, for an experiment, ``experiments[<index>]: ``.
     """
     with open(path) as fh:
         try:
@@ -584,45 +589,33 @@ def load_experiments(path):
     datasets = data.get("datasets", {})
     if not isinstance(datasets, dict):
         raise HarnessError(f"{path}: datasets: not a JSON object")
+    items = data.get("experiments", [])
+    if not isinstance(items, list):
+        raise HarnessError(f"{path}: experiments: not a JSON list")
     known = {f.name for f in fields(ExperimentConfig)}
     experiments = []
-    for index, item in enumerate(data.get("experiments", [])):
-        if not isinstance(item, dict):
-            raise HarnessError(f"{path}: experiments[{index}]: not a JSON object")
-        for key in item:
-            if key not in known:
-                raise HarnessError(
-                    f"{path}: experiments[{index}]: unknown key {key!r}")
-        for key in ("id", "model", "eval_datasets"):
-            if key not in item:
-                raise HarnessError(
-                    f"{path}: experiments[{index}]: missing key {key!r}")
+    for index, item in enumerate(items):
         try:
-            exp_id, seed = int(item["id"]), int(item.get("seed", 0))
-        except (TypeError, ValueError) as exc:
+            if not isinstance(item, dict):
+                raise HarnessError("not a JSON object")
+            for key in item:
+                if key not in known:
+                    raise HarnessError(f"unknown key {key!r}")
+            for key in ("id", "model", "eval_datasets"):
+                if key not in item:
+                    raise HarnessError(f"missing key {key!r}")
+            config = ExperimentConfig(**{"train_datasets": [], **item})
+            if any(e.id == config.id for e in experiments):
+                # Both would write, and resume from, exp_<id>/fold_*/scores.csv.
+                raise HarnessError(f"duplicate id {config.id}")
+            for key in ("train_datasets", "eval_datasets"):
+                if not set(getattr(config, key)) <= set(datasets):
+                    raise HarnessError(
+                        f"{key} must be a list of names in datasets "
+                        f"{sorted(datasets)}, got {item[key]!r}")
+        except HarnessError as exc:
             raise HarnessError(f"{path}: experiments[{index}]: {exc}") from None
-        if any(e.id == exp_id for e in experiments):
-            # Both would write, and resume from, exp_<id>/fold_*/scores.csv.
-            raise HarnessError(f"{path}: experiments[{index}]: duplicate id {exp_id}")
-        if not isinstance(item.get("balance", False), bool):
-            raise HarnessError(f"{path}: experiments[{index}]: balance must be "
-                               f"true or false, got {item['balance']!r}")
-        for key in ("train_datasets", "eval_datasets"):
-            names = item.get(key, [])
-            if not (isinstance(names, list)
-                    and all(isinstance(n, str) and n in datasets for n in names)):
-                raise HarnessError(
-                    f"{path}: experiments[{index}]: {key} must be a list of "
-                    f"names in datasets {sorted(datasets)}, got {names!r}")
-        experiments.append(ExperimentConfig(
-            id=exp_id,
-            train_datasets=tuple(item.get("train_datasets", ())),
-            model=item["model"],
-            eval_datasets=tuple(item["eval_datasets"]),
-            balance=item.get("balance", False),
-            seed=seed,
-            balance_quota=item.get("balance_quota"),
-            model_params=item.get("model_params", {})))
+        experiments.append(config)
     return datasets, experiments
 
 

@@ -361,10 +361,10 @@ def _backward(params, config, state, dscores, grads):
 
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
     """Masked mean cross-entropy of a batch of :class:`SequenceExample`."""
-    return _loss_and_accuracy(params, config, batch)[0]
+    return _loss_and_accuracy(params, config, batch, ())[0]
 
 
-def _loss_and_accuracy(params, config, items, keep=()):
+def _loss_and_accuracy(params, config, items, keep):
     """Masked mean cross-entropy and frame accuracy from one forward sweep.
 
     Also returns ``{index: (scores, state)}``, the forward results with
@@ -582,14 +582,30 @@ def _describe(bin_kind, n_bins, hop_samples, sample_rate_hz) -> str:
     return f"{bin_kind} ({n_bins} bins, hop {hop_samples} at {sample_rate_hz} Hz)"
 
 
+# Each hyperparameter's range, as a test and its wording; any other is >= 1.
+_RANGES = {"lr": (lambda v: v > 0, "above 0"),
+           "patience": (lambda v: v >= 0, "at least 0"),
+           "seed": (lambda v: v >= 0, "at least 0"),
+           "val_fraction": (lambda v: 0 <= v < 1, "at least 0 and below 1")}
+
+
+def _check_range(key, value, name) -> None:
+    """Raise ``ValueError`` naming ``name`` if ``value`` is out of ``key``'s range."""
+    in_range, wording = _RANGES.get(key, (lambda v: v >= 1, "at least 1"))
+    if not in_range(value):
+        raise ValueError(f"{name} must be {wording}, got {value!r}")
+
+
 def check_hyperparameters(params: dict, known, what: str) -> None:
     """Check :func:`fit` keyword arguments read from a config file.
 
     ``params`` must be a dict and each of its keys must be in ``known``,
     the dict of default values.  A key whose default is a float (``lr``,
     ``val_fraction``) takes an int or a float, every other key an int; a
-    ``bool`` is neither.  The first bad key raises ``ValueError``, which
-    calls the key ``what`` (e.g. ``"model_params key"``).
+    ``bool`` is neither.  Each value must lie in its key's ``_RANGES``, and
+    ``model_dim`` be divisible by ``n_heads``, each read from ``params`` or
+    else ``known``.  The first bad key raises ``ValueError``, which calls
+    the key ``what`` (e.g. ``"model_params key"``).
     """
     if not isinstance(params, dict):
         raise ValueError(f"expected a JSON object of {what}s, got {params!r}")
@@ -603,6 +619,10 @@ def check_hyperparameters(params: dict, known, what: str) -> None:
             raise ValueError(f"{what} {key!r} must be "
                              f"{'a number' if real else 'an integer'}, "
                              f"got {value!r}")
+        _check_range(key, value, f"{what} {key!r}")
+    dim, heads = ({**known, **params}[k] for k in ("model_dim", "n_heads"))
+    if dim % heads:
+        raise ValueError(f"model_dim {dim} is not divisible by n_heads {heads}")
 
 
 def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
@@ -617,9 +637,7 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     (see :func:`train`).  ``val_fraction`` must lie in [0, 1) and leave at
     least one training window.
     """
-    if not 0 <= val_fraction < 1:
-        raise ValueError(f"val_fraction must be at least 0 and below 1, "
-                         f"got {val_fraction!r}")
+    _check_range("val_fraction", val_fraction, "val_fraction")
     items, stats = windowed_examples(pairs)
     first = pairs[0][0]
     config = LabelerConfig(input_dim=first.n_bins, model_dim=model_dim,

@@ -106,13 +106,6 @@ class TestWinterreiseCsv:
         with pytest.raises(AnnotationError, match="missing column"):
             read_winterreise_csv(p)
 
-    def test_custom_column_mapping(self, tmp_path):
-        p = tmp_path / "w.csv"
-        p.write_text("onset,offset,chord_sh\n0.0,1.0,G:maj\n")
-        t = read_winterreise_csv(p, notation="shorthand",
-                                 columns={"start": "onset", "end": "offset",
-                                          "shorthand": "chord_sh"})
-        assert t.segments[0].label == G
 
 
 ARFF = """\

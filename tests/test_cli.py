@@ -398,8 +398,19 @@ class TestExtractTrainPredict:
         ({"batch_size": True}, "key 'batch_size' must be an integer, got True"),
         ({"n_layers": 1.0}, "key 'n_layers' must be an integer, got 1.0"),
         ([], "expected a JSON object of keys, got []"),
+        ({"max_epochs": 0}, "key 'max_epochs' must be at least 1, got 0"),
+        ({"batch_size": 0}, "key 'batch_size' must be at least 1, got 0"),
+        ({"lr": -1.0}, "key 'lr' must be above 0, got -1.0"),
+        ({"patience": -1}, "key 'patience' must be at least 0, got -1"),
+        ({"seed": -1}, "key 'seed' must be at least 0, got -1"),
+        ({"val_fraction": 1.0},
+         "key 'val_fraction' must be at least 0 and below 1, got 1.0"),
+        ({"model_dim": 8, "n_heads": 3},
+         "model_dim 8 is not divisible by n_heads 3"),
     ], ids=["val_fraction-str", "max_epochs-str", "lr-bool", "batch_size-bool",
-            "n_layers-float", "list"])
+            "n_layers-float", "list", "max_epochs-0", "batch_size-0",
+            "lr-negative", "patience-negative", "seed-negative",
+            "val_fraction-1", "model_dim-n_heads"])
     def test_train_rejects_config_value_of_wrong_type(
             self, pipeline_dirs, tmp_path, capsys, config, message):
         _, cache = pipeline_dirs
@@ -542,7 +553,8 @@ class TestXval:
                    "--data-root", str(os.path.dirname(data_dir)),
                    "--out", str(out)) == 1
         assert capsys.readouterr().err == (
-            "error: experiment 2: unknown model_params key 'dropout'\n")
+            f"error: {cfg}: experiments[0]: experiment 2: unknown "
+            "model_params key 'dropout'\n")
         assert not out.exists()
 
     def test_model_params_type_error_stops_before_any_experiment(
@@ -561,8 +573,8 @@ class TestXval:
                    "--data-root", str(os.path.dirname(data_dir)),
                    "--out", str(out)) == 1
         assert capsys.readouterr().err == (
-            "error: experiment 1: model_params key 'max_epochs' must be an "
-            "integer, got '1'\n")
+            f"error: {cfg}: experiments[1]: experiment 1: model_params key "
+            "'max_epochs' must be an integer, got '1'\n")
         assert not out.exists()
 
     def test_dataset_name_string_stops_before_any_experiment(
@@ -579,8 +591,34 @@ class TestXval:
                    "--data-root", str(os.path.dirname(data_dir)),
                    "--out", str(out)) == 1
         assert capsys.readouterr().err == (
-            f"error: {cfg}: experiments[1]: eval_datasets must be a list of "
-            "names in datasets ['tiny'], got 'tiny'\n")
+            f"error: {cfg}: experiments[1]: experiment 1: eval_datasets must "
+            "be a list of dataset names, got 'tiny'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"seed": 7.9}, "seed must be a non-negative integer, got 7.9"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"model_params": {"max_epochs": 0}},
+         "model_params key 'max_epochs' must be at least 1, got 0"),
+        ({"model_params": {"model_dim": 8, "n_heads": 3}},
+         "model_dim 8 is not divisible by n_heads 3"),
+    ], ids=["seed-float", "seed-negative", "max_epochs-0", "model_dim-n_heads"])
+    def test_bad_experiment_stops_before_any_experiment(
+            self, tiny_dataset, tmp_path, capsys, change, reason):
+        data_dir, _ = tiny_dataset
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"tiny": os.path.basename(data_dir)},
+            "experiments": [
+                {"id": 0, "model": "template", "eval_datasets": ["tiny"]},
+                {"id": 1, "model": "labeler", "train_datasets": ["tiny"],
+                 "eval_datasets": ["tiny"], **change}]}))
+        out = tmp_path / "results"
+        assert run("xval", "--experiments", str(cfg),
+                   "--data-root", str(os.path.dirname(data_dir)),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: experiments[1]: experiment 1: {reason}\n")
         assert not out.exists()
 
     def test_experiment_without_eval_datasets_names_file_and_index(

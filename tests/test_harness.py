@@ -685,28 +685,43 @@ class TestExperimentsConfig:
                 f"{p}: experiments[2]: missing key {key!r}")):
             load_experiments(p)
 
-    @pytest.mark.parametrize("key, value", [
-        ("eval_datasets", "synthA"),
-        ("eval_datasets", ["synthA", "synthC"]),
-        ("train_datasets", "synthB"),
-        ("train_datasets", [1]),
-        ("train_datasets", {"synthB": 1}),
+    @pytest.mark.parametrize("key, value, reason", [
+        pytest.param("eval_datasets", "synthA", "experiment 2: eval_datasets "
+                     "must be a list of dataset names, got 'synthA'",
+                     id="eval_datasets-synthA"),
+        pytest.param("eval_datasets", ["synthA", "synthC"], "eval_datasets "
+                     "must be a list of names in datasets ['synthA', "
+                     "'synthB'], got ['synthA', 'synthC']",
+                     id="eval_datasets-value1"),
+        pytest.param("train_datasets", "synthB", "experiment 2: "
+                     "train_datasets must be a list of dataset names, got "
+                     "'synthB'", id="train_datasets-synthB"),
+        pytest.param("train_datasets", [1], "experiment 2: train_datasets "
+                     "must be a list of dataset names, got [1]",
+                     id="train_datasets-value3"),
+        pytest.param("train_datasets", {"synthB": 1}, "experiment 2: "
+                     "train_datasets must be a list of dataset names, got "
+                     "{'synthB': 1}", id="train_datasets-value4"),
     ])
-    def test_dataset_lists_must_name_datasets(self, tmp_path, key, value):
+    def test_dataset_lists_must_name_datasets(self, tmp_path, key, value,
+                                              reason):
         import json
         matrix = default_experiments()
         matrix["experiments"][2][key] = value
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))
         with pytest.raises(HarnessError, match=re.escape(
-                f"{p}: experiments[2]: {key} must be a list of names in "
-                f"datasets ['synthA', 'synthB'], got {value!r}")):
+                f"{p}: experiments[2]: {reason}")):
             load_experiments(p)
 
     @pytest.mark.parametrize("change, reason", [
         ({"id": 1}, "duplicate id 1"),
-        ({"balance": "false"}, "balance must be true or false, got 'false'"),
-        ({"balance": 1}, "balance must be true or false, got 1"),
+        pytest.param({"balance": "false"}, "experiment 2: balance must be "
+                     "true or false, got 'false'",
+                     id="change1-balance must be true or false, got 'false'"),
+        pytest.param({"balance": 1}, "experiment 2: balance must be true or "
+                     "false, got 1",
+                     id="change2-balance must be true or false, got 1"),
         ({"model_param": {"max_epochs": 1}}, "unknown key 'model_param'"),
         ({"balanse": True}, "unknown key 'balanse'"),
     ])
@@ -720,6 +735,70 @@ class TestExperimentsConfig:
                 f"{p}: experiments[2]: {reason}")):
             load_experiments(p)
 
+    def test_file_and_code_build_the_same_experiments(self, tmp_path):
+        import json
+        matrix = default_experiments()
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps(matrix))
+        assert load_experiments(p) == (
+            matrix["datasets"],
+            [ExperimentConfig(**item) for item in matrix["experiments"]])
+
+    # Each bad experiment fails in ExperimentConfig, with one reason whether
+    # it is built in code or read from a file, which only adds its prefix.
+    @pytest.mark.parametrize("index, change, reason", [
+        (2, {"seed": 7.9}, "experiment 2: seed must be a non-negative "
+                           "integer, got 7.9"),
+        (2, {"seed": -1}, "experiment 2: seed must be a non-negative "
+                          "integer, got -1"),
+        (2, {"seed": True}, "experiment 2: seed must be a non-negative "
+                            "integer, got True"),
+        (2, {"id": 1.5}, "experiment 1.5: id must be an integer, got 1.5"),
+        (2, {"id": True}, "experiment True: id must be an integer, got True"),
+        (2, {"id": "2"}, "experiment 2: id must be an integer, got '2'"),
+        (2, {"model": "hmm"}, "experiment 2: unknown model 'hmm'"),
+        (2, {"model": "template"},
+         "experiment 2: model 'template' takes no train_datasets"),
+        (0, {"model": "labeler"},
+         "experiment 0: model 'labeler' needs train_datasets"),
+        (2, {"balance": True},
+         "experiment 2: balance needs two or more train_datasets"),
+        (3, {"balance": "false"},
+         "experiment 3: balance must be true or false, got 'false'"),
+        (2, {"eval_datasets": []},
+         "experiment 2: eval_datasets must not be empty"),
+        (2, {"eval_datasets": "synthA"}, "experiment 2: eval_datasets must "
+                                         "be a list of dataset names, got "
+                                         "'synthA'"),
+        (2, {"model_params": {"max_epochs": 0}},
+         "experiment 2: model_params key 'max_epochs' must be at least 1, "
+         "got 0"),
+        (2, {"model_params": {"batch_size": 0}},
+         "experiment 2: model_params key 'batch_size' must be at least 1, "
+         "got 0"),
+        (2, {"model_params": {"lr": -1.0}},
+         "experiment 2: model_params key 'lr' must be above 0, got -1.0"),
+        (2, {"model_params": {"patience": -1}},
+         "experiment 2: model_params key 'patience' must be at least 0, "
+         "got -1"),
+        (2, {"model_params": {"model_dim": 8, "n_heads": 3}},
+         "experiment 2: model_dim 8 is not divisible by n_heads 3"),
+        (2, {"model_params": {"model_dim": 30}},
+         "experiment 2: model_dim 30 is not divisible by n_heads 4"),
+    ])
+    def test_file_adds_only_its_prefix(self, tmp_path, index, change, reason):
+        import json
+        matrix = default_experiments()
+        matrix["experiments"][index].update(change)
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps(matrix))
+        with pytest.raises(HarnessError) as in_code:
+            ExperimentConfig(**matrix["experiments"][index])
+        with pytest.raises(HarnessError) as in_file:
+            load_experiments(p)
+        assert str(in_code.value) == reason
+        assert str(in_file.value) == f"{p}: experiments[{index}]: {reason}"
+
     def test_datasets_must_be_an_object(self, tmp_path):
         import json
         p = tmp_path / "experiments.json"
@@ -728,20 +807,24 @@ class TestExperimentsConfig:
                 f"{p}: datasets: not a JSON object")):
             load_experiments(p)
 
-    @pytest.mark.parametrize("index, change", [
-        (3, {"balance": False, "balance_quota": 2}),
-        (2, {"balance_quota": 2}),
-        (2, {"balance": True, "balance_quota": 2}),
+    @pytest.mark.parametrize("index, change, reason", [
+        pytest.param(3, {"balance": False, "balance_quota": 2},
+                     "balance_quota needs balance: true", id="3-change0"),
+        pytest.param(2, {"balance_quota": 2},
+                     "balance_quota needs balance: true", id="2-change1"),
+        pytest.param(2, {"balance": True, "balance_quota": 2},
+                     "balance needs two or more train_datasets",
+                     id="2-change2"),
     ])
-    def test_quota_without_effect_is_an_error(self, tmp_path, index, change):
+    def test_quota_without_effect_is_an_error(self, tmp_path, index, change,
+                                              reason):
         import json
         matrix = default_experiments()
         matrix["experiments"][index].update(change)
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))
         with pytest.raises(HarnessError, match=re.escape(
-                f"experiment {index}: balance_quota needs balance: true and "
-                "two or more train_datasets")):
+                f"experiment {index}: {reason}")):
             load_experiments(p)
 
     @pytest.mark.parametrize("text, reason", [
@@ -749,9 +832,11 @@ class TestExperimentsConfig:
         ("[]", "not a JSON object"),
         ('{"experiments": [], "experiment": []}', "unknown key 'experiment'"),
         ('{"experiments": [7]}', "experiments[0]: not a JSON object"),
+        ('{"experiments": 5}', "experiments: not a JSON list"),
+        ('{"experiments": {"id": 1}}', "experiments: not a JSON list"),
         ('{"experiments": [{"id": "x", "model": "template", '
          '"eval_datasets": []}]}',
-         "experiments[0]: invalid literal for int() with base 10: 'x'"),
+         "experiments[0]: experiment x: id must be an integer, got 'x'"),
     ])
     def test_malformed_file_is_named(self, tmp_path, text, reason):
         p = tmp_path / "experiments.json"
