@@ -17,10 +17,13 @@ compute: the fold, its training ``(store file, .lab path)`` pairs and its
 ``(dataset, song_id, store file, .lab path)`` rows to score.  A fold runs
 from its job alone.  The folds of a trained-model experiment run in up to one
 worker process per usable CPU, with results identical to running them one
-after another.  Each worker is a fresh interpreter that holds its own numpy
-and model and receives only its folds' jobs, so patching ``harness.fit`` or
-tracing functions reaches only folds run in-process: template folds, and
-every fold when only one worker would run.
+after another.  On Linux each worker is forked from this process, so it
+starts with numpy, the package and its folds' jobs already loaded, and
+patching ``harness.fit`` or tracing functions reaches it too, though what a
+worker records never comes back.  Elsewhere (macOS system libraries are not
+fork-safe, Windows has no fork) each worker is a fresh interpreter that
+receives only its folds' jobs, so such patches reach only folds run
+in-process: template folds, and every fold when only one worker would run.
 
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
@@ -44,15 +47,18 @@ import hashlib
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
+import traceback
 import uuid
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .annotations import normalize, read_lab
+from .annotations import _open_utf8, normalize, read_lab
 from . import labeler
 from .features import (align_labels, log_cqt_from_wav, read_feature_cache,
                        write_feature_cache)
@@ -178,6 +184,8 @@ class ExperimentConfig:
                 raise ValueError("model 'labeler' needs train_datasets")
             if self.model == "template" and self.train_datasets:
                 raise ValueError("model 'template' takes no train_datasets")
+            if self.model == "template" and self.model_params != {}:
+                raise ValueError("model 'template' takes no model_params")
             if not isinstance(self.balance, bool):
                 raise ValueError(f"balance must be true or false, got {self.balance!r}")
             if self.balance and len(self.train_datasets) < 2:
@@ -371,20 +379,43 @@ def _run_fold(config, job):
     return rows
 
 
-# A fold worker ignores Ctrl-C: the parent stops it when interrupted.
+# Fork workers on Linux only: macOS system libraries are not fork-safe, and
+# Windows has no fork.
+_FORK_WORKERS = sys.platform == "linux"
+
+# A fresh-interpreter worker ignores Ctrl-C: the parent stops it when
+# interrupted.
 _WORKER_CODE = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
                 "from chordbench.harness import _fold_worker; _fold_worker()")
+
+# This process's ends of the pipes of its forked workers.  Every fork
+# inherits all of them, so each new worker closes them at once: a worker
+# holding a sibling's watch pipe would keep that sibling alive after this
+# process dies.
+_parent_ends = weakref.WeakSet()
 
 
 def _start_worker(stack, job):
     """A worker process running ``_run_fold`` on ``job``'s folds.
 
     ``job`` is ``(config, fold jobs)``, the jobs as :func:`_fold_jobs` builds
-    them.  The worker imports this copy of the package, inherits the ``-W``
-    options, and is killed and waited for when ``stack`` closes.  Its stdin
-    stays open until then, so the worker also ends when this process dies
-    without closing ``stack``.
+    them.  On Linux the worker is forked from this process, so it already
+    holds numpy, the package and its patches, the warning filters and the
+    job, and imports and unpickles nothing.  Elsewhere it is a fresh
+    interpreter that imports this copy of the package, inherits the ``-W``
+    options and reads the pickled job from its stdin.  Either way the worker
+    ignores SIGINT, sends each fold's pickled ``(rows, exception)`` on a
+    pipe (:func:`_run_folds`), and is killed and waited for when ``stack``
+    closes.  A second pipe stays open until then, and the worker exits as
+    soon as it closes, so it also ends when this process dies without
+    closing ``stack``.  A forked worker's fold sees this process's patches
+    of :func:`fit` and the benchmark tracer's wrappers, but whatever it
+    records stays in the worker.
     """
+    if _FORK_WORKERS:
+        proc = _fork_worker(job)
+        stack.callback(_stop_worker, proc)
+        return proc
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
@@ -399,6 +430,72 @@ def _start_worker(stack, job):
         proc.stdin.flush()
     except BrokenPipeError:
         pass  # the worker died; reading its first result reports how
+    return proc
+
+
+class _ForkedWorker:
+    """This process's handle on a forked worker, with the part of the
+    :class:`subprocess.Popen` interface that :func:`_fold_result` and
+    :func:`_stop_worker` use: ``stdout`` reads the worker's results, and
+    closing ``stdin`` ends the worker."""
+
+    def __init__(self, pid, stdout, stdin):
+        self.pid, self.stdout, self.stdin = pid, stdout, stdin
+        self.returncode = None
+
+    def kill(self):
+        if self.returncode is None:  # unreaped, the PID is still the worker's
+            os.kill(self.pid, signal.SIGKILL)
+
+    def wait(self):
+        if self.returncode is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+
+def _fork_worker(job):
+    """A :class:`_ForkedWorker` running ``job``; see :func:`_start_worker`."""
+    results_r, results_w = os.pipe()
+    watch_r, watch_w = os.pipe()
+    # So that the worker's copies of these buffers start empty.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (results_r, results_w, watch_r, watch_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # the worker, which leaves only through os._exit
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(results_r)
+            os.close(watch_w)
+            for end in list(_parent_ends):
+                end.close()
+            # Anything printed goes to stderr.
+            os.dup2(2, 1)
+            sys.stdout = sys.stderr
+            _exit_at_end_of(watch_r)
+            with os.fdopen(results_w, "wb") as results:
+                _run_folds(job, results)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            try:
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+    # Closed before the next fork, so that no later worker holds this
+    # worker's results open after it dies.
+    os.close(results_w)
+    os.close(watch_r)
+    proc = _ForkedWorker(pid, os.fdopen(results_r, "rb"),
+                         os.fdopen(watch_w, "wb"))
+    _parent_ends.update((proc.stdout, proc.stdin))
     return proc
 
 
@@ -423,33 +520,43 @@ def _fold_result(proc):
 
 
 def _fold_worker():
-    """Run the folds of the job pickled on stdin; see :func:`_start_worker`.
+    """Run a fresh-interpreter worker on the job pickled on its stdin.
 
-    Writes one pickled ``(rows, exception)`` per fold, in the job's order,
-    to the original stdout, and stops after the first failed fold.  Anything
-    else printed goes to stderr.  Exits at once when stdin reaches its end,
-    which happens when the parent dies.
+    Results go to the original stdout, and anything else printed goes to
+    stderr; see :func:`_start_worker`.
     """
     with os.fdopen(os.dup(1), "wb") as results:
         os.dup2(2, 1)
-        config, jobs = pickle.load(sys.stdin.buffer)
-        threading.Thread(target=_exit_at_end_of_stdin, daemon=True).start()
-        for job in jobs:
-            try:
-                rows, error = _run_fold(config, job), None
-            except Exception as exc:
-                rows, error = None, exc
-            results.write(pickle.dumps((rows, error)))
-            results.flush()
-            if error is not None:
-                break
+        job = pickle.load(sys.stdin.buffer)
+        _exit_at_end_of(sys.stdin.fileno())
+        _run_folds(job, results)
 
 
-def _exit_at_end_of_stdin():
-    # Takes no lock of sys.stdin, which shutdown needs once the folds are
-    # done.  The parent sends nothing after the job: a return means EOF.
-    os.read(sys.stdin.fileno(), 1)
-    os._exit(1)
+def _run_folds(job, results):
+    """Write one pickled ``(rows, exception)`` per fold of ``job`` to
+    ``results``, in the job's order, stopping after the first failed fold."""
+    config, jobs = job
+    for fold_job in jobs:
+        try:
+            rows, error = _run_fold(config, fold_job), None
+        except Exception as exc:
+            rows, error = None, exc
+        results.write(pickle.dumps((rows, error)))
+        results.flush()
+        if error is not None:
+            break
+
+
+def _exit_at_end_of(fd):
+    """Exit this worker, from a daemon thread, once the pipe ``fd`` ends."""
+    def watch():
+        # Takes no lock of sys.stdin, which shutdown needs once a fresh
+        # interpreter's folds are done.  The parent sends nothing on the
+        # pipe: a return means EOF.
+        os.read(fd, 1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 _FOLD_FIELDS = ["fold", "dataset", "song_id", "metric", "score", "duration_s"]
@@ -572,11 +679,13 @@ def load_experiments(path):
     Returns ``(datasets, experiments)``.  Each experiment is built as
     ``ExperimentConfig(**item)``, which checks it; a missing
     ``train_datasets`` is read as ``[]``.  Checked here is only what needs
-    the whole file: JSON shape, unknown and missing keys, duplicate ids and
-    dataset names that ``datasets`` lacks.  Errors raise :class:`HarnessError`
-    prefixed ``<file>: `` and, for an experiment, ``experiments[<index>]: ``.
+    the whole file: JSON shape, dataset directories that are not strings,
+    unknown and missing keys, duplicate ids and dataset names that
+    ``datasets`` lacks.  Errors raise :class:`HarnessError` prefixed
+    ``<file>: `` and, for an experiment, ``experiments[<index>]: ``; bytes
+    that are not UTF-8 raise ``AnnotationError`` naming ``<file>:<line>``.
     """
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -589,6 +698,9 @@ def load_experiments(path):
     datasets = data.get("datasets", {})
     if not isinstance(datasets, dict):
         raise HarnessError(f"{path}: datasets: not a JSON object")
+    for name, subdir in datasets.items():
+        if not isinstance(subdir, str):
+            raise HarnessError(f"{path}: datasets: {name}: not a JSON string")
     items = data.get("experiments", [])
     if not isinstance(items, list):
         raise HarnessError(f"{path}: experiments: not a JSON list")

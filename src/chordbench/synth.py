@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import SegmentTrack, TimedSegment, normalize, write_lab
+from .annotations import (SegmentTrack, TimedSegment, _open_utf8, normalize,
+                          write_lab)
 from .features import AudioBuffer, save_wav
 from .labels import (N_MAJMIN_CLASSES, NOCHORD_CLASS, majmin_label,
                      pitch_class_set)
@@ -289,10 +290,11 @@ def read_manifest(path) -> list:
     """Read a JSON-lines dataset manifest (format in docs/manifest.md).
 
     A line that is not a JSON object with ``id`` and ``path`` keys raises
-    :class:`SynthError` naming ``<path>:<line>``; blank lines are skipped.
+    :class:`SynthError` naming ``<path>:<line>``, and bytes that are not
+    UTF-8 raise ``AnnotationError`` naming it; blank lines are skipped.
     """
     entries = []
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

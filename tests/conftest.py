@@ -1,5 +1,6 @@
 import pytest
 
+from chordbench import harness
 from chordbench.synth import SynthSpec, default_pop_model, emit_dataset
 
 
@@ -10,3 +11,17 @@ def tiny_dataset(tmp_path_factory):
     spec = SynthSpec(n_tracks=6, track_length_s=12.0, octaves=(3, 4), seed=71)
     entries = emit_dataset(spec, default_pop_model(), out)
     return out, entries
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """Every fold worker ``harness._start_worker`` starts, forked or not."""
+    workers = []
+    start_worker = harness._start_worker
+
+    def spy(stack, job):
+        workers.append(start_worker(stack, job))
+        return workers[-1]
+
+    monkeypatch.setattr(harness, "_start_worker", spy)
+    return workers

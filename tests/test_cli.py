@@ -693,7 +693,7 @@ class TestXval:
             "bad time field in 'oops not a row'\n")
 
     def test_worker_fold_error_is_one_line_without_traceback(
-            self, tiny_dataset, tmp_path, monkeypatch, capfd):
+            self, tiny_dataset, tmp_path, monkeypatch, capfd, started):
         data_dir, _ = tiny_dataset
         root = tmp_path / "data"
         for name in ("train", "eval"):
@@ -718,14 +718,6 @@ class TestXval:
                  "eval_datasets": ["eval"], "seed": 1,
                  "model_params": {"model_dim": 8, "n_heads": 2,
                                   "max_epochs": 1, "patience": 1}}]}))
-        started = []
-        real_popen = subprocess.Popen
-
-        def spy(args, **kwargs):
-            started.append(args)
-            return real_popen(args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "Popen", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "results"
         assert run("xval", "--experiments", str(cfg), "--data-root", str(root),
@@ -739,3 +731,10 @@ class TestXval:
         written = [(out / "exp_1" / f"fold_{fold}" / "scores.csv").exists()
                    for fold in range(6)]
         assert written == [True] + [False] * 5
+
+    def test_fresh_interpreter_worker_fold_error_is_one_line(
+            self, tiny_dataset, tmp_path, monkeypatch, capfd, started):
+        # The start of platforms where workers are not forked.
+        monkeypatch.setattr(harness, "_FORK_WORKERS", False)
+        self.test_worker_fold_error_is_one_line_without_traceback(
+            tiny_dataset, tmp_path, monkeypatch, capfd, started)

@@ -8,13 +8,14 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chordbench import features, harness
-from chordbench.annotations import normalize, read_lab
+from chordbench.annotations import AnnotationError, normalize, read_lab
 from chordbench.features import (load_wav, log_cqt_from_wav,
                                  read_feature_cache, save_wav)
 from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
@@ -440,20 +441,6 @@ class TestFeatureStore:
         assert np.array_equal(read_feature_cache(path)[0].values, stored.values)
 
 
-@pytest.fixture()
-def started(monkeypatch):
-    """The argument list of every process ``subprocess.Popen`` starts."""
-    argvs = []
-    real_popen = subprocess.Popen
-
-    def spy(args, **kwargs):
-        argvs.append(args)
-        return real_popen(args, **kwargs)
-
-    monkeypatch.setattr(subprocess, "Popen", spy)
-    return argvs
-
-
 def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
 
@@ -476,7 +463,27 @@ def corrupt_label(entry):
         fh.write("\n".join(rows) + "\n")
 
 
-class TestFoldWorkers:
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise :class:`TimeoutError` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class WorkerStartChecks:
+    """What holds however the fold workers start.  :class:`TestFoldWorkers`
+    runs these with this platform's start, a fork on Linux, and
+    :class:`TestFreshInterpreterWorkers` with the fresh interpreter that
+    other platforms use."""
+
     LABELER = replace(TestFeatureStore.LABELER, model_params={
         **TestFeatureStore.LABELER.model_params, "max_epochs": 2,
         "patience": 2})
@@ -484,12 +491,14 @@ class TestFoldWorkers:
     def test_workers_write_the_bytes_of_in_process_folds(
             self, corpus, tmp_path, monkeypatch, started):
         plan = make_folds(corpus["tiny"], seed=0)
-        # Workers take the parent's -W options: training must not warn.
+        # Workers take the parent's warning filters: training must not warn.
         monkeypatch.setattr(sys, "warnoptions", ["error"])
         use_cpus(monkeypatch, {0, 1})
         parallel = run_experiment(self.LABELER, plan, corpus, tmp_path / "a")
         assert len(started) == 2
-        assert all("-Werror" in argv for argv in started)
+        if not harness._FORK_WORKERS:
+            # A fresh interpreter takes them as the parent's -W options.
+            assert all("-Werror" in proc.args for proc in started)
         use_cpus(monkeypatch, {0})
         serial = run_experiment(self.LABELER, plan, corpus, tmp_path / "b")
         assert len(started) == 2  # one usable CPU: no worker
@@ -497,6 +506,26 @@ class TestFoldWorkers:
         in_workers = fold_scores(tmp_path / "a")
         assert len(in_workers) == 6
         assert in_workers == fold_scores(tmp_path / "b")
+        if harness._FORK_WORKERS:
+            # A forked worker holds the parent's filters themselves, so a
+            # warning under the "error" filter fails the fold that warns.
+            use_cpus(monkeypatch, {0, 1})
+            run_fold = harness._run_fold
+
+            def warning_fold(config, job):
+                if job[0] == 3:
+                    warnings.warn("fold 3 warns")
+                return run_fold(config, job)
+
+            monkeypatch.setattr(harness, "_run_fold", warning_fold)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FoldError, match=re.escape(
+                        "experiment 1, fold 3: fold 3 warns")):
+                    run_experiment(self.LABELER, plan, corpus, tmp_path / "c")
+            assert len(started) == 4
+            assert len(fold_scores(tmp_path / "c")) == 3
+            assert no_child_left()
 
     def test_features_are_computed_in_the_parent(self, corpus, tmp_path,
                                                  monkeypatch, started):
@@ -546,9 +575,14 @@ class TestFoldWorkers:
     def test_worker_that_dies_names_its_fold_and_exit_code(
             self, corpus, tmp_path, monkeypatch):
         use_cpus(monkeypatch, {0, 1})
-        monkeypatch.setattr(harness, "_WORKER_CODE",
-                            "import pickle, sys; pickle.load(sys.stdin.buffer); "
-                            "sys.exit(3)")
+        if harness._FORK_WORKERS:
+            # A forked worker runs the patched _run_fold.
+            monkeypatch.setattr(harness, "_run_fold", die_in_a_worker)
+        else:
+            monkeypatch.setattr(
+                harness, "_WORKER_CODE",
+                "import pickle, sys; pickle.load(sys.stdin.buffer); "
+                "sys.exit(3)")
         plan = make_folds(corpus["tiny"], seed=0)
         with pytest.raises(FoldError, match=re.escape(
                 "experiment 1, fold 0: worker process exited with code 3 "
@@ -556,6 +590,58 @@ class TestFoldWorkers:
             run_experiment(self.LABELER, plan, corpus, tmp_path)
         assert fold_scores(tmp_path) == {}
         assert no_child_left()
+
+
+def die_in_a_worker(config, job, parent=os.getpid()):
+    """A ``_run_fold`` whose worker exits at once with code 3."""
+    assert os.getpid() != parent, "the fold ran in the parent"
+    os._exit(3)
+
+
+class TestFreshInterpreterWorkers(WorkerStartChecks):
+    @pytest.fixture(autouse=True)
+    def fresh_interpreters(self, monkeypatch):
+        monkeypatch.setattr(harness, "_FORK_WORKERS", False)
+
+
+class TestFoldWorkers(WorkerStartChecks):
+    @pytest.mark.skipif(not harness._FORK_WORKERS,
+                        reason="workers are not forked on this platform")
+    def test_worker_that_dies_while_its_sibling_trains(self, corpus, tmp_path,
+                                                       monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        run_fold = harness._run_fold
+
+        def fold_0_dies(config, job):
+            if job[0] == 0:
+                die_in_a_worker(config, job)
+            return run_fold(config, job)
+
+        monkeypatch.setattr(harness, "_run_fold", fold_0_dies)
+        config = replace(self.LABELER, model_params={
+            **self.LABELER.model_params, "max_epochs": 100000,
+            "patience": 100000})
+        plan = make_folds(corpus["tiny"], seed=0)
+        # Fold 0's worker dies at once, but its result pipe ends only if the
+        # worker that trains fold 1 does not hold it open too.
+        with time_limit(20), pytest.raises(FoldError, match=re.escape(
+                "experiment 1, fold 0: worker process exited with code 3 "
+                "before returning the fold")):
+            run_experiment(config, plan, corpus, tmp_path)
+        assert fold_scores(tmp_path) == {}
+        assert no_child_left()
+
+    def test_buffered_parent_output_is_written_once(self, corpus, tmp_path,
+                                                    monkeypatch, capfd):
+        use_cpus(monkeypatch, {0, 1})
+        plan = make_folds(corpus["tiny"], seed=0)
+        # A buffered stdout on the captured descriptor, as outside pytest.
+        with open(os.dup(1), "w") as out, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            print("no newline yet", end="")
+            run_experiment(self.LABELER, plan, corpus, tmp_path)
+        assert len(fold_scores(tmp_path)) == plan.k
+        assert capfd.readouterr().out == "no newline yet"
 
     # Runs a labeler experiment far too long to finish on two workers and
     # appends each worker's PID to <out>/pids as it starts.
@@ -785,6 +871,8 @@ class TestExperimentsConfig:
          "experiment 2: model_dim 8 is not divisible by n_heads 3"),
         (2, {"model_params": {"model_dim": 30}},
          "experiment 2: model_dim 30 is not divisible by n_heads 4"),
+        (0, {"model_params": {"dropout": "x"}},
+         "experiment 0: model 'template' takes no model_params"),
     ])
     def test_file_adds_only_its_prefix(self, tmp_path, index, change, reason):
         import json
@@ -805,6 +893,22 @@ class TestExperimentsConfig:
         p.write_text(json.dumps({"datasets": ["synthA"], "experiments": []}))
         with pytest.raises(HarnessError, match=re.escape(
                 f"{p}: datasets: not a JSON object")):
+            load_experiments(p)
+
+    def test_dataset_directories_must_be_strings(self, tmp_path):
+        import json
+        p = tmp_path / "experiments.json"
+        p.write_text(json.dumps({"datasets": {"A": 3}, "experiments": []}))
+        with pytest.raises(HarnessError, match=re.escape(
+                f"{p}: datasets: A: not a JSON string")):
+            load_experiments(p)
+
+    def test_file_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "experiments.json"
+        p.write_bytes(b'{"datasets": {},\n "experiments": [{"id": "\xc8"}]}')
+        with pytest.raises(AnnotationError, match=re.escape(
+                f"{p}:2: not UTF-8 text: invalid continuation byte "
+                "(byte 0xc8)")):
             load_experiments(p)
 
     @pytest.mark.parametrize("index, change, reason", [
@@ -857,4 +961,14 @@ class TestLoadCorpus:
         manifest.parent.mkdir()
         manifest.write_text('{"id": "a", "path": "a.wav"}\n\n' + line + "\n")
         with pytest.raises(SynthError, match=re.escape(f"{manifest}:3: {reason}")):
+            load_corpus(tmp_path, {"d": "d"})
+
+    def test_manifest_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        manifest = tmp_path / "d" / "manifest.jsonl"
+        manifest.parent.mkdir()
+        manifest.write_bytes(b'{"id": "a", "path": "a.wav"}\n'
+                             b'{"id": "\xc8", "path": "b.wav"}\n')
+        with pytest.raises(AnnotationError, match=re.escape(
+                f"{manifest}:2: not UTF-8 text: invalid continuation byte "
+                "(byte 0xc8)")):
             load_corpus(tmp_path, {"d": "d"})
