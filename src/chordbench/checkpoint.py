@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -58,23 +60,38 @@ def load_checkpoint(path) -> TrainedLabeler:
     """The :class:`TrainedLabeler` stored in ``path``.
 
     A file that ends early raises :class:`CheckpointError` naming the path
-    and the part cut short; so does metadata whose ``config`` keys differ
-    from :class:`LabelerConfig`'s fields or whose ``extra`` lacks a key, and
-    a tensor set whose names or shapes differ from ``init_params(config)``.
+    and the part cut short; so does metadata that is not a UTF-8 JSON
+    object, or whose ``config`` keys differ from :class:`LabelerConfig`'s
+    fields, or whose ``extra`` lacks a key or has a non-finite ``mean`` or
+    ``std``.  Each tensor's name and shape are checked against
+    ``init_params(config)`` before its values are read; a repeated or
+    missing tensor, or one with a NaN or infinite value, is rejected by name.
     """
     with open(path, "rb") as fh:
-        def read(size, part):
-            data = fh.read(size)
-            if len(data) != size:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n, part):
+            # Checked first, so that a corrupt length never asks for more
+            # memory than the file holds.
+            if fh.tell() + n > size:
                 raise CheckpointError(f"{path}: truncated {part}")
-            return data
+            return fh.read(n)
 
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         version, blob_len = struct.unpack("<II", read(8, "header"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
+        try:
+            meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(
+                f"{path}: metadata is not UTF-8 JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: metadata is not a JSON object")
+        for key in ("config", "extra"):
+            if not isinstance(meta.get(key, {}), dict):
+                raise CheckpointError(f"{path}: {key} is not a JSON object")
         fields = meta.get("config", {})
         if set(fields) != _CONFIG_KEYS:
             raise CheckpointError(
@@ -83,35 +100,45 @@ def load_checkpoint(path) -> TrainedLabeler:
                 f"{sorted(_CONFIG_KEYS - set(fields))}")
         try:
             config = LabelerConfig(**fields)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: config: {exc}") from None
         extra = meta.get("extra", {})
         missing = [key for key in _EXTRA_KEYS if key not in extra]
         if missing:
             raise CheckpointError(f"{path}: extra lacks {', '.join(missing)}")
+        for key in ("mean", "std"):
+            value = extra[key]
+            if not (type(value) in (int, float) and math.isfinite(value)):
+                raise CheckpointError(
+                    f"{path}: extra: {key} is not a finite number: {value!r}")
+        expected = {name: p.shape for name, p in init_params(config).items()}
         (n_tensors,) = struct.unpack("<I", read(4, "tensor count"))
         params = {}
         for i in range(n_tensors):
             (name_len,) = struct.unpack("<H", read(2, f"name length of tensor {i}"))
-            name = read(name_len, f"name of tensor {i}").decode("utf-8")
+            # An undecodable byte becomes U+FFFD, which no expected name holds.
+            name = read(name_len, f"name of tensor {i}").decode("utf-8",
+                                                                "replace")
+            if name not in expected:
+                raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+            if name in params:
+                raise CheckpointError(f"{path}: tensor {name!r} repeated")
             width, ndim = struct.unpack("<BB", read(2, f"layout of tensor {name!r}"))
             if width not in (4, 8):
                 raise CheckpointError(
                     f"{path}: tensor {name!r} has unsupported width {width}")
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"shape of tensor {name!r}"))
+            if shape != expected[name]:
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has shape {shape}, "
+                    f"expected {expected[name]}")
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(width * count, f"tensor {name!r}"),
                                  dtype=f"<f{width}")
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: tensor {name!r} is not finite")
             dtype = np.float32 if width == 4 else np.float64
             params[name] = data.reshape(shape).astype(dtype)
-    expected = {name: p.shape for name, p in init_params(config).items()}
-    for name in params:
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        if params[name].shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {params[name].shape}, "
-                f"expected {expected[name]}")
     for name in expected:
         if name not in params:
             raise CheckpointError(f"{path}: tensor {name!r} missing")

@@ -491,7 +491,12 @@ def write_feature_cache(path, features: FeatureMatrix,
 
 
 def read_feature_cache(path):
-    """Read a flat binary feature file; returns ``(features, labels_or_None)``."""
+    """Read a flat binary feature file; returns ``(features, labels_or_None)``.
+
+    A file that is not a feature file, ends early, holds a NaN or infinite
+    value or a label that is not a class index raises :class:`FeatureError`
+    naming the path and, for a bad value or label, the first frame with one.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -508,6 +513,9 @@ def read_feature_cache(path):
             raise FeatureError(f"{path}: truncated value block")
         values = np.frombuffer(block, dtype="<f4").reshape(
             n_frames, n_bins).astype(np.float64)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise FeatureError(f"{path}: frame {int(np.argmin(finite))} is not finite")
         labels = None
         if has_labels:
             labels = np.frombuffer(fh.read(n_frames), dtype=np.uint8)

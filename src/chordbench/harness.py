@@ -16,14 +16,10 @@ Before any fold runs, :func:`run_experiment` builds one job per fold to
 compute: the fold, its training ``(store file, .lab path)`` pairs and its
 ``(dataset, song_id, store file, .lab path)`` rows to score.  A fold runs
 from its job alone.  The folds of a trained-model experiment run in up to one
-worker process per usable CPU, with results identical to running them one
-after another.  On Linux each worker is forked from this process, so it
-starts with numpy, the package and its folds' jobs already loaded, and
-patching ``harness.fit`` or tracing functions reaches it too, though what a
-worker records never comes back.  Elsewhere (macOS system libraries are not
-fork-safe, Windows has no fork) each worker is a fresh interpreter that
-receives only its folds' jobs, so such patches reach only folds run
-in-process: template folds, and every fold when only one worker would run.
+worker process per usable CPU, forked on Linux and spawned elsewhere
+(:func:`_start_worker`), with results identical to running them one after
+another.  A spawned worker imports the caller's ``__main__`` module, so a
+script that runs experiments does so under ``if __name__ == "__main__":``.
 
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
@@ -45,15 +41,12 @@ import contextlib
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
-import pickle
 import signal
-import subprocess
 import sys
 import threading
-import traceback
 import uuid
-import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -301,7 +294,7 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
             for index, job in enumerate(jobs):
                 fold = job[0]
                 with _in_fold(config, fold):
-                    rows = (_fold_result(workers[index % n_workers]) if workers
+                    rows = (_fold_result(*workers[index % n_workers]) if workers
                             else _run_fold(config, job))
                 os.makedirs(os.path.dirname(scores_paths[fold]), exist_ok=True)
                 _write_fold_scores(scores_paths[fold], rows)
@@ -379,184 +372,90 @@ def _run_fold(config, job):
     return rows
 
 
-# Fork workers on Linux only: macOS system libraries are not fork-safe, and
-# Windows has no fork.
-_FORK_WORKERS = sys.platform == "linux"
-
-# A fresh-interpreter worker ignores Ctrl-C: the parent stops it when
-# interrupted.
-_WORKER_CODE = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-                "from chordbench.harness import _fold_worker; _fold_worker()")
-
-# This process's ends of the pipes of its forked workers.  Every fork
-# inherits all of them, so each new worker closes them at once: a worker
-# holding a sibling's watch pipe would keep that sibling alive after this
-# process dies.
-_parent_ends = weakref.WeakSet()
+# Workers are forked on Linux, so they start from this process's memory, and
+# spawned elsewhere: macOS system libraries are not fork-safe, and Windows has
+# no fork.  Chosen explicitly, so that a new default start method (forkserver
+# from Python 3.14) does not change it.
+_WORKER_CONTEXT = multiprocessing.get_context(
+    "fork" if sys.platform == "linux" else "spawn")
 
 
 def _start_worker(stack, job):
-    """A worker process running ``_run_fold`` on ``job``'s folds.
+    """A worker process running :func:`_fold_worker` on ``job``, and the
+    connection its results arrive on.
 
     ``job`` is ``(config, fold jobs)``, the jobs as :func:`_fold_jobs` builds
-    them.  On Linux the worker is forked from this process, so it already
-    holds numpy, the package and its patches, the warning filters and the
-    job, and imports and unpickles nothing.  Elsewhere it is a fresh
-    interpreter that imports this copy of the package, inherits the ``-W``
-    options and reads the pickled job from its stdin.  Either way the worker
-    ignores SIGINT, sends each fold's pickled ``(rows, exception)`` on a
-    pipe (:func:`_run_folds`), and is killed and waited for when ``stack``
-    closes.  A second pipe stays open until then, and the worker exits as
-    soon as it closes, so it also ends when this process dies without
-    closing ``stack``.  A forked worker's fold sees this process's patches
-    of :func:`fit` and the benchmark tracer's wrappers, but whatever it
-    records stays in the worker.
+    them.  A forked worker starts with numpy, the package and its patches,
+    the warning filters and the job already in memory: it sees this
+    process's patches of :func:`fit` and the benchmark tracer's wrappers,
+    though whatever it records stays in the worker.  A spawned worker is a
+    fresh interpreter started with this one's ``-W`` options, which imports
+    the package and the ``__main__`` module and receives the pickled job.
+    When ``stack`` closes, the worker is killed and waited for and the
+    connection closed; the worker also exits when this process dies.
     """
-    if _FORK_WORKERS:
-        proc = _fork_worker(job)
-        stack.callback(_stop_worker, proc)
-        return proc
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src_dir, path] if path else [src_dir])}
-    proc = subprocess.Popen(
-        [sys.executable, *(f"-W{option}" for option in sys.warnoptions),
-         "-c", _WORKER_CODE],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+    results, send_end = _WORKER_CONTEXT.Pipe(duplex=False)
+    stack.callback(results.close)
+    proc = _WORKER_CONTEXT.Process(target=_fold_worker, args=(job, send_end),
+                                   daemon=True)
+    try:
+        proc.start()
+    finally:
+        # Closed before the next worker starts, so that no later worker holds
+        # this one's results open after it dies.
+        send_end.close()
     stack.callback(_stop_worker, proc)
-    try:
-        pickle.dump(job, proc.stdin)
-        proc.stdin.flush()
-    except BrokenPipeError:
-        pass  # the worker died; reading its first result reports how
-    return proc
-
-
-class _ForkedWorker:
-    """This process's handle on a forked worker, with the part of the
-    :class:`subprocess.Popen` interface that :func:`_fold_result` and
-    :func:`_stop_worker` use: ``stdout`` reads the worker's results, and
-    closing ``stdin`` ends the worker."""
-
-    def __init__(self, pid, stdout, stdin):
-        self.pid, self.stdout, self.stdin = pid, stdout, stdin
-        self.returncode = None
-
-    def kill(self):
-        if self.returncode is None:  # unreaped, the PID is still the worker's
-            os.kill(self.pid, signal.SIGKILL)
-
-    def wait(self):
-        if self.returncode is None:
-            _, status = os.waitpid(self.pid, 0)
-            self.returncode = os.waitstatus_to_exitcode(status)
-        return self.returncode
-
-
-def _fork_worker(job):
-    """A :class:`_ForkedWorker` running ``job``; see :func:`_start_worker`."""
-    results_r, results_w = os.pipe()
-    watch_r, watch_w = os.pipe()
-    # So that the worker's copies of these buffers start empty.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (results_r, results_w, watch_r, watch_w):
-            os.close(fd)
-        raise
-    if pid == 0:  # the worker, which leaves only through os._exit
-        code = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            os.close(results_r)
-            os.close(watch_w)
-            for end in list(_parent_ends):
-                end.close()
-            # Anything printed goes to stderr.
-            os.dup2(2, 1)
-            sys.stdout = sys.stderr
-            _exit_at_end_of(watch_r)
-            with os.fdopen(results_w, "wb") as results:
-                _run_folds(job, results)
-            code = 0
-        except BaseException:
-            traceback.print_exc()
-        finally:
-            try:
-                sys.stderr.flush()
-            finally:
-                os._exit(code)
-    # Closed before the next fork, so that no later worker holds this
-    # worker's results open after it dies.
-    os.close(results_w)
-    os.close(watch_r)
-    proc = _ForkedWorker(pid, os.fdopen(results_r, "rb"),
-                         os.fdopen(watch_w, "wb"))
-    _parent_ends.update((proc.stdout, proc.stdin))
-    return proc
+    return proc, results
 
 
 def _stop_worker(proc):
     proc.kill()
-    proc.wait()
-    proc.stdout.close()
-    with contextlib.suppress(BrokenPipeError):  # part of the job was unsent
-        proc.stdin.close()
+    proc.join()
+    proc.close()
 
 
-def _fold_result(proc):
+def _fold_result(proc, results):
     """The rows of the next fold of the worker ``proc``; its error is raised."""
     try:
-        rows, error = pickle.load(proc.stdout)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError(f"worker process exited with code {proc.wait()} "
+        rows, error = results.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"worker process exited with code {proc.exitcode} "
                            "before returning the fold") from None
     if error is not None:
         raise error
     return rows
 
 
-def _fold_worker():
-    """Run a fresh-interpreter worker on the job pickled on its stdin.
+def _fold_worker(job, results):
+    """Send one ``(rows, exception)`` per fold of ``job`` on ``results``, in
+    the job's order, stopping after the first failed fold.
 
-    Results go to the original stdout, and anything else printed goes to
-    stderr; see :func:`_start_worker`.
+    The worker ignores SIGINT, as the parent stops it when interrupted, sends
+    anything printed to stderr, and exits once the parent is gone.
     """
-    with os.fdopen(os.dup(1), "wb") as results:
-        os.dup2(2, 1)
-        job = pickle.load(sys.stdin.buffer)
-        _exit_at_end_of(sys.stdin.fileno())
-        _run_folds(job, results)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.dup2(2, 1)
+    sys.stdout = sys.stderr
+    parent = multiprocessing.parent_process()
 
+    def exit_with_parent():
+        # A forked worker also holds open the pipes its earlier siblings
+        # watch, so when the parent dies the last worker exits first, then
+        # the one before it, and so on.
+        parent.join()
+        os._exit(1)
 
-def _run_folds(job, results):
-    """Write one pickled ``(rows, exception)`` per fold of ``job`` to
-    ``results``, in the job's order, stopping after the first failed fold."""
+    threading.Thread(target=exit_with_parent, daemon=True).start()
     config, jobs = job
     for fold_job in jobs:
         try:
             rows, error = _run_fold(config, fold_job), None
         except Exception as exc:
             rows, error = None, exc
-        results.write(pickle.dumps((rows, error)))
-        results.flush()
+        results.send((rows, error))
         if error is not None:
             break
-
-
-def _exit_at_end_of(fd):
-    """Exit this worker, from a daemon thread, once the pipe ``fd`` ends."""
-    def watch():
-        # Takes no lock of sys.stdin, which shutdown needs once a fresh
-        # interpreter's folds are done.  The parent sends nothing on the
-        # pipe: a return means EOF.
-        os.read(fd, 1)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
 
 
 _FOLD_FIELDS = ["fold", "dataset", "song_id", "metric", "score", "duration_s"]

@@ -15,7 +15,8 @@ def tiny_dataset(tmp_path_factory):
 
 @pytest.fixture()
 def started(monkeypatch):
-    """Every fold worker ``harness._start_worker`` starts, forked or not."""
+    """The ``(process, results)`` pair of every fold worker
+    ``harness._start_worker`` starts, forked or spawned."""
     workers = []
     start_worker = harness._start_worker
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -735,6 +736,7 @@ class TestXval:
     def test_fresh_interpreter_worker_fold_error_is_one_line(
             self, tiny_dataset, tmp_path, monkeypatch, capfd, started):
         # The start of platforms where workers are not forked.
-        monkeypatch.setattr(harness, "_FORK_WORKERS", False)
+        monkeypatch.setattr(harness, "_WORKER_CONTEXT",
+                            multiprocessing.get_context("spawn"))
         self.test_worker_fold_error_is_one_line_without_traceback(
             tiny_dataset, tmp_path, monkeypatch, capfd, started)

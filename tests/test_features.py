@@ -388,6 +388,15 @@ class TestCacheAndWav:
         with pytest.raises(FeatureError, match=rf"x\.cbf: truncated {block}"):
             read_feature_cache(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cache_non_finite_value_names_file_and_frame(self, tmp_path, bad):
+        values = np.zeros((40, 3))
+        values[17:, 1] = bad
+        p = tmp_path / "x.cbf"
+        write_feature_cache(p, matrix(values))
+        with pytest.raises(FeatureError, match=r"x\.cbf: frame 17 is not finite"):
+            read_feature_cache(p)
+
     def test_cache_label_out_of_range_names_file_and_frame(self, tmp_path):
         p = tmp_path / "x.cbf"
         write_feature_cache(p, matrix(np.zeros((4, 2))), np.array([0, 24, 0, 3]))

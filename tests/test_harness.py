@@ -1,6 +1,9 @@
 import contextlib
 import csv
 import hashlib
+import multiprocessing
+import multiprocessing.resource_tracker
+import multiprocessing.spawn
 import os
 import re
 import shutil
@@ -446,12 +449,20 @@ def use_cpus(monkeypatch, cpus):
 
 
 def no_child_left():
-    """Whether this process has no child process, running or unreaped."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+    """Whether this process has no child process, running or unreaped, but
+    the resource tracker that multiprocessing starts with the first spawned
+    worker and keeps running until this process exits."""
+    tracker = multiprocessing.resource_tracker._resource_tracker._pid
+    me = str(os.getpid())
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                parent = fh.read().rsplit(")", 1)[1].split()[1]
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # exited while listed
+        if parent == me and int(pid) != tracker:
+            return False
+    return True
 
 
 def corrupt_label(entry):
@@ -481,8 +492,8 @@ def time_limit(seconds):
 class WorkerStartChecks:
     """What holds however the fold workers start.  :class:`TestFoldWorkers`
     runs these with this platform's start, a fork on Linux, and
-    :class:`TestFreshInterpreterWorkers` with the fresh interpreter that
-    other platforms use."""
+    :class:`TestFreshInterpreterWorkers` with the spawned fresh interpreter
+    that other platforms use."""
 
     LABELER = replace(TestFeatureStore.LABELER, model_params={
         **TestFeatureStore.LABELER.model_params, "max_epochs": 2,
@@ -492,13 +503,15 @@ class WorkerStartChecks:
             self, corpus, tmp_path, monkeypatch, started):
         plan = make_folds(corpus["tiny"], seed=0)
         # Workers take the parent's warning filters: training must not warn.
-        monkeypatch.setattr(sys, "warnoptions", ["error"])
+        monkeypatch.setattr(sys, "warnoptions", [*sys.warnoptions, "error"])
+        command_lines = spy_on_spawned_command_lines(monkeypatch)
         use_cpus(monkeypatch, {0, 1})
         parallel = run_experiment(self.LABELER, plan, corpus, tmp_path / "a")
         assert len(started) == 2
-        if not harness._FORK_WORKERS:
+        if not forked():
             # A fresh interpreter takes them as the parent's -W options.
-            assert all("-Werror" in proc.args for proc in started)
+            assert len(command_lines) == 2
+            assert all("-Werror" in args for args in command_lines)
         use_cpus(monkeypatch, {0})
         serial = run_experiment(self.LABELER, plan, corpus, tmp_path / "b")
         assert len(started) == 2  # one usable CPU: no worker
@@ -506,7 +519,7 @@ class WorkerStartChecks:
         in_workers = fold_scores(tmp_path / "a")
         assert len(in_workers) == 6
         assert in_workers == fold_scores(tmp_path / "b")
-        if harness._FORK_WORKERS:
+        if forked():
             # A forked worker holds the parent's filters themselves, so a
             # warning under the "error" filter fails the fold that warns.
             use_cpus(monkeypatch, {0, 1})
@@ -575,14 +588,8 @@ class WorkerStartChecks:
     def test_worker_that_dies_names_its_fold_and_exit_code(
             self, corpus, tmp_path, monkeypatch):
         use_cpus(monkeypatch, {0, 1})
-        if harness._FORK_WORKERS:
-            # A forked worker runs the patched _run_fold.
-            monkeypatch.setattr(harness, "_run_fold", die_in_a_worker)
-        else:
-            monkeypatch.setattr(
-                harness, "_WORKER_CODE",
-                "import pickle, sys; pickle.load(sys.stdin.buffer); "
-                "sys.exit(3)")
+        # A spawned worker imports this module to run it.
+        monkeypatch.setattr(harness, "_fold_worker", worker_that_exits_3)
         plan = make_folds(corpus["tiny"], seed=0)
         with pytest.raises(FoldError, match=re.escape(
                 "experiment 1, fold 0: worker process exited with code 3 "
@@ -598,14 +605,37 @@ def die_in_a_worker(config, job, parent=os.getpid()):
     os._exit(3)
 
 
+def worker_that_exits_3(job, results):
+    """A ``_fold_worker`` that exits at once with code 3."""
+    os._exit(3)
+
+
+def forked():
+    return harness._WORKER_CONTEXT.get_start_method() == "fork"
+
+
+def spy_on_spawned_command_lines(monkeypatch):
+    """The command line of every worker spawned from here on."""
+    command_lines = []
+    get_command_line = multiprocessing.spawn.get_command_line
+
+    def spy(**kwds):
+        command_lines.append(get_command_line(**kwds))
+        return command_lines[-1]
+
+    monkeypatch.setattr(multiprocessing.spawn, "get_command_line", spy)
+    return command_lines
+
+
 class TestFreshInterpreterWorkers(WorkerStartChecks):
     @pytest.fixture(autouse=True)
     def fresh_interpreters(self, monkeypatch):
-        monkeypatch.setattr(harness, "_FORK_WORKERS", False)
+        monkeypatch.setattr(harness, "_WORKER_CONTEXT",
+                            multiprocessing.get_context("spawn"))
 
 
 class TestFoldWorkers(WorkerStartChecks):
-    @pytest.mark.skipif(not harness._FORK_WORKERS,
+    @pytest.mark.skipif(not forked(),
                         reason="workers are not forked on this platform")
     def test_worker_that_dies_while_its_sibling_trains(self, corpus, tmp_path,
                                                        monkeypatch):
@@ -652,10 +682,10 @@ data_root, name, out = sys.argv[1:]
 os.sched_getaffinity = lambda pid: {0, 1}
 start_worker = harness._start_worker
 def announce(stack, job):
-    proc = start_worker(stack, job)
+    proc, results = start_worker(stack, job)
     with open(os.path.join(out, "pids"), "a") as fh:
         fh.write(f"{proc.pid}\\n")
-    return proc
+    return proc, results
 harness._start_worker = announce
 corpus = harness.load_corpus(data_root, {name: name})
 config = harness.ExperimentConfig(

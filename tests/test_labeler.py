@@ -840,9 +840,70 @@ class TestCheckpoint:
         (meta_len,) = struct.unpack("<I", data[8:12])
         meta = json.loads(data[12:12 + meta_len])
         edit(meta)
-        blob = json.dumps(meta).encode("utf-8")
+        TestCheckpoint._with_meta_bytes(path, json.dumps(meta).encode("utf-8"))
+
+    @staticmethod
+    def _with_meta_bytes(path, blob):
+        """Rewrite the checkpoint at ``path`` with metadata bytes ``blob``."""
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
         path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
                          + data[12 + meta_len:])
+
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"config": "\xc8"}', "metadata is not UTF-8 JSON: 'utf-8' codec "
+         "can't decode byte 0xc8 in position 12"),
+        (b'{"config": {', "metadata is not UTF-8 JSON: Expecting"),
+        (b'[]', "metadata is not a JSON object"),
+        (b'{"config": ["seed"], "extra": {}}', "config is not a JSON object"),
+        (b'{"config": {}, "extra": 1}', "extra is not a JSON object"),
+    ], ids=["not-utf8", "not-json", "list", "config-list", "extra-number"])
+    def test_malformed_metadata_names_file(self, tmp_path, blob, message):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta_bytes(p, blob)
+        with pytest.raises(CheckpointError, match=re.escape(f"m.ckpt: {message}")):
+            load_checkpoint(p)
+
+    def test_corrupt_lengths_fail_before_reading(self, tmp_path):
+        model = _tiny_model()
+        first, shape = next(iter(model.params.items()))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model)
+        data = bytearray(p.read_bytes())
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        shape_at = 18 + meta_len + len(first) + 2
+        data[shape_at:shape_at + 4] = struct.pack("<I", 2 ** 31)
+        p.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"m.ckpt: tensor {first!r} has shape "
+                f"{(2 ** 31, *shape.shape[1:])}, expected {shape.shape}")):
+            load_checkpoint(p)
+        data[8:12] = struct.pack("<I", 2 ** 32 - 1)
+        p.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=re.escape("m.ckpt: truncated metadata")):
+            load_checkpoint(p)
+
+    def test_non_finite_values_name_file_and_tensor(self, tmp_path):
+        model = _tiny_model()
+        weights = model.params["classifier.w"].copy()
+        weights[3, 4] = np.nan
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, TrainedLabeler(
+            model.config, {**model.params, "classifier.w": weights},
+            model.stats, model.bin_kind, model.hop_samples,
+            model.sample_rate_hz))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor 'classifier.w' is not finite")):
+            load_checkpoint(p)
+        for key, value in [("mean", float("nan")), ("std", float("inf")),
+                           ("std", "1.0")]:
+            save_checkpoint(p, model)
+            self._with_meta(p, lambda meta: meta["extra"].update({key: value}))
+            with pytest.raises(CheckpointError, match=re.escape(
+                    f"m.ckpt: extra: {key} is not a finite number: {value!r}")):
+                load_checkpoint(p)
 
     def test_config_keys_must_match_labeler_config(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -862,6 +923,13 @@ class TestCheckpoint:
         self._with_meta(p, lambda meta: meta["config"].update(model_dim=0))
         with pytest.raises(CheckpointError, match=re.escape(
                 "m.ckpt: config: model_dim must be at least 1")):
+            load_checkpoint(p)
+
+    def test_config_value_of_wrong_type_names_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["config"].update(model_dim="8"))
+        with pytest.raises(CheckpointError, match=re.escape("m.ckpt: config: ")):
             load_checkpoint(p)
 
     def test_extra_must_hold_the_input_recipe(self, tmp_path):
@@ -947,6 +1015,22 @@ class TestCheckpoint:
                                           model.sample_rate_hz))
         with pytest.raises(CheckpointError, match=re.escape(
                 "m.ckpt: unexpected tensor 'layers.1.ln1.g'")):
+            load_checkpoint(p)
+
+    def test_repeated_tensor_names_file_and_tensor(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        data = p.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        (count,) = struct.unpack("<I", data[12 + meta_len:16 + meta_len])
+        last = _tiny_model().params["classifier.b"]  # the last tensor written
+        name = b"classifier.b"
+        record = (struct.pack("<H", len(name)) + name
+                  + struct.pack("<BBI", 4, 1, 25) + last.astype("<f4").tobytes())
+        p.write_bytes(data[:12 + meta_len] + struct.pack("<I", count + 1)
+                      + data[16 + meta_len:] + record)
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor 'classifier.b' repeated")):
             load_checkpoint(p)
 
     def test_bad_magic(self, tmp_path):
