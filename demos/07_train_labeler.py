@@ -14,8 +14,7 @@ from chordbench.synth import (SynthSpec, default_pop_model, quantize_track,
 from chordbench.templates import fold_to_chroma
 
 # -- gradient check on a tiny float64 instance ------------------------------
-config = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                       context_frames=8, seed=3)
+config = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=3)
 params = init_params(config, dtype=np.float64)
 rng = np.random.Generator(np.random.PCG64(0))
 batch = [SequenceExample(rng.standard_normal((8, 6)), rng.integers(0, 25, 8))]
@@ -46,7 +45,7 @@ for seed in range(3):
 items, _ = windowed_examples(mats)
 
 train_config = LabelerConfig(input_dim=12, model_dim=32, n_layers=1,
-                             n_heads=4, context_frames=108, seed=1)
+                             n_heads=4, seed=1)
 print(f"\ntraining on {len(items)} windows of 108 frames...")
 params, report = train(train_config, items, lr=3e-3, batch_size=len(items),
                        max_epochs=120, patience=120)

@@ -15,11 +15,11 @@ import struct
 
 import numpy as np
 
-from .features import NormStats
-from .labeler import LabelerConfig, TrainedLabeler, init_params
+from .features import FeatureError, NormStats
+from .labeler import LabelerConfig, TrainedLabeler, param_shapes
 
 CHECKPOINT_MAGIC = b"CBCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(LabelerConfig))
 _EXTRA_KEYS = ("mean", "std", "bin_kind", "hop_samples", "sample_rate_hz")
 
@@ -62,10 +62,13 @@ def load_checkpoint(path) -> TrainedLabeler:
     A file that ends early raises :class:`CheckpointError` naming the path
     and the part cut short; so does metadata that is not a UTF-8 JSON
     object, or whose ``config`` keys differ from :class:`LabelerConfig`'s
-    fields, or whose ``extra`` lacks a key or has a non-finite ``mean`` or
-    ``std``.  Each tensor's name and shape are checked against
-    ``init_params(config)`` before its values are read; a repeated or
-    missing tensor, or one with a NaN or infinite value, is rejected by name.
+    fields, or whose ``config`` or ``extra`` values fail the checks of
+    :class:`LabelerConfig`, :class:`NormStats` or :class:`TrainedLabeler`.
+    Each tensor's name and shape are checked against :func:`param_shapes`,
+    without building a model, before its values are read; a repeated or
+    missing tensor, or one with a NaN or infinite value, is rejected by
+    name.  When the tensors of the ``config`` need more bytes than the
+    whole file holds, a disagreement is reported as that config's fault.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -100,18 +103,34 @@ def load_checkpoint(path) -> TrainedLabeler:
                 f"{sorted(_CONFIG_KEYS - set(fields))}")
         try:
             config = LabelerConfig(**fields)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CheckpointError(f"{path}: config: {exc}") from None
         extra = meta.get("extra", {})
         missing = [key for key in _EXTRA_KEYS if key not in extra]
         if missing:
             raise CheckpointError(f"{path}: extra lacks {', '.join(missing)}")
-        for key in ("mean", "std"):
-            value = extra[key]
-            if not (type(value) in (int, float) and math.isfinite(value)):
-                raise CheckpointError(
-                    f"{path}: extra: {key} is not a finite number: {value!r}")
-        expected = {name: p.shape for name, p in init_params(config).items()}
+        try:  # the params are filled in once they are read
+            model = TrainedLabeler(
+                config, {}, NormStats(extra["mean"], extra["std"]),
+                extra["bin_kind"], extra["hop_samples"], extra["sample_rate_hz"])
+        except FeatureError as exc:
+            raise CheckpointError(f"{path}: extra: {exc}") from None
+        # The shapes are walked only until their values, at 4 bytes or more
+        # each, outgrow the file, so a huge config allocates nothing.  Once
+        # the file's tensors disagree with such a config, the config is named.
+        expected, need = {}, 0
+        for name, shape in param_shapes(config):
+            if need > size:
+                break
+            expected[name] = shape
+            need += 4 * math.prod(shape)
+
+        def disagree(message):
+            if need > size:
+                message = (f"config: its tensors need more than the {size} "
+                           "bytes the file holds")
+            return CheckpointError(f"{path}: {message}")
+
         (n_tensors,) = struct.unpack("<I", read(4, "tensor count"))
         params = {}
         for i in range(n_tensors):
@@ -120,7 +139,7 @@ def load_checkpoint(path) -> TrainedLabeler:
             name = read(name_len, f"name of tensor {i}").decode("utf-8",
                                                                 "replace")
             if name not in expected:
-                raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+                raise disagree(f"unexpected tensor {name!r}")
             if name in params:
                 raise CheckpointError(f"{path}: tensor {name!r} repeated")
             width, ndim = struct.unpack("<BB", read(2, f"layout of tensor {name!r}"))
@@ -129,9 +148,8 @@ def load_checkpoint(path) -> TrainedLabeler:
                     f"{path}: tensor {name!r} has unsupported width {width}")
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"shape of tensor {name!r}"))
             if shape != expected[name]:
-                raise CheckpointError(
-                    f"{path}: tensor {name!r} has shape {shape}, "
-                    f"expected {expected[name]}")
+                raise disagree(f"tensor {name!r} has shape {shape}, "
+                               f"expected {expected[name]}")
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(width * count, f"tensor {name!r}"),
                                  dtype=f"<f{width}")
@@ -139,9 +157,7 @@ def load_checkpoint(path) -> TrainedLabeler:
                 raise CheckpointError(f"{path}: tensor {name!r} is not finite")
             dtype = np.float32 if width == 4 else np.float64
             params[name] = data.reshape(shape).astype(dtype)
-    for name in expected:
-        if name not in params:
-            raise CheckpointError(f"{path}: tensor {name!r} missing")
-    return TrainedLabeler(config, params, NormStats(extra["mean"], extra["std"]),
-                          extra["bin_kind"], extra["hop_samples"],
-                          extra["sample_rate_hz"])
+        for name in expected:
+            if name not in params:
+                raise disagree(f"tensor {name!r} missing")
+    return dataclasses.replace(model, params=params)

@@ -32,6 +32,7 @@ augmentation as a 2-bins-per-semitone shift in the log-CQT domain.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 import wave
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ WINDOW_STRIDE = 54
 
 SHIFT_RANGE = (-5, 6)
 
-BIN_KINDS = ("cqt_mag", "cqt_log", "chroma24", "chroma12")
+BIN_KINDS = ("cqt_mag", "cqt_log", "chroma12")
 
 
 class FeatureError(ValueError):
@@ -116,10 +117,24 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Global mean and standard deviation for z-normalization."""
+    """Global mean and standard deviation for z-normalization.
+
+    Both must be finite numbers and ``std`` above 0, or z-scoring would
+    turn every value into the same number or into NaN.
+    """
 
     mean: float
     std: float
+
+    def __post_init__(self):
+        for name in ("mean", "std"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise FeatureError(f"{name} is not a finite number: {value!r}")
+        if self.std <= 0:
+            raise FeatureError(f"std is not above 0: {self.std!r}; z-scoring "
+                               "needs a non-zero variance")
 
 
 def load_wav(path) -> AudioBuffer:
@@ -365,16 +380,15 @@ def log_cqt_from_wav(path) -> FeatureMatrix:
 
 
 def zscore_fit(training_features) -> NormStats:
-    """Mean and standard deviation over every value of the training set."""
+    """Mean and standard deviation over every value of the training set.
+
+    A set whose values are all equal has no :class:`NormStats` and raises.
+    """
     mats = [np.asarray(f.values, dtype=np.float64) for f in training_features]
     if not mats or sum(m.size for m in mats) < 2:
         raise FeatureError("need at least two training values to fit normalization")
     flat = np.concatenate([m.ravel() for m in mats])
-    mean = float(flat.mean())
-    std = float(flat.std())
-    if std <= 0:
-        raise FeatureError("zero variance in training features")
-    return NormStats(mean, std)
+    return NormStats(float(flat.mean()), float(flat.std()))
 
 
 def zscore_apply(features: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
@@ -463,7 +477,8 @@ def frames_to_track(classes: np.ndarray, hop_samples: int, sample_rate_hz: int,
 # --- flat binary feature cache (docs/cache.md) ----------------------------
 
 CACHE_MAGIC = b"CBF1"
-_CACHE_KIND_CODES = {kind: i for i, kind in enumerate(BIN_KINDS)}
+# Code 2 was a 24-bin chroma kind that nothing produced; it stays unused.
+_CACHE_KIND_CODES = {"cqt_mag": 0, "cqt_log": 1, "chroma12": 3}
 _CACHE_KIND_NAMES = {i: kind for kind, i in _CACHE_KIND_CODES.items()}
 
 

@@ -6,8 +6,10 @@ evaluation dataset, for every fold of a shared fold plan.  :func:`fit`
 returns a fold's recognizer, the callable ``chordbench predict`` also runs:
 ``templates.recognize_track`` or a trained labeler's ``recognize``; tests
 and the benchmark tracer substitute their own by patching ``harness.fit``.
-Fold assignment is by song, so multiple performances of the same song
-always share a fold.
+:func:`make_folds` assigns folds by song id, so entries that share a song
+id share a fold.  :func:`load_corpus`, which ``chordbench xval`` uses, gives
+each manifest line its own song id, so there two performances of one song
+are two songs and can land in different folds (docs/manifest.md).
 Completed folds are persisted as ``fold_<i>/scores.csv`` under the
 experiment directory (written to a temporary name, then renamed) and are
 not recomputed on rerun.

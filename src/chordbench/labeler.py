@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .annotations import SegmentTrack
-from .features import (WINDOW_FRAMES, FeatureError, FeatureMatrix, NormStats,
-                       frames_to_track, window_slices, zscore_apply, zscore_fit)
+from .features import (BIN_KINDS, WINDOW_FRAMES, FeatureError, FeatureMatrix,
+                       NormStats, frames_to_track, window_slices, zscore_apply,
+                       zscore_fit)
 from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
 
@@ -55,14 +56,13 @@ class LabelerConfig:
     n_layers: int
     n_heads: int
     seed: int
-    context_frames: int = WINDOW_FRAMES
-    n_classes: int = N_MAJMIN_CLASSES
 
     def __post_init__(self):
-        for name in ("input_dim", "model_dim", "n_layers", "n_heads",
-                     "context_frames", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            _check_range(f.name, value, f.name)
         if self.model_dim % self.n_heads != 0:
             raise ValueError("model_dim must be divisible by n_heads")
 
@@ -121,37 +121,50 @@ class TrainReport:
     losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
     accuracies: list = field(default_factory=list)
-    epochs_run: int = 0
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.losses)
 
 
-def init_params(config: LabelerConfig, dtype=np.float32) -> dict:
-    """Seeded parameter initialization; weights ~ N(0, 1/fan_in)."""
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+def param_shapes(config: LabelerConfig):
+    """``(name, shape)`` of each parameter, in :func:`init_params` order.
 
-    def w(n_in, n_out):
-        return (rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)).astype(dtype)
-
-    def b(n):
-        return np.zeros(n, dtype=dtype)
-
+    A generator, so that a caller can stop before a huge config has been
+    walked to its end.
+    """
     d, f = config.model_dim, config.ff_dim
-    params = {"in_proj.w": w(config.input_dim, d), "in_proj.b": b(d)}
+    yield "in_proj.w", (config.input_dim, d)
+    yield "in_proj.b", (d,)
     for i in range(config.n_layers):
         p = f"layers.{i}"
         for name in ("wq", "wk", "wv", "wo"):
-            params[f"{p}.attn.{name}"] = w(d, d)
+            yield f"{p}.attn.{name}", (d, d)
         for name in ("bq", "bk", "bv", "bo"):
-            params[f"{p}.attn.{name}"] = b(d)
-        params[f"{p}.ln1.g"] = np.ones(d, dtype=dtype)
-        params[f"{p}.ln1.b"] = b(d)
-        params[f"{p}.ff.w1"] = w(d, f)
-        params[f"{p}.ff.b1"] = b(f)
-        params[f"{p}.ff.w2"] = w(f, d)
-        params[f"{p}.ff.b2"] = b(d)
-        params[f"{p}.ln2.g"] = np.ones(d, dtype=dtype)
-        params[f"{p}.ln2.b"] = b(d)
-    params["classifier.w"] = w(d, config.n_classes)
-    params["classifier.b"] = b(config.n_classes)
+            yield f"{p}.attn.{name}", (d,)
+        yield from ((f"{p}.ln1.g", (d,)), (f"{p}.ln1.b", (d,)),
+                    (f"{p}.ff.w1", (d, f)), (f"{p}.ff.b1", (f,)),
+                    (f"{p}.ff.w2", (f, d)), (f"{p}.ff.b2", (d,)),
+                    (f"{p}.ln2.g", (d,)), (f"{p}.ln2.b", (d,)))
+    yield "classifier.w", (d, N_MAJMIN_CLASSES)
+    yield "classifier.b", (N_MAJMIN_CLASSES,)
+
+
+def init_params(config: LabelerConfig, dtype=np.float32) -> dict:
+    """Seeded parameter initialization.
+
+    Weight matrices are drawn ~ N(0, 1/fan_in) in :func:`param_shapes`
+    order; layer-norm gains (``.g``) start at 1 and biases at 0.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    params = {}
+    for name, shape in param_shapes(config):
+        if len(shape) == 2:
+            params[name] = (rng.standard_normal(shape)
+                            / np.sqrt(shape[0])).astype(dtype)
+        else:
+            params[name] = np.full(shape, 1.0 if name.endswith(".g") else 0.0,
+                                   dtype=dtype)
     return params
 
 
@@ -247,7 +260,7 @@ def _merge_heads(x):
 
 def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
             return_state: bool = False):
-    """Per-frame class scores, shape (frames, n_classes).
+    """Per-frame class scores, shape (frames, 25).
 
     With ``return_state`` also returns the cache of intermediate values
     (including per-layer attention weights under key ``attn.{i}``) used by
@@ -520,7 +533,6 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
             forwarded = [kept[int(j)] for j in first_batch]
         report.val_losses.append(monitored)
         report.accuracies.append(accuracy)
-        report.epochs_run += 1
         if not np.isfinite(monitored):
             raise TrainingError(f"non-finite validation loss: {monitored}")
         if monitored < best_loss:
@@ -558,6 +570,15 @@ class TrainedLabeler:
     bin_kind: str
     hop_samples: int
     sample_rate_hz: int
+
+    def __post_init__(self):
+        if self.bin_kind not in BIN_KINDS:
+            raise FeatureError(f"unknown bin kind {self.bin_kind!r}")
+        for name in ("hop_samples", "sample_rate_hz"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise FeatureError(
+                    f"{name} must be a positive integer, got {value!r}")
 
     def recognize(self, features: FeatureMatrix, source_id: str) -> SegmentTrack:
         """Label a track, folding log-CQT input first for a ``chroma12`` model.

@@ -259,13 +259,7 @@ def transpose(label: ChordLabel, semitones: int) -> ChordLabel:
 
 def majmin_name(index: int) -> str:
     """Display name of a class in the 25-class vocabulary."""
-    if index == NOCHORD_CLASS:
-        return "N"
-    if 0 <= index < 12:
-        return PITCH_CLASS_NAMES[index] + ":maj"
-    if 12 <= index < 24:
-        return PITCH_CLASS_NAMES[index - 12] + ":min"
-    raise ValueError(f"class index out of range: {index}")
+    return render(majmin_label(index))
 
 
 def majmin_label(index: int) -> ChordLabel:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .annotations import (SegmentTrack, TimedSegment, _open_utf8, normalize,
                           write_lab)
-from .features import AudioBuffer, save_wav
+from .features import SAMPLE_RATE, AudioBuffer, save_wav
 from .labels import (N_MAJMIN_CLASSES, NOCHORD_CLASS, majmin_label,
                      pitch_class_set)
 
@@ -69,11 +69,15 @@ class ProgressionModel:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Declarative description of one synthetic dataset."""
+    """Declarative description of one synthetic dataset.
+
+    Audio is rendered at the toolkit's one analysis rate,
+    :data:`~chordbench.features.SAMPLE_RATE`, so the highest pitch of
+    ``octaves`` must lie below its Nyquist frequency.
+    """
 
     n_tracks: int
     track_length_s: float
-    sample_rate_hz: int = 22050
     octaves: tuple = (3, 4)
     seed: int = 0
 
@@ -86,11 +90,11 @@ class SynthSpec:
                 or not all(type(o) is int for o in self.octaves)):
             raise SynthError(
                 f"octaves must be a non-empty tuple of ints, not {self.octaves!r}")
-        sr = self.sample_rate_hz
         fmax = max(_pitch_frequency(11, o) for o in self.octaves)
-        if sr < 1000 or fmax >= sr / 2:
-            raise SynthError(
-                f"unsupported sample rate {sr} Hz for octaves {self.octaves}")
+        if fmax >= SAMPLE_RATE / 2:
+            raise SynthError(f"unsupported sample rate {SAMPLE_RATE} Hz for "
+                             f"octaves {self.octaves}: B{max(self.octaves)} "
+                             f"({fmax:.0f} Hz) is above the Nyquist frequency")
 
 
 def model_from_stats(matrix: np.ndarray, histogram: np.ndarray) -> ProgressionModel:
@@ -219,7 +223,7 @@ def render_audio(track: SegmentTrack, spec: SynthSpec) -> AudioBuffer:
     as a prefix into every segment that sounds it: ascending pitch classes,
     octaves in spec order, the same sums as rendering segment by segment.
     """
-    sr = spec.sample_rate_hz
+    sr = SAMPLE_RATE
     q = quantize_track(track, sr)
     n_total = round(q.end_s * sr) if q.segments else round(track.end_s * sr)
     buf = np.zeros(n_total, dtype=np.float64)
@@ -268,7 +272,7 @@ def emit_dataset(spec: SynthSpec, model: ProgressionModel, out_dir) -> list:
         seed = track_seed(spec.seed, i)
         track_id = f"synth_{i:04d}"
         progression = sample_progression(model, spec.track_length_s, seed)
-        quantized = normalize(quantize_track(progression, spec.sample_rate_hz))
+        quantized = normalize(quantize_track(progression, SAMPLE_RATE))
         audio = render_audio(quantized, spec)
         wav_name = f"{track_id}.wav"
         lab_name = f"{track_id}.lab"

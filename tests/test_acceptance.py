@@ -46,7 +46,7 @@ def synth_corpus():
     for i in range(48):
         track = normalize(quantize_track(
             sample_progression(model, spec.track_length_s, 5000 + i),
-            spec.sample_rate_hz))
+            SAMPLE_RATE))
         audio = render_audio(track, spec)
         feats = log_amplitude(cqt(audio))
         corpus.append((track, feats))
@@ -205,8 +205,7 @@ def test_end_to_end_template_baseline(synth_corpus):
 
 def test_labeler_gradient_check():
     start = time.time()
-    config = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                           context_frames=8, seed=3)
+    config = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=3)
     params = init_params(config, dtype=np.float64)
     n = count_params(params)
     assert n <= 2000
@@ -259,8 +258,7 @@ def test_labeler_capacity(synth_corpus):
     start = time.time()
     items = _excerpts(synth_corpus)
     assert len(items) == 10
-    config = LabelerConfig(input_dim=12, model_dim=32, n_layers=1, n_heads=4,
-                           context_frames=54, seed=1)
+    config = LabelerConfig(input_dim=12, model_dim=32, n_layers=1, n_heads=4, seed=1)
     params, rep = train(config, items, lr=3e-3, batch_size=10,
                         max_epochs=200, patience=200)
     best = max(rep.accuracies)
@@ -336,7 +334,7 @@ def test_directional_sanity(synth_corpus):
     corpus_b = []
     for i in range(28):
         track = normalize(quantize_track(
-            sample_progression(model_b, 20.0, 9000 + i), spec.sample_rate_hz))
+            sample_progression(model_b, 20.0, 9000 + i), SAMPLE_RATE))
         audio = render_audio(track, spec)
         corpus_b.append((track, log_amplitude(cqt(audio))))
 

@@ -445,6 +445,25 @@ class TestExtractTrainPredict:
                    "--out", str(tmp_path / "pred")) == 1
         assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
+    def test_predict_rejects_checkpoint_with_zero_std(self, pipeline_dirs,
+                                                      tmp_path, capsys):
+        _, cache = pipeline_dirs
+        config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
+                               n_heads=2, seed=0)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, TrainedLabeler(config, init_params(config),
+                                             NormStats(0.0, 1.0), "cqt_log",
+                                             2048, 22050))
+        data = ckpt.read_bytes()
+        assert data.count(b'"std": 1.0') == 1
+        ckpt.write_bytes(data.replace(b'"std": 1.0', b'"std": 0.0'))
+        assert run("predict", "--model", str(ckpt), "--in", str(cache),
+                   "--out", str(tmp_path / "pred")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: extra: std is not above 0: 0.0; z-scoring needs "
+            "a non-zero variance\n")
+        assert list((tmp_path / "pred").glob("*.lab")) == []
+
     def test_train_rejects_out_of_range_cache_label(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.mkdir()

@@ -217,6 +217,18 @@ class TestZscore:
         with pytest.raises(FeatureError, match="variance"):
             zscore_fit([matrix(np.ones((4, 3)))])
 
+    @pytest.mark.parametrize("mean, std, message", [
+        (0.0, 0.0, "std is not above 0: 0.0"),
+        (0.0, -1.0, "std is not above 0: -1.0"),
+        (float("nan"), 1.0, "mean is not a finite number: nan"),
+        (0.0, float("inf"), "std is not a finite number: inf"),
+        (True, 1.0, "mean is not a finite number: True"),
+    ])
+    def test_stats_must_be_finite_with_positive_std(self, mean, std, message):
+        from chordbench.features import NormStats
+        with pytest.raises(FeatureError, match=re.escape(message)):
+            NormStats(mean, std)
+
     def test_matches_two_pass_oracle(self):
         rng = np.random.Generator(np.random.PCG64(31))
         mats = [matrix(rng.standard_normal((int(rng.integers(5, 40)), 6)) * 3 + 1)
@@ -365,6 +377,18 @@ class TestCacheAndWav:
         assert back.hop_samples == fm.hop_samples
         assert np.allclose(back.values, fm.values, atol=1e-6)
         assert np.array_equal(back_labels, labels)
+
+    def test_cache_kind_codes(self, tmp_path):
+        p = tmp_path / "x.cbf"
+        for kind, code in [("cqt_mag", 0), ("cqt_log", 1), ("chroma12", 3)]:
+            write_feature_cache(p, matrix(np.zeros((4, 2)), kind=kind))
+            assert p.read_bytes()[4] == code
+        data = bytearray(p.read_bytes())
+        data[4] = 2  # the unused code of a 24-bin chroma kind
+        p.write_bytes(bytes(data))
+        with pytest.raises(FeatureError,
+                           match=r"x\.cbf: unknown bin kind code 2"):
+            read_feature_cache(p)
 
     def test_cache_without_labels(self, tmp_path):
         fm = matrix(np.zeros((4, 2), dtype=np.float32))

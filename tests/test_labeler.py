@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 flatten_params, forward, init_params,
                                 loss_and_grad, loss_value, predict_track,
                                 train, unflatten_params, windowed_examples)
+from chordbench.labels import N_MAJMIN_CLASSES
 from chordbench.templates import fold_to_chroma
 
-TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                     context_frames=8, seed=3)
+TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=3)
 
 
 # Reference implementation of the network: every step allocates its result
@@ -211,7 +212,6 @@ def reference_train(config, train_items, val_items=None, lr=1e-3,
         monitored, accuracy = _reference_sweep(params, config, monitor_items)
         report.val_losses.append(monitored)
         report.accuracies.append(accuracy)
-        report.epochs_run += 1
         if monitored < best_loss:
             best_loss = monitored
             best_params = {k: v.copy() for k, v in params.items()}
@@ -228,7 +228,7 @@ def make_batch(config, n_items=2, frames=8, seed=11, masked_tail=1):
     batch = []
     for _ in range(n_items):
         x = rng.standard_normal((frames, config.input_dim))
-        y = rng.integers(0, config.n_classes, frames)
+        y = rng.integers(0, N_MAJMIN_CLASSES, frames)
         mask = np.ones(frames, dtype=bool)
         if masked_tail:
             mask[-masked_tail:] = False
@@ -295,10 +295,10 @@ def test_positional_encoding_is_memoized_read_only(dtype):
 ORACLE_CASES = {
     "tiny": (TINY, dict(n_items=2, frames=8, masked_tail=1)),
     "d32_l1_h4_108": (LabelerConfig(input_dim=12, model_dim=32, n_layers=1,
-                                    n_heads=4, context_frames=108, seed=5),
+                                    n_heads=4, seed=5),
                       dict(n_items=2, frames=108, masked_tail=0)),
     "d16_l2_h2_masked": (LabelerConfig(input_dim=12, model_dim=16, n_layers=2,
-                                       n_heads=2, context_frames=20, seed=8),
+                                       n_heads=2, seed=8),
                          dict(n_items=3, frames=20, masked_tail=7)),
 }
 
@@ -479,8 +479,7 @@ class TestTraining:
         return items
 
     def test_deterministic_given_seed(self):
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=9)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=9)
         items = self.toy_items()
         p1, r1 = train(cfg, items, lr=1e-2, batch_size=3, max_epochs=8, patience=8)
         p2, r2 = train(cfg, items, lr=1e-2, batch_size=3, max_epochs=8, patience=8)
@@ -491,8 +490,7 @@ class TestTraining:
             assert np.array_equal(p1[k], p2[k])
 
     def test_patience_zero_stops_after_first_non_improvement(self):
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=4)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=4)
         items = self.toy_items()
         # huge learning rate forces an early non-improving epoch
         _, report = train(cfg, items, lr=2.0, batch_size=6, max_epochs=50,
@@ -506,8 +504,7 @@ class TestTraining:
         assert monitored[-1] >= best_so_far[-2]
 
     def test_loss_non_increasing_small_lr_full_batch(self):
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=6)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=6)
         items = self.toy_items()
         _, report = train(cfg, items, lr=1e-3, batch_size=len(items),
                           max_epochs=25, patience=25)
@@ -515,8 +512,7 @@ class TestTraining:
         assert np.all(diffs <= 1e-6)
 
     def test_returns_best_parameters(self):
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=12)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=12)
         items = self.toy_items()
         params, report = train(cfg, items, lr=0.5, batch_size=6,
                                max_epochs=30, patience=3)
@@ -542,8 +538,7 @@ class TestTraining:
     @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
     def test_matches_reference_epoch_loop(self, case, dtype):
         n_train, n_val, kwargs = self.TRAIN_CASES[case]
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=4)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=4)
         items = self.toy_items(n=n_train)
         val_items = self.toy_items(n=n_val, seed=3) if n_val else None
         want_params, want = reference_train(cfg, items, val_items,
@@ -572,8 +567,7 @@ class TestTraining:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(labeler, "forward", counting_forward)
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=7)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=7)
         items = self.toy_items(n=6)
         val_items = self.toy_items(n=4, seed=3)
         _, report = train(cfg, items, lr=1e-2, batch_size=4, max_epochs=3,
@@ -587,8 +581,7 @@ class TestTraining:
         assert len(calls) == (len(items) + len(val_items)) * 3
 
     def test_accuracy_is_measured_on_validation_set(self):
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=8)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=8)
         items = self.toy_items(n=6)
         val_items = []
         for k, item in enumerate(self.toy_items(n=4, seed=5)):
@@ -631,11 +624,16 @@ class TestTraining:
             labeler.loss_and_grad(params, TINY, batch, forwarded[:2])
 
     def test_report_flags(self):
-        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
-                            context_frames=10, seed=13)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=13)
         _, report = train(cfg, self.toy_items(), lr=1e-2, batch_size=3,
                           max_epochs=2, patience=5)
         assert report.epochs_run == 2
+
+    def test_epochs_run_counts_the_losses(self):
+        report = labeler.TrainReport(losses=[1.0, 0.5, 0.4])
+        assert report.epochs_run == 3
+        with pytest.raises(AttributeError):
+            report.epochs_run = 4
 
 
 def test_windowed_examples_targets_and_mask():
@@ -681,6 +679,24 @@ class TestPredictTrack:
             LabelerConfig(input_dim=0, model_dim=8, n_layers=1, n_heads=2,
                           seed=0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_heads", True, "n_heads must be an integer, got True"),
+        ("model_dim", 8.0, "model_dim must be an integer, got 8.0"),
+        ("input_dim", "6", "input_dim must be an integer, got '6'"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+    ])
+    def test_config_field_types(self, key, value, message):
+        fields = dict(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabelerConfig(**{**fields, key: value})
+
+    def test_param_shapes_are_the_initialized_shapes(self):
+        for config in (TINY, ORACLE_CASES["d16_l2_h2_masked"][0]):
+            params = init_params(config)
+            assert list(labeler.param_shapes(config)) == [
+                (name, p.shape) for name, p in params.items()]
+
+
 
 def _random_pairs(n_tracks=3, n_frames=150, seed=23):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -702,7 +718,7 @@ class TestFit:
         val = [items[int(i)] for i in order[:2]]  # max(1, int(6 * 0.34))
         rest = [items[int(i)] for i in order[2:]]
         config = LabelerConfig(input_dim=12, model_dim=8, n_layers=1,
-                               n_heads=2, context_frames=108, seed=5)
+                               n_heads=2, seed=5)
         params, want = train(config, rest, val, lr=3e-3, batch_size=4,
                              max_epochs=2, patience=2)
         assert model.config == config
@@ -742,6 +758,16 @@ class TestFit:
 
 
 class TestRecognize:
+    @pytest.mark.parametrize("kind, hop, rate, message", [
+        ("chroma24", 2048, 22050, "unknown bin kind 'chroma24'"),
+        ("chroma12", "2048", 22050,
+         "hop_samples must be a positive integer, got '2048'"),
+        ("chroma12", 2048, 0, "sample_rate_hz must be a positive integer, got 0"),
+    ])
+    def test_input_recipe_is_checked(self, kind, hop, rate, message):
+        with pytest.raises(FeatureError, match=re.escape(message)):
+            TrainedLabeler(TINY, {}, NormStats(0.0, 1.0), kind, hop, rate)
+
     def test_folds_log_cqt_for_a_chroma_model(self):
         config = LabelerConfig(input_dim=12, model_dim=8, n_layers=1,
                                n_heads=2, seed=3)
@@ -931,6 +957,82 @@ class TestCheckpoint:
         self._with_meta(p, lambda meta: meta["config"].update(model_dim="8"))
         with pytest.raises(CheckpointError, match=re.escape("m.ckpt: config: ")):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_heads", True, "n_heads must be an integer, got True"),
+        ("model_dim", 8.0, "model_dim must be an integer, got 8.0"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+    ])
+    def test_config_field_types_name_file(self, tmp_path, key, value, message):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["config"].update({key: value}))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"m.ckpt: config: {message}")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("std", [0, 0.0, -2.0])
+    def test_std_not_above_zero_names_file(self, tmp_path, std):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["extra"].update(std=std))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"m.ckpt: extra: std is not above 0: {std!r}")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hop_samples", "2048", "hop_samples must be a positive integer, "
+         "got '2048'"),
+        ("hop_samples", True, "hop_samples must be a positive integer, got True"),
+        ("sample_rate_hz", 0, "sample_rate_hz must be a positive integer, got 0"),
+        ("bin_kind", "foo", "unknown bin kind 'foo'"),
+    ])
+    def test_input_recipe_values_name_file(self, tmp_path, key, value, message):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["extra"].update({key: value}))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"m.ckpt: extra: {message}")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key, value", [("model_dim", 10 ** 6),
+                                            ("n_layers", 10 ** 9)])
+    def test_huge_config_fails_without_building_the_model(self, tmp_path,
+                                                          key, value):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        self._with_meta(p, lambda meta: meta["config"].update({key: value}))
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=re.escape(
+                    f"m.ckpt: config: its tensors need more than the {size} "
+                    "bytes the file holds")):
+                load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_version_1_is_unsupported(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        data = bytearray(p.read_bytes())
+        assert struct.unpack("<I", data[4:8]) == (2,)
+        data[4:8] = struct.pack("<I", 1)
+        p.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=re.escape("m.ckpt: unsupported version 1")):
+            load_checkpoint(p)
+
+    def test_config_block_holds_the_five_fields(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        data = p.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        meta = json.loads(data[12:12 + meta_len])
+        assert meta["config"] == {"input_dim": 6, "model_dim": 8, "n_layers": 1,
+                                  "n_heads": 2, "seed": 3}
 
     def test_extra_must_hold_the_input_recipe(self, tmp_path):
         p = tmp_path / "m.ckpt"
