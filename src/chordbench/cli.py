@@ -150,9 +150,11 @@ TRAIN_DEFAULTS = {"seed": 0, "model_dim": 64, "n_layers": 2, "n_heads": 4,
 
 
 def cmd_train(args):
+    # Outside the ``try``: ``_open_utf8`` names the file on a non-UTF-8 byte.
+    with annotations._open_utf8(args.config) as fh:
+        text = fh.read()
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(text)
         labeler.check_hyperparameters(cfg, TRAIN_DEFAULTS, "key")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.config}: not JSON: {exc}") from None
@@ -171,7 +173,6 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    os.makedirs(args.out, exist_ok=True)
     suffix = ".wav"
     inputs = sorted(glob.glob(os.path.join(args.indir, "*" + suffix)))
     if not inputs:
@@ -193,6 +194,9 @@ def cmd_predict(args):
         except features.FeatureError as exc:
             raise features.FeatureError(
                 f"model {args.model} on {path}: {exc}") from None
+        # Made only now, so a run that fails before its first prediction
+        # leaves no output directory behind.
+        os.makedirs(args.out, exist_ok=True)
         annotations.write_lab(track, os.path.join(args.out, stem + ".lab"))
     print(f"wrote {len(inputs)} predictions to {args.out}")
 

@@ -508,7 +508,8 @@ def write_feature_cache(path, features: FeatureMatrix,
 def read_feature_cache(path):
     """Read a flat binary feature file; returns ``(features, labels_or_None)``.
 
-    A file that is not a feature file, ends early, holds a NaN or infinite
+    A file that is not a feature file, ends early, has a frame timing other
+    than ``HOP`` samples at ``SAMPLE_RATE``, or holds a NaN or infinite
     value or a label that is not a class index raises :class:`FeatureError`
     naming the path and, for a bad value or label, the first frame with one.
     """
@@ -523,6 +524,9 @@ def read_feature_cache(path):
             "<BBIIII", header)
         if kind_code not in _CACHE_KIND_NAMES:
             raise FeatureError(f"{path}: unknown bin kind code {kind_code}")
+        if (hop, rate) != (HOP, SAMPLE_RATE):
+            raise FeatureError(f"{path}: hop {hop} at {rate} Hz; features "
+                               f"must have hop {HOP} at {SAMPLE_RATE} Hz")
         block = fh.read(4 * n_frames * n_bins)
         if len(block) != 4 * n_frames * n_bins:
             raise FeatureError(f"{path}: truncated value block")

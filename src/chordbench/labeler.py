@@ -21,9 +21,9 @@ place.  They do so only on arrays the function has just computed, never on
 array when its dtype already matches) or on the read-only positional table.
 
 :func:`fit` trains the network on ``(features, labels)`` pairs and returns a
-:class:`TrainedLabeler`, which keeps the z-score and the feature kind and
-timing of its training data; ``chordbench train``, ``chordbench predict``
-and the harness all train and label through these two.
+:class:`TrainedLabeler`, which keeps the z-score and the feature kind of
+its training data; ``chordbench train``, ``chordbench predict`` and the
+harness all train and label through these two.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .annotations import SegmentTrack
-from .features import (BIN_KINDS, WINDOW_FRAMES, FeatureError, FeatureMatrix,
-                       NormStats, frames_to_track, window_slices, zscore_apply,
-                       zscore_fit)
+from .features import (BIN_KINDS, HOP, SAMPLE_RATE, WINDOW_FRAMES,
+                       FeatureError, FeatureMatrix, NormStats, frames_to_track,
+                       window_slices, zscore_apply, zscore_fit)
 from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
 
@@ -558,27 +558,22 @@ def predict_track(params: dict, config: LabelerConfig, features: FeatureMatrix,
 class TrainedLabeler:
     """A fitted labeler together with the input recipe it was fitted on.
 
-    ``stats`` is the z-score fitted on the training features, and
-    ``bin_kind``, ``hop_samples`` and ``sample_rate_hz`` describe those
-    features.  :meth:`recognize` applies the model to a track the same way
-    whichever front end loaded or trained it.
+    ``stats`` is the z-score fitted on the training features and
+    ``bin_kind`` their kind; their frame timing is always
+    :data:`~chordbench.features.HOP` samples at
+    :data:`~chordbench.features.SAMPLE_RATE`.  :meth:`recognize` applies
+    the model to a track the same way whichever front end loaded or
+    trained it.
     """
 
     config: LabelerConfig
     params: dict
     stats: NormStats
     bin_kind: str
-    hop_samples: int
-    sample_rate_hz: int
 
     def __post_init__(self):
         if self.bin_kind not in BIN_KINDS:
             raise FeatureError(f"unknown bin kind {self.bin_kind!r}")
-        for name in ("hop_samples", "sample_rate_hz"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise FeatureError(
-                    f"{name} must be a positive integer, got {value!r}")
 
     def recognize(self, features: FeatureMatrix, source_id: str) -> SegmentTrack:
         """Label a track, folding log-CQT input first for a ``chroma12`` model.
@@ -588,8 +583,7 @@ class TrainedLabeler:
         """
         if self.bin_kind == "chroma12" and features.bin_kind == "cqt_log":
             features = fold_to_chroma(features)
-        want = (self.bin_kind, self.config.input_dim, self.hop_samples,
-                self.sample_rate_hz)
+        want = (self.bin_kind, self.config.input_dim, HOP, SAMPLE_RATE)
         got = (features.bin_kind, features.n_bins, features.hop_samples,
                features.sample_rate_hz)
         if got != want:
@@ -651,7 +645,7 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     """Train a labeler on ``(features, labels)`` pairs.
 
     Returns ``(TrainedLabeler, TrainReport)``.  The pairs become z-scored
-    108-frame windows (:func:`windowed_examples`); the model's input recipe
+    108-frame windows (:func:`windowed_examples`); the model's feature kind
     is that of the first pair.  With ``val_fraction`` above 0, a seeded
     random ``max(1, int(n * val_fraction))`` of the n windows is held out
     to pick the best epoch; otherwise the training windows are monitored
@@ -675,6 +669,4 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     params, report = train(config, items, val_items, lr=lr,
                            batch_size=batch_size, max_epochs=max_epochs,
                            patience=patience)
-    model = TrainedLabeler(config, params, stats, first.bin_kind,
-                           first.hop_samples, first.sample_rate_hz)
-    return model, report
+    return TrainedLabeler(config, params, stats, first.bin_kind), report

@@ -292,8 +292,7 @@ class TestExtractTrainPredict:
                                n_heads=2, seed=0)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, TrainedLabeler(
-            config, init_params(config), NormStats(0.0, 1.0), "cqt_log",
-            2048, 22050))
+            config, init_params(config), NormStats(0.0, 1.0), "cqt_log"))
         cache = tmp_path / "cache"
         cache.mkdir()
         write_feature_cache(cache / "a.shift+0.cbf",
@@ -336,8 +335,6 @@ class TestExtractTrainPredict:
         ckpt = tmp_path / "model.ckpt"
         assert run("train", "--config", str(cfg), "--data", str(cache),
                    "--out", str(ckpt)) == 0
-        # A tensor stored with width 4 loads as float32, one of width 8 as
-        # float64.
         params = load_checkpoint(ckpt).params
         assert {k: v.dtype for k, v in params.items()
                 if v.dtype != np.float32} == {}
@@ -423,27 +420,31 @@ class TestExtractTrainPredict:
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("tensor, shape, message", [
-        ("classifier.b", None, "tensor 'classifier.b' missing"),
-        ("classifier.w", (8, 5),
-         "tensor 'classifier.w' has shape (8, 5), expected (8, 25)"),
-    ])
+    @pytest.mark.parametrize("tensor, shape", [("classifier.b", None),
+                                               ("classifier.w", (8, 24))])
     def test_predict_rejects_checkpoint_with_wrong_tensors(
-            self, pipeline_dirs, tmp_path, capsys, tensor, shape, message):
+            self, pipeline_dirs, tmp_path, capsys, tensor, shape):
+        """A checkpoint whose last tensors were written without
+        ``classifier.b``, or with ``classifier.w`` of another shape."""
         _, cache = pipeline_dirs
         config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
                                n_heads=2, seed=0)
         params = init_params(config)
-        if shape is None:
-            del params[tensor]
-        else:
-            params[tensor] = np.zeros(shape, dtype=np.float32)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, TrainedLabeler(config, params, NormStats(0.0, 1.0),
-                                             "cqt_log", 2048, 22050))
+                                             "cqt_log"))
+        w, b = params["classifier.w"].tobytes(), params["classifier.b"].tobytes()
+        wrong = w if shape is None else np.zeros(shape, "<f4").tobytes() + b
+        data = ckpt.read_bytes()
+        assert data.endswith(w + b)  # the last two tensors written
+        ckpt.write_bytes(data[:-len(w + b)] + wrong)
+        need = 4 * sum(v.size for v in params.values())
+        have = need - len(w + b) + len(wrong)
         assert run("predict", "--model", str(ckpt), "--in", str(cache),
                    "--out", str(tmp_path / "pred")) == 1
-        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: tensor block holds {have} bytes, config needs "
+            f"{need}\n")
 
     def test_predict_rejects_checkpoint_with_zero_std(self, pipeline_dirs,
                                                       tmp_path, capsys):
@@ -452,8 +453,7 @@ class TestExtractTrainPredict:
                                n_heads=2, seed=0)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, TrainedLabeler(config, init_params(config),
-                                             NormStats(0.0, 1.0), "cqt_log",
-                                             2048, 22050))
+                                             NormStats(0.0, 1.0), "cqt_log"))
         data = ckpt.read_bytes()
         assert data.count(b'"std": 1.0') == 1
         ckpt.write_bytes(data.replace(b'"std": 1.0', b'"std": 0.0'))
@@ -463,6 +463,45 @@ class TestExtractTrainPredict:
             f"error: {ckpt}: extra: std is not above 0: 0.0; z-scoring needs "
             "a non-zero variance\n")
         assert list((tmp_path / "pred").glob("*.lab")) == []
+
+    @pytest.mark.parametrize("failure", ["checkpoint", "no-inputs",
+                                         "feature-kind"])
+    def test_failed_predict_leaves_no_output_directory(
+            self, pipeline_dirs, tmp_path, capsys, failure):
+        _, cache = pipeline_dirs
+        config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
+                               n_heads=2, seed=0)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, TrainedLabeler(
+            config, init_params(config), NormStats(0.0, 1.0),
+            "chroma12" if failure == "feature-kind" else "cqt_log"))
+        if failure == "checkpoint":
+            ckpt.write_bytes(ckpt.read_bytes()[:-1])
+        if failure == "no-inputs":
+            cache = tmp_path / "empty"
+            cache.mkdir()
+        out = tmp_path / "pred"
+        if failure == "no-inputs":
+            with pytest.raises(SystemExit, match="no .wav or .shift"):
+                run("predict", "--model", str(ckpt), "--in", str(cache),
+                    "--out", str(out))
+        else:
+            assert run("predict", "--model", str(ckpt), "--in", str(cache),
+                       "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(ckpt) in err
+        assert not out.exists()
+
+    def test_train_names_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"model_dim": 8,\n "seed": "\xc8"}')
+        ckpt = tmp_path / "model.ckpt"
+        assert run("train", "--config", str(cfg), "--data", str(tmp_path),
+                   "--out", str(ckpt)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: not UTF-8 text: invalid continuation byte "
+            "(byte 0xc8)\n")
+        assert not ckpt.exists()
 
     def test_train_rejects_out_of_range_cache_label(self, tmp_path, capsys):
         cache = tmp_path / "cache"

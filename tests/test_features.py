@@ -412,6 +412,15 @@ class TestCacheAndWav:
         with pytest.raises(FeatureError, match=rf"x\.cbf: truncated {block}"):
             read_feature_cache(p)
 
+    @pytest.mark.parametrize("hop, rate", [(1024, SAMPLE_RATE), (HOP, 44100)])
+    def test_cache_other_timing_names_file(self, tmp_path, hop, rate):
+        p = tmp_path / "x.cbf"
+        write_feature_cache(p, matrix(np.zeros((4, 2)), hop=hop, rate=rate))
+        with pytest.raises(FeatureError, match=re.escape(
+                f"x.cbf: hop {hop} at {rate} Hz; features must have hop 2048 "
+                "at 22050 Hz")):
+            read_feature_cache(p)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_cache_non_finite_value_names_file_and_frame(self, tmp_path, bad):
         values = np.zeros((40, 3))

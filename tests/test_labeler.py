@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -8,14 +10,15 @@ import numpy as np
 import pytest
 
 from chordbench import labeler
-from chordbench.checkpoint import (CheckpointError, load_checkpoint,
-                                   save_checkpoint)
+from chordbench.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
+                                   load_checkpoint, save_checkpoint)
 from chordbench.features import FeatureError, FeatureMatrix, NormStats, zscore_apply
 from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 TrainedLabeler, TrainingError, count_params, fit,
                                 flatten_params, forward, init_params,
-                                loss_and_grad, loss_value, predict_track,
-                                train, unflatten_params, windowed_examples)
+                                loss_and_grad, loss_value, param_shapes,
+                                predict_track, train, unflatten_params,
+                                windowed_examples)
 from chordbench.labels import N_MAJMIN_CLASSES
 from chordbench.templates import fold_to_chroma
 
@@ -723,8 +726,7 @@ class TestFit:
                              max_epochs=2, patience=2)
         assert model.config == config
         assert model.stats == stats
-        assert (model.bin_kind, model.hop_samples, model.sample_rate_hz) == (
-            "chroma12", 2048, 22050)
+        assert model.bin_kind == "chroma12"
         assert report == want
         assert all(np.array_equal(model.params[k], params[k]) for k in params)
 
@@ -758,21 +760,16 @@ class TestFit:
 
 
 class TestRecognize:
-    @pytest.mark.parametrize("kind, hop, rate, message", [
-        ("chroma24", 2048, 22050, "unknown bin kind 'chroma24'"),
-        ("chroma12", "2048", 22050,
-         "hop_samples must be a positive integer, got '2048'"),
-        ("chroma12", 2048, 0, "sample_rate_hz must be a positive integer, got 0"),
-    ])
-    def test_input_recipe_is_checked(self, kind, hop, rate, message):
-        with pytest.raises(FeatureError, match=re.escape(message)):
-            TrainedLabeler(TINY, {}, NormStats(0.0, 1.0), kind, hop, rate)
+    def test_bin_kind_is_checked(self):
+        with pytest.raises(FeatureError,
+                           match=re.escape("unknown bin kind 'chroma24'")):
+            TrainedLabeler(TINY, {}, NormStats(0.0, 1.0), "chroma24")
 
     def test_folds_log_cqt_for_a_chroma_model(self):
         config = LabelerConfig(input_dim=12, model_dim=8, n_layers=1,
                                n_heads=2, seed=3)
         model = TrainedLabeler(config, init_params(config, np.float64),
-                               NormStats(0.3, 1.5), "chroma12", 2048, 22050)
+                               NormStats(0.3, 1.5), "chroma12")
         rng = np.random.Generator(np.random.PCG64(4))
         logcqt = FeatureMatrix(rng.standard_normal((40, 144)), 2048, 22050,
                                "cqt_log")
@@ -791,7 +788,7 @@ class TestRecognize:
         config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
                                n_heads=2, seed=0)
         model = TrainedLabeler(config, init_params(config),
-                               NormStats(0.0, 1.0), "cqt_log", 2048, 22050)
+                               NormStats(0.0, 1.0), "cqt_log")
         features = FeatureMatrix(np.zeros((20, bins)), hop, 22050, kind)
         with pytest.raises(FeatureError, match=re.escape(
                 "model takes cqt_log (144 bins, hop 2048 at 22050 Hz) "
@@ -831,12 +828,38 @@ class TestAdam:
             assert np.array_equal(params[k], want[k]), k
 
 
-def _tiny_model(dtype=np.float32):
-    return TrainedLabeler(TINY, init_params(TINY, dtype=dtype),
-                          NormStats(0.5, 2.0), "chroma12", 2048, 22050)
+def _tiny_model(params=None):
+    return TrainedLabeler(TINY, init_params(TINY) if params is None else params,
+                          NormStats(0.5, 2.0), "chroma12")
 
 
 class TestCheckpoint:
+    # sha256 of the version-3 checkpoint of ``_tiny_model()``.  A change to
+    # the layout or to ``param_shapes`` order changes it; such a change must
+    # bump CHECKPOINT_VERSION and record the new digest here.
+    GOLDEN_SHA256 = ("aa86c772a66e5ac2d0d1eaa2249966b4"
+                     "b06f1a412357be624238fc5ca50e4ebd")
+
+    def test_golden_bytes(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model())
+        assert CHECKPOINT_VERSION == 3
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_layout_is_metadata_then_float32_in_param_shapes_order(
+            self, tmp_path):
+        model = _tiny_model()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model)
+        blob = json.dumps({"config": dataclasses.asdict(TINY),
+                           "extra": {"mean": 0.5, "std": 2.0,
+                                     "bin_kind": "chroma12"}},
+                          sort_keys=True).encode("utf-8")
+        tensors = b"".join(model.params[name].astype("<f4").tobytes()
+                           for name, _ in param_shapes(TINY))
+        assert p.read_bytes() == (b"CBCK" + struct.pack("<II", 3, len(blob))
+                                  + blob + tensors)
+
     def test_round_trip(self, tmp_path):
         model = _tiny_model()
         p = tmp_path / "m.ckpt"
@@ -844,20 +867,11 @@ class TestCheckpoint:
         back = load_checkpoint(p)
         assert back.config == TINY
         assert back.stats == model.stats
-        assert (back.bin_kind, back.hop_samples, back.sample_rate_hz) == (
-            "chroma12", 2048, 22050)
-        assert set(back.params) == set(model.params)
+        assert back.bin_kind == "chroma12"
+        assert list(back.params) == [name for name, _ in param_shapes(TINY)]
         for k in model.params:
             assert np.array_equal(back.params[k], model.params[k])
-            assert back.params[k].dtype == model.params[k].dtype
-
-    def test_float64_round_trip(self, tmp_path):
-        model = _tiny_model(np.float64)
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(p, model)
-        back = load_checkpoint(p).params
-        assert all(back[k].dtype == np.float64 for k in back)
-        assert all(np.array_equal(back[k], model.params[k]) for k in back)
+            assert back.params[k].dtype == np.float32
 
     @staticmethod
     def _with_meta(path, edit):
@@ -892,34 +906,28 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     def test_corrupt_lengths_fail_before_reading(self, tmp_path):
-        model = _tiny_model()
-        first, shape = next(iter(model.params.items()))
         p = tmp_path / "m.ckpt"
-        save_checkpoint(p, model)
+        save_checkpoint(p, _tiny_model())
         data = bytearray(p.read_bytes())
-        (meta_len,) = struct.unpack("<I", data[8:12])
-        shape_at = 18 + meta_len + len(first) + 2
-        data[shape_at:shape_at + 4] = struct.pack("<I", 2 ** 31)
-        p.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match=re.escape(
-                f"m.ckpt: tensor {first!r} has shape "
-                f"{(2 ** 31, *shape.shape[1:])}, expected {shape.shape}")):
-            load_checkpoint(p)
         data[8:12] = struct.pack("<I", 2 ** 32 - 1)
         p.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError,
-                           match=re.escape("m.ckpt: truncated metadata")):
-            load_checkpoint(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError,
+                               match=re.escape("m.ckpt: truncated metadata")):
+                load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_finite_values_name_file_and_tensor(self, tmp_path):
         model = _tiny_model()
         weights = model.params["classifier.w"].copy()
         weights[3, 4] = np.nan
         p = tmp_path / "m.ckpt"
-        save_checkpoint(p, TrainedLabeler(
-            model.config, {**model.params, "classifier.w": weights},
-            model.stats, model.bin_kind, model.hop_samples,
-            model.sample_rate_hz))
+        save_checkpoint(p, _tiny_model({**model.params,
+                                        "classifier.w": weights}))
         with pytest.raises(CheckpointError, match=re.escape(
                 "m.ckpt: tensor 'classifier.w' is not finite")):
             load_checkpoint(p)
@@ -930,6 +938,16 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=re.escape(
                     f"m.ckpt: extra: {key} is not a finite number: {value!r}")):
                 load_checkpoint(p)
+
+    def test_first_non_finite_tensor_is_named(self, tmp_path):
+        params = init_params(TINY)
+        params["layers.0.ln2.b"][1] = np.inf
+        params["classifier.w"][0, 0] = np.nan
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, _tiny_model(params))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor 'layers.0.ln2.b' is not finite")):
+            load_checkpoint(p)
 
     def test_config_keys_must_match_labeler_config(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -981,10 +999,6 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("hop_samples", "2048", "hop_samples must be a positive integer, "
-         "got '2048'"),
-        ("hop_samples", True, "hop_samples must be a positive integer, got True"),
-        ("sample_rate_hz", 0, "sample_rate_hz must be a positive integer, got 0"),
         ("bin_kind", "foo", "unknown bin kind 'foo'"),
     ])
     def test_input_recipe_values_name_file(self, tmp_path, key, value, message):
@@ -1014,16 +1028,23 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_version_1_is_unsupported(self, tmp_path):
+    @staticmethod
+    def _assert_version_unsupported(tmp_path, version):
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, _tiny_model())
         data = bytearray(p.read_bytes())
-        assert struct.unpack("<I", data[4:8]) == (2,)
-        data[4:8] = struct.pack("<I", 1)
+        assert struct.unpack("<I", data[4:8]) == (3,)
+        data[4:8] = struct.pack("<I", version)
         p.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError,
-                           match=re.escape("m.ckpt: unsupported version 1")):
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"m.ckpt: unsupported version {version}")):
             load_checkpoint(p)
+
+    def test_version_1_is_unsupported(self, tmp_path):
+        self._assert_version_unsupported(tmp_path, 1)
+
+    def test_version_2_is_unsupported(self, tmp_path):
+        self._assert_version_unsupported(tmp_path, 2)
 
     def test_config_block_holds_the_five_fields(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -1037,103 +1058,75 @@ class TestCheckpoint:
     def test_extra_must_hold_the_input_recipe(self, tmp_path):
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, _tiny_model())
-        self._with_meta(p, lambda meta: meta["extra"].pop("hop_samples"))
+        self._with_meta(p, lambda meta: meta["extra"].pop("bin_kind"))
         with pytest.raises(CheckpointError,
-                           match=re.escape("m.ckpt: extra lacks hop_samples")):
+                           match=re.escape("m.ckpt: extra lacks bin_kind")):
             load_checkpoint(p)
 
     def test_truncated_names_file_and_part(self, tmp_path):
-        model = _tiny_model()
-        params = model.params
         full = tmp_path / "m.ckpt"
-        save_checkpoint(full, model)
+        save_checkpoint(full, _tiny_model())
         data = full.read_bytes()
         (meta_len,) = struct.unpack("<I", data[8:12])
-        first, last = next(iter(params)), list(params)[-1]
-        layout_at = 18 + meta_len + len(first)
-        data_at = layout_at + 2 + 4 * params[first].ndim
-        cuts = {
-            8: "header",
-            12 + meta_len // 2: "metadata",
-            14 + meta_len: "tensor count",
-            17 + meta_len: "name length of tensor 0",
-            19 + meta_len: "name of tensor 0",
-            layout_at + 1: f"layout of tensor {first!r}",
-            data_at - 1: f"shape of tensor {first!r}",
-            data_at + 3: f"tensor {first!r}",
-            len(data) - 5: f"tensor {last!r}",
-        }
         p = tmp_path / "cut.ckpt"
-        for cut, part in cuts.items():
+        for cut, part in [(8, "header"), (12 + meta_len // 2, "metadata")]:
             p.write_bytes(data[:cut])
             with pytest.raises(CheckpointError,
                                match=re.escape(f"cut.ckpt: truncated {part}")):
                 load_checkpoint(p)
 
-    def test_unsupported_width_names_tensor(self, tmp_path):
-        model = _tiny_model()
-        params = model.params
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(p, model)
-        data = bytearray(p.read_bytes())
-        (meta_len,) = struct.unpack("<I", data[8:12])
-        first = next(iter(params))
-        data[18 + meta_len + len(first)] = 2  # width byte of the first tensor
-        p.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError,
-                           match=re.escape(f"tensor {first!r} has unsupported width 2")):
-            load_checkpoint(p)
-
-    def test_missing_tensor_names_file_and_tensor(self, tmp_path):
-        model = _tiny_model()
-        params = {k: v for k, v in model.params.items() if k != "classifier.b"}
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(p, TrainedLabeler(model.config, params, model.stats,
-                                          model.bin_kind, model.hop_samples,
-                                          model.sample_rate_hz))
-        with pytest.raises(CheckpointError, match=re.escape(
-                "m.ckpt: tensor 'classifier.b' missing")):
-            load_checkpoint(p)
-
-    def test_tensor_shape_must_match_config(self, tmp_path):
-        model = _tiny_model()
-        params = {**model.params,
-                  "classifier.w": np.zeros((8, 5), dtype=np.float32)}
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(p, TrainedLabeler(model.config, params, model.stats,
-                                          model.bin_kind, model.hop_samples,
-                                          model.sample_rate_hz))
-        with pytest.raises(CheckpointError, match=re.escape(
-                "m.ckpt: tensor 'classifier.w' has shape (8, 5), "
-                "expected (8, 25)")):
-            load_checkpoint(p)
-
-    def test_unexpected_tensor_names_file_and_tensor(self, tmp_path):
-        model = _tiny_model()
-        params = {**model.params, "layers.1.ln1.g": np.ones(8, dtype=np.float32)}
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(p, TrainedLabeler(model.config, params, model.stats,
-                                          model.bin_kind, model.hop_samples,
-                                          model.sample_rate_hz))
-        with pytest.raises(CheckpointError, match=re.escape(
-                "m.ckpt: unexpected tensor 'layers.1.ln1.g'")):
-            load_checkpoint(p)
-
-    def test_repeated_tensor_names_file_and_tensor(self, tmp_path):
+    @pytest.mark.parametrize("change", [-1, 1], ids=["byte-short", "byte-extra"])
+    def test_tensor_block_must_fit_the_config(self, tmp_path, change):
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, _tiny_model())
         data = p.read_bytes()
         (meta_len,) = struct.unpack("<I", data[8:12])
-        (count,) = struct.unpack("<I", data[12 + meta_len:16 + meta_len])
-        last = _tiny_model().params["classifier.b"]  # the last tensor written
-        name = b"classifier.b"
-        record = (struct.pack("<H", len(name)) + name
-                  + struct.pack("<BBI", 4, 1, 25) + last.astype("<f4").tobytes())
-        p.write_bytes(data[:12 + meta_len] + struct.pack("<I", count + 1)
-                      + data[16 + meta_len:] + record)
+        need = 4 * count_params(init_params(TINY))
+        assert len(data) == 12 + meta_len + need
+        p.write_bytes(data[:len(data) + change] if change < 0
+                      else data + b"\0" * change)
         with pytest.raises(CheckpointError, match=re.escape(
-                "m.ckpt: tensor 'classifier.b' repeated")):
+                f"m.ckpt: tensor block holds {need + change} bytes, "
+                f"config needs {need}")):
             load_checkpoint(p)
+
+    def test_save_refuses_float64(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor 'in_proj.w' has dtype float64, "
+                "expected float32")):
+            save_checkpoint(p, _tiny_model(init_params(TINY, np.float64)))
+        assert not p.exists()
+
+    def test_missing_tensor_names_file_and_tensor(self, tmp_path):
+        params = init_params(TINY)
+        del params["classifier.b"]
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensors differ from param_shapes: unknown [], "
+                "missing ['classifier.b']")):
+            save_checkpoint(p, _tiny_model(params))
+        assert not p.exists()
+
+    def test_tensor_shape_must_match_config(self, tmp_path):
+        params = {**init_params(TINY),
+                  "classifier.w": np.zeros((8, 5), dtype=np.float32)}
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor 'classifier.w' has shape (8, 5), "
+                "expected (8, 25)")):
+            save_checkpoint(p, _tiny_model(params))
+        assert not p.exists()
+
+    def test_unexpected_tensor_names_file_and_tensor(self, tmp_path):
+        params = {**init_params(TINY),
+                  "layers.1.ln1.g": np.ones(8, dtype=np.float32)}
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensors differ from param_shapes: "
+                "unknown ['layers.1.ln1.g'], missing []")):
+            save_checkpoint(p, _tiny_model(params))
+        assert not p.exists()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.ckpt"
