@@ -70,10 +70,11 @@ def load_checkpoint(path) -> TrainedLabeler:
     object, whose ``config`` keys differ from :class:`LabelerConfig`'s
     fields, or whose ``config`` or ``extra`` values fail the checks of
     :class:`LabelerConfig`, :class:`NormStats` or :class:`TrainedLabeler`;
-    a tensor block whose length is not the 4 bytes per value that
-    :func:`param_shapes` lists for the ``config`` (a ``config`` that needs
-    more than the whole file is named, and its shapes are walked only that
-    far); and a NaN or infinite value, naming the first tensor with one.
+    a tensor block, the bytes after the metadata, whose length is not the 4
+    bytes per value that :func:`param_shapes` lists for the ``config`` (the
+    shapes are walked only until they need more than the block holds, and
+    the error then gives that partial sum as "at least"); and a NaN or
+    infinite value, naming the first tensor with one.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -120,16 +121,17 @@ def load_checkpoint(path) -> TrainedLabeler:
                                    extra["bin_kind"])
         except FeatureError as exc:
             raise CheckpointError(f"{path}: extra: {exc}") from None
-        need = 0
-        for _, shape in param_shapes(config):
+        have, need, shapes = size - fh.tell(), 0, param_shapes(config)
+        for _, shape in shapes:
             need += 4 * math.prod(shape)
-            if need > size:
-                raise CheckpointError(f"{path}: config: its tensors need more "
-                                      f"than the {size} bytes the file holds")
-        have = size - fh.tell()
-        if have != need:
+            if need > have:
+                break
+        if need != have:
+            # Past the block's end the walk stops: ``need`` is then a floor,
+            # exact only if no tensor is left.
+            least = "" if next(shapes, None) is None else "at least "
             raise CheckpointError(f"{path}: tensor block holds {have} bytes, "
-                                  f"config needs {need}")
+                                  f"config needs {least}{need}")
         values = np.frombuffer(fh.read(need), dtype="<f4").astype(np.float32)
     params, offset = {}, 0
     for name, shape in param_shapes(config):

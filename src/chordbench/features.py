@@ -88,7 +88,8 @@ class AudioBuffer:
 class FeatureMatrix:
     """Frames x bins matrix with frame timing metadata.
 
-    Frame i corresponds to time ``i * hop_samples / sample_rate_hz``.
+    Frame i corresponds to time ``i * hop_samples / sample_rate_hz``.  A NaN
+    or infinite value raises :class:`FeatureError` naming its first frame.
     """
 
     values: np.ndarray
@@ -101,6 +102,9 @@ class FeatureMatrix:
             raise FeatureError(f"expected 2-D feature values, got {self.values.shape}")
         if self.bin_kind not in BIN_KINDS:
             raise FeatureError(f"unknown bin kind {self.bin_kind!r}")
+        finite = np.isfinite(self.values).all(axis=1)
+        if not finite.all():
+            raise FeatureError(f"frame {int(np.argmin(finite))} is not finite")
 
     @property
     def n_frames(self) -> int:
@@ -474,6 +478,14 @@ def frames_to_track(classes: np.ndarray, hop_samples: int, sample_rate_hz: int,
     return normalize(SegmentTrack(segments, source_id))
 
 
+def decode_scores(scores: np.ndarray, features: FeatureMatrix,
+                  source_id: str) -> SegmentTrack:
+    """The chord track of ``(frames, 25)`` class scores computed from
+    ``features``: each frame's top class, ties to the lowest, at their timing."""
+    return frames_to_track(scores.argmax(axis=1), features.hop_samples,
+                           features.sample_rate_hz, source_id)
+
+
 # --- flat binary feature cache (docs/cache.md) ----------------------------
 
 CACHE_MAGIC = b"CBF1"
@@ -532,9 +544,10 @@ def read_feature_cache(path):
             raise FeatureError(f"{path}: truncated value block")
         values = np.frombuffer(block, dtype="<f4").reshape(
             n_frames, n_bins).astype(np.float64)
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise FeatureError(f"{path}: frame {int(np.argmin(finite))} is not finite")
+        try:
+            matrix = FeatureMatrix(values, hop, rate, _CACHE_KIND_NAMES[kind_code])
+        except FeatureError as exc:  # a non-finite value
+            raise FeatureError(f"{path}: {exc}") from None
         labels = None
         if has_labels:
             labels = np.frombuffer(fh.read(n_frames), dtype=np.uint8)
@@ -546,5 +559,4 @@ def read_feature_cache(path):
                 raise FeatureError(
                     f"{path}: frame {bad[0]}: label {labels[bad[0]]} is not a "
                     f"class index 0-{NOCHORD_CLASS}")
-    matrix = FeatureMatrix(values, hop, rate, _CACHE_KIND_NAMES[kind_code])
     return matrix, labels

@@ -23,7 +23,9 @@ array when its dtype already matches) or on the read-only positional table.
 :func:`fit` trains the network on ``(features, labels)`` pairs and returns a
 :class:`TrainedLabeler`, which keeps the z-score and the feature kind of
 its training data; ``chordbench train``, ``chordbench predict`` and the
-harness all train and label through these two.
+harness all train and label through these two.  Like the template recognizer,
+:meth:`TrainedLabeler.recognize` hands its ``(frames, 25)`` scores to
+:func:`~chordbench.features.decode_scores`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .annotations import SegmentTrack
 from .features import (BIN_KINDS, HOP, SAMPLE_RATE, WINDOW_FRAMES,
-                       FeatureError, FeatureMatrix, NormStats, frames_to_track,
+                       FeatureError, FeatureMatrix, NormStats, decode_scores,
                        window_slices, zscore_apply, zscore_fit)
 from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
@@ -546,14 +548,6 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
     return best_params, report
 
 
-def predict_track(params: dict, config: LabelerConfig, features: FeatureMatrix,
-                  source_id: str):
-    """Label a whole track and merge equal consecutive frames into segments."""
-    classes = forward(params, config, features.values).argmax(axis=1)
-    return frames_to_track(classes, features.hop_samples,
-                           features.sample_rate_hz, source_id)
-
-
 @dataclass(frozen=True)
 class TrainedLabeler:
     """A fitted labeler together with the input recipe it was fitted on.
@@ -580,21 +574,28 @@ class TrainedLabeler:
 
         Features of another kind, bin count or frame timing raise
         :class:`FeatureError` naming what the model takes and what it got.
+        :func:`forward` scores the whole z-scored track, ``(frames, 25)``,
+        for :func:`~chordbench.features.decode_scores`.
         """
         if self.bin_kind == "chroma12" and features.bin_kind == "cqt_log":
             features = fold_to_chroma(features)
-        want = (self.bin_kind, self.config.input_dim, HOP, SAMPLE_RATE)
-        got = (features.bin_kind, features.n_bins, features.hop_samples,
-               features.sample_rate_hz)
-        if got != want:
-            raise FeatureError(f"model takes {_describe(*want)} features, "
-                               f"got {_describe(*got)}")
-        return predict_track(self.params, self.config,
-                             zscore_apply(features, self.stats), source_id)
+        _check_input(self.bin_kind, self.config.input_dim, features, "")
+        scores = forward(self.params, self.config,
+                         zscore_apply(features, self.stats).values)
+        return decode_scores(scores, features, source_id)
 
 
-def _describe(bin_kind, n_bins, hop_samples, sample_rate_hz) -> str:
-    return f"{bin_kind} ({n_bins} bins, hop {hop_samples} at {sample_rate_hz} Hz)"
+def _check_input(bin_kind, n_bins, features, where) -> None:
+    """Raise :class:`FeatureError`, naming what the model takes and what it
+    got after the prefix ``where``, unless ``features`` are of ``bin_kind``
+    with ``n_bins`` bins at hop ``HOP`` and ``SAMPLE_RATE``."""
+    want = (bin_kind, n_bins, HOP, SAMPLE_RATE)
+    got = (features.bin_kind, features.n_bins, features.hop_samples,
+           features.sample_rate_hz)
+    if got != want:
+        describe = "{} ({} bins, hop {} at {} Hz)".format
+        raise FeatureError(f"{where}model takes {describe(*want)} features, "
+                           f"got {describe(*got)}")
 
 
 # Each hyperparameter's range, as a test and its wording; any other is >= 1.
@@ -646,15 +647,19 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
 
     Returns ``(TrainedLabeler, TrainReport)``.  The pairs become z-scored
     108-frame windows (:func:`windowed_examples`); the model's feature kind
-    is that of the first pair.  With ``val_fraction`` above 0, a seeded
-    random ``max(1, int(n * val_fraction))`` of the n windows is held out
-    to pick the best epoch; otherwise the training windows are monitored
-    (see :func:`train`).  ``val_fraction`` must lie in [0, 1) and leave at
-    least one training window.
+    and bin count are those of the first pair, and a pair of another kind,
+    bin count or frame timing raises :class:`FeatureError` naming its index,
+    as :meth:`TrainedLabeler.recognize` would.  With ``val_fraction`` above
+    0, a seeded random ``max(1, int(n * val_fraction))`` of the n windows is
+    held out to pick the best epoch; otherwise the training windows are
+    monitored (see :func:`train`).  ``val_fraction`` must lie in [0, 1) and
+    leave at least one training window.
     """
     _check_range("val_fraction", val_fraction, "val_fraction")
     items, stats = windowed_examples(pairs)
     first = pairs[0][0]
+    for index, (features, _) in enumerate(pairs):
+        _check_input(first.bin_kind, first.n_bins, features, f"pair {index}: ")
     config = LabelerConfig(input_dim=first.n_bins, model_dim=model_dim,
                            n_layers=n_layers, n_heads=n_heads, seed=seed)
     val_items = None

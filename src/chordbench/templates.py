@@ -5,6 +5,10 @@ The classic knowledge-based baseline: fold log-CQT features to a
 template has the highest cosine similarity per frame.  Frames whose total
 energy falls below 1% of the track's median frame energy (a level-invariant
 rule) are labeled no-chord.
+
+Like the labeler, the recognizer hands ``(frames, 25)`` scores to
+:func:`~chordbench.features.decode_scores`; the no-chord rule is the N column
+of :func:`template_scores`, ``+inf`` on low-energy frames, ``-inf`` elsewhere.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .annotations import SegmentTrack
-from .features import BINS_PER_OCTAVE, FeatureError, FeatureMatrix, frames_to_track
+from .features import BINS_PER_OCTAVE, FeatureError, FeatureMatrix, decode_scores
 from .labels import NOCHORD_CLASS, majmin_label, pitch_class_set
 
 ADAPTIVE_THRESHOLD_FRACTION = 0.01
@@ -51,11 +55,11 @@ def fold_to_chroma(features: FeatureMatrix) -> FeatureMatrix:
                          "chroma12")
 
 
-def template_predict(chroma: FeatureMatrix) -> np.ndarray:
-    """Per-frame class indices from cosine similarity against the triads.
+def template_scores(chroma: FeatureMatrix) -> np.ndarray:
+    """Per-frame scores of the 25 classes, shape (frames, 25), of ``chroma12``.
 
-    ``chroma`` is a ``chroma12`` FeatureMatrix.  Ties break toward the
-    lowest class index; low-energy frames map to no-chord.
+    Columns 0-23 are the cosine similarity to each triad (0 for an all-zero
+    frame); the N column is ``+inf`` below the adaptive threshold, else ``-inf``.
     """
     if chroma.bin_kind != "chroma12":
         raise FeatureError(f"expected chroma12 features, got {chroma.bin_kind}")
@@ -70,14 +74,15 @@ def template_predict(chroma: FeatureMatrix) -> np.ndarray:
     denom = np.outer(f_norm, t_norm)
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where(denom > 0, sims / denom, 0.0)
-    classes = sims.argmax(axis=1)
-    classes[energy < threshold] = NOCHORD_CLASS
-    return classes.astype(np.int64)
+    return np.column_stack([sims, np.where(energy < threshold, np.inf, -np.inf)])
+
+
+def template_predict(chroma: FeatureMatrix) -> np.ndarray:
+    """Per-frame class indices: the argmax of :func:`template_scores`."""
+    return template_scores(chroma).argmax(axis=1)
 
 
 def recognize_track(features: FeatureMatrix, source_id: str) -> SegmentTrack:
     """The template recognizer: log-CQT features to a normalized chord track."""
     chroma = fold_to_chroma(features)
-    classes = template_predict(chroma)
-    return frames_to_track(classes, chroma.hop_samples, chroma.sample_rate_hz,
-                           source_id)
+    return decode_scores(template_scores(chroma), chroma, source_id)

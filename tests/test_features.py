@@ -12,8 +12,8 @@ from chordbench.features import (BIN_KINDS, AudioBuffer, FeatureError,
                                  FeatureMatrix, HOP, LOG_EPS, LOG_FLOOR, N_BINS,
                                  SAMPLE_RATE, align_labels, cqt,
                                  cqt_bin_frequencies, cqt_window_lengths,
-                                 frames_to_track, load_wav, log_amplitude,
-                                 min_cqt_samples, pitch_shift_cqt,
+                                 decode_scores, frames_to_track, load_wav,
+                                 log_amplitude, min_cqt_samples, pitch_shift_cqt,
                                  read_feature_cache, save_wav, window_slices,
                                  write_feature_cache, zscore_apply, zscore_fit,
                                  _group_kernel)
@@ -364,6 +364,25 @@ class TestFramesToTrack:
         assert t.end_s == pytest.approx(50 * period)
 
 
+class TestDecodeScores:
+    def test_top_class_per_frame_ties_to_the_lowest(self):
+        scores = np.zeros((4, 25))
+        scores[0, [3, 9]] = 1.0  # a tie: class 3 wins
+        scores[1, 9] = 2.0
+        scores[2:, 24] = np.inf
+        t = decode_scores(scores, matrix(np.zeros((4, 2))), "p")
+        assert [str(s.label) for s in t.segments] == ["D#:maj", "A:maj", "N"]
+        assert t.source_id == "p"
+
+    def test_frames_take_the_timing_of_the_features(self):
+        scores = np.zeros((6, 25))
+        scores[3:, 7] = 1.0
+        features = FeatureMatrix(np.zeros((6, 2)), 1024, 8000, "chroma12")
+        t = decode_scores(scores, features, "p")
+        assert t == frames_to_track([0, 0, 0, 7, 7, 7], 1024, 8000, "p")
+        assert t.segments[1].start_s == 3 * 1024 / 8000
+
+
 class TestCacheAndWav:
     @pytest.mark.parametrize("kind", BIN_KINDS)
     def test_cache_round_trip(self, tmp_path, kind):
@@ -423,12 +442,23 @@ class TestCacheAndWav:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_cache_non_finite_value_names_file_and_frame(self, tmp_path, bad):
-        values = np.zeros((40, 3))
-        values[17:, 1] = bad
+        # A FeatureMatrix holds only finite values, so the bad values are
+        # written over the value block of a valid cache.
         p = tmp_path / "x.cbf"
-        write_feature_cache(p, matrix(values))
+        write_feature_cache(p, matrix(np.zeros((40, 3))))
+        data = bytearray(p.read_bytes())
+        start = 22 + 4 * (17 * 3 + 1)  # header, then frame 17, bin 1
+        data[start:start + 4] = struct.pack("<f", bad)
+        p.write_bytes(bytes(data))
         with pytest.raises(FeatureError, match=r"x\.cbf: frame 17 is not finite"):
             read_feature_cache(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_matrix_rejects_non_finite_values(self, bad):
+        values = np.zeros((60, 4))
+        values[30:, 2] = bad
+        with pytest.raises(FeatureError, match="^frame 30 is not finite$"):
+            matrix(values)
 
     def test_cache_label_out_of_range_names_file_and_frame(self, tmp_path):
         p = tmp_path / "x.cbf"

@@ -12,12 +12,13 @@ import pytest
 from chordbench import labeler
 from chordbench.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
-from chordbench.features import FeatureError, FeatureMatrix, NormStats, zscore_apply
+from chordbench.features import (FeatureError, FeatureMatrix, NormStats,
+                                 decode_scores, zscore_apply)
 from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 TrainedLabeler, TrainingError, count_params, fit,
                                 flatten_params, forward, init_params,
                                 loss_and_grad, loss_value, param_shapes,
-                                predict_track, train, unflatten_params,
+                                train, unflatten_params,
                                 windowed_examples)
 from chordbench.labels import N_MAJMIN_CLASSES
 from chordbench.templates import fold_to_chroma
@@ -669,8 +670,9 @@ class TestPredictTrack:
         params = {k: np.zeros_like(v) for k, v in
                   init_params(TINY, dtype=np.float64).items()}
         params["classifier.b"][7] = 5.0
+        model = TrainedLabeler(TINY, params, NormStats(0.0, 1.0), "chroma12")
         fm = FeatureMatrix(np.zeros((20, 6)), 2048, 22050, "chroma12")
-        track = predict_track(params, TINY, fm, "t")
+        track = model.recognize(fm, "t")
         assert len(track) == 1
         assert str(track.segments[0].label) == "G:maj"
 
@@ -749,6 +751,27 @@ class TestFit:
         assert {k: v.dtype for k, v in model.params.items()
                 if v.dtype != np.float32} == {}
 
+    def test_pair_of_another_frame_timing_fails_in_fit(self):
+        pairs = _random_pairs()
+        features, labels = pairs[2]
+        pairs[2] = (FeatureMatrix(features.values, 1024, 22050, "chroma12"),
+                    labels)
+        with pytest.raises(FeatureError, match=re.escape(
+                "pair 2: model takes chroma12 (12 bins, hop 2048 at 22050 Hz) "
+                "features, got chroma12 (12 bins, hop 1024 at 22050 Hz)")):
+            fit(pairs, 5, **self.HYPER)
+
+    @pytest.mark.parametrize("kind, bins", [("cqt_log", 12), ("chroma12", 6)])
+    def test_pair_unlike_the_first_fails_in_fit(self, kind, bins):
+        pairs = _random_pairs()
+        features, labels = pairs[1]
+        pairs[1] = (FeatureMatrix(features.values[:, :bins], 2048, 22050, kind),
+                    labels)
+        with pytest.raises(FeatureError, match=re.escape(
+                "pair 1: model takes chroma12 (12 bins, hop 2048 at 22050 Hz) "
+                f"features, got {kind} ({bins} bins, hop 2048 at 22050 Hz)")):
+            fit(pairs, 5, **self.HYPER)
+
     def test_without_val_fraction_the_training_windows_are_monitored(self):
         pairs = _random_pairs()
         model, report = fit(pairs, 5, **self.HYPER)
@@ -774,8 +797,9 @@ class TestRecognize:
         logcqt = FeatureMatrix(rng.standard_normal((40, 144)), 2048, 22050,
                                "cqt_log")
         chroma = fold_to_chroma(logcqt)
-        want = predict_track(model.params, config,
-                             zscore_apply(chroma, model.stats), "t")
+        scores = forward(model.params, config,
+                         zscore_apply(chroma, model.stats).values)
+        want = decode_scores(scores, chroma, "t")
         assert model.recognize(logcqt, "t") == want
         assert model.recognize(chroma, "t") == want
 
@@ -1016,12 +1040,15 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, _tiny_model())
         self._with_meta(p, lambda meta: meta["config"].update({key: value}))
-        size = p.stat().st_size
+        have = 4 * count_params(init_params(TINY))
+        # The walk stops at the first tensor past the block: in_proj.w of
+        # (6, 10**6), or layers.1.attn.wo after 3,392 bytes.
+        floor = {"model_dim": 4 * 6 * 10 ** 6, "n_layers": 3392 + 256}[key]
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match=re.escape(
-                    f"m.ckpt: config: its tensors need more than the {size} "
-                    "bytes the file holds")):
+                    f"m.ckpt: tensor block holds {have} bytes, config needs "
+                    f"at least {floor}")):
                 load_checkpoint(p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1088,6 +1115,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(
                 f"m.ckpt: tensor block holds {need + change} bytes, "
                 f"config needs {need}")):
+            load_checkpoint(p)
+
+    def test_cut_tensor_block_is_named_with_its_length(self, tmp_path):
+        config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
+                               n_heads=2, seed=0)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, TrainedLabeler(config, init_params(config),
+                                          NormStats(0.0, 1.0), "cqt_log"))
+        data = p.read_bytes()
+        assert 8000 < len(data) < 8192
+        p.write_bytes(data[:-640])
+        # 7,940 bytes less 640; the walk stops at classifier.w, whose
+        # 800 bytes end at 7,840.
+        with pytest.raises(CheckpointError, match=re.escape(
+                "m.ckpt: tensor block holds 7300 bytes, config needs at "
+                "least 7840")):
             load_checkpoint(p)
 
     def test_save_refuses_float64(self, tmp_path):

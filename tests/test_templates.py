@@ -4,7 +4,9 @@ import pytest
 from chordbench.features import (FeatureError, FeatureMatrix, HOP, N_BINS,
                                  SAMPLE_RATE, cqt, log_amplitude)
 from chordbench.labels import NOCHORD_CLASS, transpose_majmin
-from chordbench.templates import fold_to_chroma, template_predict
+from chordbench.templates import (ADAPTIVE_THRESHOLD_FRACTION, fold_to_chroma,
+                                  recognize_track, template_predict,
+                                  template_scores)
 from test_features import sine, interior_frames
 
 
@@ -86,6 +88,38 @@ class TestTemplatePredict:
         with pytest.raises(FeatureError, match="expected chroma12 features, "
                                                "got cqt_log"):
             template_predict(log_matrix(np.zeros((2, N_BINS))))
+
+
+class TestTemplateScores:
+    def test_no_chord_column_wins_exactly_below_the_threshold(self):
+        rng = np.random.Generator(np.random.PCG64(53))
+        frames = rng.random((80, 12)) + 0.01
+        frames[::5] *= 1e-3  # every fifth frame quiet
+        frames[3] = 0.0  # an all-zero frame scores 0 against every triad
+        scores = template_scores(chroma(frames))
+        assert scores.shape == (80, NOCHORD_CLASS + 1)
+        energy = frames.sum(axis=1)
+        low = energy < ADAPTIVE_THRESHOLD_FRACTION * np.median(energy)
+        assert low.sum() == 17
+        assert np.array_equal(scores[:, NOCHORD_CLASS],
+                              np.where(low, np.inf, -np.inf))
+        assert np.array_equal(scores.argmax(axis=1) == NOCHORD_CLASS, low)
+        assert np.isfinite(scores[:, :NOCHORD_CLASS]).all()
+        assert not scores[3, :NOCHORD_CLASS].any()
+
+    def test_predict_is_the_argmax_of_the_scores(self):
+        rng = np.random.Generator(np.random.PCG64(54))
+        frames = rng.random((50, 12))
+        frames[::6] *= 1e-3
+        got = template_predict(chroma(frames))
+        assert np.array_equal(got, template_scores(chroma(frames)).argmax(axis=1))
+        assert (got == NOCHORD_CLASS).sum() == 9
+
+    def test_nan_frame_fails_before_recognition(self):
+        values = np.zeros((60, N_BINS))
+        values[30, 5] = np.nan
+        with pytest.raises(FeatureError, match="^frame 30 is not finite$"):
+            recognize_track(log_matrix(values), "t")
 
 
 def test_end_to_end_c_major_track():
