@@ -14,6 +14,10 @@ mean softmax cross-entropy over frames; padded frames are excluded.  All
 computation runs in the dtype of the parameters: float64 serves gradient
 checks, and :func:`train` always computes in float32.
 
+Training runs each batch as one ``(items, frames, bins)`` stack, forward
+and backward, with the floats of one pass per item (see
+:func:`loss_and_grad`).
+
 Each elementwise step makes one pass over an array: bias adds, residual
 adds, the softmax and the layer-norm arithmetic update their operand in
 place.  They do so only on arrays the function has just computed, never on
@@ -212,7 +216,7 @@ def _positional_table(n_frames: int, dim: int, dtype: np.dtype) -> np.ndarray:
 def _layer_norm(x, g, b):
     """Layer norm of the fresh array ``x``, which becomes ``xhat`` in place."""
     x -= x.mean(axis=-1, keepdims=True)
-    var = np.einsum("ij,ij->i", x, x)[:, None] / x.shape[-1]
+    var = np.einsum("...j,...j->...", x, x)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
     x *= inv
     y = x * g
@@ -221,12 +225,13 @@ def _layer_norm(x, g, b):
 
 
 def _layer_norm_backward(dy, cache):
+    """``(dx, dg, db)`` of a stack; ``dg`` and ``db`` are summed over items."""
     xhat, inv, g = cache
     n = dy.shape[-1]
-    dg = np.einsum("ij,ij->j", dy, xhat)
-    db = dy.sum(axis=0)
+    dg = np.einsum("...ij,...ij->...j", dy, xhat).sum(axis=0)
+    db = _bias_grad(dy)
     dx = dy * g  # the gradient for xhat, turned into that for x in place
-    mean_dxhat_xhat = np.einsum("ij,ij->i", dx, xhat)[:, None] / n
+    mean_dxhat_xhat = np.einsum("...j,...j->...", dx, xhat)[..., None] / n
     dx -= dx.sum(axis=-1, keepdims=True) / n
     dx -= xhat * mean_dxhat_xhat
     dx *= inv
@@ -235,7 +240,7 @@ def _layer_norm_backward(dy, cache):
 
 def _softmax_inplace(x):
     """Softmax over the last axis of the fresh array ``x``, in place."""
-    x -= x.max(axis=-1, keepdims=True)
+    x -= np.fmax.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
@@ -250,32 +255,36 @@ def _log_softmax(scores):
 
 
 def _split_heads(x, n_heads):
-    t, d = x.shape
+    """``(..., frames, d)`` to ``(..., heads, frames, d / heads)``."""
+    *lead, t, d = x.shape
     return np.ascontiguousarray(
-        x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2))
+        x.reshape(*lead, t, n_heads, d // n_heads).swapaxes(-3, -2))
 
 
 def _merge_heads(x):
-    h, t, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dh)
+    *lead, h, t, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, t, h * dh)
 
 
 def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
             return_state: bool = False):
     """Per-frame class scores, shape (frames, 25).
 
-    With ``return_state`` also returns the cache of intermediate values
-    (including per-layer attention weights under key ``attn.{i}``) used by
-    the backward pass.
+    ``inputs`` are one item's ``(frames, bins)`` or a stack ``(items,
+    frames, bins)`` of equal-length items, whose scores are ``(items,
+    frames, 25)``.  Every step acts on each item alone, so a stack's scores
+    and state equal each item's own bit for bit.  With ``return_state``
+    also returns the cache of intermediate values (including per-layer
+    attention weights under key ``attn.{i}``) used by the backward pass.
     """
     x = np.asarray(inputs, dtype=params["in_proj.w"].dtype)
-    if x.ndim != 2 or x.shape[1] != config.input_dim:
-        raise ValueError(
-            f"expected (frames, {config.input_dim}) inputs, got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != config.input_dim:
+        raise ValueError(f"expected (frames, {config.input_dim}) inputs or a "
+                         f"stack of them, got {x.shape}")
     state = {"x": x}
     h = x @ params["in_proj.w"]
     h += params["in_proj.b"]
-    h += positional_encoding(h.shape[0], config.model_dim, h.dtype)
+    h += positional_encoding(h.shape[-2], config.model_dim, h.dtype)
     scale = 1.0 / math.sqrt(config.head_dim)  # a Python float keeps the dtype
     for i in range(config.n_layers):
         p = f"layers.{i}"
@@ -290,7 +299,7 @@ def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
         qh = _split_heads(q, config.n_heads)
         kh = _split_heads(k, config.n_heads)
         vh = _split_heads(v, config.n_heads)
-        attn = _softmax_inplace(qh @ kh.transpose(0, 2, 1))
+        attn = _softmax_inplace(qh @ kh.swapaxes(-1, -2))
         ctx = _merge_heads(attn @ vh)
         r1 = ctx @ params[f"{p}.attn.wo"]
         r1 += params[f"{p}.attn.bo"]
@@ -316,11 +325,28 @@ def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
     return scores
 
 
+def _weight_grad(a, b):
+    """Sum over a stack's items of ``a.T @ b``, one product per item.
+
+    A single product over all rows would be faster, but would sum in
+    another order than one pass per item.
+    """
+    return (a.swapaxes(-1, -2) @ b).sum(axis=0)
+
+
+def _bias_grad(d):
+    """Sum of a stack over its frames, per item, then over its items."""
+    return d.sum(axis=-2).sum(axis=0)
+
+
 def _backward(params, config, state, dscores, grads):
-    """Add the gradient of one item, given ``dscores``, into ``grads``."""
+    """Add the gradient of a stack of items, given ``dscores``, into ``grads``.
+
+    ``state`` is what :func:`forward` returns for the stack.
+    """
     h = state["h_final"]
-    grads["classifier.w"] += h.T @ dscores
-    grads["classifier.b"] += dscores.sum(axis=0)
+    grads["classifier.w"] += _weight_grad(h, dscores)
+    grads["classifier.b"] += _bias_grad(dscores)
     dh = dscores @ params["classifier.w"].T
     scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.n_layers)):
@@ -332,12 +358,12 @@ def _backward(params, config, state, dscores, grads):
         grads[f"{p}.ln2.g"] += dg2
         grads[f"{p}.ln2.b"] += db2
         # r2 = h1 + relu(h1 W1 + b1) W2 + b2
-        grads[f"{p}.ff.w2"] += u.T @ dr2
-        grads[f"{p}.ff.b2"] += dr2.sum(axis=0)
+        grads[f"{p}.ff.w2"] += _weight_grad(u, dr2)
+        grads[f"{p}.ff.b2"] += _bias_grad(dr2)
         dz1 = dr2 @ params[f"{p}.ff.w2"].T
         dz1 *= (u > 0)
-        grads[f"{p}.ff.w1"] += h1.T @ dz1
-        grads[f"{p}.ff.b1"] += dz1.sum(axis=0)
+        grads[f"{p}.ff.w1"] += _weight_grad(h1, dz1)
+        grads[f"{p}.ff.b1"] += _bias_grad(dz1)
         dh1 = dz1 @ params[f"{p}.ff.w1"].T
         dh1 += dr2
 
@@ -345,104 +371,137 @@ def _backward(params, config, state, dscores, grads):
         grads[f"{p}.ln1.g"] += dg1
         grads[f"{p}.ln1.b"] += db1
         # r1 = h_in + (attn context) Wo + bo; the scores are (q * scale) k^T
-        grads[f"{p}.attn.wo"] += ctx.T @ dr1
-        grads[f"{p}.attn.bo"] += dr1.sum(axis=0)
+        grads[f"{p}.attn.wo"] += _weight_grad(ctx, dr1)
+        grads[f"{p}.attn.bo"] += _bias_grad(dr1)
         dctx_h = _split_heads(dr1 @ params[f"{p}.attn.wo"].T, config.n_heads)
-        dattn = dctx_h @ vh.transpose(0, 2, 1)
-        dvh = attn.transpose(0, 2, 1) @ dctx_h
-        dattn -= np.einsum("hts,hts->ht", dattn, attn)[..., None]
+        dattn = dctx_h @ vh.swapaxes(-1, -2)
+        dvh = attn.swapaxes(-1, -2) @ dctx_h
+        dattn -= np.einsum("...s,...s->...", dattn, attn)[..., None]
         dattn *= attn
         dqh = dattn @ kh
         dqh *= scale
-        dkh = dattn.transpose(0, 2, 1) @ qh
+        dkh = dattn.swapaxes(-1, -2) @ qh
         dq = _merge_heads(dqh)
         dk = _merge_heads(dkh)
         dv = _merge_heads(dvh)
 
         h_in = state[f"h_in.{i}"]
-        grads[f"{p}.attn.wq"] += h_in.T @ dq
-        grads[f"{p}.attn.bq"] += dq.sum(axis=0)
-        grads[f"{p}.attn.wk"] += h_in.T @ dk
-        grads[f"{p}.attn.bk"] += dk.sum(axis=0)
-        grads[f"{p}.attn.wv"] += h_in.T @ dv
-        grads[f"{p}.attn.bv"] += dv.sum(axis=0)
+        grads[f"{p}.attn.wq"] += _weight_grad(h_in, dq)
+        grads[f"{p}.attn.bq"] += _bias_grad(dq)
+        grads[f"{p}.attn.wk"] += _weight_grad(h_in, dk)
+        grads[f"{p}.attn.bk"] += _bias_grad(dk)
+        grads[f"{p}.attn.wv"] += _weight_grad(h_in, dv)
+        grads[f"{p}.attn.bv"] += _bias_grad(dv)
         dh = dq @ params[f"{p}.attn.wq"].T
         dh += dk @ params[f"{p}.attn.wk"].T
         dh += dv @ params[f"{p}.attn.wv"].T
         dh += dr1
-    grads["in_proj.w"] += state["x"].T @ dh
-    grads["in_proj.b"] += dh.sum(axis=0)
+    grads["in_proj.w"] += _weight_grad(state["x"], dh)
+    grads["in_proj.b"] += _bias_grad(dh)
 
 
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
-    """Masked mean cross-entropy of a batch of :class:`SequenceExample`."""
-    return _loss_and_accuracy(params, config, batch, ())[0]
+    """Masked mean cross-entropy of a batch of equal-length
+    :class:`SequenceExample`, run forward as one stack."""
+    batch = list(batch)
+    return _loss_and_accuracy(params, config, batch, (), max(1, len(batch)))[0]
 
 
-def _loss_and_accuracy(params, config, items, keep):
+def _loss_and_accuracy(params, config, items, keep, stack_size):
     """Masked mean cross-entropy and frame accuracy from one forward sweep.
 
-    Also returns ``{index: (scores, state)}``, the forward results with
-    state of the items at the indices in ``keep``.
+    The items at the indices in ``keep`` go forward first, as one stack
+    with state, and that ``(scores, state)`` is returned as well (``None``
+    when ``keep`` is empty).  The other items follow in index order, in
+    stacks of ``stack_size``.  Each item's loss term is still added in
+    index order, so the loss is bit-identical to one ``forward`` per item.
     """
-    keep = {int(j) for j in keep}
-    kept = {}
-    total, n_correct, n_valid = 0.0, 0, 0
-    for index, item in enumerate(items):
-        if index in keep:
-            scores, state = forward(params, config, item.inputs,
-                                    return_state=True)
-            kept[index] = (scores, state)
+    keep = [int(j) for j in keep]
+    rest = sorted(set(range(len(items))) - set(keep))
+    stacks = [keep] if keep else []
+    stacks += [rest[s:s + stack_size] for s in range(0, len(rest), stack_size)]
+    picked = np.zeros(len(items))
+    kept = None
+    n_correct, n_valid = 0, 0
+    for indices in stacks:
+        inputs, targets, masks = _stack([items[j] for j in indices],
+                                        params["in_proj.w"].dtype)
+        if indices is keep:
+            kept = forward(params, config, inputs, return_state=True)
+            scores = kept[0]
         else:
-            scores = forward(params, config, item.inputs)
-        mask = item.valid_mask()
-        total -= _picked_sum(_log_softmax(scores), item.targets, mask)
-        n_correct += int(((scores.argmax(axis=1) == item.targets) & mask).sum())
-        n_valid += int(mask.sum())
+            scores = forward(params, config, inputs)
+        picked[indices] = _picked_sums(_log_softmax(scores), targets, masks)
+        n_correct += int(((scores.argmax(axis=-1) == targets) & masks).sum())
+        n_valid += int(masks.sum())
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
+    total = 0.0
+    for term in picked.tolist():
+        total -= term
     return total / n_valid, n_correct / n_valid, kept
 
 
-def _picked_sum(logp, targets, mask) -> float:
-    """Sum over valid frames of the target's log-probability."""
-    return float((logp[np.arange(len(targets)), targets] * mask).sum())
+def _stack(items, dtype):
+    """``(inputs, targets, masks)`` of equal-length items, each stacked; the
+    inputs in ``dtype``."""
+    for item in items:
+        if len(item.targets) != len(item.inputs):
+            raise ValueError("targets length does not match input frames")
+    lengths = sorted({len(item.inputs) for item in items})
+    if len(lengths) > 1:
+        raise ValueError(f"batch items differ in length: {lengths} frames")
+    return (np.stack([item.inputs for item in items], dtype=dtype),
+            np.stack([item.targets for item in items]),
+            np.stack([item.valid_mask() for item in items]))
+
+
+def _picked_sums(logp, targets, masks):
+    """Per item of a stack, the sum over valid frames of the target's
+    log-probability."""
+    items, frames = np.indices(targets.shape, sparse=True)
+    return (logp[items, frames, targets] * masks).sum(axis=-1)
 
 
 def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
     """Loss plus its exact gradient with respect to every parameter.
 
-    ``forwarded``, when given, holds for each batch item the ``(scores,
-    state)`` that ``forward(params, config, item.inputs, return_state=True)``
-    returns with these ``params``; they are used instead of running
+    The batch's items must have equal lengths, else ``ValueError``: they
+    are stacked into one ``(items, frames, bins)`` array, which takes one
+    :func:`forward` and one backward pass.  Each weight gradient is a stack
+    of per-item products summed over the items, and each bias or gain
+    gradient is summed over frames per item, then over items.  These are
+    the float additions, in the same order, of one pass per item added in
+    turn into zeroed gradients, so the results are bit-identical to that
+    loop.  ``forwarded``, when given, is the ``(scores, state)`` that
+    ``forward(params, config, stack, return_state=True)`` returns for the
+    stacked inputs with these ``params``, used instead of running
     ``forward`` again.
     """
     batch = list(batch)
-    if forwarded is not None and len(forwarded) != len(batch):
-        raise ValueError(f"forwarded holds {len(forwarded)} results for "
+    if forwarded is not None and len(forwarded[0]) != len(batch):
+        raise ValueError(f"forwarded holds {len(forwarded[0])} results for "
                          f"{len(batch)} batch items")
     n_valid = sum(int(item.valid_mask().sum()) for item in batch)
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
+    inputs, targets, masks = _stack(batch, params["in_proj.w"].dtype)
+    if forwarded is None:
+        scores, state = forward(params, config, inputs, return_state=True)
+    else:
+        scores, state = forwarded
+    logp = _log_softmax(scores)
     total = 0.0
+    for term in _picked_sums(logp, targets, masks).tolist():
+        total -= term
+    dscores = np.exp(logp, out=logp)
+    items, frames = np.indices(targets.shape, sparse=True)
+    dscores[items, frames, targets] -= 1.0
+    dscores *= masks[..., None]
+    dscores /= n_valid
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    for index, item in enumerate(batch):
-        if len(item.targets) != len(item.inputs):
-            raise ValueError("targets length does not match input frames")
-        if forwarded is None:
-            scores, state = forward(params, config, item.inputs,
-                                    return_state=True)
-        else:
-            scores, state = forwarded[index]
-        mask = item.valid_mask()
-        logp = _log_softmax(scores)
-        total -= _picked_sum(logp, item.targets, mask)
-        dscores = np.exp(logp, out=logp)
-        dscores[np.arange(len(item.targets)), item.targets] -= 1.0
-        dscores *= mask[:, None]
-        dscores /= n_valid
-        _backward(params, config, state,
-                  dscores.astype(scores.dtype, copy=False), grads)
+    _backward(params, config, state, dscores.astype(scores.dtype, copy=False),
+              grads)
     loss = total / n_valid
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss: {loss}")
@@ -487,19 +546,21 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
           batch_size, max_epochs, patience):
     """Adam training in float32 with early stopping on validation loss.
 
-    After each epoch one forward sweep over the monitored set (the
-    validation items, or the training items when none are given) gives its
-    loss and frame accuracy.  Stops once the monitored loss has failed to
-    improve for more than ``patience`` consecutive epochs, and returns the
-    parameters from the best epoch.  Deterministic given ``config.seed``.
+    Each batch of ``batch_size`` items takes one stacked :func:`forward`
+    and backward pass (:func:`loss_and_grad`).  After each epoch one
+    forward sweep over the monitored set (the validation items, or the
+    training items when none are given), in stacks of ``batch_size``, gives
+    its loss and frame accuracy.  Stops once the monitored loss has failed
+    to improve for more than ``patience`` consecutive epochs, and returns
+    the parameters from the best epoch.  Deterministic given
+    ``config.seed``, and bit-identical to a loop of one pass per item.
 
-    When the training items are monitored, the sweep runs ``forward`` with
-    the same parameters as the next epoch's first batch, before any step.
-    Its ``(scores, state)`` for the up to ``batch_size`` windows of that
-    batch are kept across the epoch boundary and handed to
-    :func:`loss_and_grad`, so each window is passed forward once per
-    parameter version; the results are bit-identical to running ``forward``
-    again.
+    When the training items are monitored, the sweep first runs the next
+    epoch's first batch as one stack, with the same parameters as that
+    batch's step.  Its ``(scores, state)`` is kept across the epoch
+    boundary and handed to :func:`loss_and_grad`, so each window is passed
+    forward once per parameter version; the results are bit-identical to
+    running ``forward`` again.
     """
     train_items = list(train_items)
     if not train_items:
@@ -529,10 +590,8 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
         report.losses.append(epoch_loss / n_batches)
         order = rng.permutation(len(train_items))
         first_batch = order[:batch_size] if monitor_train else ()
-        monitored, accuracy, kept = _loss_and_accuracy(
-            params, config, monitor_items, first_batch)
-        if monitor_train:
-            forwarded = [kept[int(j)] for j in first_batch]
+        monitored, accuracy, forwarded = _loss_and_accuracy(
+            params, config, monitor_items, first_batch, batch_size)
         report.val_losses.append(monitored)
         report.accuracies.append(accuracy)
         if not np.isfinite(monitored):

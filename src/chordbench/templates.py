@@ -39,18 +39,26 @@ def fold_to_chroma(features: FeatureMatrix) -> FeatureMatrix:
 
     Bin k sits 2 bins per semitone above C1, so it contributes to pitch
     class ``(k // 2) % 12``; magnitudes are recovered with exp before
-    summing.
+    summing.  A frame whose magnitudes overflow (a log-CQT value above
+    about 709) raises :class:`FeatureError` naming the first such frame.
     """
     if features.bin_kind != "cqt_log":
         raise FeatureError(f"expected log-CQT features, got {features.bin_kind}")
     if features.n_bins % BINS_PER_OCTAVE != 0:
         raise FeatureError(f"bin count {features.n_bins} is not a whole "
                            "number of octaves")
-    mags = np.exp(features.values)
     classes = (np.arange(features.n_bins) // 2) % 12
     folded = np.zeros((features.n_frames, 12))
-    for p in range(12):
-        folded[:, p] = mags[:, classes == p].sum(axis=1)
+    with np.errstate(over="ignore"):
+        mags = np.exp(features.values)
+        for p in range(12):
+            folded[:, p] = mags[:, classes == p].sum(axis=1)
+    overflowed = ~np.isfinite(folded).all(axis=1)
+    if overflowed.any():
+        frame = int(overflowed.argmax())
+        raise FeatureError(f"frame {frame}: log-CQT values up to "
+                           f"{features.values[frame].max():g} are too large "
+                           "for exp")
     return FeatureMatrix(folded, features.hop_samples, features.sample_rate_hz,
                          "chroma12")
 

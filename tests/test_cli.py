@@ -14,9 +14,9 @@ import chordbench
 from chordbench.annotations import read_lab
 from chordbench.checkpoint import load_checkpoint, save_checkpoint
 from chordbench.cli import main
-from chordbench.features import (AudioBuffer, FeatureMatrix, NormStats,
-                                 pitch_shift_cqt, read_feature_cache, save_wav,
-                                 write_feature_cache)
+from chordbench.features import (N_BINS, AudioBuffer, FeatureMatrix,
+                                 NormStats, pitch_shift_cqt, read_feature_cache,
+                                 save_wav, write_feature_cache)
 from chordbench import harness
 from chordbench.harness import ExperimentConfig, load_corpus
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
@@ -305,6 +305,24 @@ class TestExtractTrainPredict:
             f"error: model {ckpt} on {cache / 'a.shift+0.cbf'}: model takes "
             "cqt_log (144 bins, hop 2048 at 22050 Hz) features, got chroma12 "
             "(12 bins, hop 2048 at 22050 Hz)\n")
+
+    def test_template_predict_names_an_overflowing_frame(self, tmp_path,
+                                                         capsys):
+        # Finite log-CQT values pass the cache reader, but exp(800) does
+        # not fit a float64.
+        values = np.zeros((200, N_BINS))
+        values[12, 40] = 800.0
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "a.shift+0.cbf"
+        write_feature_cache(path, FeatureMatrix(values, 2048, 22050,
+                                                "cqt_log"))
+        assert run("predict", "--model", "template", "--in", str(cache),
+                   "--out", str(tmp_path / "pred")) == 1
+        assert capsys.readouterr().err == (
+            f"error: model template on {path}: frame 12: log-CQT values up "
+            "to 800 are too large for exp\n")
+        assert not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("val_fraction, monitored", [
         (0.0, "training"), (0.25, "validation")])

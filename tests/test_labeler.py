@@ -240,6 +240,15 @@ def make_batch(config, n_items=2, frames=8, seed=11, masked_tail=1):
     return batch
 
 
+def _leaves(value):
+    """The arrays of a ``forward`` state value, tuples flattened."""
+    if isinstance(value, tuple):
+        for part in value:
+            yield from _leaves(part)
+    else:
+        yield value
+
+
 class TestForward:
     def test_output_shape(self):
         params = init_params(TINY, dtype=np.float64)
@@ -261,6 +270,32 @@ class TestForward:
                      for item in reversed(batch)]
         for a, b in zip(direct, reversed(reordered)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("config, dtype", [
+        (TINY, np.float64),
+        # train_predict's labeler: d=64, 2 layers, 4 heads, 144 bins.
+        (LabelerConfig(input_dim=144, model_dim=64, n_layers=2, n_heads=4,
+                       seed=2), np.float32)], ids=["tiny64", "d64_l2_f32"])
+    def test_stack_equals_each_item(self, config, dtype):
+        params = init_params(config, dtype=dtype)
+        rng = np.random.Generator(np.random.PCG64(6))
+        for k, v in params.items():
+            params[k] = (v + 0.1 * rng.standard_normal(v.shape)).astype(dtype)
+        stack = rng.standard_normal((3, 108, config.input_dim))
+        assert np.array_equal(forward(params, config, stack),
+                              [forward(params, config, x) for x in stack])
+        scores, state = forward(params, config, stack, return_state=True)
+        for index, x in enumerate(stack):
+            want_scores, want_state = forward(params, config, x,
+                                              return_state=True)
+            assert np.array_equal(scores[index], want_scores)
+            assert set(state) == set(want_state)
+            for key, value in want_state.items():
+                for got, want in zip(_leaves(state[key]), _leaves(value)):
+                    # A layer-norm gain is the shared parameter, not stacked.
+                    if got.ndim > want.ndim:
+                        got = got[index]
+                    assert np.array_equal(got, want), key
 
     def test_zero_weights_give_uniform_scores(self):
         params = {k: np.zeros_like(v) for k, v in
@@ -409,6 +444,14 @@ class TestLoss:
         with pytest.raises(ValueError, match="length"):
             loss_and_grad(params, TINY, [bad])
 
+    def test_items_of_unequal_length_fail(self):
+        params = init_params(TINY, dtype=np.float64)
+        batch = make_batch(TINY, frames=8)[:1] + make_batch(TINY, frames=9)[:1]
+        with pytest.raises(ValueError, match=r"differ in length: \[8, 9\]"):
+            loss_and_grad(params, TINY, batch)
+        with pytest.raises(ValueError, match=r"differ in length: \[8, 9\]"):
+            loss_value(params, TINY, batch)
+
 
 class TestGradient:
     def test_matches_central_differences(self):
@@ -439,6 +482,36 @@ class TestGradient:
         _, with_masked = loss_and_grad(params, TINY, [batch[0], silenced])
         for k in base:
             assert np.allclose(base[k], with_masked[k], atol=1e-15), k
+
+    @pytest.mark.parametrize("config, dtype", [
+        (TINY, np.float64),
+        (LabelerConfig(input_dim=144, model_dim=64, n_layers=2, n_heads=4,
+                       seed=2), np.float32)], ids=["tiny64", "d64_l2_f32"])
+    def test_batch_equals_per_item_loop(self, config, dtype):
+        # One forward and backward pass per item, each item's gradient
+        # added in turn into zeroed gradients: the stacked batch must give
+        # the same floats.
+        params = init_params(config, dtype=dtype)
+        batch = make_batch(config, n_items=5, frames=108, masked_tail=30)
+        n_valid = sum(int(item.valid_mask().sum()) for item in batch)
+        want_loss = 0.0
+        want_grads = {k: np.zeros_like(v) for k, v in params.items()}
+        for item in batch:
+            scores, state = forward(params, config, item.inputs[None],
+                                    return_state=True)
+            mask, frames = item.valid_mask(), np.arange(len(item.targets))
+            logp = labeler._log_softmax(scores[0])
+            want_loss -= float((logp[frames, item.targets] * mask).sum())
+            dscores = np.exp(logp)
+            dscores[frames, item.targets] -= 1.0
+            dscores *= mask[:, None]
+            dscores /= n_valid
+            labeler._backward(params, config, state,
+                              dscores.astype(dtype)[None], want_grads)
+        loss, grads = loss_and_grad(params, config, batch)
+        assert loss == want_loss / n_valid
+        for k, want in want_grads.items():
+            assert np.array_equal(grads[k], want), k
 
     def test_gradient_vanishes_at_minimum(self):
         # separable extreme: the correct class dominates every frame
@@ -563,12 +636,13 @@ class TestTraining:
         # steps, then one per monitored window (the validation windows, or
         # the training windows when there are none).  A sweep over the
         # training windows hands its results for the next epoch's first
-        # batch on, so that batch runs no forward pass of its own.
+        # batch on, so that batch runs no forward pass of its own.  A call
+        # takes a stack of windows, so the windows are counted.
         calls = []
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
+        def counting_forward(params, config, inputs, *args, **kwargs):
+            calls.extend([1] * (len(inputs) if np.ndim(inputs) == 3 else 1))
+            return forward(params, config, inputs, *args, **kwargs)
 
         monkeypatch.setattr(labeler, "forward", counting_forward)
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=7)
@@ -613,8 +687,9 @@ class TestTraining:
         params = init_params(TINY, dtype=dtype)
         batch = make_batch(TINY, n_items=3)
         want_loss, want_grads = loss_and_grad(params, TINY, batch)
-        forwarded = [forward(params, TINY, item.inputs, return_state=True)
-                     for item in batch]
+        forwarded = forward(params, TINY,
+                            np.stack([item.inputs for item in batch]),
+                            return_state=True)
         calls = []
         monkeypatch.setattr(labeler, "forward",
                             lambda *a, **k: calls.append(1) or forward(*a, **k))
@@ -625,7 +700,8 @@ class TestTraining:
             assert np.array_equal(grads[k], want_grads[k]), k
         with pytest.raises(ValueError, match="forwarded holds 2 results for "
                                              "3 batch items"):
-            labeler.loss_and_grad(params, TINY, batch, forwarded[:2])
+            labeler.loss_and_grad(params, TINY, batch,
+                                  (forwarded[0][:2], forwarded[1]))
 
     def test_report_flags(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=13)

@@ -121,6 +121,19 @@ class TestTemplateScores:
         with pytest.raises(FeatureError, match="^frame 30 is not finite$"):
             recognize_track(log_matrix(values), "t")
 
+    @pytest.mark.parametrize("frame, bins, value", [
+        (12, [5], 800.0),  # exp(800) overflows
+        (20, slice(None), 708.0),  # exp(708) does not, but 12 of them do
+    ], ids=["exp", "sum"])
+    def test_overflowing_frame_is_named(self, frame, bins, value):
+        values = np.zeros((60, N_BINS))
+        values[frame, bins] = value
+        values[frame + 5, 7] = 900.0  # a later frame is not named
+        with pytest.raises(FeatureError, match=(
+                rf"^frame {frame}: log-CQT values up to {value:g} are too "
+                "large for exp$")):
+            recognize_track(log_matrix(values), "t")
+
 
 def test_end_to_end_c_major_track():
     from chordbench.annotations import SegmentTrack, TimedSegment
