@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -90,6 +91,11 @@ class FeatureMatrix:
 
     Frame i corresponds to time ``i * hop_samples / sample_rate_hz``.  A NaN
     or infinite value raises :class:`FeatureError` naming its first frame.
+    Values computed from audio are float64; values read from a cache are its
+    float32 (:func:`read_feature_cache`).  Computations on them upcast to
+    float64 (:func:`zscore_fit`, :func:`zscore_apply`,
+    :func:`~chordbench.templates.fold_to_chroma`), and the labeler's training
+    windows are float32 views of each z-scored track.
     """
 
     values: np.ndarray
@@ -388,15 +394,21 @@ def zscore_fit(training_features) -> NormStats:
 
     A set whose values are all equal has no :class:`NormStats` and raises.
     """
-    mats = [np.asarray(f.values, dtype=np.float64) for f in training_features]
+    mats = [np.asarray(f.values).ravel() for f in training_features]
     if not mats or sum(m.size for m in mats) < 2:
         raise FeatureError("need at least two training values to fit normalization")
-    flat = np.concatenate([m.ravel() for m in mats])
-    return NormStats(float(flat.mean()), float(flat.std()))
+    flat = np.concatenate(mats, dtype=np.float64)
+    mean = float(flat.mean())
+    # The steps of ``np.std``, in place on ``flat`` instead of on a copy.
+    flat -= mean
+    np.multiply(flat, flat, out=flat)
+    return NormStats(mean, math.sqrt(float(flat.sum()) / flat.size))
 
 
 def zscore_apply(features: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    values = (features.values - stats.mean) / stats.std
+    """``(values - mean) / std`` in float64, whatever the values' dtype."""
+    values = np.subtract(features.values, stats.mean, dtype=np.float64)
+    values /= stats.std
     return FeatureMatrix(values, features.hop_samples, features.sample_rate_hz,
                          features.bin_kind)
 
@@ -520,7 +532,9 @@ def write_feature_cache(path, features: FeatureMatrix,
 def read_feature_cache(path):
     """Read a flat binary feature file; returns ``(features, labels_or_None)``.
 
-    A file that is not a feature file, ends early, has a frame timing other
+    The features hold the file's float32 values, read-only; computations
+    that need float64 upcast them.  A file that is not a feature file, ends
+    early or holds bytes after its last block, has a frame timing other
     than ``HOP`` samples at ``SAMPLE_RATE``, or holds a NaN or infinite
     value or a label that is not a class index raises :class:`FeatureError`
     naming the path and, for a bad value or label, the first frame with one.
@@ -542,8 +556,7 @@ def read_feature_cache(path):
         block = fh.read(4 * n_frames * n_bins)
         if len(block) != 4 * n_frames * n_bins:
             raise FeatureError(f"{path}: truncated value block")
-        values = np.frombuffer(block, dtype="<f4").reshape(
-            n_frames, n_bins).astype(np.float64)
+        values = np.frombuffer(block, dtype="<f4").reshape(n_frames, n_bins)
         try:
             matrix = FeatureMatrix(values, hop, rate, _CACHE_KIND_NAMES[kind_code])
         except FeatureError as exc:  # a non-finite value
@@ -559,4 +572,9 @@ def read_feature_cache(path):
                 raise FeatureError(
                     f"{path}: frame {bad[0]}: label {labels[bad[0]]} is not a "
                     f"class index 0-{NOCHORD_CLASS}")
+        end = fh.tell()
+        extra = fh.seek(0, os.SEEK_END) - end
+        if extra:
+            last = "label" if has_labels else "value"
+            raise FeatureError(f"{path}: {extra} bytes after the {last} block")
     return matrix, labels

@@ -211,7 +211,7 @@ def _store(store_dir, audio_path) -> str:
     miss the log-CQT is computed and written to a unique temporary name,
     then renamed into place, so a failed write leaves no store file.  Every
     caller reads the features back from the store, so every caller sees the
-    same float32-rounded values.
+    same stored float32 values.
     """
     path = os.path.join(store_dir, f"{_wav_key(audio_path)}.cbf")
     if not os.path.exists(path):
@@ -239,10 +239,12 @@ def fit(config: ExperimentConfig, train, seed):
     """The recognizer that labels one fold's tracks for ``config``.
 
     The result is called as ``recognize(features, source_id)`` on each
-    track's stored log-CQT and returns its normalized chord track.  The
-    template model needs no training; the labeler is trained on ``train``,
-    the fold's ``(store file, .lab path)`` pairs, as folded chroma with
-    ``config.model_params`` over :data:`LABELER_DEFAULTS`.
+    track's stored float32 log-CQT and returns its normalized chord track.
+    The template model needs no training; the labeler is trained on
+    ``train``, the fold's ``(store file, .lab path)`` pairs, as chroma folded
+    in float64 with ``config.model_params`` over :data:`LABELER_DEFAULTS`;
+    its full training windows are float32 views of each z-scored track
+    (:func:`~chordbench.labeler.windowed_examples`).
     """
     if config.model == "template":
         return recognize_track

@@ -98,15 +98,17 @@ class SequenceExample:
 def windowed_examples(tracks):
     """``(examples, norm_stats)`` from a list of ``(features, labels)`` pairs.
 
-    The z-score is fitted on all pairs and applied once per track, which is
-    then cut by :func:`~chordbench.features.window_slices`.  A full window's
-    inputs are a view of the z-scored track; the window that runs past the
-    end is copied, zero-padded to ``WINDOW_FRAMES`` and its tail masked out.
+    The z-score is fitted on all pairs and applied once per track in
+    float64; the result is cast once to float32, the dtype :func:`train`
+    computes in, and cut by :func:`~chordbench.features.window_slices`.  A
+    full window's inputs are a float32 view of that one array per track;
+    the window that runs past the end is copied, zero-padded to
+    ``WINDOW_FRAMES`` and its tail masked out.
     """
     stats = zscore_fit([feats for feats, _ in tracks])
     examples = []
     for feats, labels in tracks:
-        normed = zscore_apply(feats, stats).values
+        normed = zscore_apply(feats, stats).values.astype(np.float32)
         for window in window_slices(len(normed)):
             inputs = normed[window]
             n = len(inputs)

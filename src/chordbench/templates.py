@@ -38,9 +38,10 @@ def fold_to_chroma(features: FeatureMatrix) -> FeatureMatrix:
     """Collapse log-CQT bins to 12 pitch-class magnitudes per frame.
 
     Bin k sits 2 bins per semitone above C1, so it contributes to pitch
-    class ``(k // 2) % 12``; magnitudes are recovered with exp before
-    summing.  A frame whose magnitudes overflow (a log-CQT value above
-    about 709) raises :class:`FeatureError` naming the first such frame.
+    class ``(k // 2) % 12``; magnitudes are recovered with exp, in float64
+    whatever the input's dtype, before summing.  A frame whose magnitudes
+    overflow (a log-CQT value above about 709) raises :class:`FeatureError`
+    naming the first such frame.
     """
     if features.bin_kind != "cqt_log":
         raise FeatureError(f"expected log-CQT features, got {features.bin_kind}")
@@ -50,7 +51,7 @@ def fold_to_chroma(features: FeatureMatrix) -> FeatureMatrix:
     classes = (np.arange(features.n_bins) // 2) % 12
     folded = np.zeros((features.n_frames, 12))
     with np.errstate(over="ignore"):
-        mags = np.exp(features.values)
+        mags = np.exp(features.values, dtype=np.float64)
         for p in range(12):
             folded[:, p] = mags[:, classes == p].sum(axis=1)
     overflowed = ~np.isfinite(folded).all(axis=1)

@@ -240,6 +240,20 @@ class TestZscore:
         assert stats.mean == pytest.approx(mean, abs=1e-9)
         assert stats.std == pytest.approx(np.sqrt(var), abs=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [2, 7, 9, 129, 8193, 1_200_000])
+    def test_equals_numpy_mean_and_std(self, size, dtype):
+        # Sizes around numpy's 8- and 128-element pairwise-sum blocks and its
+        # 8192-element buffer; the in-place fit must give np.std's floats.
+        rng = np.random.Generator(np.random.PCG64(size))
+        values = (rng.standard_normal(size) * 3 - 40).astype(dtype)
+        parts = np.array_split(values, min(3, size))
+        stats = zscore_fit([FeatureMatrix(part.reshape(-1, 1), HOP, SAMPLE_RATE,
+                                          "cqt_log") for part in parts])
+        flat = np.concatenate([part.astype(np.float64) for part in parts])
+        assert stats.mean == float(flat.mean())
+        assert stats.std == float(flat.std())
+
     def test_self_normalization(self):
         rng = np.random.Generator(np.random.PCG64(32))
         mats = [matrix(rng.standard_normal((20, 4)) * 5 - 2) for _ in range(4)]
@@ -429,6 +443,20 @@ class TestCacheAndWav:
         p.write_bytes(p.read_bytes()[:cut])
         block = "header" if cut == 10 else "value block"  # 24, -5: mid-float
         with pytest.raises(FeatureError, match=rf"x\.cbf: truncated {block}"):
+            read_feature_cache(p)
+
+    # 37 stray bytes after a labelled cache; an unlabelled cache followed by
+    # its 5 frames' label bytes, which must not load as unlabelled.
+    @pytest.mark.parametrize("labels, extra, block", [
+        (np.array([0, 1, 2, 3, 4]), b"\0" * 37, "label"),
+        (None, bytes([0, 1, 2, 3, 4]), "value")])
+    def test_cache_bytes_after_last_block_fail(self, tmp_path, labels, extra,
+                                               block):
+        p = tmp_path / "x.cbf"
+        write_feature_cache(p, matrix(np.ones((5, 3))), labels)
+        p.write_bytes(p.read_bytes() + extra)
+        with pytest.raises(FeatureError, match=rf"x\.cbf: {len(extra)} bytes "
+                           rf"after the {block} block$"):
             read_feature_cache(p)
 
     @pytest.mark.parametrize("hop, rate", [(1024, SAMPLE_RATE), (HOP, 44100)])

@@ -12,8 +12,11 @@ import pytest
 from chordbench import labeler
 from chordbench.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
+from chordbench import templates
 from chordbench.features import (FeatureError, FeatureMatrix, NormStats,
-                                 decode_scores, zscore_apply)
+                                 decode_scores, read_feature_cache,
+                                 window_slices, write_feature_cache,
+                                 zscore_apply, zscore_fit)
 from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 TrainedLabeler, TrainingError, count_params, fit,
                                 flatten_params, forward, init_params,
@@ -732,13 +735,106 @@ def test_windowed_examples_targets_and_mask():
         assert not ex.mask[valid:].any()
         assert np.array_equal(
             ex.inputs[:valid],
-            (features.values[start:start + valid] - stats.mean) / stats.std)
+            ((features.values[start:start + valid] - stats.mean)
+             / stats.std).astype(np.float32))
     assert examples[-1].mask.sum() == 217 - 162
     # Full windows are views of one z-scored array; only the last is a copy.
     base = examples[0].inputs.base
     assert base is not None and base.shape == (217, 12)
     assert all(np.shares_memory(ex.inputs, base) for ex in examples[:3])
     assert not np.shares_memory(examples[-1].inputs, base)
+
+
+def test_cached_tracks_window_within_16_bytes_per_stored_value(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(6))
+    n_frames = [646, 400, 250, 701, 333, 512]
+    for i, n in enumerate(n_frames):
+        values = rng.standard_normal((n, 144)).astype(np.float32) * 2 - 5
+        write_feature_cache(tmp_path / f"{i}.cbf",
+                            FeatureMatrix(values, 2048, 22050, "cqt_log"),
+                            rng.integers(0, 25, n))
+    tracemalloc.start()
+    try:
+        tracks = [read_feature_cache(tmp_path / f"{i}.cbf")
+                  for i in range(len(n_frames))]
+        examples, _ = windowed_examples(tracks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The stored float32 values (4 bytes each) and the float64 concatenation
+    # that fits the z-score (8) make 12 bytes a value; one more float64 copy
+    # of the tracks would pass 16.
+    assert peak < 16 * 144 * sum(n_frames)
+    start = 0
+    for n in n_frames:
+        windows = examples[start:start + len(window_slices(n))]
+        start += len(windows)
+        full = [ex.inputs for ex in windows if ex.mask.all()]
+        base = full[0].base
+        assert base.dtype == np.float32 and base.shape == (n, 144)
+        assert all(x.base is base for x in full)
+        assert all(ex.inputs.dtype == np.float32 for ex in windows)
+    assert start == len(examples)
+
+
+class TestFloat64Contract:
+    """Stored float32 log-CQT gives the floats of its float64 upcast: every
+    computation on cached values runs in float64."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(8))
+        values = (rng.standard_normal((130, 144)) * 2 - 6).astype(np.float32)
+        path = tmp_path / "x.cbf"
+        write_feature_cache(path, FeatureMatrix(values, 2048, 22050, "cqt_log"))
+        features, _ = read_feature_cache(path)
+        assert features.values.dtype == np.float32
+        assert np.array_equal(features.values, values)
+        return features, FeatureMatrix(features.values.astype(np.float64),
+                                       2048, 22050, "cqt_log")
+
+    def test_fold_to_chroma(self, stored):
+        chroma32, chroma64 = (fold_to_chroma(f).values for f in stored)
+        assert np.array_equal(chroma32, chroma64)
+
+    def test_zscore(self, stored):
+        stats = zscore_fit([stored[0]])
+        assert stats == zscore_fit([stored[1]])
+        normed32, normed64 = (zscore_apply(f, stats).values for f in stored)
+        assert normed32.dtype == np.float64
+        assert np.array_equal(normed32, normed64)
+
+    @staticmethod
+    def _decoded_scores(module, monkeypatch):
+        """The list that collects every score matrix ``module`` decodes."""
+        seen = []
+        decode = module.decode_scores
+
+        def spy(scores, *rest):
+            seen.append(scores)
+            return decode(scores, *rest)
+
+        monkeypatch.setattr(module, "decode_scores", spy)
+        return seen
+
+    def test_template_recognizer(self, stored, monkeypatch):
+        seen = self._decoded_scores(templates, monkeypatch)
+        track32, track64 = (templates.recognize_track(f, "t") for f in stored)
+        scores32, scores64 = seen
+        assert np.array_equal(scores32, scores64)
+        assert track32 == track64
+
+    @pytest.mark.parametrize("kind, bins", [("cqt_log", 144), ("chroma12", 12)])
+    def test_labeler_recognize(self, stored, monkeypatch, kind, bins):
+        config = LabelerConfig(input_dim=bins, model_dim=8, n_layers=1,
+                               n_heads=2, seed=3)
+        model = TrainedLabeler(config, init_params(config, np.float64),
+                               NormStats(-6.1, 2.3), kind)
+        seen = self._decoded_scores(labeler, monkeypatch)
+        track32, track64 = (model.recognize(f, "t") for f in stored)
+        scores32, scores64 = seen
+        assert np.array_equal(scores32, scores64)
+        assert track32 == track64
 
 
 class TestPredictTrack:
