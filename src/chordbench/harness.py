@@ -19,9 +19,10 @@ compute: the fold, its training ``(store file, .lab path)`` pairs and its
 ``(dataset, song_id, store file, .lab path)`` rows to score.  A fold runs
 from its job alone.  The folds of a trained-model experiment run in up to one
 worker process per usable CPU, forked on Linux and spawned elsewhere
-(:func:`_start_worker`), with results identical to running them one after
-another.  A spawned worker imports the caller's ``__main__`` module, so a
-script that runs experiments does so under ``if __name__ == "__main__":``.
+(:func:`_start_worker`), each on its own share of the CPUs, with results
+identical to running them one after another.  A spawned worker imports the
+caller's ``__main__`` module, so a script that runs experiments does so
+under ``if __name__ == "__main__":``.
 
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
@@ -293,7 +294,8 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
         with contextlib.ExitStack() as stack:
             workers = []
             if n_workers > 1:
-                workers = [_start_worker(stack, (config, jobs[w::n_workers]))
+                workers = [_start_worker(stack, (config, jobs[w::n_workers],
+                                                 w, n_workers))
                            for w in range(n_workers)]
             for index, job in enumerate(jobs):
                 fold = job[0]
@@ -315,7 +317,17 @@ def _in_fold(config, fold):
         raise FoldError(f"experiment {config.id}, fold {fold}: {exc}") from exc
 
 
+# In a fold worker, the number of CPUs of its share (see _take_cpu_share);
+# None in any other process.
+_worker_cpus = None
+
+
 def _usable_cpus() -> int:
+    """The CPUs this process may run on: a fold worker's share, else the
+    CPUs of its affinity, else all of the machine's.  The harness starts up
+    to this many workers, and the labeler splits its stacks from two on."""
+    if _worker_cpus is not None:
+        return _worker_cpus
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -388,13 +400,15 @@ def _start_worker(stack, job):
     """A worker process running :func:`_fold_worker` on ``job``, and the
     connection its results arrive on.
 
-    ``job`` is ``(config, fold jobs)``, the jobs as :func:`_fold_jobs` builds
-    them.  A forked worker starts with numpy, the package and its patches,
-    the warning filters and the job already in memory: it sees this
-    process's patches of :func:`fit` and the benchmark tracer's wrappers,
-    though whatever it records stays in the worker.  A spawned worker is a
-    fresh interpreter started with this one's ``-W`` options, which imports
-    the package and the ``__main__`` module and receives the pickled job.
+    ``job`` is ``(config, fold jobs, worker, n_workers)``: the jobs as
+    :func:`_fold_jobs` builds them, and the worker's index among the
+    ``n_workers`` that share the CPUs (:func:`_take_cpu_share`).  A forked
+    worker starts with numpy, the package and its patches, the warning
+    filters and the job already in memory: it sees this process's patches
+    of :func:`fit` and the benchmark tracer's wrappers, though whatever it
+    records stays in the worker.  A spawned worker is a fresh interpreter
+    started with this one's ``-W`` options, which imports the package and
+    the ``__main__`` module and receives the pickled job.
     When ``stack`` closes, the worker is killed and waited for and the
     connection closed; the worker also exits when this process dies.
     """
@@ -431,12 +445,29 @@ def _fold_result(proc, results):
     return rows
 
 
+def _take_cpu_share(worker, n_workers):
+    """Narrow this process's CPU affinity to its share: every
+    ``n_workers``-th of its CPUs, starting at the ``worker``-th, so that
+    workers do not compete for a CPU.  Where the platform has no affinity
+    call, or refuses the share, the affinity stays as it was and the
+    process counts one usable CPU, so its labeler trains unsplit."""
+    global _worker_cpus
+    _worker_cpus = 1
+    try:
+        share = sorted(os.sched_getaffinity(0))[worker::n_workers]
+        os.sched_setaffinity(0, share)
+    except (AttributeError, OSError):
+        return
+    _worker_cpus = len(share)
+
+
 def _fold_worker(job, results):
     """Send one ``(rows, exception)`` per fold of ``job`` on ``results``, in
     the job's order, stopping after the first failed fold.
 
     The worker ignores SIGINT, as the parent stops it when interrupted, sends
-    anything printed to stderr, and exits once the parent is gone.
+    anything printed to stderr, exits once the parent is gone, and trains on
+    its own share of the CPUs (:func:`_take_cpu_share`).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.dup2(2, 1)
@@ -451,7 +482,8 @@ def _fold_worker(job, results):
         os._exit(1)
 
     threading.Thread(target=exit_with_parent, daemon=True).start()
-    config, jobs = job
+    config, jobs, worker, n_workers = job
+    _take_cpu_share(worker, n_workers)
     for fold_job in jobs:
         try:
             rows, error = _run_fold(config, fold_job), None

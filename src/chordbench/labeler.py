@@ -16,7 +16,10 @@ checks, and :func:`train` always computes in float32.
 
 Training runs each batch as one ``(items, frames, bins)`` stack, forward
 and backward, with the floats of one pass per item (see
-:func:`loss_and_grad`).
+:func:`loss_and_grad`).  Where the process may run on two or more CPUs, a
+stack's two halves run at the same time, one in the calling thread and one
+in a helper thread joined before the call returns; the floats stay those of
+one pass per item.
 
 Each elementwise step makes one pass over an array: bias adds, residual
 adds, the softmax and the layer-norm arithmetic update their operand in
@@ -36,6 +39,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -227,10 +232,10 @@ def _layer_norm(x, g, b):
 
 
 def _layer_norm_backward(dy, cache):
-    """``(dx, dg, db)`` of a stack; ``dg`` and ``db`` are summed over items."""
+    """``(dx, dg, db)`` of a stack; ``dg`` and ``db`` hold a part per item."""
     xhat, inv, g = cache
     n = dy.shape[-1]
-    dg = np.einsum("...ij,...ij->...j", dy, xhat).sum(axis=0)
+    dg = np.einsum("...ij,...ij->...j", dy, xhat)
     db = _bias_grad(dy)
     dx = dy * g  # the gradient for xhat, turned into that for x in place
     mean_dxhat_xhat = np.einsum("...j,...j->...", dx, xhat)[..., None] / n
@@ -328,27 +333,31 @@ def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
 
 
 def _weight_grad(a, b):
-    """Sum over a stack's items of ``a.T @ b``, one product per item.
+    """``a.T @ b`` of each item of a stack, one product per item.
 
     A single product over all rows would be faster, but would sum in
     another order than one pass per item.
     """
-    return (a.swapaxes(-1, -2) @ b).sum(axis=0)
+    return a.swapaxes(-1, -2) @ b
 
 
 def _bias_grad(d):
-    """Sum of a stack over its frames, per item, then over its items."""
-    return d.sum(axis=-2).sum(axis=0)
+    """Sum of each item of a stack over its frames."""
+    return d.sum(axis=-2)
 
 
-def _backward(params, config, state, dscores, grads):
-    """Add the gradient of a stack of items, given ``dscores``, into ``grads``.
+def _backward(params, config, state, dscores):
+    """Each parameter's gradient parts for a stack of items, given ``dscores``.
 
-    ``state`` is what :func:`forward` returns for the stack.
+    ``state`` is what :func:`forward` returns for the stack.  The result maps
+    each parameter name to an ``(items, *shape)`` array: item ``i``'s part is
+    the gradient of one pass over item ``i`` alone, and the parts summed
+    over axis 0 are the stack's gradient.
     """
+    grads = {}
     h = state["h_final"]
-    grads["classifier.w"] += _weight_grad(h, dscores)
-    grads["classifier.b"] += _bias_grad(dscores)
+    grads["classifier.w"] = _weight_grad(h, dscores)
+    grads["classifier.b"] = _bias_grad(dscores)
     dh = dscores @ params["classifier.w"].T
     scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.n_layers)):
@@ -356,25 +365,23 @@ def _backward(params, config, state, dscores, grads):
         qh, kh, vh, ctx, ln1_cache, h1, u, ln2_cache = state[f"layer.{i}"]
         attn = state[f"attn.{i}"]
 
-        dr2, dg2, db2 = _layer_norm_backward(dh, ln2_cache)
-        grads[f"{p}.ln2.g"] += dg2
-        grads[f"{p}.ln2.b"] += db2
+        dr2, grads[f"{p}.ln2.g"], grads[f"{p}.ln2.b"] = _layer_norm_backward(
+            dh, ln2_cache)
         # r2 = h1 + relu(h1 W1 + b1) W2 + b2
-        grads[f"{p}.ff.w2"] += _weight_grad(u, dr2)
-        grads[f"{p}.ff.b2"] += _bias_grad(dr2)
+        grads[f"{p}.ff.w2"] = _weight_grad(u, dr2)
+        grads[f"{p}.ff.b2"] = _bias_grad(dr2)
         dz1 = dr2 @ params[f"{p}.ff.w2"].T
         dz1 *= (u > 0)
-        grads[f"{p}.ff.w1"] += _weight_grad(h1, dz1)
-        grads[f"{p}.ff.b1"] += _bias_grad(dz1)
+        grads[f"{p}.ff.w1"] = _weight_grad(h1, dz1)
+        grads[f"{p}.ff.b1"] = _bias_grad(dz1)
         dh1 = dz1 @ params[f"{p}.ff.w1"].T
         dh1 += dr2
 
-        dr1, dg1, db1 = _layer_norm_backward(dh1, ln1_cache)
-        grads[f"{p}.ln1.g"] += dg1
-        grads[f"{p}.ln1.b"] += db1
+        dr1, grads[f"{p}.ln1.g"], grads[f"{p}.ln1.b"] = _layer_norm_backward(
+            dh1, ln1_cache)
         # r1 = h_in + (attn context) Wo + bo; the scores are (q * scale) k^T
-        grads[f"{p}.attn.wo"] += _weight_grad(ctx, dr1)
-        grads[f"{p}.attn.bo"] += _bias_grad(dr1)
+        grads[f"{p}.attn.wo"] = _weight_grad(ctx, dr1)
+        grads[f"{p}.attn.bo"] = _bias_grad(dr1)
         dctx_h = _split_heads(dr1 @ params[f"{p}.attn.wo"].T, config.n_heads)
         dattn = dctx_h @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ dctx_h
@@ -388,23 +395,78 @@ def _backward(params, config, state, dscores, grads):
         dv = _merge_heads(dvh)
 
         h_in = state[f"h_in.{i}"]
-        grads[f"{p}.attn.wq"] += _weight_grad(h_in, dq)
-        grads[f"{p}.attn.bq"] += _bias_grad(dq)
-        grads[f"{p}.attn.wk"] += _weight_grad(h_in, dk)
-        grads[f"{p}.attn.bk"] += _bias_grad(dk)
-        grads[f"{p}.attn.wv"] += _weight_grad(h_in, dv)
-        grads[f"{p}.attn.bv"] += _bias_grad(dv)
+        grads[f"{p}.attn.wq"] = _weight_grad(h_in, dq)
+        grads[f"{p}.attn.bq"] = _bias_grad(dq)
+        grads[f"{p}.attn.wk"] = _weight_grad(h_in, dk)
+        grads[f"{p}.attn.bk"] = _bias_grad(dk)
+        grads[f"{p}.attn.wv"] = _weight_grad(h_in, dv)
+        grads[f"{p}.attn.bv"] = _bias_grad(dv)
         dh = dq @ params[f"{p}.attn.wq"].T
         dh += dk @ params[f"{p}.attn.wk"].T
         dh += dv @ params[f"{p}.attn.wv"].T
         dh += dr1
-    grads["in_proj.w"] += _weight_grad(state["x"], dh)
-    grads["in_proj.b"] += _bias_grad(dh)
+    grads["in_proj.w"] = _weight_grad(state["x"], dh)
+    grads["in_proj.b"] = _bias_grad(dh)
+    return grads
+
+
+def _halves(n_items):
+    """The item slices a stack of ``n_items`` is computed in.
+
+    Items ``[0, ceil(n / 2))`` and the rest when there are two or more
+    items and ``os.sched_getaffinity`` reports two or more usable CPUs (the
+    harness's count); otherwise one slice of the whole stack.
+    """
+    # Imported here, as the harness imports this module.
+    from .harness import _usable_cpus
+
+    if (n_items < 2 or not hasattr(os, "sched_getaffinity")
+            or _usable_cpus() < 2):
+        return [slice(0, n_items)]
+    mid = (n_items + 1) // 2
+    return [slice(0, mid), slice(mid, n_items)]
+
+
+def _on_halves(work, args):
+    """``[work(a) for a in args]``, the first and the others at the same time.
+
+    The first runs in the calling thread and the others, in turn, in one
+    helper thread, which is joined before this returns or raises, so no
+    thread outlives the call.  An exception raised in the helper is raised
+    here as itself, unless the first raised one, which wins as it would in
+    a serial loop.
+    """
+    if len(args) == 1:
+        return [work(args[0])]
+    outcome = []
+
+    def helper():
+        try:
+            outcome.append(([work(a) for a in args[1:]], None))
+        except BaseException as exc:  # handed to the caller, not to threading
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        first = work(args[0])
+    finally:
+        thread.join()
+    rest, error = outcome[0]
+    if error is not None:
+        raise error
+    return [first, *rest]
+
+
+def _joined(arrays):
+    """``arrays`` concatenated along axis 0; one array is returned as is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
     """Masked mean cross-entropy of a batch of equal-length
-    :class:`SequenceExample`, run forward as one stack."""
+    :class:`SequenceExample`, run forward as one stack (in halves, see
+    :func:`_loss_and_accuracy`)."""
     batch = list(batch)
     return _loss_and_accuracy(params, config, batch, (), max(1, len(batch)))[0]
 
@@ -413,10 +475,12 @@ def _loss_and_accuracy(params, config, items, keep, stack_size):
     """Masked mean cross-entropy and frame accuracy from one forward sweep.
 
     The items at the indices in ``keep`` go forward first, as one stack
-    with state, and that ``(scores, state)`` is returned as well (``None``
-    when ``keep`` is empty).  The other items follow in index order, in
-    stacks of ``stack_size``.  Each item's loss term is still added in
-    index order, so the loss is bit-identical to one ``forward`` per item.
+    with state, and its ``(scores, state)`` per half (see below) is
+    returned as well (``None`` when ``keep`` is empty).  The other items
+    follow in index order, in stacks of ``stack_size``.  Each stack runs as
+    the two halves of :func:`_halves` at the same time (:func:`_on_halves`),
+    or whole.  Each item's loss term is still added in index order, so the
+    loss is bit-identical to one ``forward`` per item.
     """
     keep = [int(j) for j in keep]
     rest = sorted(set(range(len(items))) - set(keep))
@@ -428,13 +492,20 @@ def _loss_and_accuracy(params, config, items, keep, stack_size):
     for indices in stacks:
         inputs, targets, masks = _stack([items[j] for j in indices],
                                         params["in_proj.w"].dtype)
+
+        def sweep(part):
+            result = forward(params, config, inputs[part],
+                             return_state=indices is keep)
+            scores = result[0] if indices is keep else result
+            correct = (scores.argmax(axis=-1) == targets[part]) & masks[part]
+            return (result, _picked_sums(_log_softmax(scores), targets[part],
+                                         masks[part]), int(correct.sum()))
+
+        halves = _on_halves(sweep, _halves(len(indices)))
         if indices is keep:
-            kept = forward(params, config, inputs, return_state=True)
-            scores = kept[0]
-        else:
-            scores = forward(params, config, inputs)
-        picked[indices] = _picked_sums(_log_softmax(scores), targets, masks)
-        n_correct += int(((scores.argmax(axis=-1) == targets) & masks).sum())
+            kept = [result for result, _, _ in halves]
+        picked[indices] = _joined([terms for _, terms, _ in halves])
+        n_correct += sum(correct for _, _, correct in halves)
         n_valid += int(masks.sum())
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
@@ -469,41 +540,60 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
     """Loss plus its exact gradient with respect to every parameter.
 
     The batch's items must have equal lengths, else ``ValueError``: they
-    are stacked into one ``(items, frames, bins)`` array, which takes one
-    :func:`forward` and one backward pass.  Each weight gradient is a stack
-    of per-item products summed over the items, and each bias or gain
-    gradient is summed over frames per item, then over items.  These are
-    the float additions, in the same order, of one pass per item added in
-    turn into zeroed gradients, so the results are bit-identical to that
-    loop.  ``forwarded``, when given, is the ``(scores, state)`` that
-    ``forward(params, config, stack, return_state=True)`` returns for the
-    stacked inputs with these ``params``, used instead of running
-    ``forward`` again.
+    are stacked into one ``(items, frames, bins)`` array, whose halves
+    (:func:`_halves`) each take one :func:`forward` and one backward pass,
+    at the same time (:func:`_on_halves`).  Each half's backward pass gives
+    every item's gradient part (per-item weight products, and bias or gain
+    sums over frames); the parts of both halves are joined in item order
+    and summed over the items into zeroed gradients, and the loss terms are
+    subtracted in item order.  These are the float additions, in the same
+    order, of one pass per item added in turn into zeroed gradients, so the
+    results are bit-identical to that loop, split or not.  ``forwarded``,
+    when given, is a list of ``forward(params, config, half,
+    return_state=True)`` results, ``(scores, state)``, one per consecutive
+    part of the stacked inputs with these ``params``, used instead of
+    running ``forward`` again; the step then computes in those parts.
     """
     batch = list(batch)
-    if forwarded is not None and len(forwarded[0]) != len(batch):
-        raise ValueError(f"forwarded holds {len(forwarded[0])} results for "
-                         f"{len(batch)} batch items")
+    if forwarded is None:
+        parts = _halves(len(batch))
+        forwarded = [None] * len(parts)
+    else:
+        sizes = [len(scores) for scores, _ in forwarded]
+        if sum(sizes) != len(batch):
+            raise ValueError(f"forwarded holds {sum(sizes)} results for "
+                             f"{len(batch)} batch items")
+        ends = np.cumsum(sizes).tolist()
+        parts = [slice(end - size, end) for end, size in zip(ends, sizes)]
     n_valid = sum(int(item.valid_mask().sum()) for item in batch)
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
     inputs, targets, masks = _stack(batch, params["in_proj.w"].dtype)
-    if forwarded is None:
-        scores, state = forward(params, config, inputs, return_state=True)
-    else:
-        scores, state = forwarded
-    logp = _log_softmax(scores)
+
+    def step(part_and_forwarded):
+        part, result = part_and_forwarded
+        if result is None:
+            result = forward(params, config, inputs[part], return_state=True)
+        scores, state = result
+        part_targets, part_masks = targets[part], masks[part]
+        logp = _log_softmax(scores)
+        terms = _picked_sums(logp, part_targets, part_masks)
+        dscores = np.exp(logp, out=logp)
+        items, frames = np.indices(part_targets.shape, sparse=True)
+        dscores[items, frames, part_targets] -= 1.0
+        dscores *= part_masks[..., None]
+        dscores /= n_valid
+        return terms, _backward(params, config, state,
+                                dscores.astype(scores.dtype, copy=False))
+
+    halves = _on_halves(step, list(zip(parts, forwarded)))
     total = 0.0
-    for term in _picked_sums(logp, targets, masks).tolist():
+    for term in _joined([terms for terms, _ in halves]).tolist():
         total -= term
-    dscores = np.exp(logp, out=logp)
-    items, frames = np.indices(targets.shape, sparse=True)
-    dscores[items, frames, targets] -= 1.0
-    dscores *= masks[..., None]
-    dscores /= n_valid
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    _backward(params, config, state, dscores.astype(scores.dtype, copy=False),
-              grads)
+    for k, grad in grads.items():
+        grad += _joined([item_grads[k] for _, item_grads in halves]).sum(
+            axis=0)
     loss = total / n_valid
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss: {loss}")
@@ -549,9 +639,10 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
     """Adam training in float32 with early stopping on validation loss.
 
     Each batch of ``batch_size`` items takes one stacked :func:`forward`
-    and backward pass (:func:`loss_and_grad`).  After each epoch one
-    forward sweep over the monitored set (the validation items, or the
-    training items when none are given), in stacks of ``batch_size``, gives
+    and backward pass (:func:`loss_and_grad`), as two halves at the same
+    time where two CPUs are usable.  After each epoch one forward sweep over
+    the monitored set (the validation items, or the training items when
+    none are given), in stacks of ``batch_size`` split the same way, gives
     its loss and frame accuracy.  Stops once the monitored loss has failed
     to improve for more than ``patience`` consecutive epochs, and returns
     the parameters from the best epoch.  Deterministic given
@@ -559,10 +650,10 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
 
     When the training items are monitored, the sweep first runs the next
     epoch's first batch as one stack, with the same parameters as that
-    batch's step.  Its ``(scores, state)`` is kept across the epoch
-    boundary and handed to :func:`loss_and_grad`, so each window is passed
-    forward once per parameter version; the results are bit-identical to
-    running ``forward`` again.
+    batch's step.  Its ``(scores, state)`` per half is kept across the
+    epoch boundary and handed to :func:`loss_and_grad`, so each window is
+    passed forward once per parameter version; the results are
+    bit-identical to running ``forward`` again.
     """
     train_items = list(train_items)
     if not train_items:

@@ -730,6 +730,54 @@ harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.skipif(not forked(),
+                        reason="a patched fit reaches only forked workers")
+    def test_each_worker_trains_on_its_own_cpu_share(self, corpus, tmp_path,
+                                                     monkeypatch, started):
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip(f"needs two usable CPUs, this machine has {len(cpus)}")
+        shares_dir = tmp_path / "shares"
+        shares_dir.mkdir()
+        echo = EchoFit(corpus)
+
+        def recording_fit(config, train, seed):
+            share = sorted(os.sched_getaffinity(0))
+            assert harness._usable_cpus() == len(share)
+            (shares_dir / str(os.getpid())).write_text(
+                " ".join(map(str, share)))
+            return echo(config, train, seed)
+
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        plan = make_folds(corpus["tiny"], seed=0)
+        run_experiment(self.LABELER, plan, corpus, tmp_path / "run")
+        assert len(started) == min(plan.k, len(cpus))
+        shares = [set(map(int, path.read_text().split()))
+                  for path in shares_dir.iterdir()]
+        assert len(shares) == len(started)
+        assert sum(map(len, shares)) == len(cpus)  # disjoint ...
+        assert set().union(*shares) == cpus  # ... and covering
+        assert os.sched_getaffinity(0) == cpus
+        assert no_child_left()
+
+
+def test_refused_cpu_share_keeps_the_affinity_and_counts_one_cpu(
+        monkeypatch):
+    # As on a one-CPU machine whose affinity is faked to two CPUs.
+    monkeypatch.setattr(harness, "_worker_cpus", None)
+    use_cpus(monkeypatch, {0, 1})
+
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    harness._take_cpu_share(1, 2)
+    assert harness._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_setaffinity")
+    monkeypatch.setattr(harness, "_worker_cpus", None)
+    harness._take_cpu_share(0, 2)
+    assert harness._usable_cpus() == 1
+
 
 def ended(pid):
     """Whether process ``pid`` has exited: gone, or a zombie."""

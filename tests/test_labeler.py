@@ -2,14 +2,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from chordbench import labeler
+from chordbench import harness, labeler
 from chordbench.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
 from chordbench import templates
@@ -241,6 +244,13 @@ def make_batch(config, n_items=2, frames=8, seed=11, masked_tail=1):
             mask[-masked_tail:] = False
         batch.append(SequenceExample(x, y, mask))
     return batch
+
+
+def use_cpus(monkeypatch, n):
+    """Make this process report ``n`` usable CPUs: from two on, the labeler
+    computes each stack of two or more items as two halves."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 def _leaves(value):
@@ -509,8 +519,10 @@ class TestGradient:
             dscores[frames, item.targets] -= 1.0
             dscores *= mask[:, None]
             dscores /= n_valid
-            labeler._backward(params, config, state,
-                              dscores.astype(dtype)[None], want_grads)
+            item_grads = labeler._backward(params, config, state,
+                                           dscores.astype(dtype)[None])
+            for k, grad in want_grads.items():
+                grad += item_grads[k][0]
         loss, grads = loss_and_grad(params, config, batch)
         assert loss == want_loss / n_valid
         for k, want in want_grads.items():
@@ -690,9 +702,12 @@ class TestTraining:
         params = init_params(TINY, dtype=dtype)
         batch = make_batch(TINY, n_items=3)
         want_loss, want_grads = loss_and_grad(params, TINY, batch)
-        forwarded = forward(params, TINY,
-                            np.stack([item.inputs for item in batch]),
-                            return_state=True)
+        # The per-half results of the split forward, as the sweep keeps them.
+        use_cpus(monkeypatch, 2)
+        stacked = np.stack([item.inputs for item in batch])
+        forwarded = [forward(params, TINY, stacked[half], return_state=True)
+                     for half in labeler._halves(len(batch))]
+        assert [len(scores) for scores, _ in forwarded] == [2, 1]
         calls = []
         monkeypatch.setattr(labeler, "forward",
                             lambda *a, **k: calls.append(1) or forward(*a, **k))
@@ -704,7 +719,8 @@ class TestTraining:
         with pytest.raises(ValueError, match="forwarded holds 2 results for "
                                              "3 batch items"):
             labeler.loss_and_grad(params, TINY, batch,
-                                  (forwarded[0][:2], forwarded[1]))
+                                  [(forwarded[0][0][:1], forwarded[0][1]),
+                                   forwarded[1]])
 
     def test_report_flags(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=13)
@@ -717,6 +733,161 @@ class TestTraining:
         assert report.epochs_run == 3
         with pytest.raises(AttributeError):
             report.epochs_run = 4
+
+
+D64 = LabelerConfig(input_dim=144, model_dim=64, n_layers=2, n_heads=4, seed=2)
+
+
+def stack_sizes(monkeypatch):
+    """The item count of every stack ``labeler.forward`` gets from here on."""
+    sizes = []
+
+    def spy(params, config, inputs, *args, **kwargs):
+        sizes.append(len(inputs))
+        return forward(params, config, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(labeler, "forward", spy)
+    return sizes
+
+
+def split_and_whole(monkeypatch, compute):
+    """``compute()`` with two usable CPUs, then with one."""
+    results = []
+    for n_cpus in (2, 1):
+        with monkeypatch.context() as patch:
+            use_cpus(patch, n_cpus)
+            results.append(compute())
+    return results
+
+
+class TestSplitStacks:
+    """With two usable CPUs each stack is computed as two halves at once:
+    every loss, gradient and trained parameter must keep its bytes."""
+
+    # The stacks ``forward`` gets for a batch of n items, split in two.
+    HALVES = {1: [1], 5: [3, 2], 8: [4, 4]}
+
+    def test_halves(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        assert labeler._halves(5) == [slice(0, 3), slice(3, 5)]
+        assert labeler._halves(8) == [slice(0, 4), slice(4, 8)]
+        assert labeler._halves(1) == [slice(0, 1)]
+        use_cpus(monkeypatch, 1)
+        assert labeler._halves(8) == [slice(0, 8)]
+        # os.cpu_count() alone, without the affinity call, never splits.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert harness._usable_cpus() == 4
+        assert labeler._halves(8) == [slice(0, 8)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_items", sorted(HALVES))
+    def test_loss_and_grad_and_loss_value_keep_their_bytes(
+            self, monkeypatch, n_items, dtype):
+        params = init_params(D64, dtype=dtype)
+        batch = make_batch(D64, n_items=n_items, frames=108, masked_tail=30)
+        sizes = stack_sizes(monkeypatch)
+        split, whole = split_and_whole(monkeypatch, lambda: (
+            loss_and_grad(params, D64, batch), loss_value(params, D64, batch)))
+        # The two halves of a stack start at the same time, in either order.
+        assert sorted(sizes) == sorted(2 * self.HALVES[n_items]
+                                       + 2 * [n_items])
+        (loss, grads), value = split
+        (want_loss, want_grads), want_value = whole
+        assert (repr(loss), repr(value)) == (repr(want_loss), repr(want_value))
+        assert list(grads) == list(want_grads) == list(params)
+        for k, want in want_grads.items():
+            assert grads[k].dtype == want.dtype == dtype
+            assert grads[k].tobytes() == want.tobytes(), k
+
+    # train computes in float32 only.
+    @pytest.mark.parametrize("n_val", [0, 4])
+    @pytest.mark.parametrize("batch_size", sorted(HALVES))
+    def test_train_keeps_its_bytes(self, monkeypatch, batch_size, n_val):
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
+                            seed=4)
+        items = TestTraining().toy_items(n=13)
+        val_items = TestTraining().toy_items(n=n_val, seed=3) or None
+        sizes = stack_sizes(monkeypatch)
+        split, whole = split_and_whole(monkeypatch, lambda: train(
+            cfg, items, val_items, lr=1e-2, batch_size=batch_size,
+            max_epochs=3, patience=3))
+        if batch_size > 1:
+            assert self.HALVES[batch_size][0] in sizes
+        (params, report), (want_params, want) = split, whole
+        assert repr(report) == repr(want)
+        assert list(params) == list(want_params)
+        for k, value in params.items():
+            assert value.dtype == np.float32
+            assert value.tobytes() == want_params[k].tobytes(), k
+
+    def test_split_keeps_its_bytes_under_frequent_thread_switches(
+            self, monkeypatch):
+        params = init_params(TINY)
+        batch = make_batch(TINY, n_items=5, masked_tail=3)
+        use_cpus(monkeypatch, 1)
+        want_loss, want_grads = loss_and_grad(params, TINY, batch)
+        use_cpus(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [loss_and_grad(params, TINY, batch) for _ in range(50)]
+        finally:
+            sys.setswitchinterval(interval)
+        for loss, grads in results:
+            assert repr(loss) == repr(want_loss)
+            for k, want in want_grads.items():
+                assert grads[k].tobytes() == want.tobytes(), k
+
+    def test_fit_leaves_no_thread_running(self, monkeypatch):
+        # From Python 3.12 on, a fork with a live thread warns, and fold
+        # workers are forked after the parent may have trained.
+        use_cpus(monkeypatch, 2)
+        sizes = stack_sizes(monkeypatch)
+        before = threading.active_count()
+        fit(_random_pairs(), seed=1, model_dim=8, n_layers=1, n_heads=2,
+            lr=1e-2, batch_size=4, max_epochs=2, patience=2)
+        assert 2 in sizes
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [TrainingError("in the second half"),
+                                       ValueError("in the second half")])
+    def test_helper_error_reaches_the_caller_as_itself(self, monkeypatch,
+                                                       error):
+        use_cpus(monkeypatch, 2)
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        caller = threading.current_thread()
+
+        def forward_failing_in_the_helper(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise error
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(labeler, "forward", forward_failing_in_the_helper)
+        params = init_params(TINY, dtype=np.float64)
+        batch = make_batch(TINY, n_items=4)
+        before = threading.active_count()
+        for compute in (loss_and_grad, loss_value):
+            with pytest.raises(type(error)) as caught:
+                compute(params, TINY, batch)
+            assert caught.value is error
+        assert unhandled == []
+        assert threading.active_count() == before
+
+    def test_first_half_error_wins(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        caller = threading.current_thread()
+
+        def forward_failing_in_both_halves(*args, **kwargs):
+            if threading.current_thread() is caller:
+                raise ValueError("first half")
+            raise TrainingError("second half")
+
+        monkeypatch.setattr(labeler, "forward", forward_failing_in_both_halves)
+        batch = make_batch(TINY, n_items=4)
+        with pytest.raises(ValueError, match="first half"):
+            loss_and_grad(init_params(TINY), TINY, batch)
 
 
 def test_windowed_examples_targets_and_mask():
