@@ -2,16 +2,16 @@
 
 import numpy as np
 
-from chordbench.features import (AudioBuffer, SAMPLE_RATE, cqt, log_amplitude,
-                                 pitch_shift_cqt, window_slices, zscore_apply,
-                                 zscore_fit)
+from chordbench.features import (HOP, AudioBuffer, SAMPLE_RATE, cqt,
+                                 log_amplitude, pitch_shift_cqt, window_slices,
+                                 zscore_apply, zscore_fit)
 
 t = np.arange(12 * SAMPLE_RATE) / SAMPLE_RATE
 audio = AudioBuffer(np.sin(2 * np.pi * 440.0 * t), SAMPLE_RATE)
 
 mags = cqt(audio)
 print(f"CQT of a 12 s 440 Hz sine: {mags.n_frames} frames x {mags.n_bins} bins "
-      f"(hop {mags.hop_samples} samples)")
+      f"(hop {HOP} samples)")
 mid = mags.n_frames // 2
 print(f"strongest bin at mid-track: {mags.values[mid].argmax()} "
       "(A4 sits 45 semitones = 90 quarter-tone bins above C1)")

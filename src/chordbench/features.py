@@ -45,6 +45,7 @@ from .annotations import SegmentTrack, TimedSegment, normalize
 
 SAMPLE_RATE = 22050
 HOP = 2048
+FRAME_S = HOP / SAMPLE_RATE  # seconds between frame starts
 BINS_PER_OCTAVE = 24
 N_OCTAVES = 6
 N_BINS = BINS_PER_OCTAVE * N_OCTAVES
@@ -87,10 +88,10 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Frames x bins matrix with frame timing metadata.
+    """Frames x bins matrix of one of the :data:`BIN_KINDS`.
 
-    Frame i corresponds to time ``i * hop_samples / sample_rate_hz``.  A NaN
-    or infinite value raises :class:`FeatureError` naming its first frame.
+    Frame i corresponds to time ``i * FRAME_S``.  A NaN or infinite value
+    raises :class:`FeatureError` naming its first frame.
     Values computed from audio are float64; values read from a cache are its
     float32 (:func:`read_feature_cache`).  Computations on them upcast to
     float64 (:func:`zscore_fit`, :func:`zscore_apply`,
@@ -99,9 +100,12 @@ class FeatureMatrix:
     """
 
     values: np.ndarray
-    hop_samples: int
-    sample_rate_hz: int
     bin_kind: str
+
+    # Not fields: read by the benchmark's frames_to_track call; ROADMAP
+    # item 1 removes them.
+    hop_samples = HOP
+    sample_rate_hz = SAMPLE_RATE
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -119,10 +123,6 @@ class FeatureMatrix:
     @property
     def n_bins(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def frame_period_s(self) -> float:
-        return self.hop_samples / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def cqt(audio: AudioBuffer) -> FeatureMatrix:
     for lo in range(0, N_BINS, _GROUP_BINS):
         _group_magnitudes(x, _group_kernel(lo), int(win_lens[lo]),
                           mags[:, lo:lo + _GROUP_BINS])
-    return FeatureMatrix(mags, HOP, SAMPLE_RATE, "cqt_mag")
+    return FeatureMatrix(mags, "cqt_mag")
 
 
 @functools.cache
@@ -373,8 +373,7 @@ def log_amplitude(features: FeatureMatrix) -> FeatureMatrix:
     if features.bin_kind != "cqt_mag":
         raise FeatureError(f"expected magnitude features, got {features.bin_kind}")
     values = np.log(features.values + LOG_EPS)
-    return FeatureMatrix(values, features.hop_samples, features.sample_rate_hz,
-                         "cqt_log")
+    return FeatureMatrix(values, "cqt_log")
 
 
 def log_cqt_from_wav(path) -> FeatureMatrix:
@@ -409,8 +408,7 @@ def zscore_apply(features: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     """``(values - mean) / std`` in float64, whatever the values' dtype."""
     values = np.subtract(features.values, stats.mean, dtype=np.float64)
     values /= stats.std
-    return FeatureMatrix(values, features.hop_samples, features.sample_rate_hz,
-                         features.bin_kind)
+    return FeatureMatrix(values, features.bin_kind)
 
 
 def window_slices(n_frames: int) -> list:
@@ -447,21 +445,20 @@ def pitch_shift_cqt(features: FeatureMatrix, semitones: int) -> FeatureMatrix:
         out[:, :shift] = features.values[:, -shift:]
     else:
         out[:] = features.values
-    return FeatureMatrix(out, features.hop_samples, features.sample_rate_hz,
-                         "cqt_log")
+    return FeatureMatrix(out, "cqt_log")
 
 
 def align_labels(track: SegmentTrack, features: FeatureMatrix) -> np.ndarray:
     """Class index per frame, sampled at frame centers.
 
     Frame i is labeled by the segment containing time
-    ``(i + 0.5) * hop / sr`` under half-open ``[start, end)`` segments;
+    ``(i + 0.5) * FRAME_S`` under half-open ``[start, end)`` segments;
     times outside the track map to the no-chord class.
     """
     classes = np.full(features.n_frames, NOCHORD_CLASS, dtype=np.int64)
     if not track.segments:
         return classes
-    times = (np.arange(features.n_frames) + 0.5) * features.frame_period_s
+    times = (np.arange(features.n_frames) + 0.5) * FRAME_S
     starts = np.array([s.start_s for s in track.segments])
     ends = np.array([s.end_s for s in track.segments])
     seg_classes = np.array([to_majmin(s.label) for s in track.segments])
@@ -469,6 +466,21 @@ def align_labels(track: SegmentTrack, features: FeatureMatrix) -> np.ndarray:
     valid = (idx >= 0) & (times < ends[np.clip(idx, 0, len(ends) - 1)])
     classes[valid] = seg_classes[idx[valid]]
     return classes
+
+
+def check_labels(labels, n_frames: int, where: str) -> None:
+    """Raise :class:`FeatureError`, prefixed ``where``, unless ``labels``
+    hold one integer class index 0-24 for each of ``n_frames`` frames."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or len(labels) != n_frames:
+        raise FeatureError(f"{where}{labels.size} labels for {n_frames} frames")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise FeatureError(f"{where}labels are {labels.dtype}, not class "
+                           "indices")
+    bad = np.flatnonzero((labels < 0) | (labels > NOCHORD_CLASS))
+    if bad.size:
+        raise FeatureError(f"{where}frame {bad[0]}: label {labels[bad[0]]} "
+                           f"is not a class index 0-{NOCHORD_CLASS}")
 
 
 def frames_to_track(classes: np.ndarray, hop_samples: int, sample_rate_hz: int,
@@ -490,12 +502,10 @@ def frames_to_track(classes: np.ndarray, hop_samples: int, sample_rate_hz: int,
     return normalize(SegmentTrack(segments, source_id))
 
 
-def decode_scores(scores: np.ndarray, features: FeatureMatrix,
-                  source_id: str) -> SegmentTrack:
-    """The chord track of ``(frames, 25)`` class scores computed from
-    ``features``: each frame's top class, ties to the lowest, at their timing."""
-    return frames_to_track(scores.argmax(axis=1), features.hop_samples,
-                           features.sample_rate_hz, source_id)
+def decode_scores(scores: np.ndarray, source_id: str) -> SegmentTrack:
+    """The chord track of ``(frames, 25)`` class scores: each frame's top
+    class, ties to the lowest, frame i covering ``[i, i + 1) * FRAME_S``."""
+    return frames_to_track(scores.argmax(axis=1), HOP, SAMPLE_RATE, source_id)
 
 
 # --- flat binary feature cache (docs/cache.md) ----------------------------
@@ -508,22 +518,15 @@ _CACHE_KIND_NAMES = {i: kind for kind, i in _CACHE_KIND_CODES.items()}
 
 def write_feature_cache(path, features: FeatureMatrix,
                         labels: np.ndarray | None = None) -> None:
-    """Write a feature matrix (and optional frame labels) as a flat binary file."""
+    """Write a feature matrix (and optional frame labels) as a flat binary
+    file; labels are checked by :func:`check_labels`, naming the path."""
     if labels is not None:
-        if len(labels) != features.n_frames:
-            raise FeatureError("label count does not match frame count")
-        labels = np.asarray(labels)
-        bad = np.flatnonzero((labels < 0) | (labels > NOCHORD_CLASS))
-        if bad.size:
-            raise FeatureError(
-                f"{path}: frame {bad[0]}: label {labels[bad[0]]} is not a "
-                f"class index 0-{NOCHORD_CLASS}")
+        check_labels(labels, features.n_frames, f"{path}: ")
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<BBIIII", _CACHE_KIND_CODES[features.bin_kind],
                              1 if labels is not None else 0,
-                             features.hop_samples, features.sample_rate_hz,
-                             features.n_frames, features.n_bins))
+                             HOP, SAMPLE_RATE, features.n_frames, features.n_bins))
         fh.write(np.ascontiguousarray(features.values, dtype="<f4").tobytes())
         if labels is not None:
             fh.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
@@ -558,7 +561,7 @@ def read_feature_cache(path):
             raise FeatureError(f"{path}: truncated value block")
         values = np.frombuffer(block, dtype="<f4").reshape(n_frames, n_bins)
         try:
-            matrix = FeatureMatrix(values, hop, rate, _CACHE_KIND_NAMES[kind_code])
+            matrix = FeatureMatrix(values, _CACHE_KIND_NAMES[kind_code])
         except FeatureError as exc:  # a non-finite value
             raise FeatureError(f"{path}: {exc}") from None
         labels = None
@@ -567,11 +570,7 @@ def read_feature_cache(path):
             if labels.size != n_frames:
                 raise FeatureError(f"{path}: truncated label block")
             labels = labels.astype(np.int64)
-            bad = np.flatnonzero(labels > NOCHORD_CLASS)
-            if bad.size:
-                raise FeatureError(
-                    f"{path}: frame {bad[0]}: label {labels[bad[0]]} is not a "
-                    f"class index 0-{NOCHORD_CLASS}")
+            check_labels(labels, n_frames, f"{path}: ")
         end = fh.tell()
         extra = fh.seek(0, os.SEEK_END) - end
         if extra:

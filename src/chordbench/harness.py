@@ -592,7 +592,8 @@ def load_corpus(data_root, datasets: dict) -> dict:
 
     ``datasets`` maps dataset name to its directory under ``data_root``;
     each directory must contain ``manifest.jsonl`` (audio paths relative to
-    the directory, labels alongside with a .lab extension).
+    the directory, labels alongside with a .lab extension).  A manifest
+    with no recordings raises :class:`HarnessError` naming it.
     """
     corpus = {}
     for name, subdir in datasets.items():
@@ -604,6 +605,8 @@ def load_corpus(data_root, datasets: dict) -> dict:
             label = os.path.splitext(audio)[0] + ".lab"
             entries.append(SongEntry(song_id=f"{name}/{item['id']}",
                                      audio_path=audio, label_path=label))
+        if not entries:
+            raise HarnessError(f"{manifest}: no recordings")
         corpus[name] = entries
     return corpus
 

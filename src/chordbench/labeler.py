@@ -46,9 +46,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .annotations import SegmentTrack
-from .features import (BIN_KINDS, HOP, SAMPLE_RATE, WINDOW_FRAMES,
-                       FeatureError, FeatureMatrix, NormStats, decode_scores,
-                       window_slices, zscore_apply, zscore_fit)
+from .features import (BIN_KINDS, WINDOW_FRAMES, FeatureError, FeatureMatrix,
+                       NormStats, check_labels, decode_scores, window_slices,
+                       zscore_apply, zscore_fit)
 from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
 
@@ -705,11 +705,8 @@ class TrainedLabeler:
     """A fitted labeler together with the input recipe it was fitted on.
 
     ``stats`` is the z-score fitted on the training features and
-    ``bin_kind`` their kind; their frame timing is always
-    :data:`~chordbench.features.HOP` samples at
-    :data:`~chordbench.features.SAMPLE_RATE`.  :meth:`recognize` applies
-    the model to a track the same way whichever front end loaded or
-    trained it.
+    ``bin_kind`` their kind.  :meth:`recognize` applies the model to a
+    track the same way whichever front end loaded or trained it.
     """
 
     config: LabelerConfig
@@ -724,8 +721,8 @@ class TrainedLabeler:
     def recognize(self, features: FeatureMatrix, source_id: str) -> SegmentTrack:
         """Label a track, folding log-CQT input first for a ``chroma12`` model.
 
-        Features of another kind, bin count or frame timing raise
-        :class:`FeatureError` naming what the model takes and what it got.
+        Features of another kind or bin count raise :class:`FeatureError`
+        naming what the model takes and what it got.
         :func:`forward` scores the whole z-scored track, ``(frames, 25)``,
         for :func:`~chordbench.features.decode_scores`.
         """
@@ -734,18 +731,17 @@ class TrainedLabeler:
         _check_input(self.bin_kind, self.config.input_dim, features, "")
         scores = forward(self.params, self.config,
                          zscore_apply(features, self.stats).values)
-        return decode_scores(scores, features, source_id)
+        return decode_scores(scores, source_id)
 
 
 def _check_input(bin_kind, n_bins, features, where) -> None:
     """Raise :class:`FeatureError`, naming what the model takes and what it
     got after the prefix ``where``, unless ``features`` are of ``bin_kind``
-    with ``n_bins`` bins at hop ``HOP`` and ``SAMPLE_RATE``."""
-    want = (bin_kind, n_bins, HOP, SAMPLE_RATE)
-    got = (features.bin_kind, features.n_bins, features.hop_samples,
-           features.sample_rate_hz)
+    with ``n_bins`` bins."""
+    want = (bin_kind, n_bins)
+    got = (features.bin_kind, features.n_bins)
     if got != want:
-        describe = "{} ({} bins, hop {} at {} Hz)".format
+        describe = "{} ({} bins)".format
         raise FeatureError(f"{where}model takes {describe(*want)} features, "
                            f"got {describe(*got)}")
 
@@ -799,19 +795,22 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
 
     Returns ``(TrainedLabeler, TrainReport)``.  The pairs become z-scored
     108-frame windows (:func:`windowed_examples`); the model's feature kind
-    and bin count are those of the first pair, and a pair of another kind,
-    bin count or frame timing raises :class:`FeatureError` naming its index,
-    as :meth:`TrainedLabeler.recognize` would.  With ``val_fraction`` above
+    and bin count are those of the first pair.  A pair of another kind or
+    bin count, as :meth:`TrainedLabeler.recognize` would reject, or whose
+    labels are not one integer class index 0-24 per frame raises
+    :class:`FeatureError` naming its index.  With ``val_fraction`` above
     0, a seeded random ``max(1, int(n * val_fraction))`` of the n windows is
     held out to pick the best epoch; otherwise the training windows are
     monitored (see :func:`train`).  ``val_fraction`` must lie in [0, 1) and
     leave at least one training window.
     """
     _check_range("val_fraction", val_fraction, "val_fraction")
+    for index, (features, labels) in enumerate(pairs):
+        where = f"pair {index}: "
+        _check_input(pairs[0][0].bin_kind, pairs[0][0].n_bins, features, where)
+        check_labels(labels, features.n_frames, where)
     items, stats = windowed_examples(pairs)
     first = pairs[0][0]
-    for index, (features, _) in enumerate(pairs):
-        _check_input(first.bin_kind, first.n_bins, features, f"pair {index}: ")
     config = LabelerConfig(input_dim=first.n_bins, model_dim=model_dim,
                            n_layers=n_layers, n_heads=n_heads, seed=seed)
     val_items = None

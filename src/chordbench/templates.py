@@ -60,8 +60,7 @@ def fold_to_chroma(features: FeatureMatrix) -> FeatureMatrix:
         raise FeatureError(f"frame {frame}: log-CQT values up to "
                            f"{features.values[frame].max():g} are too large "
                            "for exp")
-    return FeatureMatrix(folded, features.hop_samples, features.sample_rate_hz,
-                         "chroma12")
+    return FeatureMatrix(folded, "chroma12")
 
 
 def template_scores(chroma: FeatureMatrix) -> np.ndarray:
@@ -93,5 +92,4 @@ def template_predict(chroma: FeatureMatrix) -> np.ndarray:
 
 def recognize_track(features: FeatureMatrix, source_id: str) -> SegmentTrack:
     """The template recognizer: log-CQT features to a normalized chord track."""
-    chroma = fold_to_chroma(features)
-    return decode_scores(template_scores(chroma), chroma, source_id)
+    return decode_scores(template_scores(fold_to_chroma(features)), source_id)

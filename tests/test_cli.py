@@ -296,15 +296,13 @@ class TestExtractTrainPredict:
         cache = tmp_path / "cache"
         cache.mkdir()
         write_feature_cache(cache / "a.shift+0.cbf",
-                            FeatureMatrix(np.zeros((200, 12)), 2048, 22050,
-                                          "chroma12"))
+                            FeatureMatrix(np.zeros((200, 12)), "chroma12"))
         assert run("predict", "--model", str(ckpt), "--in", str(cache),
                    "--out", str(tmp_path / "pred")) == 1
         err = capsys.readouterr().err
         assert err == (
             f"error: model {ckpt} on {cache / 'a.shift+0.cbf'}: model takes "
-            "cqt_log (144 bins, hop 2048 at 22050 Hz) features, got chroma12 "
-            "(12 bins, hop 2048 at 22050 Hz)\n")
+            "cqt_log (144 bins) features, got chroma12 (12 bins)\n")
 
     def test_template_predict_names_an_overflowing_frame(self, tmp_path,
                                                          capsys):
@@ -315,8 +313,7 @@ class TestExtractTrainPredict:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / "a.shift+0.cbf"
-        write_feature_cache(path, FeatureMatrix(values, 2048, 22050,
-                                                "cqt_log"))
+        write_feature_cache(path, FeatureMatrix(values, "cqt_log"))
         assert run("predict", "--model", "template", "--in", str(cache),
                    "--out", str(tmp_path / "pred")) == 1
         assert capsys.readouterr().err == (
@@ -332,8 +329,8 @@ class TestExtractTrainPredict:
         cache.mkdir()
         rng = np.random.Generator(np.random.PCG64(2))
         write_feature_cache(cache / "a.shift+0.cbf",
-                            FeatureMatrix(rng.standard_normal((300, 12)), 2048,
-                                          22050, "chroma12"),
+                            FeatureMatrix(rng.standard_normal((300, 12)),
+                                          "chroma12"),
                             rng.integers(0, 25, 300))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
@@ -526,7 +523,7 @@ class TestExtractTrainPredict:
         cache.mkdir()
         values = np.random.Generator(np.random.PCG64(1)).standard_normal((300, 12))
         path = cache / "a.shift+0.cbf"
-        write_feature_cache(path, FeatureMatrix(values, 2048, 22050, "chroma12"),
+        write_feature_cache(path, FeatureMatrix(values, "chroma12"),
                             np.zeros(300, dtype=np.int64))
         data = bytearray(path.read_bytes())
         data[-300 + 170] = 200  # frame 170 of the label block
@@ -544,8 +541,7 @@ class TestExtractTrainPredict:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / "a.shift+0.cbf"
-        write_feature_cache(path, FeatureMatrix(np.zeros((300, 12)), 2048, 22050,
-                                                "chroma12"),
+        write_feature_cache(path, FeatureMatrix(np.zeros((300, 12)), "chroma12"),
                             np.zeros(300, dtype=np.int64))
         path.write_bytes(path.read_bytes()[:10])
         cfg = tmp_path / "cfg.json"
@@ -612,6 +608,24 @@ class TestXval:
         assert len(rows) == 3
         assert all(int(r["folds"]) == 6 for r in rows)
         assert all(float(r["mean"]) > 85.0 for r in rows)
+
+    def test_dataset_with_no_recordings_is_an_error(self, tiny_dataset,
+                                                    tmp_path, capsys):
+        # Scoring an empty eval set would write "nan" into the summary.
+        data_dir, _ = tiny_dataset
+        (tmp_path / "empty").mkdir()
+        manifest = tmp_path / "empty" / "manifest.jsonl"
+        manifest.write_text("")
+        cfg = tmp_path / "experiments.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"tiny": str(data_dir), "empty": "empty"},
+            "experiments": [{"id": 0, "model": "template",
+                             "eval_datasets": ["empty"]}]}))
+        out = tmp_path / "results"
+        assert run("xval", "--experiments", str(cfg), "--data-root",
+                   str(tmp_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: no recordings\n"
+        assert not out.exists()
 
     def test_unknown_model_params_key_is_an_error(self, tiny_dataset, tmp_path,
                                                    capsys):

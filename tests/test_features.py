@@ -9,9 +9,9 @@ from scipy.io import wavfile
 
 from chordbench.annotations import SegmentTrack, TimedSegment
 from chordbench.features import (BIN_KINDS, AudioBuffer, FeatureError,
-                                 FeatureMatrix, HOP, LOG_EPS, LOG_FLOOR, N_BINS,
-                                 SAMPLE_RATE, align_labels, cqt,
-                                 cqt_bin_frequencies, cqt_window_lengths,
+                                 FeatureMatrix, FRAME_S, HOP, LOG_EPS,
+                                 LOG_FLOOR, N_BINS, SAMPLE_RATE, align_labels,
+                                 cqt, cqt_bin_frequencies, cqt_window_lengths,
                                  decode_scores, frames_to_track, load_wav,
                                  log_amplitude, min_cqt_samples, pitch_shift_cqt,
                                  read_feature_cache, save_wav, window_slices,
@@ -69,8 +69,8 @@ def triad_with_noise(seconds=3.0):
                        SAMPLE_RATE)
 
 
-def matrix(values, kind="cqt_log", hop=HOP, rate=SAMPLE_RATE):
-    return FeatureMatrix(np.asarray(values, dtype=np.float64), hop, rate, kind)
+def matrix(values, kind="cqt_log"):
+    return FeatureMatrix(np.asarray(values, dtype=np.float64), kind)
 
 
 class TestCqt:
@@ -248,8 +248,8 @@ class TestZscore:
         rng = np.random.Generator(np.random.PCG64(size))
         values = (rng.standard_normal(size) * 3 - 40).astype(dtype)
         parts = np.array_split(values, min(3, size))
-        stats = zscore_fit([FeatureMatrix(part.reshape(-1, 1), HOP, SAMPLE_RATE,
-                                          "cqt_log") for part in parts])
+        stats = zscore_fit([FeatureMatrix(part.reshape(-1, 1), "cqt_log")
+                            for part in parts])
         flat = np.concatenate([part.astype(np.float64) for part in parts])
         assert stats.mean == float(flat.mean())
         assert stats.std == float(flat.std())
@@ -372,10 +372,16 @@ class TestFramesToTrack:
         period = HOP / SAMPLE_RATE
         classes = rng.integers(0, 25, 50)
         t = frames_to_track(classes, HOP, SAMPLE_RATE, "p")
-        back = align_labels(t, matrix(np.zeros((50, 2)), hop=HOP))
+        back = align_labels(t, matrix(np.zeros((50, 2))))
         # merging equal neighbours preserves the frame labels exactly
         assert np.array_equal(back, classes)
         assert t.end_s == pytest.approx(50 * period)
+
+    def test_frames_take_the_given_timing(self):
+        t = frames_to_track([0, 0, 0, 7, 7, 7], 1024, 8000, "p")
+        period = 1024 / 8000
+        assert [(s.start_s, s.end_s, str(s.label)) for s in t.segments] == [
+            (0.0, 3 * period, "C:maj"), (3 * period, 6 * period, "G:maj")]
 
 
 class TestDecodeScores:
@@ -384,17 +390,18 @@ class TestDecodeScores:
         scores[0, [3, 9]] = 1.0  # a tie: class 3 wins
         scores[1, 9] = 2.0
         scores[2:, 24] = np.inf
-        t = decode_scores(scores, matrix(np.zeros((4, 2))), "p")
+        t = decode_scores(scores, "p")
         assert [str(s.label) for s in t.segments] == ["D#:maj", "A:maj", "N"]
         assert t.source_id == "p"
 
     def test_frames_take_the_timing_of_the_features(self):
+        # Every feature matrix has the one frame timing, FRAME_S.
         scores = np.zeros((6, 25))
         scores[3:, 7] = 1.0
-        features = FeatureMatrix(np.zeros((6, 2)), 1024, 8000, "chroma12")
-        t = decode_scores(scores, features, "p")
-        assert t == frames_to_track([0, 0, 0, 7, 7, 7], 1024, 8000, "p")
-        assert t.segments[1].start_s == 3 * 1024 / 8000
+        t = decode_scores(scores, "p")
+        assert t == frames_to_track([0, 0, 0, 7, 7, 7], HOP, SAMPLE_RATE, "p")
+        assert FRAME_S == HOP / SAMPLE_RATE
+        assert t.segments[1].start_s == 3 * FRAME_S
 
 
 class TestCacheAndWav:
@@ -407,7 +414,6 @@ class TestCacheAndWav:
         write_feature_cache(p, fm, labels)
         back, back_labels = read_feature_cache(p)
         assert back.bin_kind == fm.bin_kind
-        assert back.hop_samples == fm.hop_samples
         assert np.allclose(back.values, fm.values, atol=1e-6)
         assert np.array_equal(back_labels, labels)
 
@@ -462,11 +468,29 @@ class TestCacheAndWav:
     @pytest.mark.parametrize("hop, rate", [(1024, SAMPLE_RATE), (HOP, 44100)])
     def test_cache_other_timing_names_file(self, tmp_path, hop, rate):
         p = tmp_path / "x.cbf"
-        write_feature_cache(p, matrix(np.zeros((4, 2)), hop=hop, rate=rate))
+        write_feature_cache(p, matrix(np.zeros((4, 2))))
+        data = bytearray(p.read_bytes())
+        data[6:14] = struct.pack("<II", hop, rate)  # the header's timing words
+        p.write_bytes(bytes(data))
         with pytest.raises(FeatureError, match=re.escape(
                 f"x.cbf: hop {hop} at {rate} Hz; features must have hop 2048 "
                 "at 22050 Hz")):
             read_feature_cache(p)
+
+    # A 2-frame, 3-bin chroma12 cache byte for byte (docs/cache.md): magic,
+    # kind code 3, the label flag, hop 2048, 22050 Hz, frames, bins, the
+    # float32 values, then one label byte per frame.
+    @pytest.mark.parametrize("labels, flag, tail", [
+        pytest.param(np.array([7, 24]), "01", "0718", id="labelled"),
+        pytest.param(None, "00", "", id="unlabelled")])
+    def test_cache_golden_bytes(self, tmp_path, labels, flag, tail):
+        p = tmp_path / "x.cbf"
+        write_feature_cache(p, matrix([[0.5, -1.0, 2.0], [0.25, 0.0, -3.5]],
+                                      kind="chroma12"), labels)
+        assert p.read_bytes().hex() == (
+            "43424631" "03" + flag + "00080000" "22560000" "02000000" "03000000"
+            "0000003f" "000080bf" "00000040" "0000803e" "00000000" "000060c0"
+            + tail)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_cache_non_finite_value_names_file_and_frame(self, tmp_path, bad):
@@ -505,6 +529,13 @@ class TestCacheAndWav:
                            match=rf"x\.cbf: frame 1: label {bad} is not a class"):
             write_feature_cache(p, matrix(np.zeros((3, 2))),
                                 np.array([0, bad, 24]))
+        assert not p.exists()
+
+    def test_write_rejects_a_label_count_naming_file(self, tmp_path):
+        p = tmp_path / "x.cbf"
+        with pytest.raises(FeatureError,
+                           match=r"x\.cbf: 2 labels for 3 frames$"):
+            write_feature_cache(p, matrix(np.zeros((3, 2))), np.array([0, 24]))
         assert not p.exists()
 
     def test_wav_round_trip(self, tmp_path):

@@ -434,8 +434,7 @@ class TestFeatureStore:
         with open(wav, "rb") as fh:
             key = hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
         assert path.stem == key
-        assert (stored.bin_kind, stored.hop_samples, stored.sample_rate_hz) == (
-            "cqt_log", fresh.hop_samples, fresh.sample_rate_hz)
+        assert stored.bin_kind == fresh.bin_kind == "cqt_log"
         assert np.array_equal(stored.values,
                               fresh.values.astype(np.float32).astype(np.float64))
         assert np.allclose(stored.values, fresh.values, rtol=2.0 ** -24, atol=0)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chordbench.features import (FeatureError, FeatureMatrix, HOP, N_BINS,
-                                 SAMPLE_RATE, cqt, log_amplitude)
+from chordbench.features import (FeatureError, FeatureMatrix, N_BINS, cqt,
+                                 log_amplitude)
 from chordbench.labels import NOCHORD_CLASS, transpose_majmin
 from chordbench.templates import (ADAPTIVE_THRESHOLD_FRACTION, fold_to_chroma,
                                   recognize_track, template_predict,
@@ -11,13 +11,11 @@ from test_features import sine, interior_frames
 
 
 def log_matrix(values):
-    return FeatureMatrix(np.asarray(values, dtype=np.float64), HOP,
-                         SAMPLE_RATE, "cqt_log")
+    return FeatureMatrix(np.asarray(values, dtype=np.float64), "cqt_log")
 
 
 def chroma(values):
-    return FeatureMatrix(np.asarray(values, dtype=np.float64), HOP,
-                         SAMPLE_RATE, "chroma12")
+    return FeatureMatrix(np.asarray(values, dtype=np.float64), "chroma12")
 
 
 class TestFoldToChroma:
