@@ -18,7 +18,7 @@ config = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=3)
 params = init_params(config, dtype=np.float64)
 rng = np.random.Generator(np.random.PCG64(0))
 batch = [SequenceExample(rng.standard_normal((8, 6)), rng.integers(0, 25, 8))]
-_, grads = loss_and_grad(params, config, batch)
+_, grads, _ = loss_and_grad(params, config, batch)
 flat, analytic = flatten_params(params), flatten_params(grads)
 h = 1e-3
 numeric = np.zeros_like(flat)
@@ -52,5 +52,6 @@ params, report = train(train_config, items, lr=3e-3, batch_size=len(items),
 for epoch in (0, 19, 59, report.epochs_run - 1):
     print(f"  epoch {epoch + 1:3d}: loss {report.losses[epoch]:.4f}  "
           f"frame accuracy {report.accuracies[epoch]:.3f}")
-print(f"deterministic given the seed; best accuracy "
-      f"{max(report.accuracies):.3f}")
+# With no validation set, an epoch's accuracy is that of its own steps.
+print(f"deterministic given the seed; last epoch's training accuracy "
+      f"{report.accuracies[-1]:.3f}")

@@ -164,7 +164,8 @@ def cmd_train(args):
     hyper = {**TRAIN_DEFAULTS, **cfg}
     model, report = labeler.fit(pairs, **hyper)
     checkpoint.save_checkpoint(args.out, model)
-    # ``accuracies`` are those of the set that picked the best epoch.
+    # ``accuracies`` are those of the validation windows, or without them
+    # those of the training windows as the last epoch's steps scored them.
     monitored = "validation" if hyper["val_fraction"] > 0 else "training"
     print(f"trained {report.epochs_run} epochs, "
           f"final loss {report.losses[-1]:.4f}, "

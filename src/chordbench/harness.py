@@ -64,6 +64,8 @@ from .synth import read_manifest
 
 DEFAULT_METRICS = ("root", "majmin", "ccm")
 # The labeler's ``model_params`` keys and their defaults (docs/experiments.md).
+# With no validation split, training runs ``max_epochs`` and ``patience`` is
+# accepted but unused.
 LABELER_DEFAULTS = {"model_dim": 32, "n_layers": 1, "n_heads": 4, "lr": 3e-3,
                     "batch_size": 8, "max_epochs": 30, "patience": 5}
 

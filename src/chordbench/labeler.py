@@ -19,7 +19,9 @@ and backward, with the floats of one pass per item (see
 :func:`loss_and_grad`).  Where the process may run on two or more CPUs, a
 stack's two halves run at the same time, one in the calling thread and one
 in a helper thread joined before the call returns; the floats stay those of
-one pass per item.
+one pass per item.  Only a validation set is swept forward between epochs,
+for early stopping; without one, :func:`train` runs every epoch and keeps
+the last parameters.
 
 Each elementwise step makes one pass over an array: bias adds, residual
 adds, the softmax and the layer-norm arithmetic update their operand in
@@ -128,8 +130,13 @@ def windowed_examples(tracks):
 
 @dataclass
 class TrainReport:
-    """Per-epoch training trace: mean training-batch loss (``losses``), then
-    loss and frame accuracy of the monitored set (see :func:`train`)."""
+    """Per-epoch training trace (see :func:`train`).
+
+    ``losses`` holds the mean training-batch loss.  With a validation set,
+    ``val_losses`` and ``accuracies`` hold its loss and frame accuracy;
+    without one, ``val_losses`` stays empty and ``accuracies`` holds the
+    frame accuracy of the epoch's steps on the training windows.
+    """
 
     losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
@@ -468,51 +475,39 @@ def loss_value(params: dict, config: LabelerConfig, batch) -> float:
     :class:`SequenceExample`, run forward as one stack (in halves, see
     :func:`_loss_and_accuracy`)."""
     batch = list(batch)
-    return _loss_and_accuracy(params, config, batch, (), max(1, len(batch)))[0]
+    return _loss_and_accuracy(params, config, batch, max(1, len(batch)))[0]
 
 
-def _loss_and_accuracy(params, config, items, keep, stack_size):
+def _loss_and_accuracy(params, config, items, stack_size):
     """Masked mean cross-entropy and frame accuracy from one forward sweep.
 
-    The items at the indices in ``keep`` go forward first, as one stack
-    with state, and its ``(scores, state)`` per half (see below) is
-    returned as well (``None`` when ``keep`` is empty).  The other items
-    follow in index order, in stacks of ``stack_size``.  Each stack runs as
-    the two halves of :func:`_halves` at the same time (:func:`_on_halves`),
-    or whole.  Each item's loss term is still added in index order, so the
-    loss is bit-identical to one ``forward`` per item.
+    The items go forward in index order, in stacks of ``stack_size``.  Each
+    stack runs as the two halves of :func:`_halves` at the same time
+    (:func:`_on_halves`), or whole.  Each item's loss term is still added in
+    index order, so the loss is bit-identical to one ``forward`` per item.
     """
-    keep = [int(j) for j in keep]
-    rest = sorted(set(range(len(items))) - set(keep))
-    stacks = [keep] if keep else []
-    stacks += [rest[s:s + stack_size] for s in range(0, len(rest), stack_size)]
-    picked = np.zeros(len(items))
-    kept = None
+    picked = []
     n_correct, n_valid = 0, 0
-    for indices in stacks:
-        inputs, targets, masks = _stack([items[j] for j in indices],
+    for start in range(0, len(items), stack_size):
+        inputs, targets, masks = _stack(items[start:start + stack_size],
                                         params["in_proj.w"].dtype)
 
         def sweep(part):
-            result = forward(params, config, inputs[part],
-                             return_state=indices is keep)
-            scores = result[0] if indices is keep else result
-            correct = (scores.argmax(axis=-1) == targets[part]) & masks[part]
-            return (result, _picked_sums(_log_softmax(scores), targets[part],
-                                         masks[part]), int(correct.sum()))
+            scores = forward(params, config, inputs[part])
+            return (_picked_sums(_log_softmax(scores), targets[part],
+                                 masks[part]),
+                    _n_correct(scores, targets[part], masks[part]))
 
-        halves = _on_halves(sweep, _halves(len(indices)))
-        if indices is keep:
-            kept = [result for result, _, _ in halves]
-        picked[indices] = _joined([terms for _, terms, _ in halves])
-        n_correct += sum(correct for _, _, correct in halves)
+        halves = _on_halves(sweep, _halves(len(inputs)))
+        picked += [terms for terms, _ in halves]
+        n_correct += sum(correct for _, correct in halves)
         n_valid += int(masks.sum())
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
     total = 0.0
-    for term in picked.tolist():
+    for term in np.concatenate(picked).tolist():
         total -= term
-    return total / n_valid, n_correct / n_valid, kept
+    return total / n_valid, n_correct / n_valid
 
 
 def _stack(items, dtype):
@@ -536,8 +531,15 @@ def _picked_sums(logp, targets, masks):
     return (logp[items, frames, targets] * masks).sum(axis=-1)
 
 
-def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
-    """Loss plus its exact gradient with respect to every parameter.
+def _n_correct(scores, targets, masks) -> int:
+    """How many valid frames of a stack have their target as top score."""
+    return int(((scores.argmax(axis=-1) == targets) & masks).sum())
+
+
+def loss_and_grad(params: dict, config: LabelerConfig, batch):
+    """``(loss, grads, n_correct)``: the loss, its exact gradient with
+    respect to every parameter, and how many valid frames the scores of
+    this pass label correctly.
 
     The batch's items must have equal lengths, else ``ValueError``: they
     are stacked into one ``(items, frames, bins)`` array, whose halves
@@ -548,34 +550,18 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
     and summed over the items into zeroed gradients, and the loss terms are
     subtracted in item order.  These are the float additions, in the same
     order, of one pass per item added in turn into zeroed gradients, so the
-    results are bit-identical to that loop, split or not.  ``forwarded``,
-    when given, is a list of ``forward(params, config, half,
-    return_state=True)`` results, ``(scores, state)``, one per consecutive
-    part of the stacked inputs with these ``params``, used instead of
-    running ``forward`` again; the step then computes in those parts.
+    results are bit-identical to that loop, split or not.
     """
     batch = list(batch)
-    if forwarded is None:
-        parts = _halves(len(batch))
-        forwarded = [None] * len(parts)
-    else:
-        sizes = [len(scores) for scores, _ in forwarded]
-        if sum(sizes) != len(batch):
-            raise ValueError(f"forwarded holds {sum(sizes)} results for "
-                             f"{len(batch)} batch items")
-        ends = np.cumsum(sizes).tolist()
-        parts = [slice(end - size, end) for end, size in zip(ends, sizes)]
     n_valid = sum(int(item.valid_mask().sum()) for item in batch)
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
     inputs, targets, masks = _stack(batch, params["in_proj.w"].dtype)
 
-    def step(part_and_forwarded):
-        part, result = part_and_forwarded
-        if result is None:
-            result = forward(params, config, inputs[part], return_state=True)
-        scores, state = result
+    def step(part):
+        scores, state = forward(params, config, inputs[part], return_state=True)
         part_targets, part_masks = targets[part], masks[part]
+        correct = _n_correct(scores, part_targets, part_masks)
         logp = _log_softmax(scores)
         terms = _picked_sums(logp, part_targets, part_masks)
         dscores = np.exp(logp, out=logp)
@@ -583,21 +569,21 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch, forwarded=None):
         dscores[items, frames, part_targets] -= 1.0
         dscores *= part_masks[..., None]
         dscores /= n_valid
-        return terms, _backward(params, config, state,
-                                dscores.astype(scores.dtype, copy=False))
+        return terms, correct, _backward(
+            params, config, state, dscores.astype(scores.dtype, copy=False))
 
-    halves = _on_halves(step, list(zip(parts, forwarded)))
+    halves = _on_halves(step, _halves(len(batch)))
     total = 0.0
-    for term in _joined([terms for terms, _ in halves]).tolist():
+    for term in _joined([terms for terms, _, _ in halves]).tolist():
         total -= term
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     for k, grad in grads.items():
-        grad += _joined([item_grads[k] for _, item_grads in halves]).sum(
+        grad += _joined([item_grads[k] for _, _, item_grads in halves]).sum(
             axis=0)
     loss = total / n_valid
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss: {loss}")
-    return loss, grads
+    return loss, grads, sum(correct for _, correct, _ in halves)
 
 
 class AdamOptimizer:
@@ -636,55 +622,53 @@ class AdamOptimizer:
 
 def train(config: LabelerConfig, train_items, val_items=None, *, lr,
           batch_size, max_epochs, patience):
-    """Adam training in float32 with early stopping on validation loss.
+    """Adam training in float32, with early stopping on validation loss.
 
     Each batch of ``batch_size`` items takes one stacked :func:`forward`
     and backward pass (:func:`loss_and_grad`), as two halves at the same
-    time where two CPUs are usable.  After each epoch one forward sweep over
-    the monitored set (the validation items, or the training items when
-    none are given), in stacks of ``batch_size`` split the same way, gives
-    its loss and frame accuracy.  Stops once the monitored loss has failed
-    to improve for more than ``patience`` consecutive epochs, and returns
-    the parameters from the best epoch.  Deterministic given
-    ``config.seed``, and bit-identical to a loop of one pass per item.
+    time where two CPUs are usable.  Deterministic given ``config.seed``,
+    and bit-identical to a loop of one pass per item.
 
-    When the training items are monitored, the sweep first runs the next
-    epoch's first batch as one stack, with the same parameters as that
-    batch's step.  Its ``(scores, state)`` per half is kept across the
-    epoch boundary and handed to :func:`loss_and_grad`, so each window is
-    passed forward once per parameter version; the results are
-    bit-identical to running ``forward`` again.
+    With ``val_items``, one forward sweep over them after each epoch, in
+    stacks of ``batch_size`` split the same way, gives the epoch's
+    validation loss and frame accuracy.  Training stops once that loss has
+    failed to improve for more than ``patience`` consecutive epochs, and
+    returns the parameters from the best epoch.
+
+    Without ``val_items``, no window is passed forward but by the steps:
+    all ``max_epochs`` epochs run, ``patience`` is unused, and the last
+    parameters are returned.  An epoch's accuracy is then that of the
+    training windows as its steps scored them, each batch with the
+    parameters before its own step.
     """
     train_items = list(train_items)
     if not train_items:
         raise ValueError("empty training set")
-    monitor_train = not val_items
-    monitor_items = train_items if monitor_train else list(val_items)
+    val_items = list(val_items or ())
+    n_train_frames = sum(int(item.valid_mask().sum()) for item in train_items)
     params = init_params(config)
     optimizer = AdamOptimizer(params, lr=lr)
-    # Only permutations are drawn from ``rng``, so drawing each epoch's
-    # before the previous epoch's sweep leaves the stream unchanged.
     rng = np.random.Generator(np.random.PCG64(config.seed))
     report = TrainReport()
     best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params  # a copy from the first validation sweep on
     epochs_since_best = 0
-    order = rng.permutation(len(train_items))
-    forwarded = None
     for _ in range(max_epochs):
-        epoch_loss, n_batches = 0.0, 0
+        order = rng.permutation(len(train_items))
+        epoch_loss, n_batches, n_correct = 0.0, 0, 0
         for start in range(0, len(order), batch_size):
             batch = [train_items[j] for j in order[start:start + batch_size]]
-            loss, grads = loss_and_grad(params, config, batch, forwarded)
-            forwarded = None
+            loss, grads, correct = loss_and_grad(params, config, batch)
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
+            n_correct += correct
         report.losses.append(epoch_loss / n_batches)
-        order = rng.permutation(len(train_items))
-        first_batch = order[:batch_size] if monitor_train else ()
-        monitored, accuracy, forwarded = _loss_and_accuracy(
-            params, config, monitor_items, first_batch, batch_size)
+        if not val_items:
+            report.accuracies.append(n_correct / n_train_frames)
+            continue
+        monitored, accuracy = _loss_and_accuracy(params, config, val_items,
+                                                 batch_size)
         report.val_losses.append(monitored)
         report.accuracies.append(accuracy)
         if not np.isfinite(monitored):
@@ -800,9 +784,10 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     labels are not one integer class index 0-24 per frame raises
     :class:`FeatureError` naming its index.  With ``val_fraction`` above
     0, a seeded random ``max(1, int(n * val_fraction))`` of the n windows is
-    held out to pick the best epoch; otherwise the training windows are
-    monitored (see :func:`train`).  ``val_fraction`` must lie in [0, 1) and
-    leave at least one training window.
+    held out for early stopping and to pick the best epoch; otherwise all
+    ``max_epochs`` run and the last parameters are kept (see
+    :func:`train`).  ``val_fraction`` must lie in [0, 1) and leave at least
+    one training window.
     """
     _check_range("val_fraction", val_fraction, "val_fraction")
     for index, (features, labels) in enumerate(pairs):

@@ -217,7 +217,7 @@ def test_labeler_gradient_check():
         mask = np.ones(8, dtype=bool)
         mask[-1] = False
         batch.append(SequenceExample(x, y, mask))
-    _, grads = loss_and_grad(params, config, batch)
+    _, grads, _ = loss_and_grad(params, config, batch)
     flat = flatten_params(params)
     analytic = flatten_params(grads)
     h = 1e-3

@@ -179,7 +179,8 @@ def reference_loss_and_grad(params, config, batch):
 
 
 def _reference_sweep(params, config, items):
-    """Monitored loss and frame accuracy, one ``forward`` per item."""
+    """Summed loss, correct frames and valid frames of ``items``, one
+    ``forward`` per item."""
     total, n_correct, n_valid = 0.0, 0, 0
     for item in items:
         scores = forward(params, config, item.inputs)
@@ -191,37 +192,44 @@ def _reference_sweep(params, config, items):
                         * mask).sum())
         n_correct += int(((scores.argmax(axis=1) == item.targets) & mask).sum())
         n_valid += int(mask.sum())
-    return total / n_valid, n_correct / n_valid
+    return total, n_correct, n_valid
 
 
 def reference_train(config, train_items, val_items=None, lr=1e-3,
                     batch_size=8, max_epochs=100, patience=10,
                     dtype=np.float32):
-    """The epoch loop of :func:`labeler.train` with no forward result shared:
-    every batch runs ``forward`` itself, after the sweep over the same
-    parameters."""
+    """The epoch loop of :func:`labeler.train`, scoring every window with
+    its own ``forward``: each batch before its step, which gives the
+    training accuracy when there is no validation set, and the validation
+    windows after each epoch, which pick the best epoch when there is."""
     train_items = list(train_items)
-    monitor_items = list(val_items) if val_items else train_items
     params = init_params(config, dtype=dtype)
     optimizer = AdamOptimizer(params, lr=lr)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     report = labeler.TrainReport()
     best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params
     epochs_since_best = 0
     for _ in range(max_epochs):
         order = rng.permutation(len(train_items))
-        epoch_loss, n_batches = 0.0, 0
+        epoch_loss, n_batches, n_correct, n_valid = 0.0, 0, 0, 0
         for start in range(0, len(order), batch_size):
             batch = [train_items[j] for j in order[start:start + batch_size]]
-            loss, grads = loss_and_grad(params, config, batch)
+            _, correct, valid = _reference_sweep(params, config, batch)
+            n_correct += correct
+            n_valid += valid
+            loss, grads, _ = loss_and_grad(params, config, batch)
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
         report.losses.append(epoch_loss / n_batches)
-        monitored, accuracy = _reference_sweep(params, config, monitor_items)
+        if not val_items:
+            report.accuracies.append(n_correct / n_valid)
+            continue
+        total, n_correct, n_valid = _reference_sweep(params, config, val_items)
+        monitored = total / n_valid
         report.val_losses.append(monitored)
-        report.accuracies.append(accuracy)
+        report.accuracies.append(n_correct / n_valid)
         if monitored < best_loss:
             best_loss = monitored
             best_params = {k: v.copy() for k, v in params.items()}
@@ -369,7 +377,7 @@ def test_matches_reference_implementation(case, dtype, rtol):
     batch[-1].mask[: len(batch) - 1] = False  # a masked head as well
     ref_loss, ref_grads, ref_scores, ref_attn = reference_loss_and_grad(
         params, config, batch)
-    loss, grads = loss_and_grad(params, config, batch)
+    loss, grads, _ = loss_and_grad(params, config, batch)
 
     assert loss == pytest.approx(ref_loss, rel=rtol, abs=0)
     for item, want_scores, want_attn in zip(batch, ref_scores, ref_attn):
@@ -465,13 +473,22 @@ class TestLoss:
         with pytest.raises(ValueError, match=r"differ in length: \[8, 9\]"):
             loss_value(params, TINY, batch)
 
+    def test_loss_and_grad_counts_the_valid_frames_it_gets_right(self):
+        params = init_params(TINY, dtype=np.float64)
+        batch = make_batch(TINY, n_items=3, frames=8, masked_tail=3)
+        for item in batch:
+            item.targets = forward(params, TINY, item.inputs).argmax(axis=1)
+            item.targets[::2] = (item.targets[::2] + 1) % N_MAJMIN_CLASSES
+        # Odd frames are right; of those, 1 and 3 are valid in each item.
+        assert loss_and_grad(params, TINY, batch)[2] == 2 * len(batch)
+
 
 class TestGradient:
     def test_matches_central_differences(self):
         params = init_params(TINY, dtype=np.float64)
         assert count_params(params) <= 2000
         batch = make_batch(TINY)
-        _, grads = loss_and_grad(params, TINY, batch)
+        _, grads, _ = loss_and_grad(params, TINY, batch)
         flat = flatten_params(params)
         analytic = flatten_params(grads)
         h = 1e-3
@@ -489,10 +506,10 @@ class TestGradient:
     def test_masked_item_contributes_nothing(self):
         params = init_params(TINY, dtype=np.float64)
         batch = make_batch(TINY, n_items=2, masked_tail=0)
-        _, base = loss_and_grad(params, TINY, [batch[0]])
+        _, base, _ = loss_and_grad(params, TINY, [batch[0]])
         silenced = SequenceExample(batch[1].inputs, batch[1].targets,
                                    np.zeros(len(batch[1].targets), dtype=bool))
-        _, with_masked = loss_and_grad(params, TINY, [batch[0], silenced])
+        _, with_masked, _ = loss_and_grad(params, TINY, [batch[0], silenced])
         for k in base:
             assert np.allclose(base[k], with_masked[k], atol=1e-15), k
 
@@ -523,7 +540,7 @@ class TestGradient:
                                            dscores.astype(dtype)[None])
             for k, grad in want_grads.items():
                 grad += item_grads[k][0]
-        loss, grads = loss_and_grad(params, config, batch)
+        loss, grads, _ = loss_and_grad(params, config, batch)
         assert loss == want_loss / n_valid
         for k, want in want_grads.items():
             assert np.array_equal(grads[k], want), k
@@ -534,7 +551,7 @@ class TestGradient:
         params["classifier.b"][5] += 60.0
         x = np.zeros((6, 6))
         batch = [SequenceExample(x, np.full(6, 5), None)]
-        _, grads = loss_and_grad(params, TINY, batch)
+        _, grads, _ = loss_and_grad(params, TINY, batch)
         norm = np.linalg.norm(flatten_params(grads))
         assert norm <= 1e-6
 
@@ -552,7 +569,7 @@ class TestGradient:
         assert scores.dtype == np.float32
         for i in range(TINY.n_layers):
             assert state[f"attn.{i}"].dtype == np.float32
-        _, grads = loss_and_grad(params, TINY, batch)
+        _, grads, _ = loss_and_grad(params, TINY, batch)
         assert set(grads) == set(params)
         assert {k: g.dtype for k, g in grads.items() if g.dtype != np.float32} == {}
 
@@ -585,8 +602,8 @@ class TestTraining:
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=4)
         items = self.toy_items()
         # huge learning rate forces an early non-improving epoch
-        _, report = train(cfg, items, lr=2.0, batch_size=6, max_epochs=50,
-                          patience=0)
+        _, report = train(cfg, items, self.toy_items(n=4, seed=3), lr=2.0,
+                          batch_size=6, max_epochs=50, patience=0)
         assert report.epochs_run < 50
         monitored = report.val_losses
         best_so_far = np.minimum.accumulate(monitored)
@@ -594,6 +611,27 @@ class TestTraining:
         for i in range(1, report.epochs_run - 1):
             assert monitored[i] < best_so_far[i - 1]
         assert monitored[-1] >= best_so_far[-2]
+
+    def test_without_validation_runs_every_epoch_and_keeps_the_last(
+            self, monkeypatch):
+        # The diverging case above: with no validation set, patience is
+        # unused and the parameters of the last step come back.
+        steps = []
+        step = AdamOptimizer.step
+
+        def recording_step(optimizer, params, grads):
+            step(optimizer, params, grads)
+            steps.append({k: v.copy() for k, v in params.items()})
+
+        monkeypatch.setattr(AdamOptimizer, "step", recording_step)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=4)
+        params, report = train(cfg, self.toy_items(), lr=2.0, batch_size=6,
+                               max_epochs=50, patience=0)
+        assert report.epochs_run == len(steps) == 50
+        assert report.val_losses == []
+        assert min(report.losses) < report.losses[-1]
+        for k, value in params.items():
+            assert np.array_equal(value, steps[-1][k]), k
 
     def test_loss_non_increasing_small_lr_full_batch(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=6)
@@ -606,10 +644,13 @@ class TestTraining:
     def test_returns_best_parameters(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=12)
         items = self.toy_items()
-        params, report = train(cfg, items, lr=0.5, batch_size=6,
+        val_items = self.toy_items(n=4, seed=3)
+        params, report = train(cfg, items, val_items, lr=0.5, batch_size=6,
                                max_epochs=30, patience=3)
-        final = loss_value(params, cfg, items)
-        assert final == pytest.approx(min(report.val_losses), abs=1e-9)
+        # the best epoch is not the last, so the copy taken there came back
+        assert int(np.argmin(report.val_losses)) < report.epochs_run - 1
+        final = loss_value(params, cfg, val_items)
+        assert final == min(report.val_losses)
 
     # (training windows, validation windows, train keyword arguments)
     TRAIN_CASES = {
@@ -618,8 +659,8 @@ class TestTraining:
         "exactly_one_batch": (4, 0, dict(lr=1e-2, batch_size=4, max_epochs=4,
                                          patience=4)),
         "ragged_last_batch": (7, 0, dict(lr=1e-2, batch_size=3, max_epochs=4,
-                                         patience=4)),
-        "patience_stop": (6, 0, dict(lr=2.0, batch_size=4, max_epochs=50,
+                                         patience=0)),
+        "patience_stop": (6, 4, dict(lr=2.0, batch_size=4, max_epochs=50,
                                      patience=0)),
         "validation_set": (6, 4, dict(lr=1e-2, batch_size=4, max_epochs=4,
                                       patience=4)),
@@ -648,11 +689,8 @@ class TestTraining:
 
     def test_one_forward_sweep_per_epoch(self, monkeypatch):
         # Each epoch: one forward pass per training window for the gradient
-        # steps, then one per monitored window (the validation windows, or
-        # the training windows when there are none).  A sweep over the
-        # training windows hands its results for the next epoch's first
-        # batch on, so that batch runs no forward pass of its own.  A call
-        # takes a stack of windows, so the windows are counted.
+        # steps, then one per validation window.  A call takes a stack of
+        # windows, so the windows are counted.
         calls = []
 
         def counting_forward(params, config, inputs, *args, **kwargs):
@@ -663,15 +701,54 @@ class TestTraining:
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=7)
         items = self.toy_items(n=6)
         val_items = self.toy_items(n=4, seed=3)
-        _, report = train(cfg, items, lr=1e-2, batch_size=4, max_epochs=3,
-                          patience=3)
-        assert report.epochs_run == 3
-        assert len(calls) == 2 * len(items) * 3 - min(4, len(items)) * (3 - 1)
-        calls.clear()
         _, report = train(cfg, items, val_items, lr=1e-2, batch_size=4,
                           max_epochs=3, patience=3)
         assert report.epochs_run == 3
         assert len(calls) == (len(items) + len(val_items)) * 3
+
+    def test_without_validation_only_the_steps_run_forward(self, monkeypatch):
+        # On one CPU each step is one stack: the windows of every batch go
+        # forward once, in step order, and nothing else does.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        sizes = stack_sizes(monkeypatch)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=7)
+        items = self.toy_items(n=6)
+        _, report = train(cfg, items, lr=1e-2, batch_size=4, max_epochs=3,
+                          patience=0)
+        assert report.epochs_run == 3
+        assert sizes == [4, 2] * 3
+        assert sum(sizes) == len(items) * 3
+
+    def test_accuracy_without_validation_counts_the_step_scores(
+            self, monkeypatch):
+        # Each batch is scored, one window at a time, with the parameters
+        # its step starts from; an epoch's accuracy is the share of valid
+        # frames those scores got right.
+        counts = []
+        step = labeler.loss_and_grad
+
+        def scoring_step(params, config, batch):
+            correct = valid = 0
+            for item in batch:
+                mask = item.valid_mask()
+                top = forward(params, config, item.inputs).argmax(axis=1)
+                correct += int(((top == item.targets) & mask).sum())
+                valid += int(mask.sum())
+            counts.append((correct, valid))
+            return step(params, config, batch)
+
+        monkeypatch.setattr(labeler, "loss_and_grad", scoring_step)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=8)
+        items = [SequenceExample(item.inputs, item.targets,
+                                 np.arange(len(item.targets)) < 10 - k)
+                 for k, item in enumerate(self.toy_items(n=7))]
+        _, report = train(cfg, items, lr=3e-2, batch_size=3, max_epochs=5,
+                          patience=0)
+        assert len(counts) == 3 * 5
+        for epoch, accuracy in enumerate(report.accuracies):
+            correct, valid = np.sum(counts[3 * epoch:3 * epoch + 3], axis=0)
+            assert accuracy == correct / valid
+        assert len(set(report.accuracies)) > 1
 
     def test_accuracy_is_measured_on_validation_set(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=8)
@@ -696,31 +773,6 @@ class TestTraining:
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
             train(TINY, [], lr=1e-3, batch_size=8, max_epochs=1, patience=0)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_loss_and_grad_takes_forward_results(self, monkeypatch, dtype):
-        params = init_params(TINY, dtype=dtype)
-        batch = make_batch(TINY, n_items=3)
-        want_loss, want_grads = loss_and_grad(params, TINY, batch)
-        # The per-half results of the split forward, as the sweep keeps them.
-        use_cpus(monkeypatch, 2)
-        stacked = np.stack([item.inputs for item in batch])
-        forwarded = [forward(params, TINY, stacked[half], return_state=True)
-                     for half in labeler._halves(len(batch))]
-        assert [len(scores) for scores, _ in forwarded] == [2, 1]
-        calls = []
-        monkeypatch.setattr(labeler, "forward",
-                            lambda *a, **k: calls.append(1) or forward(*a, **k))
-        loss, grads = labeler.loss_and_grad(params, TINY, batch, forwarded)
-        assert calls == []
-        assert loss == want_loss
-        for k in want_grads:
-            assert np.array_equal(grads[k], want_grads[k]), k
-        with pytest.raises(ValueError, match="forwarded holds 2 results for "
-                                             "3 batch items"):
-            labeler.loss_and_grad(params, TINY, batch,
-                                  [(forwarded[0][0][:1], forwarded[0][1]),
-                                   forwarded[1]])
 
     def test_report_flags(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=13)
@@ -792,9 +844,10 @@ class TestSplitStacks:
         # The two halves of a stack start at the same time, in either order.
         assert sorted(sizes) == sorted(2 * self.HALVES[n_items]
                                        + 2 * [n_items])
-        (loss, grads), value = split
-        (want_loss, want_grads), want_value = whole
+        (loss, grads, correct), value = split
+        (want_loss, want_grads, want_correct), want_value = whole
         assert (repr(loss), repr(value)) == (repr(want_loss), repr(want_value))
+        assert correct == want_correct
         assert list(grads) == list(want_grads) == list(params)
         for k, want in want_grads.items():
             assert grads[k].dtype == want.dtype == dtype
@@ -826,7 +879,7 @@ class TestSplitStacks:
         params = init_params(TINY)
         batch = make_batch(TINY, n_items=5, masked_tail=3)
         use_cpus(monkeypatch, 1)
-        want_loss, want_grads = loss_and_grad(params, TINY, batch)
+        want_loss, want_grads, _ = loss_and_grad(params, TINY, batch)
         use_cpus(monkeypatch, 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -834,7 +887,7 @@ class TestSplitStacks:
             results = [loss_and_grad(params, TINY, batch) for _ in range(50)]
         finally:
             sys.setswitchinterval(interval)
-        for loss, grads in results:
+        for loss, grads, _ in results:
             assert repr(loss) == repr(want_loss)
             for k, want in want_grads.items():
                 assert grads[k].tobytes() == want.tobytes(), k
