@@ -41,11 +41,16 @@ def cmd_convert(args):
 
 def cmd_eval(args):
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not names:
+        raise SystemExit(f"--metrics {args.metrics!r} names no metric")
     for name in names:
         if name not in metrics.METRICS:
             raise SystemExit(f"unknown metric {name!r}")
+    ref_paths = _lab_files(args.ref)
+    if not ref_paths:
+        raise SystemExit(f"no .lab files in {args.ref}")
     rows = []
-    for ref_path in _lab_files(args.ref):
+    for ref_path in ref_paths:
         song_id = os.path.splitext(os.path.basename(ref_path))[0]
         pred_path = os.path.join(args.pred, song_id + ".lab")
         if not os.path.exists(pred_path):

@@ -319,17 +319,9 @@ def _in_fold(config, fold):
         raise FoldError(f"experiment {config.id}, fold {fold}: {exc}") from exc
 
 
-# In a fold worker, the number of CPUs of its share (see _take_cpu_share);
-# None in any other process.
-_worker_cpus = None
-
-
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: a fold worker's share, else the
-    CPUs of its affinity, else all of the machine's.  The harness starts up
-    to this many workers, and the labeler splits its stacks from two on."""
-    if _worker_cpus is not None:
-        return _worker_cpus
+    """The CPUs this process may run on: those of its affinity, else all of
+    the machine's.  The harness starts up to this many fold workers."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -450,17 +442,15 @@ def _fold_result(proc, results):
 def _take_cpu_share(worker, n_workers):
     """Narrow this process's CPU affinity to its share: every
     ``n_workers``-th of its CPUs, starting at the ``worker``-th, so that
-    workers do not compete for a CPU.  Where the platform has no affinity
-    call, or refuses the share, the affinity stays as it was and the
-    process counts one usable CPU, so its labeler trains unsplit."""
-    global _worker_cpus
-    _worker_cpus = 1
+    workers do not compete for a CPU.  The labeler splits its gradient steps
+    by that affinity, so on two CPUs each worker trains unsplit.  Where the
+    platform has no affinity call, or refuses the share, the affinity stays
+    as it was."""
     try:
         share = sorted(os.sched_getaffinity(0))[worker::n_workers]
         os.sched_setaffinity(0, share)
     except (AttributeError, OSError):
-        return
-    _worker_cpus = len(share)
+        pass
 
 
 def _fold_worker(job, results):

@@ -16,12 +16,12 @@ checks, and :func:`train` always computes in float32.
 
 Training runs each batch as one ``(items, frames, bins)`` stack, forward
 and backward, with the floats of one pass per item (see
-:func:`loss_and_grad`).  Where the process may run on two or more CPUs, a
-stack's two halves run at the same time, one in the calling thread and one
-in a helper thread joined before the call returns; the floats stay those of
-one pass per item.  Only a validation set is swept forward between epochs,
-for early stopping; without one, :func:`train` runs every epoch and keeps
-the last parameters.
+:func:`loss_and_grad`).  Where the process's CPU affinity holds two or
+more CPUs, a gradient step's two halves run at the same time, one in the
+calling thread and one in a helper thread joined before the call returns;
+the floats stay those of one pass per item.  Only a validation set is swept
+forward between epochs, one unsplit stack at a time, for early stopping;
+without one, :func:`train` runs every epoch and keeps the last parameters.
 
 Each elementwise step makes one pass over an array: bias adds, residual
 adds, the softmax and the layer-norm arithmetic update their operand in
@@ -418,51 +418,50 @@ def _backward(params, config, state, dscores):
 
 
 def _halves(n_items):
-    """The item slices a stack of ``n_items`` is computed in.
+    """The item slices a gradient step's stack of ``n_items`` is computed in.
 
     Items ``[0, ceil(n / 2))`` and the rest when there are two or more
-    items and ``os.sched_getaffinity`` reports two or more usable CPUs (the
-    harness's count); otherwise one slice of the whole stack.
+    items and this process's CPU affinity (``os.sched_getaffinity``) holds
+    two or more CPUs; otherwise one slice of the whole stack.  A fold
+    worker's affinity is its CPU share, so on two CPUs it trains unsplit.
     """
-    # Imported here, as the harness imports this module.
-    from .harness import _usable_cpus
-
     if (n_items < 2 or not hasattr(os, "sched_getaffinity")
-            or _usable_cpus() < 2):
+            or len(os.sched_getaffinity(0)) < 2):
         return [slice(0, n_items)]
     mid = (n_items + 1) // 2
     return [slice(0, mid), slice(mid, n_items)]
 
 
-def _on_halves(work, args):
-    """``[work(a) for a in args]``, the first and the others at the same time.
+def _on_halves(work, parts):
+    """``[work(p) for p in parts]`` for one or two parts, two at the same time.
 
-    The first runs in the calling thread and the others, in turn, in one
-    helper thread, which is joined before this returns or raises, so no
-    thread outlives the call.  An exception raised in the helper is raised
-    here as itself, unless the first raised one, which wins as it would in
-    a serial loop.
+    The first part runs in the calling thread and the second in a helper
+    thread, which is joined before this returns or raises, so no thread
+    outlives the call.  An exception raised in the helper is raised here as
+    itself, unless the first raised one, which wins as it would in a serial
+    loop.
     """
-    if len(args) == 1:
-        return [work(args[0])]
+    if len(parts) == 1:
+        return [work(parts[0])]
+    first_part, second_part = parts
     outcome = []
 
     def helper():
         try:
-            outcome.append(([work(a) for a in args[1:]], None))
+            outcome.append((work(second_part), None))
         except BaseException as exc:  # handed to the caller, not to threading
             outcome.append((None, exc))
 
     thread = threading.Thread(target=helper)
     thread.start()
     try:
-        first = work(args[0])
+        first = work(first_part)
     finally:
         thread.join()
-    rest, error = outcome[0]
+    second, error = outcome[0]
     if error is not None:
         raise error
-    return [first, *rest]
+    return [first, second]
 
 
 def _joined(arrays):
@@ -472,8 +471,7 @@ def _joined(arrays):
 
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
     """Masked mean cross-entropy of a batch of equal-length
-    :class:`SequenceExample`, run forward as one stack (in halves, see
-    :func:`_loss_and_accuracy`)."""
+    :class:`SequenceExample`, run forward as one stack."""
     batch = list(batch)
     return _loss_and_accuracy(params, config, batch, max(1, len(batch)))[0]
 
@@ -481,26 +479,18 @@ def loss_value(params: dict, config: LabelerConfig, batch) -> float:
 def _loss_and_accuracy(params, config, items, stack_size):
     """Masked mean cross-entropy and frame accuracy from one forward sweep.
 
-    The items go forward in index order, in stacks of ``stack_size``.  Each
-    stack runs as the two halves of :func:`_halves` at the same time
-    (:func:`_on_halves`), or whole.  Each item's loss term is still added in
-    index order, so the loss is bit-identical to one ``forward`` per item.
+    The items go forward in index order, in stacks of ``stack_size``, one
+    :func:`forward` call per stack.  Each item's loss term is added in index
+    order, so the loss is bit-identical to one ``forward`` per item.
     """
     picked = []
     n_correct, n_valid = 0, 0
     for start in range(0, len(items), stack_size):
         inputs, targets, masks = _stack(items[start:start + stack_size],
                                         params["in_proj.w"].dtype)
-
-        def sweep(part):
-            scores = forward(params, config, inputs[part])
-            return (_picked_sums(_log_softmax(scores), targets[part],
-                                 masks[part]),
-                    _n_correct(scores, targets[part], masks[part]))
-
-        halves = _on_halves(sweep, _halves(len(inputs)))
-        picked += [terms for terms, _ in halves]
-        n_correct += sum(correct for _, correct in halves)
+        scores = forward(params, config, inputs)
+        picked.append(_picked_sums(_log_softmax(scores), targets, masks))
+        n_correct += _n_correct(scores, targets, masks)
         n_valid += int(masks.sum())
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
@@ -626,14 +616,15 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
 
     Each batch of ``batch_size`` items takes one stacked :func:`forward`
     and backward pass (:func:`loss_and_grad`), as two halves at the same
-    time where two CPUs are usable.  Deterministic given ``config.seed``,
-    and bit-identical to a loop of one pass per item.
+    time where the process's CPU affinity holds two CPUs or more.
+    Deterministic given ``config.seed``, and bit-identical to a loop of one
+    pass per item.
 
-    With ``val_items``, one forward sweep over them after each epoch, in
-    stacks of ``batch_size`` split the same way, gives the epoch's
-    validation loss and frame accuracy.  Training stops once that loss has
-    failed to improve for more than ``patience`` consecutive epochs, and
-    returns the parameters from the best epoch.
+    With ``val_items``, one forward sweep over them after each epoch, one
+    unsplit :func:`forward` call per stack of ``batch_size``, gives the
+    epoch's validation loss and frame accuracy.  Training stops once that
+    loss has failed to improve for more than ``patience`` consecutive
+    epochs, and returns the parameters from the best epoch.
 
     Without ``val_items``, no window is passed forward but by the steps:
     all ``max_epochs`` epochs run, ``patience`` is unused, and the last

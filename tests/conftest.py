@@ -1,7 +1,17 @@
+import os
+
 import pytest
 
 from chordbench import harness
 from chordbench.synth import SynthSpec, default_pop_model, emit_dataset
+
+
+def use_cpus(monkeypatch, n):
+    """Make this process's CPU affinity report ``n`` CPUs: the harness starts
+    up to ``n`` fold workers, and from two on the labeler computes each
+    gradient step of two or more items as two halves."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -97,6 +97,27 @@ class TestEvalAndStats:
         assert capsys.readouterr().err == (
             f"error: {ref / 's1.lab'}: empty reference track\n")
 
+    def test_eval_without_reference_files_fails(self, tmp_path):
+        _, pred = self.make_dirs(tmp_path)
+        ref = tmp_path / "empty"
+        ref.mkdir()
+        out = tmp_path / "scores.csv"
+        with pytest.raises(SystemExit) as caught:
+            run("eval", "--ref", str(ref), "--pred", str(pred),
+                "--out", str(out))
+        assert str(caught.value) == f"no .lab files in {ref}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", [",", "", " , "])
+    def test_eval_without_a_metric_fails(self, tmp_path, names):
+        ref, pred = self.make_dirs(tmp_path)
+        out = tmp_path / "scores.csv"
+        with pytest.raises(SystemExit) as caught:
+            run("eval", "--ref", str(ref), "--pred", str(pred),
+                "--metrics", names, "--out", str(out))
+        assert str(caught.value) == f"--metrics {names!r} names no metric"
+        assert not out.exists()
+
     def test_stats_outputs(self, tmp_path):
         ref, _ = self.make_dirs(tmp_path)
         occ = tmp_path / "occ.csv"

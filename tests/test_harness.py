@@ -27,6 +27,7 @@ from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
                                 load_corpus, load_experiments, make_folds,
                                 run_experiment)
 from chordbench.synth import SynthError
+from conftest import use_cpus
 
 
 def songs_with_performances(n_songs, n_perf=2):
@@ -443,10 +444,6 @@ class TestFeatureStore:
         assert np.array_equal(read_feature_cache(path)[0].values, stored.values)
 
 
-def use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-
-
 def no_child_left():
     """Whether this process has no child process, running or unreaped, but
     the resource tracker that multiprocessing starts with the first spawned
@@ -504,14 +501,14 @@ class WorkerStartChecks:
         # Workers take the parent's warning filters: training must not warn.
         monkeypatch.setattr(sys, "warnoptions", [*sys.warnoptions, "error"])
         command_lines = spy_on_spawned_command_lines(monkeypatch)
-        use_cpus(monkeypatch, {0, 1})
+        use_cpus(monkeypatch, 2)
         parallel = run_experiment(self.LABELER, plan, corpus, tmp_path / "a")
         assert len(started) == 2
         if not forked():
             # A fresh interpreter takes them as the parent's -W options.
             assert len(command_lines) == 2
             assert all("-Werror" in args for args in command_lines)
-        use_cpus(monkeypatch, {0})
+        use_cpus(monkeypatch, 1)
         serial = run_experiment(self.LABELER, plan, corpus, tmp_path / "b")
         assert len(started) == 2  # one usable CPU: no worker
         assert parallel == serial
@@ -521,7 +518,7 @@ class WorkerStartChecks:
         if forked():
             # A forked worker holds the parent's filters themselves, so a
             # warning under the "error" filter fails the fold that warns.
-            use_cpus(monkeypatch, {0, 1})
+            use_cpus(monkeypatch, 2)
             run_fold = harness._run_fold
 
             def warning_fold(config, job):
@@ -541,7 +538,7 @@ class WorkerStartChecks:
 
     def test_features_are_computed_in_the_parent(self, corpus, tmp_path,
                                                  monkeypatch, started):
-        use_cpus(monkeypatch, {0, 1})
+        use_cpus(monkeypatch, 2)
         seen = count_cqt_inputs(monkeypatch)
         plan = make_folds(corpus["tiny"], seed=0)
         run_experiment(self.LABELER, plan, corpus, tmp_path)
@@ -555,7 +552,7 @@ class WorkerStartChecks:
 
     def test_workers_that_finish_early_exit_cleanly(
             self, corpus, tmp_path, monkeypatch, capfd):
-        use_cpus(monkeypatch, {0, 1})
+        use_cpus(monkeypatch, 2)
         plan = make_folds(corpus["tiny"], seed=0)
         write = harness._write_fold_scores
 
@@ -571,7 +568,7 @@ class WorkerStartChecks:
 
     def test_failed_fold_in_a_worker_ends_the_run(self, own_corpus, tmp_path,
                                                   monkeypatch, started):
-        use_cpus(monkeypatch, {0, 1})
+        use_cpus(monkeypatch, 2)
         entry = own_corpus["tiny"][1]
         corrupt_label(entry)
         plan = make_folds(own_corpus["tiny"], seed=0)
@@ -586,7 +583,7 @@ class WorkerStartChecks:
 
     def test_worker_that_dies_names_its_fold_and_exit_code(
             self, corpus, tmp_path, monkeypatch):
-        use_cpus(monkeypatch, {0, 1})
+        use_cpus(monkeypatch, 2)
         # A spawned worker imports this module to run it.
         monkeypatch.setattr(harness, "_fold_worker", worker_that_exits_3)
         plan = make_folds(corpus["tiny"], seed=0)
@@ -638,7 +635,7 @@ class TestFoldWorkers(WorkerStartChecks):
                         reason="workers are not forked on this platform")
     def test_worker_that_dies_while_its_sibling_trains(self, corpus, tmp_path,
                                                        monkeypatch):
-        use_cpus(monkeypatch, {0, 1})
+        use_cpus(monkeypatch, 2)
         run_fold = harness._run_fold
 
         def fold_0_dies(config, job):
@@ -662,7 +659,7 @@ class TestFoldWorkers(WorkerStartChecks):
 
     def test_buffered_parent_output_is_written_once(self, corpus, tmp_path,
                                                     monkeypatch, capfd):
-        use_cpus(monkeypatch, {0, 1})
+        use_cpus(monkeypatch, 2)
         plan = make_folds(corpus["tiny"], seed=0)
         # A buffered stdout on the captured descriptor, as outside pytest.
         with open(os.dup(1), "w") as out, monkeypatch.context() as patch:
@@ -760,22 +757,21 @@ harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
         assert no_child_left()
 
 
-def test_refused_cpu_share_keeps_the_affinity_and_counts_one_cpu(
-        monkeypatch):
-    # As on a one-CPU machine whose affinity is faked to two CPUs.
-    monkeypatch.setattr(harness, "_worker_cpus", None)
-    use_cpus(monkeypatch, {0, 1})
+def test_refused_cpu_share_keeps_the_affinity(monkeypatch):
+    # A worker whose share is refused, or whose platform has no affinity
+    # call, runs on the affinity it was started with.
+    before = os.sched_getaffinity(0)
 
     def refuse(pid, cpus):
         raise OSError(22, "Invalid argument")
 
-    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
     harness._take_cpu_share(1, 2)
-    assert harness._usable_cpus() == 1
+    assert os.sched_getaffinity(0) == before
     monkeypatch.delattr(os, "sched_setaffinity")
-    monkeypatch.setattr(harness, "_worker_cpus", None)
     harness._take_cpu_share(0, 2)
-    assert harness._usable_cpus() == 1
+    assert os.sched_getaffinity(0) == before
+    assert harness._usable_cpus() == len(before)
 
 
 def ended(pid):

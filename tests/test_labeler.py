@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chordbench
 from chordbench import harness, labeler
 from chordbench.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
@@ -28,6 +30,7 @@ from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 windowed_examples)
 from chordbench.labels import N_MAJMIN_CLASSES
 from chordbench.templates import fold_to_chroma
+from conftest import use_cpus
 
 TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=3)
 
@@ -252,13 +255,6 @@ def make_batch(config, n_items=2, frames=8, seed=11, masked_tail=1):
             mask[-masked_tail:] = False
         batch.append(SequenceExample(x, y, mask))
     return batch
-
-
-def use_cpus(monkeypatch, n):
-    """Make this process report ``n`` usable CPUs: from two on, the labeler
-    computes each stack of two or more items as two halves."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
 
 
 def _leaves(value):
@@ -709,7 +705,7 @@ class TestTraining:
     def test_without_validation_only_the_steps_run_forward(self, monkeypatch):
         # On one CPU each step is one stack: the windows of every batch go
         # forward once, in step order, and nothing else does.
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        use_cpus(monkeypatch, 1)
         sizes = stack_sizes(monkeypatch)
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=7)
         items = self.toy_items(n=6)
@@ -841,9 +837,9 @@ class TestSplitStacks:
         sizes = stack_sizes(monkeypatch)
         split, whole = split_and_whole(monkeypatch, lambda: (
             loss_and_grad(params, D64, batch), loss_value(params, D64, batch)))
-        # The two halves of a stack start at the same time, in either order.
-        assert sorted(sizes) == sorted(2 * self.HALVES[n_items]
-                                       + 2 * [n_items])
+        # The two halves of a step start at the same time, in either order;
+        # loss_value runs the whole stack forward, split or not.
+        assert sorted(sizes) == sorted(self.HALVES[n_items] + 3 * [n_items])
         (loss, grads, correct), value = split
         (want_loss, want_grads, want_correct), want_value = whole
         assert (repr(loss), repr(value)) == (repr(want_loss), repr(want_value))
@@ -921,12 +917,33 @@ class TestSplitStacks:
         params = init_params(TINY, dtype=np.float64)
         batch = make_batch(TINY, n_items=4)
         before = threading.active_count()
-        for compute in (loss_and_grad, loss_value):
-            with pytest.raises(type(error)) as caught:
-                compute(params, TINY, batch)
-            assert caught.value is error
+        with pytest.raises(type(error)) as caught:
+            loss_and_grad(params, TINY, batch)
+        assert caught.value is error
         assert unhandled == []
         assert threading.active_count() == before
+
+    def test_forward_sweeps_run_one_stack_per_call(self, monkeypatch):
+        # Only a gradient step splits: with two CPUs, the validation sweep
+        # and loss_value still make one forward call per stack.
+        use_cpus(monkeypatch, 2)
+        stepped, swept = [], []
+
+        def spy(params, config, inputs, return_state=False):
+            (stepped if return_state else swept).append(len(inputs))
+            return forward(params, config, inputs, return_state)
+
+        monkeypatch.setattr(labeler, "forward", spy)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
+                            seed=4)
+        train(cfg, TestTraining().toy_items(n=6),
+              TestTraining().toy_items(n=5, seed=3), lr=1e-2, batch_size=4,
+              max_epochs=2, patience=2)
+        assert sorted(stepped) == [1] * 4 + [2] * 4
+        assert swept == [4, 1] * 2
+        swept.clear()
+        loss_value(init_params(TINY), TINY, make_batch(TINY, n_items=5))
+        assert swept == [5]
 
     def test_first_half_error_wins(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -1096,6 +1113,35 @@ class TestPredictTrack:
             assert list(labeler.param_shapes(config)) == [
                 (name, p.shape) for name, p in params.items()]
 
+
+
+# Trains a tiny labeler with two halves per step in a fresh interpreter,
+# which must not import the harness to decide the split.
+SPLIT_FIT = """
+import os, sys
+import numpy as np
+from chordbench import labeler
+from chordbench.features import FeatureMatrix
+os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.Generator(np.random.PCG64(0))
+pairs = [(FeatureMatrix(rng.standard_normal((150, 12)), "chroma12"),
+          rng.integers(0, 25, 150))]
+halves = labeler._halves
+parts = []
+labeler._halves = lambda n: parts.append(halves(n)) or parts[-1]
+labeler.fit(pairs, seed=0, model_dim=8, n_layers=1, n_heads=2, lr=1e-2,
+            batch_size=4, max_epochs=1, patience=0)
+assert [len(p) for p in parts] == [2], parts
+assert "chordbench.harness" not in sys.modules
+"""
+
+
+def test_split_training_does_not_import_the_harness():
+    src_dir = os.path.dirname(os.path.dirname(chordbench.__file__))
+    proc = subprocess.run([sys.executable, "-c", SPLIT_FIT],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src_dir})
+    assert proc.returncode == 0, proc.stderr
 
 
 def _random_pairs(n_tracks=3, n_frames=150, seed=23):
