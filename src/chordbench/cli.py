@@ -71,6 +71,9 @@ def cmd_eval(args):
 
 
 def cmd_stats(args):
+    if not (args.occurrences or args.transitions):
+        raise SystemExit("stats writes nothing without --occurrences or "
+                         "--transitions; give one or both")
     tracks = [annotations.read_lab(p) for p in _lab_files(args.indir)]
     if not tracks:
         raise SystemExit(f"no .lab files in {args.indir}")

@@ -18,11 +18,11 @@ Before any fold runs, :func:`run_experiment` builds one job per fold to
 compute: the fold, its training ``(store file, .lab path)`` pairs and its
 ``(dataset, song_id, store file, .lab path)`` rows to score.  A fold runs
 from its job alone.  The folds of a trained-model experiment run in up to one
-worker process per usable CPU, forked on Linux and spawned elsewhere
-(:func:`_start_worker`), each on its own share of the CPUs, with results
-identical to running them one after another.  A spawned worker imports the
-caller's ``__main__`` module, so a script that runs experiments does so
-under ``if __name__ == "__main__":``.
+worker process per usable CPU, forked on Linux and spawned elsewhere, each
+on its own share of the CPUs (:func:`chordbench.workers.ordered_map`), with
+results identical to running them one after another.  A spawned worker
+imports the caller's ``__main__`` module, so a script that runs experiments
+does so under ``if __name__ == "__main__":``.
 
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of
@@ -42,14 +42,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
-import multiprocessing
 import os
-import signal
-import sys
-import threading
-import uuid
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -61,6 +57,7 @@ from .features import (align_labels, log_cqt_from_wav, read_feature_cache,
 from .metrics import TrackScore, aggregate_fold, evaluate_pair
 from .templates import fold_to_chroma, recognize_track
 from .synth import read_manifest
+from .workers import ordered_map, replacing, usable_cpus
 
 DEFAULT_METRICS = ("root", "majmin", "ccm")
 # The labeler's ``model_params`` keys and their defaults (docs/experiments.md).
@@ -219,23 +216,9 @@ def _store(store_dir, audio_path) -> str:
     path = os.path.join(store_dir, f"{_wav_key(audio_path)}.cbf")
     if not os.path.exists(path):
         os.makedirs(store_dir, exist_ok=True)
-        with _replacing(path) as tmp_path:
+        with replacing(path) as tmp_path:
             write_feature_cache(tmp_path, log_cqt_from_wav(audio_path))
     return path
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """A unique temporary name beside ``path``, renamed to ``path`` once the
-    block has written it; if the block fails, the temporary file is removed
-    and ``path`` is left as it was."""
-    tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        yield tmp_path
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
 
 
 def fit(config: ExperimentConfig, train, seed):
@@ -290,20 +273,13 @@ def run_experiment(config: ExperimentConfig, fold_plan: FoldPlan, corpus: dict,
             if not os.path.exists(path)]
     if todo:
         jobs = _fold_jobs(config, fold_plan, corpus, todo, store_dir)
-        n_workers = min(len(jobs), _usable_cpus())
-        if config.model == "template":
-            n_workers = 1  # a fold takes less time than starting a worker
-        with contextlib.ExitStack() as stack:
-            workers = []
-            if n_workers > 1:
-                workers = [_start_worker(stack, (config, jobs[w::n_workers],
-                                                 w, n_workers))
-                           for w in range(n_workers)]
-            for index, job in enumerate(jobs):
-                fold = job[0]
+        # A template fold takes less time than starting a worker.
+        n_workers = 1 if config.model == "template" else usable_cpus()
+        with ordered_map(functools.partial(_run_fold, config), jobs,
+                         n_workers, "fold") as results:
+            for fold, _train, _to_score in jobs:
                 with _in_fold(config, fold):
-                    rows = (_fold_result(*workers[index % n_workers]) if workers
-                            else _run_fold(config, job))
+                    rows = next(results)
                 os.makedirs(os.path.dirname(scores_paths[fold]), exist_ok=True)
                 _write_fold_scores(scores_paths[fold], rows)
     all_rows = [row for path in scores_paths for row in _read_fold_scores(path)]
@@ -317,15 +293,6 @@ def _in_fold(config, fold):
         yield
     except Exception as exc:
         raise FoldError(f"experiment {config.id}, fold {fold}: {exc}") from exc
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: those of its affinity, else all of
-    the machine's.  The harness starts up to this many fold workers."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _fold_jobs(config, fold_plan, corpus, todo, store_dir) -> list:
@@ -382,115 +349,11 @@ def _run_fold(config, job):
     return rows
 
 
-# Workers are forked on Linux, so they start from this process's memory, and
-# spawned elsewhere: macOS system libraries are not fork-safe, and Windows has
-# no fork.  Chosen explicitly, so that a new default start method (forkserver
-# from Python 3.14) does not change it.
-_WORKER_CONTEXT = multiprocessing.get_context(
-    "fork" if sys.platform == "linux" else "spawn")
-
-
-def _start_worker(stack, job):
-    """A worker process running :func:`_fold_worker` on ``job``, and the
-    connection its results arrive on.
-
-    ``job`` is ``(config, fold jobs, worker, n_workers)``: the jobs as
-    :func:`_fold_jobs` builds them, and the worker's index among the
-    ``n_workers`` that share the CPUs (:func:`_take_cpu_share`).  A forked
-    worker starts with numpy, the package and its patches, the warning
-    filters and the job already in memory: it sees this process's patches
-    of :func:`fit` and the benchmark tracer's wrappers, though whatever it
-    records stays in the worker.  A spawned worker is a fresh interpreter
-    started with this one's ``-W`` options, which imports the package and
-    the ``__main__`` module and receives the pickled job.
-    When ``stack`` closes, the worker is killed and waited for and the
-    connection closed; the worker also exits when this process dies.
-    """
-    results, send_end = _WORKER_CONTEXT.Pipe(duplex=False)
-    stack.callback(results.close)
-    proc = _WORKER_CONTEXT.Process(target=_fold_worker, args=(job, send_end),
-                                   daemon=True)
-    try:
-        proc.start()
-    finally:
-        # Closed before the next worker starts, so that no later worker holds
-        # this one's results open after it dies.
-        send_end.close()
-    stack.callback(_stop_worker, proc)
-    return proc, results
-
-
-def _stop_worker(proc):
-    proc.kill()
-    proc.join()
-    proc.close()
-
-
-def _fold_result(proc, results):
-    """The rows of the next fold of the worker ``proc``; its error is raised."""
-    try:
-        rows, error = results.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(f"worker process exited with code {proc.exitcode} "
-                           "before returning the fold") from None
-    if error is not None:
-        raise error
-    return rows
-
-
-def _take_cpu_share(worker, n_workers):
-    """Narrow this process's CPU affinity to its share: every
-    ``n_workers``-th of its CPUs, starting at the ``worker``-th, so that
-    workers do not compete for a CPU.  The labeler splits its gradient steps
-    by that affinity, so on two CPUs each worker trains unsplit.  Where the
-    platform has no affinity call, or refuses the share, the affinity stays
-    as it was."""
-    try:
-        share = sorted(os.sched_getaffinity(0))[worker::n_workers]
-        os.sched_setaffinity(0, share)
-    except (AttributeError, OSError):
-        pass
-
-
-def _fold_worker(job, results):
-    """Send one ``(rows, exception)`` per fold of ``job`` on ``results``, in
-    the job's order, stopping after the first failed fold.
-
-    The worker ignores SIGINT, as the parent stops it when interrupted, sends
-    anything printed to stderr, exits once the parent is gone, and trains on
-    its own share of the CPUs (:func:`_take_cpu_share`).
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.dup2(2, 1)
-    sys.stdout = sys.stderr
-    parent = multiprocessing.parent_process()
-
-    def exit_with_parent():
-        # A forked worker also holds open the pipes its earlier siblings
-        # watch, so when the parent dies the last worker exits first, then
-        # the one before it, and so on.
-        parent.join()
-        os._exit(1)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-    config, jobs, worker, n_workers = job
-    _take_cpu_share(worker, n_workers)
-    for fold_job in jobs:
-        try:
-            rows, error = _run_fold(config, fold_job), None
-        except Exception as exc:
-            rows, error = None, exc
-        results.send((rows, error))
-        if error is not None:
-            break
-
-
 _FOLD_FIELDS = ["fold", "dataset", "song_id", "metric", "score", "duration_s"]
 
 
 def _write_fold_scores(path, rows):
-    with _replacing(path) as tmp_path, open(tmp_path, "w", newline="") as fh:
+    with replacing(path) as tmp_path, open(tmp_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_FOLD_FIELDS)
         writer.writeheader()
         for row in rows:

@@ -16,6 +16,7 @@ same inputs reproduces every file byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .annotations import (SegmentTrack, TimedSegment, _open_utf8, normalize,
                           write_lab)
 from .features import SAMPLE_RATE, AudioBuffer, save_wav
@@ -222,6 +224,8 @@ def render_audio(track: SegmentTrack, spec: SynthSpec) -> AudioBuffer:
     once, at the length of the longest segment that sounds it, and added
     as a prefix into every segment that sounds it: ascending pitch classes,
     octaves in spec order, the same sums as rendering segment by segment.
+    The sample times and the sine are computed into prefixes of two buffers
+    sized for the track's longest chord, allocated once per track.
     """
     sr = SAMPLE_RATE
     q = quantize_track(track, sr)
@@ -233,13 +237,18 @@ def render_audio(track: SegmentTrack, spec: SynthSpec) -> AudioBuffer:
         pcs = pitch_class_set(seg.label)
         if pcs:
             chords.append((round(seg.start_s * sr), round(seg.end_s * sr), pcs))
+    longest = max((i1 - i0 for i0, i1, _ in chords), default=0)
+    t_all = np.arange(longest) / sr
+    wave_all = np.empty(longest)
     for pc in range(12):
         spans = [(i0, i1) for i0, i1, pcs in chords if pc in pcs]
         if not spans:
             continue
-        t = np.arange(max(i1 - i0 for i0, i1 in spans)) / sr
+        n = max(i1 - i0 for i0, i1 in spans)
+        t, wave = t_all[:n], wave_all[:n]
         for octave in spec.octaves:
-            wave = np.sin(2.0 * np.pi * _pitch_frequency(pc, octave) * t)
+            np.multiply(2.0 * np.pi * _pitch_frequency(pc, octave), t, out=wave)
+            np.sin(wave, out=wave)
             for i0, i1 in spans:
                 buf[i0:i1] += wave[:i1 - i0]
     for i0, i1, _ in chords:
@@ -264,30 +273,45 @@ def emit_dataset(spec: SynthSpec, model: ProgressionModel, out_dir) -> list:
     """Generate WAV + .lab pairs and a JSON-lines manifest.
 
     Returns the manifest entries (id, path, duration, seed).  Regeneration
-    with the same spec and model is byte-identical.
+    with the same spec and model is byte-identical.  Where workers are
+    forked (Linux), the tracks are rendered in up to one worker process per
+    usable CPU (:func:`chordbench.workers.ordered_map`); elsewhere in this
+    process, so a script that generates data needs no ``__main__`` guard.
+    Each file is written to a temporary name and then renamed, and the
+    manifest is written last, in track order, so every file is the same
+    as from one process.  A track that fails raises its error, and then no
+    manifest and no temporary file is left.
     """
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    for i in range(spec.n_tracks):
-        seed = track_seed(spec.seed, i)
-        track_id = f"synth_{i:04d}"
-        progression = sample_progression(model, spec.track_length_s, seed)
-        quantized = normalize(quantize_track(progression, SAMPLE_RATE))
-        audio = render_audio(quantized, spec)
-        wav_name = f"{track_id}.wav"
-        lab_name = f"{track_id}.lab"
-        save_wav(os.path.join(out_dir, wav_name), audio)
-        write_lab(quantized, os.path.join(out_dir, lab_name))
-        entries.append({
-            "id": track_id,
-            "path": wav_name,
-            "duration": round(audio.duration_s, 6),
-            "seed": seed,
-        })
+    n_workers = workers.usable_cpus() if workers.forks() else 1
+    with workers.ordered_map(functools.partial(_emit_track, spec, model,
+                                               out_dir),
+                             range(spec.n_tracks), n_workers, "track") as tracks:
+        entries = list(tracks)
     with open(os.path.join(out_dir, "manifest.jsonl"), "w") as fh:
         for entry in entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return entries
+
+
+def _emit_track(spec, model, out_dir, index) -> dict:
+    """Write track ``index``'s WAV and ``.lab`` files; its manifest entry."""
+    seed = track_seed(spec.seed, index)
+    track_id = f"synth_{index:04d}"
+    progression = sample_progression(model, spec.track_length_s, seed)
+    quantized = normalize(quantize_track(progression, SAMPLE_RATE))
+    audio = render_audio(quantized, spec)
+    wav_name = f"{track_id}.wav"
+    with workers.replacing(os.path.join(out_dir, wav_name)) as tmp_path:
+        save_wav(tmp_path, audio)
+    with workers.replacing(os.path.join(out_dir, f"{track_id}.lab")) as tmp_path:
+        write_lab(quantized, tmp_path)
+    return {
+        "id": track_id,
+        "path": wav_name,
+        "duration": round(audio.duration_s, 6),
+        "seed": seed,
+    }
 
 
 def read_manifest(path) -> list:

@@ -1,0 +1,220 @@
+"""Worker processes that map a function over a list of items, in order.
+
+:func:`ordered_map` runs ``fn(item)`` for each item in up to one worker
+process per item and hands the results back in item order, so a caller
+that writes each result as it arrives writes the bytes one process would.
+``harness.run_experiment`` runs its fold jobs through it and
+``synth.emit_dataset`` its tracks.
+
+Workers are forked on Linux, so they start from this process's memory, and
+spawned elsewhere: macOS system libraries are not fork-safe, and Windows has
+no fork.  The start method is chosen explicitly, so that a new default (the
+forkserver of Python 3.14) does not change it.  A spawned worker imports the
+caller's ``__main__`` module, so a script whose calls start spawned workers
+does its work under ``if __name__ == "__main__":``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+import uuid
+
+_WORKER_CONTEXT = multiprocessing.get_context(
+    "fork" if sys.platform == "linux" else "spawn")
+
+# glibc's mallopt parameters, and the values a worker sets (_fix_malloc).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's own dynamic maximum on 64 bits
+_TRIM_THRESHOLD = 64 * 1024 * 1024
+
+# How long a stopped worker may take to run its cleanups before it is killed.
+_STOP_TIMEOUT_S = 5.0
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: those of its affinity, else all of
+    the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def forks() -> bool:
+    """Whether workers start as forks of this process, as on Linux."""
+    return _WORKER_CONTEXT.get_start_method() == "fork"
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A unique temporary name beside ``path``, renamed to ``path`` once the
+    block has written it; if the block fails, the temporary file is removed
+    and ``path`` is left as it was."""
+    tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        yield tmp_path
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+
+
+@contextlib.contextmanager
+def ordered_map(fn, items, n_workers, what):
+    """An iterator over ``fn(item)`` for each of ``items``, in item order.
+
+    With two or more workers, ``min(n_workers, len(items))`` of them start
+    at once and item ``i`` runs in worker ``i % n``; otherwise each result
+    is computed in this process when the iterator reaches it.  A worker
+    stops after its first failed item.  The iterator raises the first error
+    as itself; a worker that dies without a result raises ``worker process
+    exited with code <code> before returning the <what>``.  When the block
+    ends, every worker has exited: a worker still running is sent SIGTERM,
+    which raises :class:`SystemExit` in it, so its ``finally`` blocks
+    (:func:`replacing`'s removal, say) run, and is killed if it has not
+    exited within :data:`_STOP_TIMEOUT_S`.
+    """
+    n_workers = min(n_workers, len(items))
+    if n_workers < 2:
+        yield map(fn, items)
+        return
+    with contextlib.ExitStack() as stack:
+        workers = [_start_worker(stack, (fn, items[w::n_workers], w, n_workers))
+                   for w in range(n_workers)]
+        yield (_result(*workers[i % n_workers], what) for i in range(len(items)))
+
+
+def _start_worker(stack, job):
+    """A worker process running :func:`_worker` on ``job``, and the
+    connection its results arrive on.
+
+    ``job`` is ``(fn, items, worker, n_workers)``: the worker's items and its
+    index among the ``n_workers`` that share the CPUs (:func:`_take_cpu_share`).
+    A forked worker starts with numpy, the package and its patches, the
+    warning filters and the job already in memory: it sees this process's
+    patches and the benchmark tracer's wrappers, though whatever it records
+    stays in the worker.  A spawned worker is a fresh interpreter started
+    with this one's ``-W`` options, which imports the package and the
+    ``__main__`` module and receives the pickled job.  When ``stack``
+    closes, the worker is stopped (:func:`_stop_worker`) and the connection
+    closed; the worker also exits when this process dies.
+    """
+    results, send_end = _WORKER_CONTEXT.Pipe(duplex=False)
+    stack.callback(results.close)
+    proc = _WORKER_CONTEXT.Process(target=_worker, args=(job, send_end),
+                                   daemon=True)
+    try:
+        proc.start()
+    finally:
+        # Closed before the next worker starts, so that no later worker holds
+        # this one's results open after it dies.
+        send_end.close()
+    stack.callback(_stop_worker, proc)
+    return proc, results
+
+
+def _stop_worker(proc):
+    proc.terminate()
+    proc.join(_STOP_TIMEOUT_S)
+    proc.kill()  # a no-op once the worker has exited
+    proc.join()
+    proc.close()
+
+
+def _result(proc, results, what):
+    """The result of the next item of the worker ``proc``; its error is raised."""
+    try:
+        value, error = results.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"worker process exited with code {proc.exitcode} "
+                           f"before returning the {what}") from None
+    if error is not None:
+        raise error
+    return value
+
+
+def _take_cpu_share(worker, n_workers):
+    """Narrow this process's CPU affinity to its share: every
+    ``n_workers``-th of its CPUs, starting at the ``worker``-th, so that
+    workers do not compete for a CPU.  The labeler splits its gradient steps
+    by that affinity, so on two CPUs each worker trains unsplit.  Where the
+    platform has no affinity call, or refuses the share, the affinity stays
+    as it was."""
+    try:
+        share = sorted(os.sched_getaffinity(0))[worker::n_workers]
+        os.sched_setaffinity(0, share)
+    except (AttributeError, OSError):
+        pass
+
+
+def _fix_malloc():
+    """Fix glibc's mmap and trim thresholds, where libc has ``mallopt``.
+
+    A forked worker inherits the parent's dynamic mmap threshold, which
+    rises only when a large buffer is freed.  A parent that has freed none
+    (one that read its features from a filled store, say) would leave each
+    training step's large temporaries to be mapped and unmapped anew, at
+    the cost of a page fault per touched page.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # the symbols already loaded
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def _exit_on_sigterm(signum, frame):
+    sys.exit(128 + signum)
+
+
+def _worker(job, results):
+    """Send one ``(result, exception)`` per item of ``job`` on ``results``,
+    in the job's order, stopping after the first failed item.
+
+    The worker ignores SIGINT, as the parent stops it when interrupted,
+    exits through :class:`SystemExit` on SIGTERM, sends anything printed
+    to stderr, exits once the parent is gone, and runs on its own share of
+    the CPUs (:func:`_take_cpu_share`) with fixed malloc thresholds
+    (:func:`_fix_malloc`).
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    os.dup2(2, 1)
+    sys.stdout = sys.stderr
+    parent = multiprocessing.parent_process()
+
+    def exit_with_parent():
+        # A forked worker also holds open the pipes its earlier siblings
+        # watch, so when the parent dies the last worker exits first, then
+        # the one before it, and so on.
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+    fn, items, worker, n_workers = job
+    _take_cpu_share(worker, n_workers)
+    _fix_malloc()
+    try:
+        for item in items:
+            try:
+                value, error = fn(item), None
+            except Exception as exc:
+                value, error = None, exc
+            results.send((value, error))
+            if error is not None:
+                break
+    finally:
+        # Past its items, a stopped worker may simply end: a SystemExit
+        # raised while multiprocessing shuts the worker down would escape it.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)

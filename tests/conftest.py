@@ -1,15 +1,19 @@
+import contextlib
+import multiprocessing
+import multiprocessing.resource_tracker
 import os
+import signal
 
 import pytest
 
-from chordbench import harness
+from chordbench import workers
 from chordbench.synth import SynthSpec, default_pop_model, emit_dataset
 
 
 def use_cpus(monkeypatch, n):
-    """Make this process's CPU affinity report ``n`` CPUs: the harness starts
-    up to ``n`` fold workers, and from two on the labeler computes each
-    gradient step of two or more items as two halves."""
+    """Make this process's CPU affinity report ``n`` CPUs: the harness and
+    ``emit_dataset`` start up to ``n`` workers, and from two on the labeler
+    computes each gradient step of two or more items as two halves."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
 
@@ -25,14 +29,46 @@ def tiny_dataset(tmp_path_factory):
 
 @pytest.fixture()
 def started(monkeypatch):
-    """The ``(process, results)`` pair of every fold worker
-    ``harness._start_worker`` starts, forked or spawned."""
-    workers = []
-    start_worker = harness._start_worker
+    """The ``(process, results)`` pair of every worker
+    ``workers._start_worker`` starts, forked or spawned."""
+    pairs = []
+    start_worker = workers._start_worker
 
     def spy(stack, job):
-        workers.append(start_worker(stack, job))
-        return workers[-1]
+        pairs.append(start_worker(stack, job))
+        return pairs[-1]
 
-    monkeypatch.setattr(harness, "_start_worker", spy)
-    return workers
+    monkeypatch.setattr(workers, "_start_worker", spy)
+    return pairs
+
+
+def no_child_left():
+    """Whether this process has no child process, running or unreaped, but
+    the resource tracker that multiprocessing starts with the first spawned
+    worker and keeps running until this process exits."""
+    tracker = multiprocessing.resource_tracker._resource_tracker._pid
+    me = str(os.getpid())
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                parent = fh.read().rsplit(")", 1)[1].split()[1]
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # exited while listed
+        if parent == me and int(pid) != tracker:
+            return False
+    return True
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise :class:`TimeoutError` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -17,7 +17,7 @@ from chordbench.cli import main
 from chordbench.features import (N_BINS, AudioBuffer, FeatureMatrix,
                                  NormStats, pitch_shift_cqt, read_feature_cache,
                                  save_wav, write_feature_cache)
-from chordbench import harness
+from chordbench import harness, workers
 from chordbench.harness import ExperimentConfig, load_corpus
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
 from chordbench.labels import NOCHORD_CLASS, transpose_majmin
@@ -128,6 +128,14 @@ class TestEvalAndStats:
         assert counts[0] == 1 and counts[7] == 1
         matrix = read_transitions_csv(trans)
         assert matrix[0, 7] == 1
+
+    def test_stats_without_an_output_fails(self, tmp_path):
+        ref, _ = self.make_dirs(tmp_path)
+        with pytest.raises(SystemExit) as caught:
+            run("stats", "--in", str(ref))
+        assert str(caught.value) == (
+            "stats writes nothing without --occurrences or --transitions; "
+            "give one or both")
 
 
 class TestSynthCli:
@@ -847,7 +855,7 @@ class TestXval:
     def test_fresh_interpreter_worker_fold_error_is_one_line(
             self, tiny_dataset, tmp_path, monkeypatch, capfd, started):
         # The start of platforms where workers are not forked.
-        monkeypatch.setattr(harness, "_WORKER_CONTEXT",
+        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
                             multiprocessing.get_context("spawn"))
         self.test_worker_fold_error_is_one_line_without_traceback(
             tiny_dataset, tmp_path, monkeypatch, capfd, started)

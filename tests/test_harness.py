@@ -2,7 +2,6 @@ import contextlib
 import csv
 import hashlib
 import multiprocessing
-import multiprocessing.resource_tracker
 import multiprocessing.spawn
 import os
 import re
@@ -17,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chordbench import features, harness
+from chordbench import features, harness, workers
 from chordbench.annotations import AnnotationError, normalize, read_lab
 from chordbench.features import (load_wav, log_cqt_from_wav,
                                  read_feature_cache, save_wav)
@@ -27,7 +26,7 @@ from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
                                 load_corpus, load_experiments, make_folds,
                                 run_experiment)
 from chordbench.synth import SynthError
-from conftest import use_cpus
+from conftest import no_child_left, time_limit, use_cpus
 
 
 def songs_with_performances(n_songs, n_perf=2):
@@ -444,23 +443,6 @@ class TestFeatureStore:
         assert np.array_equal(read_feature_cache(path)[0].values, stored.values)
 
 
-def no_child_left():
-    """Whether this process has no child process, running or unreaped, but
-    the resource tracker that multiprocessing starts with the first spawned
-    worker and keeps running until this process exits."""
-    tracker = multiprocessing.resource_tracker._resource_tracker._pid
-    me = str(os.getpid())
-    for pid in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{pid}/stat") as fh:
-                parent = fh.read().rsplit(")", 1)[1].split()[1]
-        except (FileNotFoundError, ProcessLookupError):
-            continue  # exited while listed
-        if parent == me and int(pid) != tracker:
-            return False
-    return True
-
-
 def corrupt_label(entry):
     """Make row 3 of ``entry``'s ``.lab`` file malformed."""
     with open(entry.label_path) as fh:
@@ -468,21 +450,6 @@ def corrupt_label(entry):
     rows.insert(2, "oops not a row")
     with open(entry.label_path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise :class:`TimeoutError` in the block once ``seconds`` have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class WorkerStartChecks:
@@ -585,7 +552,7 @@ class WorkerStartChecks:
             self, corpus, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 2)
         # A spawned worker imports this module to run it.
-        monkeypatch.setattr(harness, "_fold_worker", worker_that_exits_3)
+        monkeypatch.setattr(workers, "_worker", worker_that_exits_3)
         plan = make_folds(corpus["tiny"], seed=0)
         with pytest.raises(FoldError, match=re.escape(
                 "experiment 1, fold 0: worker process exited with code 3 "
@@ -602,12 +569,12 @@ def die_in_a_worker(config, job, parent=os.getpid()):
 
 
 def worker_that_exits_3(job, results):
-    """A ``_fold_worker`` that exits at once with code 3."""
+    """A ``workers._worker`` that exits at once with code 3."""
     os._exit(3)
 
 
 def forked():
-    return harness._WORKER_CONTEXT.get_start_method() == "fork"
+    return workers.forks()
 
 
 def spy_on_spawned_command_lines(monkeypatch):
@@ -626,7 +593,7 @@ def spy_on_spawned_command_lines(monkeypatch):
 class TestFreshInterpreterWorkers(WorkerStartChecks):
     @pytest.fixture(autouse=True)
     def fresh_interpreters(self, monkeypatch):
-        monkeypatch.setattr(harness, "_WORKER_CONTEXT",
+        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
                             multiprocessing.get_context("spawn"))
 
 
@@ -673,16 +640,16 @@ class TestFoldWorkers(WorkerStartChecks):
     # appends each worker's PID to <out>/pids as it starts.
     DRIVER = """
 import os, sys
-from chordbench import harness
+from chordbench import harness, workers
 data_root, name, out = sys.argv[1:]
 os.sched_getaffinity = lambda pid: {0, 1}
-start_worker = harness._start_worker
+start_worker = workers._start_worker
 def announce(stack, job):
     proc, results = start_worker(stack, job)
     with open(os.path.join(out, "pids"), "a") as fh:
         fh.write(f"{proc.pid}\\n")
     return proc, results
-harness._start_worker = announce
+workers._start_worker = announce
 corpus = harness.load_corpus(data_root, {name: name})
 config = harness.ExperimentConfig(
     id=1, train_datasets=(name,), model="labeler", eval_datasets=(name,),
@@ -739,7 +706,7 @@ harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
 
         def recording_fit(config, train, seed):
             share = sorted(os.sched_getaffinity(0))
-            assert harness._usable_cpus() == len(share)
+            assert workers.usable_cpus() == len(share)
             (shares_dir / str(os.getpid())).write_text(
                 " ".join(map(str, share)))
             return echo(config, train, seed)
@@ -756,6 +723,45 @@ harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
         assert os.sched_getaffinity(0) == cpus
         assert no_child_left()
 
+    # Runs one labeler experiment on two workers and prints the page faults
+    # of its waited-for workers.
+    FAULTS = """
+import os, resource, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from chordbench import harness
+data_root, name, out, exp_id = sys.argv[1:]
+corpus = harness.load_corpus(data_root, {name: name})
+config = harness.ExperimentConfig(
+    id=int(exp_id), train_datasets=(name,), model="labeler",
+    eval_datasets=(name,), model_params={"max_epochs": 6, "patience": 6})
+harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
+                       corpus, out)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
+"""
+
+    @pytest.mark.skipif(not forked(),
+                        reason="a spawned worker does not inherit the heap")
+    def test_workers_on_a_warm_store_fault_as_on_a_cold_one(self, tiny_dataset,
+                                                           tmp_path):
+        # Each run is a fresh interpreter.  The first fills the store, and
+        # freeing the CQT's large buffers raises glibc's dynamic mmap
+        # threshold that its forked workers inherit; the second only reads
+        # the store, and its workers would map and unmap every large
+        # training temporary anew.
+        data_dir, _ = tiny_dataset
+        src_dir = os.path.dirname(os.path.dirname(harness.__file__))
+        faults = []
+        for exp_id in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.FAULTS, str(data_dir.parent),
+                 data_dir.name, str(tmp_path), str(exp_id)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src_dir})
+            assert proc.returncode == 0, proc.stderr
+            faults.append(int(proc.stdout))
+        cold, warm = faults
+        assert warm / cold < 2, faults
+
 
 def test_refused_cpu_share_keeps_the_affinity(monkeypatch):
     # A worker whose share is refused, or whose platform has no affinity
@@ -766,12 +772,12 @@ def test_refused_cpu_share_keeps_the_affinity(monkeypatch):
         raise OSError(22, "Invalid argument")
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    harness._take_cpu_share(1, 2)
+    workers._take_cpu_share(1, 2)
     assert os.sched_getaffinity(0) == before
     monkeypatch.delattr(os, "sched_setaffinity")
-    harness._take_cpu_share(0, 2)
+    workers._take_cpu_share(0, 2)
     assert os.sched_getaffinity(0) == before
-    assert harness._usable_cpus() == len(before)
+    assert workers.usable_cpus() == len(before)
 
 
 def ended(pid):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chordbench
-from chordbench import harness, labeler
+from chordbench import labeler, workers
 from chordbench.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
 from chordbench import templates
@@ -825,7 +825,7 @@ class TestSplitStacks:
         # os.cpu_count() alone, without the affinity call, never splits.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert harness._usable_cpus() == 4
+        assert workers.usable_cpus() == 4
         assert labeler._halves(8) == [slice(0, 8)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -1,9 +1,12 @@
 import hashlib
+import multiprocessing
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chordbench import synth, workers
 from chordbench.annotations import (SegmentTrack, TimedSegment, normalize,
                                     read_lab)
 from chordbench.features import cqt, load_wav, log_amplitude, SAMPLE_RATE
@@ -15,6 +18,7 @@ from chordbench.synth import (FADE_S, PEAK_LEVEL, ProgressionModel,
                               read_manifest, render_audio, sample_progression,
                               uniform_model)
 from chordbench.templates import fold_to_chroma
+from conftest import no_child_left, time_limit, use_cpus
 
 
 class TestModelFromStats:
@@ -333,12 +337,65 @@ class TestEmitDataset:
         ("pop", SynthSpec(2, 10.0, octaves=(3, 4), seed=5)),
         ("uniform", SynthSpec(2, 12.5, octaves=(2, 3, 4, 5), seed=6)),
     ])
-    def test_files_match_pinned_digests(self, tmp_path, model, spec):
-        emit_dataset(spec, default_pop_model() if model == "pop"
-                     else uniform_model(), tmp_path)
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in tmp_path.iterdir()}
-        assert digests == self.GOLDEN[model]
+    def test_files_match_pinned_digests(self, tmp_path, model, spec,
+                                        monkeypatch, started):
+        # On one CPU the tracks render in this process; on two, where
+        # workers are forked, each of the two tracks in its own worker.
+        for n_cpus, n_started in [(1, 0), (2, 2 if workers.forks() else 0)]:
+            use_cpus(monkeypatch, n_cpus)
+            out = tmp_path / str(n_cpus)
+            emit_dataset(spec, default_pop_model() if model == "pop"
+                         else uniform_model(), out)
+            assert len(started) == n_started
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in out.iterdir()}
+            assert digests == self.GOLDEN[model]
+
+    def test_spawning_platforms_render_in_process(self, tmp_path, monkeypatch,
+                                                  started):
+        # A spawned worker would import the caller's __main__ module, which
+        # a script that generates data need not guard.
+        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
+                            multiprocessing.get_context("spawn"))
+        use_cpus(monkeypatch, 2)
+        emit_dataset(SynthSpec(2, 10.0, octaves=(4,), seed=12),
+                     default_pop_model(), tmp_path)
+        assert started == []
+        assert len(read_manifest(tmp_path / "manifest.jsonl")) == 2
+
+    @pytest.mark.skipif(not workers.forks(),
+                        reason="tracks render in workers only where forked")
+    def test_failed_track_in_a_worker_ends_the_call(self, tmp_path,
+                                                    monkeypatch, started):
+        use_cpus(monkeypatch, 2)
+        save_wav = synth.save_wav
+
+        def track_1_fails(path, audio):
+            if "synth_0002.wav" in str(path):
+                # Worker 0 writes half of track 2, then would take a minute.
+                with open(path, "wb") as fh:
+                    fh.write(b"RIFF")
+                time.sleep(60)
+            if "synth_0001.wav" in str(path):
+                # Worker 1 fails track 1 once track 2 is being written.
+                deadline = time.monotonic() + 10
+                while not any(p.name.startswith("synth_0002.wav.")
+                              for p in tmp_path.iterdir()):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                raise OSError(28, "No space left on device")
+            save_wav(path, audio)
+
+        monkeypatch.setattr(synth, "save_wav", track_1_fails)
+        spec = SynthSpec(n_tracks=4, track_length_s=10.0, octaves=(4,), seed=3)
+        with time_limit(20), pytest.raises(OSError,
+                                           match="No space left on device"):
+            emit_dataset(spec, default_pop_model(), tmp_path)
+        assert len(started) == 2
+        assert no_child_left()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        # Track 0 was written before track 1 failed; nothing else is left.
+        assert names == ["synth_0000.lab", "synth_0000.wav"]
 
 
 def test_rendered_audio_energy_on_annotated_classes(tmp_path):
