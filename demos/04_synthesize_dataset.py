@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 from chordbench.annotations import read_lab
-from chordbench.features import load_wav
+from chordbench.features import SAMPLE_RATE, load_wav
 from chordbench.synth import SynthSpec, default_pop_model, emit_dataset
 
 with tempfile.TemporaryDirectory(prefix="chordbench_demo_") as tmp:
@@ -22,7 +22,7 @@ with tempfile.TemporaryDirectory(prefix="chordbench_demo_") as tmp:
     audio = load_wav(out / first["path"])
     track = read_lab(out / (first["id"] + ".lab"))
     print(f"\n== {first['id']} ==")
-    print(f"audio: {audio.duration_s:.6f} s at {audio.sample_rate_hz} Hz, "
+    print(f"audio: {audio.duration_s:.6f} s at {SAMPLE_RATE} Hz, "
           f"peak {abs(audio.samples).max():.2f}")
     print(f"annotation: {len(track)} segments, ends at {track.end_s:.6f} s")
     for seg in track.segments[:6]:

@@ -7,7 +7,7 @@ from chordbench.features import (HOP, AudioBuffer, SAMPLE_RATE, cqt,
                                  zscore_apply, zscore_fit)
 
 t = np.arange(12 * SAMPLE_RATE) / SAMPLE_RATE
-audio = AudioBuffer(np.sin(2 * np.pi * 440.0 * t), SAMPLE_RATE)
+audio = AudioBuffer(np.sin(2 * np.pi * 440.0 * t))
 
 mags = cqt(audio)
 print(f"CQT of a 12 s 440 Hz sine: {mags.n_frames} frames x {mags.n_bins} bins "

@@ -237,7 +237,6 @@ def build_parser():
     p = sub.add_parser("convert", help="convert annotation formats to .lab")
     p.add_argument("--from", dest="src_format", required=True,
                    choices=["lab", "csv", "arff"])
-    p.add_argument("--to", dest="dst_format", default="lab", choices=["lab"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--notation", default="shorthand",

@@ -21,8 +21,9 @@ each magnitude equals the bin-by-bin projection up to rounding (below
 built once per process, by the first call, and kept read-only: the 12 hold
 16.5 MB.
 
-Audio is read from and written to WAV files with :mod:`struct` and the
-standard :mod:`wave` module (formats in docs/formats.md).
+``AudioBuffer(samples)`` is 22050 Hz audio.  WAV files are read, at that
+rate only, and written with :mod:`struct` and the standard :mod:`wave`
+module (formats in docs/formats.md).
 
 Downstream stages: log amplitude with a 1e-6 floor, global z-normalization
 fitted on training data, 108-frame windows with 54-frame stride, and pitch
@@ -72,7 +73,6 @@ class FeatureError(ValueError):
 @dataclass(frozen=True)
 class AudioBuffer:
     samples: np.ndarray
-    sample_rate_hz: int
 
     def __post_init__(self):
         if len(self.samples) == 0:
@@ -83,7 +83,7 @@ class AudioBuffer:
 
     @property
     def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
+        return len(self.samples) / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,14 @@ def load_wav(path) -> AudioBuffer:
 
     Reads 16-, 24- and 32-bit PCM and 32- and 64-bit float, with any channel
     count, in a plain or ``WAVE_FORMAT_EXTENSIBLE`` header (docs/formats.md).
-    Another format, a file that is not a WAV file, or a missing or
-    truncated chunk raises :class:`FeatureError` naming the path, as does a
-    NaN or infinite sample, with the index of the first one.
+    Another format, a rate other than 22050 Hz, a file that is not a WAV
+    file, or a missing or truncated chunk raises :class:`FeatureError` naming
+    the path, as does a NaN or infinite sample, with the index of the first.
     """
     rate, data = _read_wav(path)
+    if rate != SAMPLE_RATE:
+        raise FeatureError(f"{path}: expected {SAMPLE_RATE} Hz audio, got "
+                           f"{rate} Hz; resample before analysis")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
@@ -166,7 +169,7 @@ def load_wav(path) -> AudioBuffer:
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     try:
-        return AudioBuffer(samples, rate)
+        return AudioBuffer(samples)
     except FeatureError as err:
         raise FeatureError(f"{path}: {err}") from None
 
@@ -253,12 +256,12 @@ def _wav_format(path, body, size):
 
 
 def save_wav(path, audio: AudioBuffer) -> None:
-    """Write 16-bit PCM mono."""
+    """Write 16-bit PCM mono at :data:`SAMPLE_RATE`."""
     pcm = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
     with open(path, "wb") as fh, wave.open(fh, "wb") as out:
         out.setnchannels(1)
         out.setsampwidth(2)
-        out.setframerate(audio.sample_rate_hz)
+        out.setframerate(SAMPLE_RATE)
         out.writeframes(pcm.tobytes())
 
 
@@ -279,7 +282,7 @@ def min_cqt_samples() -> int:
 def cqt(audio: AudioBuffer) -> FeatureMatrix:
     """Constant-Q magnitude transform (frames x 144 bins).
 
-    The input must be at 22050 Hz; resample beforehand if necessary.  Frame
+    The input must hold at least :func:`min_cqt_samples` samples.  Frame
     t is centered at sample ``t * 2048``, and there are
     ``1 + n_samples // 2048`` frames.
 
@@ -299,17 +302,13 @@ def cqt(audio: AudioBuffer) -> FeatureMatrix:
     track length: besides the output, the kernels and a few small arrays,
     one chunk buffer of at most 2.3 MB is live at a time.
     """
-    if audio.sample_rate_hz != SAMPLE_RATE:
-        raise FeatureError(
-            f"expected {SAMPLE_RATE} Hz audio, got {audio.sample_rate_hz} Hz; "
-            "resample before analysis")
     x = np.asarray(audio.samples, dtype=np.float64)
-    win_lens = cqt_window_lengths()
-    max_win = int(win_lens[0])
-    if len(x) < max_win:
+    need = min_cqt_samples()
+    if len(x) < need:
         raise FeatureError(
             f"audio too short for analysis: {len(x)} samples, "
-            f"need at least {max_win} ({max_win / SAMPLE_RATE:.3f} s)")
+            f"need at least {need} ({need / SAMPLE_RATE:.3f} s)")
+    win_lens = cqt_window_lengths()
 
     n_frames = 1 + len(x) // HOP
     mags = np.empty((n_frames, N_BINS), dtype=np.float64)
@@ -379,7 +378,7 @@ def log_amplitude(features: FeatureMatrix) -> FeatureMatrix:
 def log_cqt_from_wav(path) -> FeatureMatrix:
     """The feature recipe shared by every front end: log-CQT of a WAV file.
 
-    An error of :func:`cqt` (sample rate, length) is raised naming the path.
+    An error of :func:`cqt` (a signal too short) is raised naming the path.
     """
     audio = load_wav(path)
     try:

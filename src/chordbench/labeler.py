@@ -72,10 +72,7 @@ class LabelerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            _check_range(f.name, value, f.name)
+            _check_value(f.name, getattr(self, f.name), f.name, False)
         if self.model_dim % self.n_heads != 0:
             raise ValueError("model_dim must be divisible by n_heads")
 
@@ -631,7 +628,13 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
     parameters are returned.  An epoch's accuracy is then that of the
     training windows as its steps scored them, each batch with the
     parameters before its own step.
+
+    A hyperparameter of the wrong type or out of range raises ``ValueError``
+    naming it, as ``lr must be above 0, got -1.0``.
     """
+    for key, value in (("lr", lr), ("batch_size", batch_size),
+                       ("max_epochs", max_epochs), ("patience", patience)):
+        _check_value(key, value, key, key == "lr")
     train_items = list(train_items)
     if not train_items:
         raise ValueError("empty training set")
@@ -728,8 +731,12 @@ _RANGES = {"lr": (lambda v: v > 0, "above 0"),
            "val_fraction": (lambda v: 0 <= v < 1, "at least 0 and below 1")}
 
 
-def _check_range(key, value, name) -> None:
-    """Raise ``ValueError`` naming ``name`` if ``value`` is out of ``key``'s range."""
+def _check_value(key, value, name, real) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int, or
+    with ``real`` an int or a float, but not a ``bool``, in ``key``'s range."""
+    kind, noun = ((int, float), "a number") if real else (int, "an integer")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
     in_range, wording = _RANGES.get(key, (lambda v: v >= 1, "at least 1"))
     if not in_range(value):
         raise ValueError(f"{name} must be {wording}, got {value!r}")
@@ -751,14 +758,8 @@ def check_hyperparameters(params: dict, known, what: str) -> None:
     for key in sorted(params):
         if key not in known:
             raise ValueError(f"unknown {what} {key!r}")
-        value = params[key]
-        real = isinstance(known[key], float)
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float) if real else int):
-            raise ValueError(f"{what} {key!r} must be "
-                             f"{'a number' if real else 'an integer'}, "
-                             f"got {value!r}")
-        _check_range(key, value, f"{what} {key!r}")
+        _check_value(key, params[key], f"{what} {key!r}",
+                     isinstance(known[key], float))
     dim, heads = ({**known, **params}[k] for k in ("model_dim", "n_heads"))
     if dim % heads:
         raise ValueError(f"model_dim {dim} is not divisible by n_heads {heads}")
@@ -780,7 +781,7 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     :func:`train`).  ``val_fraction`` must lie in [0, 1) and leave at least
     one training window.
     """
-    _check_range("val_fraction", val_fraction, "val_fraction")
+    _check_value("val_fraction", val_fraction, "val_fraction", True)
     for index, (features, labels) in enumerate(pairs):
         where = f"pair {index}: "
         _check_input(pairs[0][0].bin_kind, pairs[0][0].n_bins, features, where)

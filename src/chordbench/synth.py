@@ -260,7 +260,7 @@ def render_audio(track: SegmentTrack, spec: SynthSpec) -> AudioBuffer:
     peak = np.abs(buf).max()
     if peak > 0:
         buf *= PEAK_LEVEL / peak
-    return AudioBuffer(buf, sr)
+    return AudioBuffer(buf)
 
 
 def track_seed(spec_seed: int, index: int) -> int:

@@ -148,7 +148,7 @@ def test_cqt_correctness():
     t = np.arange(2 * SAMPLE_RATE) / SAMPLE_RATE
     for freq, expected in ((440.0, 90), (32.7032, 0),
                            (440.0 * 2 ** (1 / 12), 92)):
-        fm = cqt(AudioBuffer(np.sin(2 * np.pi * freq * t), SAMPLE_RATE))
+        fm = cqt(AudioBuffer(np.sin(2 * np.pi * freq * t)))
         lo, hi = _interior(len(t), fm.n_frames)
         bins = fm.values[lo:hi + 1].argmax(axis=1)
         assert np.all(bins == expected), (freq, np.unique(bins))

@@ -9,14 +9,15 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import chordbench
 from chordbench.annotations import read_lab
 from chordbench.checkpoint import load_checkpoint, save_checkpoint
 from chordbench.cli import main
-from chordbench.features import (N_BINS, AudioBuffer, FeatureMatrix,
-                                 NormStats, pitch_shift_cqt, read_feature_cache,
-                                 save_wav, write_feature_cache)
+from chordbench.features import (N_BINS, FeatureMatrix, NormStats,
+                                 pitch_shift_cqt, read_feature_cache,
+                                 write_feature_cache)
 from chordbench import harness, workers
 from chordbench.harness import ExperimentConfig, load_corpus
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
@@ -44,7 +45,7 @@ class TestConvert:
         src = tmp_path / "a.arff"
         src.write_text(ARFF)
         out = tmp_path / "a.lab"
-        assert run("convert", "--from", "arff", "--to", "lab",
+        assert run("convert", "--from", "arff",
                    "--in", str(src), "--out", str(out)) == 0
         track = read_lab(out)
         assert len(track) == 2
@@ -54,14 +55,14 @@ class TestConvert:
         src = tmp_path / "w.csv"
         src.write_text("start;end;shorthand;majmin\n0;1;C:maj7;C:maj\n")
         out = tmp_path / "w.lab"
-        assert run("convert", "--from", "csv", "--to", "lab", "--in", str(src),
+        assert run("convert", "--from", "csv", "--in", str(src),
                    "--out", str(out), "--notation", "majmin") == 0
         assert str(read_lab(out).segments[0].label) == "C:maj"
 
     def test_error_is_reported(self, tmp_path, capsys):
         src = tmp_path / "bad.lab"
         src.write_text("0.0 1.0 H:maj\n")
-        assert run("convert", "--from", "lab", "--to", "lab",
+        assert run("convert", "--from", "lab",
                    "--in", str(src), "--out", str(tmp_path / "o.lab")) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -402,7 +403,7 @@ class TestExtractTrainPredict:
         indir = tmp_path / "in"
         indir.mkdir()
         wav = indir / "a.wav"
-        save_wav(wav, AudioBuffer(np.zeros(n_samples), rate))
+        wavfile.write(wav, rate, np.zeros(n_samples, dtype=np.int16))
         assert run("predict", "--model", "template", "--in", str(indir),
                    "--out", str(tmp_path / "pred")) == 1
         assert capsys.readouterr().err.startswith(f"error: {wav}: {reason}")

@@ -398,7 +398,7 @@ class TestFeatureStore:
         run_experiment(self.TEMPLATE, plan, own_corpus, out)
         audio = load_wav(entries[0].audio_path)
         save_wav(entries[0].audio_path,
-                 features.AudioBuffer(0.5 * audio.samples, audio.sample_rate_hz))
+                 features.AudioBuffer(0.5 * audio.samples))
         shutil.rmtree(out / "exp_0")
         seen = count_cqt_inputs(monkeypatch)
         run_experiment(self.TEMPLATE, plan, own_corpus, out)

@@ -18,7 +18,7 @@ SPEC = SynthSpec(n_tracks=2, track_length_s=10.0, seed=4)
 
 
 def template_track(samples):
-    features = log_amplitude(cqt(AudioBuffer(samples, SAMPLE_RATE)))
+    features = log_amplitude(cqt(AudioBuffer(samples)))
     return recognize_track(features, "")
 
 

@@ -770,6 +770,21 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(TINY, [], lr=1e-3, batch_size=8, max_epochs=1, patience=0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", -1.0, "lr must be above 0, got -1.0"),
+        ("lr", "0.1", "lr must be a number, got '0.1'"),
+        ("batch_size", 0, "batch_size must be at least 1, got 0"),
+        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        ("max_epochs", 0, "max_epochs must be at least 1, got 0"),
+        ("max_epochs", True, "max_epochs must be an integer, got True"),
+        ("patience", -3, "patience must be at least 0, got -3"),
+    ])
+    def test_rejects_out_of_range_hyperparameters(self, key, value, message):
+        kwargs = {"lr": 1e-2, "batch_size": 3, "max_epochs": 2, "patience": 1,
+                  key: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(TINY, self.toy_items(), **kwargs)
+
     def test_report_flags(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=13)
         _, report = train(cfg, self.toy_items(), lr=1e-2, batch_size=3,
