@@ -169,7 +169,8 @@ def read_winterreise_csv(path, notation: str = "shorthand") -> SegmentTrack:
 
     The file has ``start`` and ``end`` columns and a label column per
     notation; ``notation`` selects which one is parsed ("shorthand" or
-    "majmin").  Delimiter is auto-detected among comma, semicolon, and tab.
+    "majmin").  Delimiter is auto-detected among comma, semicolon, and tab,
+    from the header line only: a quoted field below it may hold any of them.
     Each row is named by the line it ends on, and a short row reads its
     missing fields as empty text; every row then follows the contract of
     :func:`_read_rows`.
@@ -177,10 +178,10 @@ def read_winterreise_csv(path, notation: str = "shorthand") -> SegmentTrack:
     if notation not in ("shorthand", "majmin"):
         raise AnnotationError(f"unknown notation {notation!r}")
     with _open_utf8(path, newline="") as fh:
-        sample = fh.read(4096)
+        header_line = fh.readline()
         fh.seek(0)
         try:
-            dialect = csv.Sniffer().sniff(sample, delimiters=",;\t")
+            dialect = csv.Sniffer().sniff(header_line, delimiters=",;\t")
         except csv.Error:
             dialect = csv.excel
         reader = csv.DictReader(fh, dialect=dialect, restval="")

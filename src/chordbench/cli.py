@@ -4,14 +4,17 @@ Thin wrappers over the library: convert, eval, stats, extract, synth,
 train, predict, and xval.  Features, template recognition, labeler
 training (``labeler.fit``) and labeler prediction
 (``TrainedLabeler.recognize``) come from the same library functions the
-harness calls.  Run ``chordbench <subcommand> --help`` for the flags of
-each.
+harness calls.  ``extract``, and ``predict`` on WAV files, compute the
+log-CQT of each file on every usable CPU (:func:`_map_wavs`).  Run
+``chordbench <subcommand> --help`` for the flags of each.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import glob
 import json
 import os
@@ -20,7 +23,8 @@ import sys
 
 import numpy as np
 
-from . import annotations, checkpoint, features, harness, labeler, metrics, stats, synth, templates
+from . import (annotations, checkpoint, features, harness, labeler, metrics,
+               stats, synth, templates, workers)
 from .labels import N_MAJMIN_CLASSES, transpose_majmin
 
 
@@ -97,25 +101,48 @@ def _parse_shift_range(text):
     return range(int(m[1]), int(m[2]) + 1)
 
 
+def _map_wavs(fn, wav_paths):
+    """:func:`chordbench.workers.ordered_map` of ``fn`` over ``wav_paths``.
+
+    Where workers fork (Linux), up to one per usable CPU computes them, as
+    ``synth.emit_dataset`` renders tracks; elsewhere this process does, so
+    a script that calls a front end needs no ``__main__`` guard.  The CQT
+    kernels are built first, so that the workers share them.
+    """
+    features.build_cqt_kernels()
+    n_workers = workers.usable_cpus() if workers.forks() else 1
+    return workers.ordered_map(fn, wav_paths, n_workers, "log-CQT features")
+
+
+def _labelled_log_cqt(labels_dir, wav_path):
+    """The log-CQT of ``wav_path`` and its frame labels, aligned from the
+    ``.lab`` file of the same stem in ``labels_dir``."""
+    stem = os.path.splitext(os.path.basename(wav_path))[0]
+    lab_path = os.path.join(labels_dir, stem + ".lab")
+    track = annotations.normalize(annotations.read_lab(lab_path))
+    logcqt = features.log_cqt_from_wav(wav_path)
+    return logcqt, features.align_labels(track, logcqt)
+
+
 def cmd_extract(args):
     shifts = _parse_shift_range(args.aug) if args.aug else [0]
     os.makedirs(args.out, exist_ok=True)
     wavs = sorted(glob.glob(os.path.join(args.indir, "*.wav")))
     if not wavs:
         raise SystemExit(f"no .wav files in {args.indir}")
-    for wav_path in wavs:
-        stem = os.path.splitext(os.path.basename(wav_path))[0]
-        lab_path = os.path.join(args.labels, stem + ".lab")
-        track = annotations.normalize(annotations.read_lab(lab_path))
-        logcqt = features.log_cqt_from_wav(wav_path)
-        labels = features.align_labels(track, logcqt)
-        for k in shifts:
-            shifted = features.pitch_shift_cqt(logcqt, k)
-            table = np.array([transpose_majmin(c, k)
-                              for c in range(N_MAJMIN_CLASSES)])
-            out_path = os.path.join(args.out, f"{stem}.shift{k:+d}.cbf")
-            features.write_feature_cache(out_path, shifted, table[labels])
-        print(f"{stem}: {len(shifts)} shift(s)")
+    # Every cache is written here, in input order, so the files, the
+    # progress lines and the first error are those of a serial loop.
+    with _map_wavs(functools.partial(_labelled_log_cqt, args.labels),
+                   wavs) as tracks:
+        for wav_path, (logcqt, labels) in zip(wavs, tracks):
+            stem = os.path.splitext(os.path.basename(wav_path))[0]
+            for k in shifts:
+                shifted = features.pitch_shift_cqt(logcqt, k)
+                table = np.array([transpose_majmin(c, k)
+                                  for c in range(N_MAJMIN_CLASSES)])
+                out_path = os.path.join(args.out, f"{stem}.shift{k:+d}.cbf")
+                features.write_feature_cache(out_path, shifted, table[labels])
+            print(f"{stem}: {len(shifts)} shift(s)")
     print(f"wrote caches to {args.out}")
 
 
@@ -193,20 +220,24 @@ def cmd_predict(args):
         recognize = templates.recognize_track
     else:
         recognize = checkpoint.load_checkpoint(args.model).recognize
-    for path in inputs:
-        # All inputs end in ``suffix``, so no two of them share a stem.
-        stem = os.path.basename(path)[:-len(suffix)]
-        matrix = (features.log_cqt_from_wav(path) if suffix == ".wav"
-                  else features.read_feature_cache(path)[0])
-        try:
-            track = recognize(matrix, stem)
-        except features.FeatureError as exc:
-            raise features.FeatureError(
-                f"model {args.model} on {path}: {exc}") from None
-        # Made only now, so a run that fails before its first prediction
-        # leaves no output directory behind.
-        os.makedirs(args.out, exist_ok=True)
-        annotations.write_lab(track, os.path.join(args.out, stem + ".lab"))
+    if suffix == ".wav":
+        source = _map_wavs(features.log_cqt_from_wav, inputs)
+    else:
+        source = contextlib.nullcontext(
+            features.read_feature_cache(path)[0] for path in inputs)
+    with source as matrices:
+        for path, matrix in zip(inputs, matrices):
+            # All inputs end in ``suffix``, so no two of them share a stem.
+            stem = os.path.basename(path)[:-len(suffix)]
+            try:
+                track = recognize(matrix, stem)
+            except features.FeatureError as exc:
+                raise features.FeatureError(
+                    f"model {args.model} on {path}: {exc}") from None
+            # Made only now, so a run that fails before its first prediction
+            # leaves no output directory behind.
+            os.makedirs(args.out, exist_ok=True)
+            annotations.write_lab(track, os.path.join(args.out, stem + ".lab"))
     print(f"wrote {len(inputs)} predictions to {args.out}")
 
 

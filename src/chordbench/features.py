@@ -193,9 +193,15 @@ def _read_wav(path):
     Chunks other than ``fmt `` and ``data`` are skipped, with the pad byte
     that follows an odd-sized one.  24-bit samples come shifted left into
     int32, so every PCM format scales by its dtype's range.  A partial frame
-    at the end of the ``data`` chunk is dropped.
+    at the end of the ``data`` chunk is dropped.  A chunk is read only as
+    far as the file goes, so a size that claims more costs no memory.
     """
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+
+        def read_chunk(size):
+            return fh.read(min(size, max(file_size - fh.tell(), 0)))
+
         head = fh.read(12)
         if head[:4] != b"RIFF" or head[8:] != b"WAVE":
             raise FeatureError(f"{path}: not a RIFF WAVE file")
@@ -207,7 +213,7 @@ def _read_wav(path):
                 raise FeatureError(f"{path}: no {missing!r} chunk")
             chunk_id, size = struct.unpack("<4sI", chunk)
             if chunk_id == b"fmt ":
-                fmt = _wav_format(path, fh.read(size), size)
+                fmt = _wav_format(path, read_chunk(size), size)
                 fh.seek(size % 2, 1)
             elif chunk_id == b"data":
                 if fmt is None:
@@ -216,7 +222,7 @@ def _read_wav(path):
             else:
                 fh.seek(size + size % 2, 1)
         rate, channels, bits, dtype = fmt
-        data = fh.read(size)
+        data = read_chunk(size)
     if len(data) < size:
         raise FeatureError(f"{path}: truncated 'data' chunk: {len(data)} of "
                            f"{size} bytes")
@@ -316,6 +322,14 @@ def cqt(audio: AudioBuffer) -> FeatureMatrix:
         _group_magnitudes(x, _group_kernel(lo), int(win_lens[lo]),
                           mags[:, lo:lo + _GROUP_BINS])
     return FeatureMatrix(mags, "cqt_mag")
+
+
+def build_cqt_kernels() -> None:
+    """Build the 12 group kernels now, as the first :func:`cqt` call would:
+    worker processes forked afterwards share them instead of each building
+    its own 16.5 MB."""
+    for lo in range(0, N_BINS, _GROUP_BINS):
+        _group_kernel(lo)
 
 
 @functools.cache

@@ -18,10 +18,11 @@ Training runs each batch as one ``(items, frames, bins)`` stack, forward
 and backward, with the floats of one pass per item (see
 :func:`loss_and_grad`).  Where the process's CPU affinity holds two or
 more CPUs, a gradient step's two halves run at the same time, one in the
-calling thread and one in a helper thread joined before the call returns;
-the floats stay those of one pass per item.  Only a validation set is swept
-forward between epochs, one unsplit stack at a time, for early stopping;
-without one, :func:`train` runs every epoch and keeps the last parameters.
+calling thread and one in a helper thread joined before the call returns,
+with OpenBLAS on one thread meanwhile; the floats stay those of one pass
+per item.  Only a validation set is swept forward between epochs, one
+unsplit stack at a time, for early stopping; without one, :func:`train`
+runs every epoch and keeps the last parameters.
 
 Each elementwise step makes one pass over an array: bias adds, residual
 adds, the softmax and the layer-norm arithmetic update their operand in
@@ -53,6 +54,7 @@ from .features import (BIN_KINDS, WINDOW_FRAMES, FeatureError, FeatureMatrix,
                        zscore_apply, zscore_fit)
 from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
+from .workers import blas_threads_at_most
 
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -434,9 +436,11 @@ def _on_halves(work, parts):
 
     The first part runs in the calling thread and the second in a helper
     thread, which is joined before this returns or raises, so no thread
-    outlives the call.  An exception raised in the helper is raised here as
-    itself, unless the first raised one, which wins as it would in a serial
-    loop.
+    outlives the call.  Meanwhile OpenBLAS runs on one thread
+    (:func:`~chordbench.workers.blas_threads_at_most`): the two parts
+    already keep two CPUs busy, and more BLAS threads would only spin.  An
+    exception raised in the helper is raised here as itself, unless the
+    first raised one, which wins as it would in a serial loop.
     """
     if len(parts) == 1:
         return [work(parts[0])]
@@ -450,11 +454,12 @@ def _on_halves(work, parts):
             outcome.append((None, exc))
 
     thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        first = work(first_part)
-    finally:
-        thread.join()
+    with blas_threads_at_most(1):
+        thread.start()
+        try:
+            first = work(first_part)
+        finally:
+            thread.join()
     second, error = outcome[0]
     if error is not None:
         raise error

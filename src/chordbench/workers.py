@@ -3,8 +3,9 @@
 :func:`ordered_map` runs ``fn(item)`` for each item in up to one worker
 process per item and hands the results back in item order, so a caller
 that writes each result as it arrives writes the bytes one process would.
-``harness.run_experiment`` runs its fold jobs through it and
-``synth.emit_dataset`` its tracks.
+``harness.run_experiment`` runs its fold jobs through it,
+``synth.emit_dataset`` its tracks, and ``chordbench extract`` and
+``chordbench predict`` the log-CQT features of their WAV files.
 
 Workers are forked on Linux, so they start from this process's memory, and
 spawned elsewhere: macOS system libraries are not fork-safe, and Windows has
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import multiprocessing
 import os
 import signal
@@ -33,6 +35,14 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's own dynamic maximum on 64 bits
 _TRIM_THRESHOLD = 64 * 1024 * 1024
+
+# The thread-count calls of OpenBLAS, as ``(get, set)`` symbol pairs: the
+# scipy-openblas build in numpy's wheels prefixes them, and a 64-bit-integer
+# build suffixes them with "64_".
+_OPENBLAS_CALLS = [(f"{prefix}_get_num_threads{suffix}",
+                    f"{prefix}_set_num_threads{suffix}")
+                   for prefix in ("scipy_openblas", "openblas")
+                   for suffix in ("64_", "")]
 
 # How long a stopped worker may take to run its cleanups before it is killed.
 _STOP_TIMEOUT_S = 5.0
@@ -80,12 +90,18 @@ def ordered_map(fn, items, n_workers, what):
     which raises :class:`SystemExit` in it, so its ``finally`` blocks
     (:func:`replacing`'s removal, say) run, and is killed if it has not
     exited within :data:`_STOP_TIMEOUT_S`.
+
+    Until then this process runs OpenBLAS on at most as many threads as
+    the smallest worker's CPU share holds, so that the workers start at
+    that count (:func:`blas_threads_at_most`).
     """
     n_workers = min(n_workers, len(items))
     if n_workers < 2:
         yield map(fn, items)
         return
     with contextlib.ExitStack() as stack:
+        stack.enter_context(
+            blas_threads_at_most(max(1, usable_cpus() // n_workers)))
         workers = [_start_worker(stack, (fn, items[w::n_workers], w, n_workers))
                    for w in range(n_workers)]
         yield (_result(*workers[i % n_workers], what) for i in range(len(items)))
@@ -141,18 +157,71 @@ def _result(proc, results, what):
     return value
 
 
+@contextlib.contextmanager
+def blas_threads_at_most(n):
+    """Run the OpenBLAS this process has loaded on at most ``n`` threads in
+    the block, and on as many as before once it ends.
+
+    OpenBLAS otherwise runs one thread per CPU whatever the caller's CPU
+    share, and its threads spin while they wait for work, so two of them
+    on one CPU take turns at spinning.  Where OpenBLAS already runs on at
+    most ``n`` threads, it is not called: after a fork, its first call
+    restarts its thread pool, whose new threads spin for about 0.1 s even
+    with no work to wait for.  Where no OpenBLAS is loaded (numpy built on
+    another BLAS, or no ``/proc/self/maps`` to find it in), the block runs
+    as it would have.
+    """
+    calls = _openblas()
+    before = calls[0]() if calls else 0
+    if before <= n:
+        yield
+        return
+    _, set_ = calls
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@functools.cache
+def _openblas():
+    """The ``(get, set)`` thread-count calls of the OpenBLAS mapped into
+    this process, found by its path in ``/proc/self/maps``; None if none is."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for names in _OPENBLAS_CALLS:
+            get, set_ = (getattr(lib, name, None) for name in names)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = (ctypes.c_int,)
+                set_.restype = None
+                return get, set_
+    return None
+
+
 def _take_cpu_share(worker, n_workers):
-    """Narrow this process's CPU affinity to its share: every
-    ``n_workers``-th of its CPUs, starting at the ``worker``-th, so that
-    workers do not compete for a CPU.  The labeler splits its gradient steps
-    by that affinity, so on two CPUs each worker trains unsplit.  Where the
-    platform has no affinity call, or refuses the share, the affinity stays
-    as it was."""
+    """Narrow this process's CPU affinity to its share, and return how many
+    CPUs the share holds: every ``n_workers``-th of its CPUs, starting at
+    the ``worker``-th, so that workers do not compete for a CPU.  The
+    labeler splits its gradient steps by that affinity, so on two CPUs each
+    worker trains unsplit.  Where the platform has no affinity call, or
+    refuses the share, the affinity stays as it was."""
     try:
         share = sorted(os.sched_getaffinity(0))[worker::n_workers]
         os.sched_setaffinity(0, share)
     except (AttributeError, OSError):
-        pass
+        return usable_cpus()
+    return len(share)
 
 
 def _fix_malloc():
@@ -185,8 +254,9 @@ def _worker(job, results):
     The worker ignores SIGINT, as the parent stops it when interrupted,
     exits through :class:`SystemExit` on SIGTERM, sends anything printed
     to stderr, exits once the parent is gone, and runs on its own share of
-    the CPUs (:func:`_take_cpu_share`) with fixed malloc thresholds
-    (:func:`_fix_malloc`).
+    the CPUs (:func:`_take_cpu_share`), with OpenBLAS on at most one thread
+    per CPU of that share (:func:`blas_threads_at_most`) and with fixed
+    malloc thresholds (:func:`_fix_malloc`).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
@@ -203,17 +273,18 @@ def _worker(job, results):
 
     threading.Thread(target=exit_with_parent, daemon=True).start()
     fn, items, worker, n_workers = job
-    _take_cpu_share(worker, n_workers)
+    share = _take_cpu_share(worker, n_workers)
     _fix_malloc()
     try:
-        for item in items:
-            try:
-                value, error = fn(item), None
-            except Exception as exc:
-                value, error = None, exc
-            results.send((value, error))
-            if error is not None:
-                break
+        with blas_threads_at_most(share):
+            for item in items:
+                try:
+                    value, error = fn(item), None
+                except Exception as exc:
+                    value, error = None, exc
+                results.send((value, error))
+                if error is not None:
+                    break
     finally:
         # Past its items, a stopped worker may simply end: a SystemExit
         # raised while multiprocessing shuts the worker down would escape it.

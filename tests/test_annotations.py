@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chordbench.annotations import (TIME_EPS, AnnotationError, SegmentTrack,
@@ -386,6 +386,7 @@ def test_lab_time_fields_fuzz(tmp_path, rows):
     assert_valid_track_or_named_error(p, read_lab)
 
 
+@example(rows=[('";', '0.0')])  # a quoted ";" once made ";" the delimiter
 @fuzz_time_fields
 def test_csv_time_fields_fuzz(tmp_path, rows):
     p = tmp_path / "fuzz.csv"

@@ -24,6 +24,7 @@ from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
 from chordbench.labels import NOCHORD_CLASS, transpose_majmin
 from chordbench.metrics import evaluate_pair
 from chordbench.stats import read_histogram_csv, read_transitions_csv
+from conftest import no_child_left, use_cpus
 
 ARFF = """\
 @relation chords
@@ -613,6 +614,119 @@ class TestExtractTrainPredict:
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
                 for s in expected]
+
+
+def _share_and_blas_threads(item):
+    get, _ = workers._openblas()
+    return len(os.sched_getaffinity(0)), get()
+
+
+def _file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestWavWorkers:
+    """``extract``, and ``predict`` on WAV files, compute each file's
+    log-CQT in up to one forked worker per usable CPU."""
+
+    def n_started(self, n_cpus):
+        return n_cpus if n_cpus > 1 and workers.forks() else 0
+
+    def test_extract_writes_the_same_bytes_on_one_and_two_cpus(
+            self, tiny_dataset, tmp_path, monkeypatch, capsys, started):
+        data_dir, _ = tiny_dataset
+        written = []
+        for n_cpus in (1, 2):
+            use_cpus(monkeypatch, n_cpus)
+            out = tmp_path / str(n_cpus)
+            assert run("extract", "--in", str(data_dir), "--labels",
+                       str(data_dir), "--aug=-1..1", "--out", str(out)) == 0
+            assert len(started) == self.n_started(n_cpus)
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            written.append((_file_bytes(out), stdout))
+        assert len(written[0][0]) == 18
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("failure", ["missing-lab", "too-short-wav"])
+    def test_extract_failure_names_its_file(self, tiny_dataset, tmp_path,
+                                            monkeypatch, capsys, started,
+                                            failure, n_cpus):
+        # With two CPUs, b fails in worker 1 while worker 0 computes a and
+        # then c; a's cache is written, and nothing after b.
+        data_dir, entries = tiny_dataset
+        indir = tmp_path / "in"
+        indir.mkdir()
+        for name, entry in zip("abc", entries):
+            os.symlink(data_dir / f"{entry['id']}.wav", indir / f"{name}.wav")
+            shutil.copy(data_dir / f"{entry['id']}.lab", indir / f"{name}.lab")
+        if failure == "missing-lab":
+            (indir / "b.lab").unlink()
+            message = ("[Errno 2] No such file or directory: "
+                       f"'{indir / 'b.lab'}'")
+        else:
+            (indir / "b.wav").unlink()
+            wavfile.write(indir / "b.wav", 22050, np.zeros(1000, np.int16))
+            message = (f"{indir / 'b.wav'}: audio too short for analysis: "
+                       "1000 samples")
+        use_cpus(monkeypatch, n_cpus)
+        out = tmp_path / "cache"
+        assert run("extract", "--in", str(indir), "--labels", str(indir),
+                   "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "a: 1 shift(s)\n"
+        assert captured.err.startswith(f"error: {message}")
+        assert sorted(p.name for p in out.iterdir()) == ["a.shift+0.cbf"]
+        assert len(started) == self.n_started(n_cpus)
+        assert no_child_left()
+
+    def test_predict_from_wavs_writes_the_same_labs_on_one_and_two_cpus(
+            self, pipeline_dirs, tmp_path, monkeypatch, started):
+        data_dir, _ = pipeline_dirs
+        config = LabelerConfig(input_dim=N_BINS, model_dim=8, n_layers=1,
+                               n_heads=2, seed=0)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, TrainedLabeler(config, init_params(config),
+                                             NormStats(-5.0, 3.0), "cqt_log"))
+        written = {}
+        for model in ("template", str(ckpt)):
+            for n_cpus in (1, 2):
+                use_cpus(monkeypatch, n_cpus)
+                out = tmp_path / f"{len(written)}"
+                started.clear()
+                assert run("predict", "--model", model, "--in", str(data_dir),
+                           "--out", str(out)) == 0
+                assert len(started) == self.n_started(n_cpus)
+                written[model, n_cpus] = _file_bytes(out)
+            assert len(written[model, 1]) == 6
+            assert written[model, 1] == written[model, 2]
+
+    @pytest.mark.skipif(workers._openblas() is None,
+                        reason="no OpenBLAS is loaded")
+    @pytest.mark.skipif(workers.usable_cpus() < 2,
+                        reason="a share of one CPU is all of them")
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_worker_runs_openblas_on_its_cpu_share(self, monkeypatch, start):
+        # A forked worker starts at the count this process runs while the
+        # workers do; a spawned one starts at OpenBLAS's default, one
+        # thread per CPU, and lowers it itself.
+        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
+                            multiprocessing.get_context(start))
+        get, set_ = workers._openblas()
+        before = get()
+        set_(workers.usable_cpus())  # OpenBLAS's default: one per CPU
+        try:
+            with workers.ordered_map(_share_and_blas_threads, [0, 1], 2,
+                                     "thread counts") as results:
+                counts = list(results)
+                during = get()
+            after = get()
+        finally:
+            set_(before)
+        assert sum(share for share, _ in counts) == workers.usable_cpus()
+        assert [threads for _, threads in counts] == [s for s, _ in counts]
+        assert during == min(share for share, _ in counts)
+        assert after == workers.usable_cpus()
 
 
 class TestXval:

@@ -711,6 +711,29 @@ class TestWavReader:
                            match=f"^{re.escape(f'{p}: {message}')}"):
             load_wav(p)
 
+    @pytest.mark.parametrize("chunk_id, message", [
+        (b"data", "truncated 'data' chunk: 600 of 4294967280 bytes"),
+        (b"fmt ", "'fmt ' chunk has 624 of 4294967280 bytes"),
+    ], ids=["data", "fmt"])
+    def test_chunk_size_past_the_end_allocates_nothing(self, tmp_path,
+                                                       chunk_id, message):
+        # A 644-byte file whose chunk header claims 0xFFFFFFF0 bytes.
+        content = riff((b"fmt ", fmt_body(1, 1, 16)), (b"data", b"\x00" * 600))
+        at = content.index(chunk_id) + 4
+        content = content[:at] + struct.pack("<I", 0xFFFFFFF0) + content[at + 4:]
+        assert len(content) == 644
+        p = tmp_path / "huge.wav"
+        p.write_bytes(content)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeatureError,
+                               match=f"^{re.escape(f'{p}: {message}')}$"):
+                load_wav(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("rate", [0, 22051, 44100])
     def test_rejects_wrong_rate(self, tmp_path, rate):
         p = tmp_path / "r.wav"

@@ -974,6 +974,37 @@ class TestSplitStacks:
         with pytest.raises(ValueError, match="first half"):
             loss_and_grad(init_params(TINY), TINY, batch)
 
+    @pytest.mark.skipif(workers._openblas() is None,
+                        reason="no OpenBLAS is loaded")
+    def test_split_step_runs_openblas_on_one_thread(self, monkeypatch):
+        # Two halves, each on two BLAS threads, would spin four threads on
+        # two CPUs; the count is restored after the step, even a failed one.
+        use_cpus(monkeypatch, 2)
+        get, set_ = workers._openblas()
+        before = get()
+        seen, fail = [], []
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            if fail:
+                raise ValueError("failed step")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(labeler, "forward", spy)
+        batch = make_batch(TINY, n_items=4)
+        set_(2)
+        try:
+            loss_and_grad(init_params(TINY), TINY, batch)
+            after_step = get()
+            fail.append(True)
+            with pytest.raises(ValueError, match="failed step"):
+                loss_and_grad(init_params(TINY), TINY, batch)
+            after_failure = get()
+        finally:
+            set_(before)
+        assert seen == [1] * 4
+        assert after_step == after_failure == 2
+
 
 def test_windowed_examples_targets_and_mask():
     rng = np.random.Generator(np.random.PCG64(5))
