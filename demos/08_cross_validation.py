@@ -4,9 +4,6 @@ Generates a pop-flavored dataset and a uniform-transition dataset, then
 runs a small experiment matrix: the template baseline plus the labeler
 trained on each dataset, everything evaluated on both. Takes a couple of
 minutes on a laptop CPU.
-
-The work runs under ``if __name__ == "__main__":`` because on macOS and
-Windows each fold worker imports this script afresh.
 """
 
 import tempfile

@@ -105,13 +105,12 @@ def _map_wavs(fn, wav_paths):
     """:func:`chordbench.workers.ordered_map` of ``fn`` over ``wav_paths``.
 
     Where workers fork (Linux), up to one per usable CPU computes them, as
-    ``synth.emit_dataset`` renders tracks; elsewhere this process does, so
-    a script that calls a front end needs no ``__main__`` guard.  The CQT
-    kernels are built first, so that the workers share them.
+    ``synth.emit_dataset`` renders tracks; elsewhere this process does.
+    The CQT kernels are built first, so that the workers share them.
     """
     features.build_cqt_kernels()
-    n_workers = workers.usable_cpus() if workers.forks() else 1
-    return workers.ordered_map(fn, wav_paths, n_workers, "log-CQT features")
+    return workers.ordered_map(fn, wav_paths, workers.usable_cpus(),
+                               "log-CQT features")
 
 
 def _labelled_log_cqt(labels_dir, wav_path):

@@ -17,12 +17,10 @@ not recomputed on rerun.
 Before any fold runs, :func:`run_experiment` builds one job per fold to
 compute: the fold, its training ``(store file, .lab path)`` pairs and its
 ``(dataset, song_id, store file, .lab path)`` rows to score.  A fold runs
-from its job alone.  The folds of a trained-model experiment run in up to one
-worker process per usable CPU, forked on Linux and spawned elsewhere, each
-on its own share of the CPUs (:func:`chordbench.workers.ordered_map`), with
-results identical to running them one after another.  A spawned worker
-imports the caller's ``__main__`` module, so a script that runs experiments
-does so under ``if __name__ == "__main__":``.
+from its job alone.  On Linux, the folds of a trained-model experiment run in
+up to one forked worker process per usable CPU, each on its own share of the
+CPUs (:func:`chordbench.workers.ordered_map`), with results identical to
+running them one after another in this process, as they run elsewhere.
 
 Every experiment of a run reads its log-CQT features from one feature store,
 ``<out_dir>/features/<blake2b of the WAV bytes>.cbf`` (the ``.cbf`` format of

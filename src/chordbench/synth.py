@@ -273,20 +273,18 @@ def emit_dataset(spec: SynthSpec, model: ProgressionModel, out_dir) -> list:
     """Generate WAV + .lab pairs and a JSON-lines manifest.
 
     Returns the manifest entries (id, path, duration, seed).  Regeneration
-    with the same spec and model is byte-identical.  Where workers are
-    forked (Linux), the tracks are rendered in up to one worker process per
-    usable CPU (:func:`chordbench.workers.ordered_map`); elsewhere in this
-    process, so a script that generates data needs no ``__main__`` guard.
+    with the same spec and model is byte-identical.  The tracks are
+    rendered in up to one worker process per usable CPU where workers fork
+    (:func:`chordbench.workers.ordered_map`), and in this process elsewhere.
     Each file is written to a temporary name and then renamed, and the
     manifest is written last, in track order, so every file is the same
     as from one process.  A track that fails raises its error, and then no
     manifest and no temporary file is left.
     """
     os.makedirs(out_dir, exist_ok=True)
-    n_workers = workers.usable_cpus() if workers.forks() else 1
-    with workers.ordered_map(functools.partial(_emit_track, spec, model,
-                                               out_dir),
-                             range(spec.n_tracks), n_workers, "track") as tracks:
+    render = functools.partial(_emit_track, spec, model, out_dir)
+    with workers.ordered_map(render, range(spec.n_tracks),
+                             workers.usable_cpus(), "track") as tracks:
         entries = list(tracks)
     with open(os.path.join(out_dir, "manifest.jsonl"), "w") as fh:
         for entry in entries:

@@ -7,12 +7,10 @@ that writes each result as it arrives writes the bytes one process would.
 ``synth.emit_dataset`` its tracks, and ``chordbench extract`` and
 ``chordbench predict`` the log-CQT features of their WAV files.
 
-Workers are forked on Linux, so they start from this process's memory, and
-spawned elsewhere: macOS system libraries are not fork-safe, and Windows has
-no fork.  The start method is chosen explicitly, so that a new default (the
-forkserver of Python 3.14) does not change it.  A spawned worker imports the
-caller's ``__main__`` module, so a script whose calls start spawned workers
-does its work under ``if __name__ == "__main__":``.
+Workers are forked on Linux, so they start from this process's memory.
+Elsewhere the map runs in this process: macOS system libraries are not
+fork-safe, and Windows has no fork.  The fork start is chosen explicitly,
+so that a new default (the forkserver of Python 3.14) does not change it.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ import sys
 import threading
 import uuid
 
-_WORKER_CONTEXT = multiprocessing.get_context(
-    "fork" if sys.platform == "linux" else "spawn")
+_WORKER_CONTEXT = (multiprocessing.get_context("fork")
+                   if sys.platform == "linux" else None)
 
 # glibc's mallopt parameters, and the values a worker sets (_fix_malloc).
 _M_TRIM_THRESHOLD = -1
@@ -57,11 +55,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def forks() -> bool:
-    """Whether workers start as forks of this process, as on Linux."""
-    return _WORKER_CONTEXT.get_start_method() == "fork"
-
-
 @contextlib.contextmanager
 def replacing(path):
     """A unique temporary name beside ``path``, renamed to ``path`` once the
@@ -80,14 +73,15 @@ def replacing(path):
 def ordered_map(fn, items, n_workers, what):
     """An iterator over ``fn(item)`` for each of ``items``, in item order.
 
-    With two or more workers, ``min(n_workers, len(items))`` of them start
-    at once and item ``i`` runs in worker ``i % n``; otherwise each result
-    is computed in this process when the iterator reaches it.  A worker
-    stops after its first failed item.  The iterator raises the first error
-    as itself; a worker that dies without a result raises ``worker process
-    exited with code <code> before returning the <what>``.  When the block
-    ends, every worker has exited: a worker still running is sent SIGTERM,
-    which raises :class:`SystemExit` in it, so its ``finally`` blocks
+    With two or more workers, where workers fork, ``min(n_workers,
+    len(items))`` of them start at once and item ``i`` runs in worker
+    ``i % n``; otherwise each result is computed in this process when the
+    iterator reaches it.  A worker stops after its first failed item.  The
+    iterator raises the first error as itself; a worker that dies without
+    a result raises ``worker process exited with code <code> before
+    returning the <what>``.  When the block ends, every worker has exited:
+    a worker still running is sent SIGTERM, which raises
+    :class:`SystemExit` in it, so its ``finally`` blocks
     (:func:`replacing`'s removal, say) run, and is killed if it has not
     exited within :data:`_STOP_TIMEOUT_S`.
 
@@ -96,7 +90,7 @@ def ordered_map(fn, items, n_workers, what):
     that count (:func:`blas_threads_at_most`).
     """
     n_workers = min(n_workers, len(items))
-    if n_workers < 2:
+    if n_workers < 2 or _WORKER_CONTEXT is None:
         yield map(fn, items)
         return
     with contextlib.ExitStack() as stack:
@@ -113,14 +107,12 @@ def _start_worker(stack, job):
 
     ``job`` is ``(fn, items, worker, n_workers)``: the worker's items and its
     index among the ``n_workers`` that share the CPUs (:func:`_take_cpu_share`).
-    A forked worker starts with numpy, the package and its patches, the
-    warning filters and the job already in memory: it sees this process's
-    patches and the benchmark tracer's wrappers, though whatever it records
-    stays in the worker.  A spawned worker is a fresh interpreter started
-    with this one's ``-W`` options, which imports the package and the
-    ``__main__`` module and receives the pickled job.  When ``stack``
-    closes, the worker is stopped (:func:`_stop_worker`) and the connection
-    closed; the worker also exits when this process dies.
+    The worker is forked, so it starts with numpy, the package and its
+    patches, the warning filters and the job already in memory: it sees
+    this process's patches and the benchmark tracer's wrappers, though
+    whatever it records stays in the worker.  When ``stack`` closes, the
+    worker is stopped (:func:`_stop_worker`) and the connection closed; the
+    worker also exits when this process dies.
     """
     results, send_end = _WORKER_CONTEXT.Pipe(duplex=False)
     stack.callback(results.close)

@@ -1,6 +1,5 @@
 import csv
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -19,12 +18,13 @@ from chordbench.features import (N_BINS, FeatureMatrix, NormStats,
                                  pitch_shift_cqt, read_feature_cache,
                                  write_feature_cache)
 from chordbench import harness, workers
-from chordbench.harness import ExperimentConfig, load_corpus
+from chordbench.harness import ExperimentConfig, load_corpus, run_experiment
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
 from chordbench.labels import NOCHORD_CLASS, transpose_majmin
 from chordbench.metrics import evaluate_pair
 from chordbench.stats import read_histogram_csv, read_transitions_csv
-from conftest import no_child_left, use_cpus
+from chordbench.synth import SynthSpec, default_pop_model, emit_dataset
+from conftest import needs_workers, no_child_left, use_cpus
 
 ARFF = """\
 @relation chords
@@ -630,7 +630,7 @@ class TestWavWorkers:
     log-CQT in up to one forked worker per usable CPU."""
 
     def n_started(self, n_cpus):
-        return n_cpus if n_cpus > 1 and workers.forks() else 0
+        return 0 if n_cpus < 2 or workers._WORKER_CONTEXT is None else n_cpus
 
     def test_extract_writes_the_same_bytes_on_one_and_two_cpus(
             self, tiny_dataset, tmp_path, monkeypatch, capsys, started):
@@ -705,13 +705,10 @@ class TestWavWorkers:
                         reason="no OpenBLAS is loaded")
     @pytest.mark.skipif(workers.usable_cpus() < 2,
                         reason="a share of one CPU is all of them")
-    @pytest.mark.parametrize("start", ["fork", "spawn"])
-    def test_worker_runs_openblas_on_its_cpu_share(self, monkeypatch, start):
+    @needs_workers
+    def test_worker_runs_openblas_on_its_cpu_share(self):
         # A forked worker starts at the count this process runs while the
-        # workers do; a spawned one starts at OpenBLAS's default, one
-        # thread per CPU, and lowers it itself.
-        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
-                            multiprocessing.get_context(start))
+        # workers do, and keeps it where that is its share.
         get, set_ = workers._openblas()
         before = get()
         set_(workers.usable_cpus())  # OpenBLAS's default: one per CPU
@@ -727,6 +724,43 @@ class TestWavWorkers:
         assert [threads for _, threads in counts] == [s for s, _ in counts]
         assert during == min(share for share, _ in counts)
         assert after == workers.usable_cpus()
+
+
+def _tree_bytes(directory):
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_without_fork_every_map_runs_in_process(tiny_dataset, tmp_path,
+                                                monkeypatch, started):
+    # Where the platform does not fork, as on macOS and Windows, each caller
+    # of workers.ordered_map computes its items in this process, on any
+    # number of CPUs, and writes the bytes it writes on one CPU.
+    data_dir, _ = tiny_dataset
+    corpus = load_corpus(data_dir.parent, {"tiny": data_dir.name})
+    plan = harness.make_folds(corpus["tiny"], seed=0)
+    config = ExperimentConfig(
+        id=1, train_datasets=("tiny",), model="labeler",
+        eval_datasets=("tiny",), seed=1, model_params={
+            "model_dim": 8, "n_layers": 1, "n_heads": 2, "max_epochs": 1,
+            "patience": 1})
+    written = []
+    for n_cpus in (1, 2):
+        if n_cpus == 2:
+            monkeypatch.setattr(workers, "_WORKER_CONTEXT", None)
+        use_cpus(monkeypatch, n_cpus)
+        out = tmp_path / str(n_cpus)
+        emit_dataset(SynthSpec(2, 10.0, octaves=(4,), seed=12),
+                     default_pop_model(), out / "synth")
+        assert run("extract", "--in", str(out / "synth"), "--labels",
+                   str(out / "synth"), "--out", str(out / "cache")) == 0
+        assert run("predict", "--model", "template", "--in",
+                   str(out / "synth"), "--out", str(out / "labs")) == 0
+        run_experiment(config, plan, corpus, out / "xval")
+        written.append(_tree_bytes(out))
+    assert started == []
+    assert len(written[0]) == 5 + 2 + 2 + len(corpus["tiny"]) + plan.k
+    assert written[0] == written[1]
 
 
 class TestXval:
@@ -927,6 +961,7 @@ class TestXval:
             f"error: experiment 0, fold {fold}: {entry.label_path}:3: "
             "bad time field in 'oops not a row'\n")
 
+    @needs_workers
     def test_worker_fold_error_is_one_line_without_traceback(
             self, tiny_dataset, tmp_path, monkeypatch, capfd, started):
         data_dir, _ = tiny_dataset
@@ -966,11 +1001,3 @@ class TestXval:
         written = [(out / "exp_1" / f"fold_{fold}" / "scores.csv").exists()
                    for fold in range(6)]
         assert written == [True] + [False] * 5
-
-    def test_fresh_interpreter_worker_fold_error_is_one_line(
-            self, tiny_dataset, tmp_path, monkeypatch, capfd, started):
-        # The start of platforms where workers are not forked.
-        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
-                            multiprocessing.get_context("spawn"))
-        self.test_worker_fold_error_is_one_line_without_traceback(
-            tiny_dataset, tmp_path, monkeypatch, capfd, started)

@@ -1,8 +1,6 @@
 import contextlib
 import csv
 import hashlib
-import multiprocessing
-import multiprocessing.spawn
 import os
 import re
 import shutil
@@ -26,7 +24,7 @@ from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
                                 load_corpus, load_experiments, make_folds,
                                 run_experiment)
 from chordbench.synth import SynthError
-from conftest import no_child_left, time_limit, use_cpus
+from conftest import needs_workers, no_child_left, time_limit, use_cpus
 
 
 def songs_with_performances(n_songs, n_perf=2):
@@ -452,12 +450,19 @@ def corrupt_label(entry):
         fh.write("\n".join(rows) + "\n")
 
 
-class WorkerStartChecks:
-    """What holds however the fold workers start.  :class:`TestFoldWorkers`
-    runs these with this platform's start, a fork on Linux, and
-    :class:`TestFreshInterpreterWorkers` with the spawned fresh interpreter
-    that other platforms use."""
+def die_in_a_worker(config, job, parent=os.getpid()):
+    """A ``_run_fold`` whose worker exits at once with code 3."""
+    assert os.getpid() != parent, "the fold ran in the parent"
+    os._exit(3)
 
+
+def worker_that_exits_3(job, results):
+    """A ``workers._worker`` that exits at once with code 3."""
+    os._exit(3)
+
+
+@needs_workers
+class TestFoldWorkers:
     LABELER = replace(TestFeatureStore.LABELER, model_params={
         **TestFeatureStore.LABELER.model_params, "max_epochs": 2,
         "patience": 2})
@@ -465,16 +470,9 @@ class WorkerStartChecks:
     def test_workers_write_the_bytes_of_in_process_folds(
             self, corpus, tmp_path, monkeypatch, started):
         plan = make_folds(corpus["tiny"], seed=0)
-        # Workers take the parent's warning filters: training must not warn.
-        monkeypatch.setattr(sys, "warnoptions", [*sys.warnoptions, "error"])
-        command_lines = spy_on_spawned_command_lines(monkeypatch)
         use_cpus(monkeypatch, 2)
         parallel = run_experiment(self.LABELER, plan, corpus, tmp_path / "a")
         assert len(started) == 2
-        if not forked():
-            # A fresh interpreter takes them as the parent's -W options.
-            assert len(command_lines) == 2
-            assert all("-Werror" in args for args in command_lines)
         use_cpus(monkeypatch, 1)
         serial = run_experiment(self.LABELER, plan, corpus, tmp_path / "b")
         assert len(started) == 2  # one usable CPU: no worker
@@ -482,26 +480,25 @@ class WorkerStartChecks:
         in_workers = fold_scores(tmp_path / "a")
         assert len(in_workers) == 6
         assert in_workers == fold_scores(tmp_path / "b")
-        if forked():
-            # A forked worker holds the parent's filters themselves, so a
-            # warning under the "error" filter fails the fold that warns.
-            use_cpus(monkeypatch, 2)
-            run_fold = harness._run_fold
+        # A forked worker holds the parent's warning filters, so a warning
+        # under the "error" filter fails the fold that warns.
+        use_cpus(monkeypatch, 2)
+        run_fold = harness._run_fold
 
-            def warning_fold(config, job):
-                if job[0] == 3:
-                    warnings.warn("fold 3 warns")
-                return run_fold(config, job)
+        def warning_fold(config, job):
+            if job[0] == 3:
+                warnings.warn("fold 3 warns")
+            return run_fold(config, job)
 
-            monkeypatch.setattr(harness, "_run_fold", warning_fold)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(FoldError, match=re.escape(
-                        "experiment 1, fold 3: fold 3 warns")):
-                    run_experiment(self.LABELER, plan, corpus, tmp_path / "c")
-            assert len(started) == 4
-            assert len(fold_scores(tmp_path / "c")) == 3
-            assert no_child_left()
+        monkeypatch.setattr(harness, "_run_fold", warning_fold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FoldError, match=re.escape(
+                    "experiment 1, fold 3: fold 3 warns")):
+                run_experiment(self.LABELER, plan, corpus, tmp_path / "c")
+        assert len(started) == 4
+        assert len(fold_scores(tmp_path / "c")) == 3
+        assert no_child_left()
 
     def test_features_are_computed_in_the_parent(self, corpus, tmp_path,
                                                  monkeypatch, started):
@@ -518,18 +515,23 @@ class WorkerStartChecks:
         assert len(seen) == len(corpus["tiny"])
 
     def test_workers_that_finish_early_exit_cleanly(
-            self, corpus, tmp_path, monkeypatch, capfd):
+            self, corpus, tmp_path, monkeypatch, capfd, started):
         use_cpus(monkeypatch, 2)
         plan = make_folds(corpus["tiny"], seed=0)
         write = harness._write_fold_scores
 
-        def slow_write(path, rows):
+        def write_then_wait(path, rows):
             write(path, rows)
             if rows[0]["fold"] == plan.k - 1:
-                time.sleep(2)  # both workers are done and shutting down
+                # Both workers are done: they shut down while this process
+                # is still inside the map.
+                with time_limit(10):
+                    while not all(ended(proc.pid) for proc, _ in started):
+                        time.sleep(0.01)
 
-        monkeypatch.setattr(harness, "_write_fold_scores", slow_write)
+        monkeypatch.setattr(harness, "_write_fold_scores", write_then_wait)
         run_experiment(self.LABELER, plan, corpus, tmp_path)
+        assert len(started) == 2
         assert len(fold_scores(tmp_path)) == plan.k
         assert "Fatal Python error" not in capfd.readouterr().err
 
@@ -551,7 +553,6 @@ class WorkerStartChecks:
     def test_worker_that_dies_names_its_fold_and_exit_code(
             self, corpus, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 2)
-        # A spawned worker imports this module to run it.
         monkeypatch.setattr(workers, "_worker", worker_that_exits_3)
         plan = make_folds(corpus["tiny"], seed=0)
         with pytest.raises(FoldError, match=re.escape(
@@ -561,45 +562,6 @@ class WorkerStartChecks:
         assert fold_scores(tmp_path) == {}
         assert no_child_left()
 
-
-def die_in_a_worker(config, job, parent=os.getpid()):
-    """A ``_run_fold`` whose worker exits at once with code 3."""
-    assert os.getpid() != parent, "the fold ran in the parent"
-    os._exit(3)
-
-
-def worker_that_exits_3(job, results):
-    """A ``workers._worker`` that exits at once with code 3."""
-    os._exit(3)
-
-
-def forked():
-    return workers.forks()
-
-
-def spy_on_spawned_command_lines(monkeypatch):
-    """The command line of every worker spawned from here on."""
-    command_lines = []
-    get_command_line = multiprocessing.spawn.get_command_line
-
-    def spy(**kwds):
-        command_lines.append(get_command_line(**kwds))
-        return command_lines[-1]
-
-    monkeypatch.setattr(multiprocessing.spawn, "get_command_line", spy)
-    return command_lines
-
-
-class TestFreshInterpreterWorkers(WorkerStartChecks):
-    @pytest.fixture(autouse=True)
-    def fresh_interpreters(self, monkeypatch):
-        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
-                            multiprocessing.get_context("spawn"))
-
-
-class TestFoldWorkers(WorkerStartChecks):
-    @pytest.mark.skipif(not forked(),
-                        reason="workers are not forked on this platform")
     def test_worker_that_dies_while_its_sibling_trains(self, corpus, tmp_path,
                                                        monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -693,8 +655,6 @@ harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
 
-    @pytest.mark.skipif(not forked(),
-                        reason="a patched fit reaches only forked workers")
     def test_each_worker_trains_on_its_own_cpu_share(self, corpus, tmp_path,
                                                      monkeypatch, started):
         cpus = os.sched_getaffinity(0)
@@ -739,8 +699,6 @@ harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
 """
 
-    @pytest.mark.skipif(not forked(),
-                        reason="a spawned worker does not inherit the heap")
     def test_workers_on_a_warm_store_fault_as_on_a_cold_one(self, tiny_dataset,
                                                            tmp_path):
         # Each run is a fresh interpreter.  The first fills the store, and

@@ -1,5 +1,4 @@
 import hashlib
-import multiprocessing
 import time
 from dataclasses import replace
 
@@ -18,7 +17,7 @@ from chordbench.synth import (FADE_S, PEAK_LEVEL, ProgressionModel,
                               read_manifest, render_audio, sample_progression,
                               uniform_model)
 from chordbench.templates import fold_to_chroma
-from conftest import no_child_left, time_limit, use_cpus
+from conftest import needs_workers, no_child_left, time_limit, use_cpus
 
 
 class TestModelFromStats:
@@ -341,7 +340,8 @@ class TestEmitDataset:
                                         monkeypatch, started):
         # On one CPU the tracks render in this process; on two, where
         # workers are forked, each of the two tracks in its own worker.
-        for n_cpus, n_started in [(1, 0), (2, 2 if workers.forks() else 0)]:
+        forks = workers._WORKER_CONTEXT is not None
+        for n_cpus, n_started in [(1, 0), (2, 2 if forks else 0)]:
             use_cpus(monkeypatch, n_cpus)
             out = tmp_path / str(n_cpus)
             emit_dataset(spec, default_pop_model() if model == "pop"
@@ -351,20 +351,7 @@ class TestEmitDataset:
                        for p in out.iterdir()}
             assert digests == self.GOLDEN[model]
 
-    def test_spawning_platforms_render_in_process(self, tmp_path, monkeypatch,
-                                                  started):
-        # A spawned worker would import the caller's __main__ module, which
-        # a script that generates data need not guard.
-        monkeypatch.setattr(workers, "_WORKER_CONTEXT",
-                            multiprocessing.get_context("spawn"))
-        use_cpus(monkeypatch, 2)
-        emit_dataset(SynthSpec(2, 10.0, octaves=(4,), seed=12),
-                     default_pop_model(), tmp_path)
-        assert started == []
-        assert len(read_manifest(tmp_path / "manifest.jsonl")) == 2
-
-    @pytest.mark.skipif(not workers.forks(),
-                        reason="tracks render in workers only where forked")
+    @needs_workers
     def test_failed_track_in_a_worker_ends_the_call(self, tmp_path,
                                                     monkeypatch, started):
         use_cpus(monkeypatch, 2)
