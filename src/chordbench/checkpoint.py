@@ -115,10 +115,8 @@ def load_checkpoint(path) -> TrainedLabeler:
         missing = [key for key in _EXTRA_KEYS if key not in extra]
         if missing:
             raise CheckpointError(f"{path}: extra lacks {', '.join(missing)}")
-        try:  # the params are filled in once they are read
-            model = TrainedLabeler(config, {},
-                                   NormStats(extra["mean"], extra["std"]),
-                                   extra["bin_kind"])
+        try:
+            stats = NormStats(extra["mean"], extra["std"])
         except FeatureError as exc:
             raise CheckpointError(f"{path}: extra: {exc}") from None
         have, need, shapes = size - fh.tell(), 0, param_shapes(config)
@@ -140,4 +138,7 @@ def load_checkpoint(path) -> TrainedLabeler:
             raise CheckpointError(f"{path}: tensor {name!r} is not finite")
         params[name] = tensor
         offset += tensor.size
-    return dataclasses.replace(model, params=params)
+    try:
+        return TrainedLabeler(config, params, stats, extra["bin_kind"])
+    except FeatureError as exc:
+        raise CheckpointError(f"{path}: extra: {exc}") from None

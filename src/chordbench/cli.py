@@ -173,14 +173,14 @@ def _load_cached_items(data_dir):
         matrix, labels = features.read_feature_cache(path)
         if labels is None:
             raise SystemExit(f"{path}: cache has no labels; re-run extract")
+        first = pairs[0][0] if pairs else matrix  # fit names no file
+        labeler._check_input(first.bin_kind, first.n_bins, matrix, f"{path}: ")
         pairs.append((matrix, labels))
     return pairs
 
 
 # Hyperparameters of ``train`` and their defaults; any other config key is an error.
-TRAIN_DEFAULTS = {"seed": 0, "model_dim": 64, "n_layers": 2, "n_heads": 4,
-                  "lr": 1e-3, "batch_size": 8, "max_epochs": 50, "patience": 5,
-                  "val_fraction": 0.1}
+TRAIN_DEFAULTS = {"seed": 0, **labeler.DEFAULTS, "val_fraction": 0.1}
 
 
 def cmd_train(args):

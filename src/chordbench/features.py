@@ -550,10 +550,11 @@ def read_feature_cache(path):
 
     The features hold the file's float32 values, read-only; computations
     that need float64 upcast them.  A file that is not a feature file, ends
-    early or holds bytes after its last block, has a frame timing other
-    than ``HOP`` samples at ``SAMPLE_RATE``, or holds a NaN or infinite
-    value or a label that is not a class index raises :class:`FeatureError`
-    naming the path and, for a bad value or label, the first frame with one.
+    early or holds bytes after its last block, has a has_labels flag other
+    than 0 or 1, 0 frames or 0 bins, a frame timing other than ``HOP``
+    samples at ``SAMPLE_RATE``, or holds a NaN or infinite value or a label
+    that is not a class index raises :class:`FeatureError` naming the path
+    and, for a bad value or label, the first frame with one.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -566,13 +567,22 @@ def read_feature_cache(path):
             "<BBIIII", header)
         if kind_code not in _CACHE_KIND_NAMES:
             raise FeatureError(f"{path}: unknown bin kind code {kind_code}")
+        if has_labels not in (0, 1):
+            raise FeatureError(f"{path}: has_labels flag {has_labels} is "
+                               "not 0 or 1")
         if (hop, rate) != (HOP, SAMPLE_RATE):
             raise FeatureError(f"{path}: hop {hop} at {rate} Hz; features "
                                f"must have hop {HOP} at {SAMPLE_RATE} Hz")
-        block = fh.read(4 * n_frames * n_bins)
-        if len(block) != 4 * n_frames * n_bins:
+        if not (n_frames and n_bins):
+            raise FeatureError(f"{path}: {n_frames} frames of {n_bins} bins; "
+                               "a feature cache holds at least 1 of each")
+        # Checked before reading, so that a corrupt count never asks for
+        # more memory than the file holds.
+        n_bytes = 4 * n_frames * n_bins
+        if fh.tell() + n_bytes > os.fstat(fh.fileno()).st_size:
             raise FeatureError(f"{path}: truncated value block")
-        values = np.frombuffer(block, dtype="<f4").reshape(n_frames, n_bins)
+        values = np.frombuffer(fh.read(n_bytes),
+                               dtype="<f4").reshape(n_frames, n_bins)
         try:
             matrix = FeatureMatrix(values, _CACHE_KIND_NAMES[kind_code])
         except FeatureError as exc:  # a non-finite value

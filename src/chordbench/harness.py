@@ -58,11 +58,10 @@ from .synth import read_manifest
 from .workers import ordered_map, replacing, usable_cpus
 
 DEFAULT_METRICS = ("root", "majmin", "ccm")
-# The labeler's ``model_params`` keys and their defaults (docs/experiments.md).
-# With no validation split, training runs ``max_epochs`` and ``patience`` is
-# accepted but unused.
-LABELER_DEFAULTS = {"model_dim": 32, "n_layers": 1, "n_heads": 4, "lr": 3e-3,
-                    "batch_size": 8, "max_epochs": 30, "patience": 5}
+# The labeler's ``model_params`` keys and their defaults (docs/experiments.md):
+# xval trains one model per fold, so a smaller, shorter run than ``train``'s.
+LABELER_DEFAULTS = {**labeler.DEFAULTS, "model_dim": 32, "n_layers": 1,
+                    "lr": 3e-3, "max_epochs": 30}
 
 
 class HarnessError(ValueError):
@@ -521,25 +520,3 @@ def load_experiments(path):
         experiments.append(config)
     return datasets, experiments
 
-
-def default_experiments(seed: int = 7) -> dict:
-    """A small experiment matrix over two synthetic datasets.
-
-    Experiment 0 is the training-free template baseline; 1-3 train the
-    labeler on each dataset and on their balanced union, all evaluated on
-    both datasets.
-    """
-    evals = ["synthA", "synthB"]
-    return {
-        "datasets": {"synthA": "synthA", "synthB": "synthB"},
-        "experiments": [
-            {"id": 0, "model": "template", "train_datasets": [],
-             "eval_datasets": evals, "seed": seed},
-            {"id": 1, "model": "labeler", "train_datasets": ["synthA"],
-             "eval_datasets": evals, "seed": seed},
-            {"id": 2, "model": "labeler", "train_datasets": ["synthB"],
-             "eval_datasets": evals, "seed": seed},
-            {"id": 3, "model": "labeler", "train_datasets": ["synthA", "synthB"],
-             "eval_datasets": evals, "balance": True, "seed": seed},
-        ],
-    }

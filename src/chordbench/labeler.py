@@ -58,6 +58,9 @@ from .workers import blas_threads_at_most
 
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# :func:`fit`'s training hyperparameters at ``chordbench train``'s defaults.
+DEFAULTS = {"model_dim": 64, "n_layers": 2, "n_heads": 4, "lr": 1e-3,
+            "batch_size": 8, "max_epochs": 50, "patience": 5}
 
 
 class TrainingError(RuntimeError):
@@ -74,9 +77,8 @@ class LabelerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_value(f.name, getattr(self, f.name), f.name, False)
-        if self.model_dim % self.n_heads != 0:
-            raise ValueError("model_dim must be divisible by n_heads")
+            _check_value(f.name, getattr(self, f.name), f.name)
+        _check_divisible(self.model_dim, self.n_heads)
 
     @property
     def head_dim(self) -> int:
@@ -639,7 +641,7 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
     """
     for key, value in (("lr", lr), ("batch_size", batch_size),
                        ("max_epochs", max_epochs), ("patience", patience)):
-        _check_value(key, value, key, key == "lr")
+        _check_value(key, value, key)
     train_items = list(train_items)
     if not train_items:
         raise ValueError("empty training set")
@@ -729,6 +731,7 @@ def _check_input(bin_kind, n_bins, features, where) -> None:
                            f"got {describe(*got)}")
 
 
+_REAL_KEYS = ("lr", "val_fraction")  # a float as well as an int
 # Each hyperparameter's range, as a test and its wording; any other is >= 1.
 _RANGES = {"lr": (lambda v: v > 0, "above 0"),
            "patience": (lambda v: v >= 0, "at least 0"),
@@ -736,10 +739,11 @@ _RANGES = {"lr": (lambda v: v > 0, "above 0"),
            "val_fraction": (lambda v: 0 <= v < 1, "at least 0 and below 1")}
 
 
-def _check_value(key, value, name, real) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int, or
-    with ``real`` an int or a float, but not a ``bool``, in ``key``'s range."""
-    kind, noun = ((int, float), "a number") if real else (int, "an integer")
+def _check_value(key, value, name) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int (or for
+    :data:`_REAL_KEYS` a float), but not a ``bool``, in ``key``'s range."""
+    kind, noun = (((int, float), "a number") if key in _REAL_KEYS
+                  else (int, "an integer"))
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
     in_range, wording = _RANGES.get(key, (lambda v: v >= 1, "at least 1"))
@@ -747,27 +751,30 @@ def _check_value(key, value, name, real) -> None:
         raise ValueError(f"{name} must be {wording}, got {value!r}")
 
 
+def _check_divisible(model_dim, n_heads) -> None:
+    if model_dim % n_heads:
+        raise ValueError(f"model_dim {model_dim} is not divisible by "
+                         f"n_heads {n_heads}")
+
+
 def check_hyperparameters(params: dict, known, what: str) -> None:
     """Check :func:`fit` keyword arguments read from a config file.
 
     ``params`` must be a dict and each of its keys must be in ``known``,
-    the dict of default values.  A key whose default is a float (``lr``,
-    ``val_fraction``) takes an int or a float, every other key an int; a
-    ``bool`` is neither.  Each value must lie in its key's ``_RANGES``, and
-    ``model_dim`` be divisible by ``n_heads``, each read from ``params`` or
-    else ``known``.  The first bad key raises ``ValueError``, which calls
-    the key ``what`` (e.g. ``"model_params key"``).
+    the dict of default values.  Each value must be of its key's kind and
+    in its range (:func:`_check_value`), and ``model_dim`` be divisible by
+    ``n_heads``, each read from ``params`` or else ``known``.  The first bad
+    key raises ``ValueError``, which calls the key ``what`` (e.g.
+    ``"model_params key"``).
     """
     if not isinstance(params, dict):
         raise ValueError(f"expected a JSON object of {what}s, got {params!r}")
     for key in sorted(params):
         if key not in known:
             raise ValueError(f"unknown {what} {key!r}")
-        _check_value(key, params[key], f"{what} {key!r}",
-                     isinstance(known[key], float))
-    dim, heads = ({**known, **params}[k] for k in ("model_dim", "n_heads"))
-    if dim % heads:
-        raise ValueError(f"model_dim {dim} is not divisible by n_heads {heads}")
+        _check_value(key, params[key], f"{what} {key!r}")
+    merged = {**known, **params}
+    _check_divisible(merged["model_dim"], merged["n_heads"])
 
 
 def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
@@ -786,7 +793,7 @@ def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,
     :func:`train`).  ``val_fraction`` must lie in [0, 1) and leave at least
     one training window.
     """
-    _check_value("val_fraction", val_fraction, "val_fraction", True)
+    _check_value("val_fraction", val_fraction, "val_fraction")
     for index, (features, labels) in enumerate(pairs):
         where = f"pair {index}: "
         _check_input(pairs[0][0].bin_kind, pairs[0][0].n_bins, features, where)

@@ -583,6 +583,62 @@ class TestExtractTrainPredict:
         assert "a.shift+0.cbf: truncated header" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    # A cache with no values names its file, as every other malformed cache
+    # does, rather than scoring or training on nothing.
+    @pytest.mark.parametrize("shape", [(0, N_BINS), (200, 0)],
+                             ids=["0-frames", "0-bins"])
+    def test_predict_rejects_a_cache_without_values(self, tmp_path, capsys,
+                                                    shape):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "a.shift+0.cbf"
+        write_feature_cache(path, FeatureMatrix(np.zeros(shape), "cqt_log"))
+        assert run("predict", "--model", "template", "--in", str(cache),
+                   "--out", str(tmp_path / "pred")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {shape[0]} frames of {shape[1]} bins; a feature "
+            "cache holds at least 1 of each\n")
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("shape", [(0, 12), (300, 0)],
+                             ids=["0-frames", "0-bins"])
+    def test_train_rejects_a_cache_without_values(self, tmp_path, capsys,
+                                                  shape):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "a.shift+0.cbf"
+        write_feature_cache(path, FeatureMatrix(np.zeros(shape), "chroma12"),
+                            np.zeros(shape[0], dtype=np.int64))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                                   "max_epochs": 1}))
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(tmp_path / "model.ckpt")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {shape[0]} frames of {shape[1]} bins; a feature "
+            "cache holds at least 1 of each\n")
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_train_names_a_cache_of_another_kind(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        rng = np.random.Generator(np.random.PCG64(3))
+        for stem, n_bins, kind in [("a", N_BINS, "cqt_log"),
+                                   ("b", 12, "chroma12")]:
+            values = rng.standard_normal((300, n_bins))
+            write_feature_cache(cache / f"{stem}.shift+0.cbf",
+                                FeatureMatrix(values, kind),
+                                rng.integers(0, 25, 300))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
+                                   "max_epochs": 1}))
+        assert run("train", "--config", str(cfg), "--data", str(cache),
+                   "--out", str(tmp_path / "model.ckpt")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache / 'b.shift+0.cbf'}: model takes cqt_log (144 "
+            "bins) features, got chroma12 (12 bins)\n")
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_template_predict_quality(self, tiny_dataset, tmp_path):
         data_dir, entries = tiny_dataset
         out = tmp_path / "pred"

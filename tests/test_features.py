@@ -474,6 +474,17 @@ class TestCacheAndWav:
                 "at 22050 Hz")):
             read_feature_cache(p)
 
+    def test_cache_label_flag_other_than_0_or_1_names_file(self, tmp_path):
+        p = tmp_path / "x.cbf"
+        write_feature_cache(p, matrix(np.zeros((4, 2))),
+                            np.zeros(4, dtype=np.int64))
+        data = bytearray(p.read_bytes())
+        data[5] = 2  # the has_labels flag
+        p.write_bytes(bytes(data))
+        with pytest.raises(FeatureError, match=re.escape(
+                "x.cbf: has_labels flag 2 is not 0 or 1")):
+            read_feature_cache(p)
+
     # A 2-frame, 3-bin chroma12 cache byte for byte (docs/cache.md): magic,
     # kind code 3, the label flag, hop 2048, 22050 Hz, frames, bins, the
     # float32 values, then one label byte per frame.
@@ -803,3 +814,45 @@ def test_wav_mutants_load_or_name_the_file(tmp_path, mutation):
     assert len(audio.samples) > 0
     assert np.isfinite(audio.samples).all()
     assert np.isfinite(audio.duration_s)
+
+
+# A labelled cqt_log cache of 4 frames of 5 bins (docs/cache.md): a 22-byte
+# header, whose u32 hop, rate, frame and bin words start at bytes 6, 10, 14
+# and 18, then 80 value bytes and 4 label bytes.
+CBF_BASE = (b"CBF1" + struct.pack("<BBIIII", 1, 1, HOP, SAMPLE_RATE, 4, 5)
+            + np.linspace(-2.0, 2.0, 20, dtype="<f4").tobytes()
+            + bytes([0, 5, 24, 12]))
+CBF_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(CBF_BASE) - 1),
+              st.integers(0, 7)),
+    # The magic, the magic's end with the kind and flag bytes, and the four
+    # u32 header words.
+    st.tuples(st.just("word"), st.sampled_from([0, 2, 6, 10, 14, 18]),
+              st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("truncate"), st.integers(0, len(CBF_BASE) - 1),
+              st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, len(CBF_BASE)),
+              st.integers(0, 255)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(CBF_MUTATIONS)
+@example(("truncate", len(CBF_BASE), 0))  # the base itself, unchanged
+@example(("word", 14, 0))  # 0 frames
+@example(("word", 18, 0))  # 0 bins
+def test_cbf_mutants_load_or_name_the_file(tmp_path, mutation):
+    """Each mutant loads as finite values with a class index per frame, or
+    raises :class:`FeatureError` naming the file."""
+    p = tmp_path / "mutant.cbf"
+    p.write_bytes(mutate(CBF_BASE, mutation))
+    try:
+        features, labels = read_feature_cache(p)
+    except FeatureError as exc:
+        assert str(exc).startswith(f"{p}: "), str(exc)
+        return
+    assert features.n_frames > 0 and features.n_bins > 0
+    assert np.isfinite(features.values).all()
+    if labels is not None:
+        assert labels.shape == (features.n_frames,)
+        assert ((labels >= 0) & (labels <= 24)).all()

@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import hashlib
+import json
 import os
+import pathlib
 import re
 import shutil
 import signal
@@ -19,12 +21,20 @@ from chordbench.annotations import AnnotationError, normalize, read_lab
 from chordbench.features import (load_wav, log_cqt_from_wav,
                                  read_feature_cache, save_wav)
 from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
-                                SongEntry, balance_datasets,
-                                default_experiments, emit_report,
+                                SongEntry, balance_datasets, emit_report,
                                 load_corpus, load_experiments, make_folds,
                                 run_experiment)
 from chordbench.synth import SynthError
 from conftest import needs_workers, no_child_left, time_limit, use_cpus
+
+
+# The example matrix of docs/experiments.md.
+EXAMPLE_MATRIX = (pathlib.Path(__file__).resolve().parents[1] / "docs"
+                  / "experiments.json")
+
+
+def example_matrix():
+    return json.loads(EXAMPLE_MATRIX.read_text())
 
 
 def songs_with_performances(n_songs, n_perf=2):
@@ -786,11 +796,8 @@ class TestReport:
 
 
 class TestExperimentsConfig:
-    def test_default_matrix_loads(self, tmp_path):
-        import json
-        p = tmp_path / "experiments.json"
-        p.write_text(json.dumps(default_experiments()))
-        datasets, experiments = load_experiments(p)
+    def test_default_matrix_loads(self):
+        datasets, experiments = load_experiments(EXAMPLE_MATRIX)
         assert set(datasets) == {"synthA", "synthB"}
         assert [e.id for e in experiments] == [0, 1, 2, 3]
         assert experiments[0].model == "template"
@@ -800,7 +807,7 @@ class TestExperimentsConfig:
     @pytest.mark.parametrize("key", ["id", "model", "eval_datasets"])
     def test_missing_key_names_file_and_index(self, tmp_path, key):
         import json
-        matrix = default_experiments()
+        matrix = example_matrix()
         del matrix["experiments"][2][key]
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))
@@ -829,7 +836,7 @@ class TestExperimentsConfig:
     def test_dataset_lists_must_name_datasets(self, tmp_path, key, value,
                                               reason):
         import json
-        matrix = default_experiments()
+        matrix = example_matrix()
         matrix["experiments"][2][key] = value
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))
@@ -850,7 +857,7 @@ class TestExperimentsConfig:
     ])
     def test_ambiguous_experiment_is_named(self, tmp_path, change, reason):
         import json
-        matrix = default_experiments()
+        matrix = example_matrix()
         matrix["experiments"][2].update(change)
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))
@@ -860,7 +867,7 @@ class TestExperimentsConfig:
 
     def test_file_and_code_build_the_same_experiments(self, tmp_path):
         import json
-        matrix = default_experiments()
+        matrix = example_matrix()
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))
         assert load_experiments(p) == (
@@ -913,7 +920,7 @@ class TestExperimentsConfig:
     ])
     def test_file_adds_only_its_prefix(self, tmp_path, index, change, reason):
         import json
-        matrix = default_experiments()
+        matrix = example_matrix()
         matrix["experiments"][index].update(change)
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))
@@ -960,7 +967,7 @@ class TestExperimentsConfig:
     def test_quota_without_effect_is_an_error(self, tmp_path, index, change,
                                               reason):
         import json
-        matrix = default_experiments()
+        matrix = example_matrix()
         matrix["experiments"][index].update(change)
         p = tmp_path / "experiments.json"
         p.write_text(json.dumps(matrix))

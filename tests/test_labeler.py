@@ -1501,6 +1501,7 @@ class TestCheckpoint:
         ("n_heads", True, "n_heads must be an integer, got True"),
         ("model_dim", 8.0, "model_dim must be an integer, got 8.0"),
         ("seed", -1, "seed must be at least 0, got -1"),
+        ("n_heads", 3, "model_dim 8 is not divisible by n_heads 3"),
     ])
     def test_config_field_types_name_file(self, tmp_path, key, value, message):
         p = tmp_path / "m.ckpt"
