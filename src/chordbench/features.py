@@ -90,8 +90,9 @@ class AudioBuffer:
 class FeatureMatrix:
     """Frames x bins matrix of one of the :data:`BIN_KINDS`.
 
-    Frame i corresponds to time ``i * FRAME_S``.  A NaN or infinite value
-    raises :class:`FeatureError` naming its first frame.
+    Frame i corresponds to time ``i * FRAME_S``.  Values of 0 frames or 0
+    bins raise :class:`FeatureError`, as does a NaN or infinite value,
+    naming its first frame.
     Values computed from audio are float64; values read from a cache are its
     float32 (:func:`read_feature_cache`).  Computations on them upcast to
     float64 (:func:`zscore_fit`, :func:`zscore_apply`,
@@ -110,6 +111,9 @@ class FeatureMatrix:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise FeatureError(f"expected 2-D feature values, got {self.values.shape}")
+        if 0 in self.values.shape:
+            raise FeatureError(f"{self.n_frames} frames of {self.n_bins} "
+                               "bins; features hold at least 1 of each")
         if self.bin_kind not in BIN_KINDS:
             raise FeatureError(f"unknown bin kind {self.bin_kind!r}")
         finite = np.isfinite(self.values).all(axis=1)

@@ -17,9 +17,8 @@ checks, and :func:`train` always computes in float32.
 Training runs each batch as one ``(items, frames, bins)`` stack, forward
 and backward, with the floats of one pass per item (see
 :func:`loss_and_grad`).  Where the process's CPU affinity holds two or
-more CPUs, a gradient step's two halves run at the same time, one in the
-calling thread and one in a helper thread joined before the call returns,
-with OpenBLAS on one thread meanwhile; the floats stay those of one pass
+more CPUs, a gradient step's two halves run at the same time, as
+:mod:`chordbench.workers` runs them; the floats stay those of one pass
 per item.  Only a validation set is swept forward between epochs, one
 unsplit stack at a time, for early stopping; without one, :func:`train`
 runs every epoch and keeps the last parameters.
@@ -42,8 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,7 +51,7 @@ from .features import (BIN_KINDS, WINDOW_FRAMES, FeatureError, FeatureMatrix,
                        zscore_apply, zscore_fit)
 from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
-from .workers import blas_threads_at_most
+from .workers import _halves, _on_halves
 
 LN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -418,56 +415,6 @@ def _backward(params, config, state, dscores):
     return grads
 
 
-def _halves(n_items):
-    """The item slices a gradient step's stack of ``n_items`` is computed in.
-
-    Items ``[0, ceil(n / 2))`` and the rest when there are two or more
-    items and this process's CPU affinity (``os.sched_getaffinity``) holds
-    two or more CPUs; otherwise one slice of the whole stack.  A fold
-    worker's affinity is its CPU share, so on two CPUs it trains unsplit.
-    """
-    if (n_items < 2 or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return [slice(0, n_items)]
-    mid = (n_items + 1) // 2
-    return [slice(0, mid), slice(mid, n_items)]
-
-
-def _on_halves(work, parts):
-    """``[work(p) for p in parts]`` for one or two parts, two at the same time.
-
-    The first part runs in the calling thread and the second in a helper
-    thread, which is joined before this returns or raises, so no thread
-    outlives the call.  Meanwhile OpenBLAS runs on one thread
-    (:func:`~chordbench.workers.blas_threads_at_most`): the two parts
-    already keep two CPUs busy, and more BLAS threads would only spin.  An
-    exception raised in the helper is raised here as itself, unless the
-    first raised one, which wins as it would in a serial loop.
-    """
-    if len(parts) == 1:
-        return [work(parts[0])]
-    first_part, second_part = parts
-    outcome = []
-
-    def helper():
-        try:
-            outcome.append((work(second_part), None))
-        except BaseException as exc:  # handed to the caller, not to threading
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=helper)
-    with blas_threads_at_most(1):
-        thread.start()
-        try:
-            first = work(first_part)
-        finally:
-            thread.join()
-    second, error = outcome[0]
-    if error is not None:
-        raise error
-    return [first, second]
-
-
 def _joined(arrays):
     """``arrays`` concatenated along axis 0; one array is returned as is."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -536,9 +483,9 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch):
     this pass label correctly.
 
     The batch's items must have equal lengths, else ``ValueError``: they
-    are stacked into one ``(items, frames, bins)`` array, whose halves
-    (:func:`_halves`) each take one :func:`forward` and one backward pass,
-    at the same time (:func:`_on_halves`).  Each half's backward pass gives
+    are stacked into one ``(items, frames, bins)`` array, whose halves each
+    take one :func:`forward` and one backward pass, at the same time (see
+    :mod:`chordbench.workers`).  Each half's backward pass gives
     every item's gradient part (per-item weight products, and bias or gain
     sums over frames); the parts of both halves are joined in item order
     and summed over the items into zeroed gradients, and the loss terms are
@@ -709,13 +656,20 @@ class TrainedLabeler:
         Features of another kind or bin count raise :class:`FeatureError`
         naming what the model takes and what it got.
         :func:`forward` scores the whole z-scored track, ``(frames, 25)``,
-        for :func:`~chordbench.features.decode_scores`.
+        for :func:`~chordbench.features.decode_scores`.  A NaN or infinite
+        score (finite parameters can overflow) raises :class:`FeatureError`
+        naming its first frame, without a numpy warning.
         """
         if self.bin_kind == "chroma12" and features.bin_kind == "cqt_log":
             features = fold_to_chroma(features)
         _check_input(self.bin_kind, self.config.input_dim, features, "")
-        scores = forward(self.params, self.config,
-                         zscore_apply(features, self.stats).values)
+        with np.errstate(all="ignore"):
+            scores = forward(self.params, self.config,
+                             zscore_apply(features, self.stats).values)
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            raise FeatureError(f"scores of frame {int(np.argmin(finite))} "
+                               "are not finite")
         return decode_scores(scores, source_id)
 
 

@@ -1,4 +1,4 @@
-"""Worker processes that map a function over a list of items, in order.
+"""Parallel work: an ordered map over worker processes, and split steps.
 
 :func:`ordered_map` runs ``fn(item)`` for each item in up to one worker
 process per item and hands the results back in item order, so a caller
@@ -11,6 +11,9 @@ Workers are forked on Linux, so they start from this process's memory.
 Elsewhere the map runs in this process: macOS system libraries are not
 fork-safe, and Windows has no fork.  The fork start is chosen explicitly,
 so that a new default (the forkserver of Python 3.14) does not change it.
+
+The labeler computes a gradient step's two halves (:func:`_halves`) at the
+same time, on two threads (:func:`_on_halves`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import signal
 import sys
 import threading
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 
 _WORKER_CONTEXT = (multiprocessing.get_context("fork")
                    if sys.platform == "linux" else None)
@@ -176,6 +180,42 @@ def blas_threads_at_most(n):
         set_(before)
 
 
+def _halves(n_items):
+    """The item slices a gradient step's stack of ``n_items`` is computed in.
+
+    Items ``[0, ceil(n / 2))`` and the rest when there are two or more
+    items and this process's CPU affinity (``os.sched_getaffinity``) holds
+    two or more CPUs; otherwise one slice of the whole stack.  A worker's
+    affinity is its CPU share (:func:`_take_cpu_share`), so on two CPUs it
+    trains unsplit.
+    """
+    if (n_items < 2 or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return [slice(0, n_items)]
+    mid = (n_items + 1) // 2
+    return [slice(0, mid), slice(mid, n_items)]
+
+
+def _on_halves(work, parts):
+    """``[work(p) for p in parts]`` for one or two parts, two at the same time.
+
+    The first part runs in the calling thread and the second in a helper
+    thread, which has ended before this returns or raises, so no thread
+    outlives the call.  Meanwhile OpenBLAS runs on one thread
+    (:func:`blas_threads_at_most`): the two parts already keep two CPUs
+    busy, and more BLAS threads would only spin.  An exception raised in
+    the helper is raised here as itself, unless the first part raised one,
+    which wins as it would in a serial loop.
+    """
+    if len(parts) == 1:
+        return [work(parts[0])]
+    first_part, second_part = parts
+    with blas_threads_at_most(1), ThreadPoolExecutor(1) as helper:
+        second = helper.submit(work, second_part)
+        first = work(first_part)
+    return [first, second.result()]
+
+
 @functools.cache
 def _openblas():
     """The ``(get, set)`` thread-count calls of the OpenBLAS mapped into
@@ -204,8 +244,8 @@ def _openblas():
 def _take_cpu_share(worker, n_workers):
     """Narrow this process's CPU affinity to its share, and return how many
     CPUs the share holds: every ``n_workers``-th of its CPUs, starting at
-    the ``worker``-th, so that workers do not compete for a CPU.  The
-    labeler splits its gradient steps by that affinity, so on two CPUs each
+    the ``worker``-th, so that workers do not compete for a CPU.  Gradient
+    steps split by that affinity (:func:`_halves`), so on two CPUs each
     worker trains unsplit.  Where the platform has no affinity call, or
     refuses the share, the affinity stays as it was."""
     try:

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import signal
+import struct
 
 import pytest
 
@@ -72,3 +73,19 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def mutate(content, mutation):
+    """``content`` with one bit flipped, one header word replaced, the tail
+    from a position cut, or one byte inserted."""
+    kind, at, value = mutation
+    out = bytearray(content)
+    if kind == "flip":
+        out[at] ^= 1 << value
+    elif kind == "word":
+        out[at:at + 4] = struct.pack("<I", value)
+    elif kind == "truncate":
+        del out[at:]
+    else:
+        out.insert(at, value)
+    return bytes(out)

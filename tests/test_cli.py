@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -14,9 +15,9 @@ import chordbench
 from chordbench.annotations import read_lab
 from chordbench.checkpoint import load_checkpoint, save_checkpoint
 from chordbench.cli import main
-from chordbench.features import (N_BINS, FeatureMatrix, NormStats,
-                                 pitch_shift_cqt, read_feature_cache,
-                                 write_feature_cache)
+from chordbench.features import (CACHE_MAGIC, HOP, N_BINS, SAMPLE_RATE,
+                                 FeatureMatrix, NormStats, pitch_shift_cqt,
+                                 read_feature_cache, write_feature_cache)
 from chordbench import harness, workers
 from chordbench.harness import ExperimentConfig, load_corpus, run_experiment
 from chordbench.labeler import LabelerConfig, TrainedLabeler, init_params
@@ -510,6 +511,26 @@ class TestExtractTrainPredict:
             "a non-zero variance\n")
         assert list((tmp_path / "pred").glob("*.lab")) == []
 
+    def test_predict_names_model_and_file_of_non_finite_scores(
+            self, pipeline_dirs, tmp_path, capsys):
+        # A weight one float32 exponent-bit flip from an ordinary one loads,
+        # but its scores overflow: they fail, rather than decode as chords.
+        _, cache = pipeline_dirs
+        config = LabelerConfig(input_dim=144, model_dim=8, n_layers=1,
+                               n_heads=2, seed=0)
+        params = init_params(config)
+        params["in_proj.w"][0, 0] = 2.4e38
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, TrainedLabeler(config, params,
+                                             NormStats(0.0, 1.0), "cqt_log"))
+        first = sorted(cache.glob("*.shift+0.cbf"))[0]
+        assert run("predict", "--model", str(ckpt), "--in", str(cache),
+                   "--out", str(tmp_path / "pred")) == 1
+        assert capsys.readouterr().err == (
+            f"error: model {ckpt} on {first}: scores of frame 0 are not "
+            "finite\n")
+        assert not (tmp_path / "pred").exists()
+
     @pytest.mark.parametrize("failure", ["checkpoint", "no-inputs",
                                          "feature-kind"])
     def test_failed_predict_leaves_no_output_directory(
@@ -585,6 +606,16 @@ class TestExtractTrainPredict:
 
     # A cache with no values names its file, as every other malformed cache
     # does, rather than scoring or training on nothing.
+    @staticmethod
+    def _write_empty_cache(path, kind_code, shape, labelled):
+        """Write the cache of ``shape`` zeros, labelled with zeros or not,
+        that ``write_feature_cache`` would write if ``FeatureMatrix`` took 0
+        frames or 0 bins (docs/cache.md)."""
+        n_frames, n_bins = shape
+        path.write_bytes(CACHE_MAGIC + struct.pack(
+            "<BBIIII", kind_code, labelled, HOP, SAMPLE_RATE, n_frames, n_bins)
+            + bytes(n_frames if labelled else 0))
+
     @pytest.mark.parametrize("shape", [(0, N_BINS), (200, 0)],
                              ids=["0-frames", "0-bins"])
     def test_predict_rejects_a_cache_without_values(self, tmp_path, capsys,
@@ -592,7 +623,7 @@ class TestExtractTrainPredict:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / "a.shift+0.cbf"
-        write_feature_cache(path, FeatureMatrix(np.zeros(shape), "cqt_log"))
+        self._write_empty_cache(path, 1, shape, labelled=False)  # cqt_log
         assert run("predict", "--model", "template", "--in", str(cache),
                    "--out", str(tmp_path / "pred")) == 1
         assert capsys.readouterr().err == (
@@ -607,8 +638,7 @@ class TestExtractTrainPredict:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / "a.shift+0.cbf"
-        write_feature_cache(path, FeatureMatrix(np.zeros(shape), "chroma12"),
-                            np.zeros(shape[0], dtype=np.int64))
+        self._write_empty_cache(path, 3, shape, labelled=True)  # chroma12
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model_dim": 8, "n_layers": 1, "n_heads": 2,
                                    "max_epochs": 1}))
@@ -670,11 +700,6 @@ class TestExtractTrainPredict:
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
                 for s in expected]
-
-
-def _share_and_blas_threads(item):
-    get, _ = workers._openblas()
-    return len(os.sched_getaffinity(0)), get()
 
 
 def _file_bytes(directory):
@@ -756,30 +781,6 @@ class TestWavWorkers:
                 written[model, n_cpus] = _file_bytes(out)
             assert len(written[model, 1]) == 6
             assert written[model, 1] == written[model, 2]
-
-    @pytest.mark.skipif(workers._openblas() is None,
-                        reason="no OpenBLAS is loaded")
-    @pytest.mark.skipif(workers.usable_cpus() < 2,
-                        reason="a share of one CPU is all of them")
-    @needs_workers
-    def test_worker_runs_openblas_on_its_cpu_share(self):
-        # A forked worker starts at the count this process runs while the
-        # workers do, and keeps it where that is its share.
-        get, set_ = workers._openblas()
-        before = get()
-        set_(workers.usable_cpus())  # OpenBLAS's default: one per CPU
-        try:
-            with workers.ordered_map(_share_and_blas_threads, [0, 1], 2,
-                                     "thread counts") as results:
-                counts = list(results)
-                during = get()
-            after = get()
-        finally:
-            set_(before)
-        assert sum(share for share, _ in counts) == workers.usable_cpus()
-        assert [threads for _, threads in counts] == [s for s, _ in counts]
-        assert during == min(share for share, _ in counts)
-        assert after == workers.usable_cpus()
 
 
 def _tree_bytes(directory):

@@ -20,6 +20,7 @@ from chordbench.features import (BIN_KINDS, AudioBuffer, FeatureError,
                                  write_feature_cache, zscore_apply, zscore_fit,
                                  _group_kernel)
 from chordbench.labels import parse_harte
+from conftest import mutate
 
 
 def sine(freq_hz, seconds=2.0, amplitude=1.0):
@@ -520,6 +521,16 @@ class TestCacheAndWav:
         with pytest.raises(FeatureError, match="^frame 30 is not finite$"):
             matrix(values)
 
+    # Refused where the matrix is built, as AudioBuffer refuses empty audio,
+    # so that no cache the reader would reject can be written.
+    @pytest.mark.parametrize("shape", [(0, 12), (40, 0), (0, 0)])
+    def test_matrix_rejects_0_frames_or_0_bins(self, tmp_path, shape):
+        with pytest.raises(FeatureError, match=re.escape(
+                f"{shape[0]} frames of {shape[1]} bins; features hold at "
+                "least 1 of each")):
+            write_feature_cache(tmp_path / "x.cbf", matrix(np.zeros(shape)))
+        assert not (tmp_path / "x.cbf").exists()
+
     def test_cache_label_out_of_range_names_file_and_frame(self, tmp_path):
         p = tmp_path / "x.cbf"
         write_feature_cache(p, matrix(np.zeros((4, 2))), np.array([0, 24, 0, 3]))
@@ -779,22 +790,6 @@ WAV_MUTATIONS = st.one_of(
               st.just(0)),
     st.tuples(st.just("insert"), st.integers(0, len(MUTANT_BASE)),
               st.integers(0, 255)))
-
-
-def mutate(content, mutation):
-    """``content`` with one bit flipped, one header word replaced, the tail
-    from a position cut, or one byte inserted."""
-    kind, at, value = mutation
-    out = bytearray(content)
-    if kind == "flip":
-        out[at] ^= 1 << value
-    elif kind == "word":
-        out[at:at + 4] = struct.pack("<I", value)
-    elif kind == "truncate":
-        del out[at:]
-    else:
-        out.insert(at, value)
-    return bytes(out)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import hashlib
 import json
@@ -6,10 +5,8 @@ import os
 import pathlib
 import re
 import shutil
-import signal
 import subprocess
 import sys
-import time
 import warnings
 from dataclasses import replace
 
@@ -25,7 +22,7 @@ from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
                                 load_corpus, load_experiments, make_folds,
                                 run_experiment)
 from chordbench.synth import SynthError
-from conftest import needs_workers, no_child_left, time_limit, use_cpus
+from conftest import needs_workers, no_child_left, use_cpus
 
 
 # The example matrix of docs/experiments.md.
@@ -460,12 +457,6 @@ def corrupt_label(entry):
         fh.write("\n".join(rows) + "\n")
 
 
-def die_in_a_worker(config, job, parent=os.getpid()):
-    """A ``_run_fold`` whose worker exits at once with code 3."""
-    assert os.getpid() != parent, "the fold ran in the parent"
-    os._exit(3)
-
-
 def worker_that_exits_3(job, results):
     """A ``workers._worker`` that exits at once with code 3."""
     os._exit(3)
@@ -524,27 +515,6 @@ class TestFoldWorkers:
         assert len(started) == 2  # template folds run in-process
         assert len(seen) == len(corpus["tiny"])
 
-    def test_workers_that_finish_early_exit_cleanly(
-            self, corpus, tmp_path, monkeypatch, capfd, started):
-        use_cpus(monkeypatch, 2)
-        plan = make_folds(corpus["tiny"], seed=0)
-        write = harness._write_fold_scores
-
-        def write_then_wait(path, rows):
-            write(path, rows)
-            if rows[0]["fold"] == plan.k - 1:
-                # Both workers are done: they shut down while this process
-                # is still inside the map.
-                with time_limit(10):
-                    while not all(ended(proc.pid) for proc, _ in started):
-                        time.sleep(0.01)
-
-        monkeypatch.setattr(harness, "_write_fold_scores", write_then_wait)
-        run_experiment(self.LABELER, plan, corpus, tmp_path)
-        assert len(started) == 2
-        assert len(fold_scores(tmp_path)) == plan.k
-        assert "Fatal Python error" not in capfd.readouterr().err
-
     def test_failed_fold_in_a_worker_ends_the_run(self, own_corpus, tmp_path,
                                                   monkeypatch, started):
         use_cpus(monkeypatch, 2)
@@ -570,127 +540,6 @@ class TestFoldWorkers:
                 "before returning the fold")):
             run_experiment(self.LABELER, plan, corpus, tmp_path)
         assert fold_scores(tmp_path) == {}
-        assert no_child_left()
-
-    def test_worker_that_dies_while_its_sibling_trains(self, corpus, tmp_path,
-                                                       monkeypatch):
-        use_cpus(monkeypatch, 2)
-        run_fold = harness._run_fold
-
-        def fold_0_dies(config, job):
-            if job[0] == 0:
-                die_in_a_worker(config, job)
-            return run_fold(config, job)
-
-        monkeypatch.setattr(harness, "_run_fold", fold_0_dies)
-        config = replace(self.LABELER, model_params={
-            **self.LABELER.model_params, "max_epochs": 100000,
-            "patience": 100000})
-        plan = make_folds(corpus["tiny"], seed=0)
-        # Fold 0's worker dies at once, but its result pipe ends only if the
-        # worker that trains fold 1 does not hold it open too.
-        with time_limit(20), pytest.raises(FoldError, match=re.escape(
-                "experiment 1, fold 0: worker process exited with code 3 "
-                "before returning the fold")):
-            run_experiment(config, plan, corpus, tmp_path)
-        assert fold_scores(tmp_path) == {}
-        assert no_child_left()
-
-    def test_buffered_parent_output_is_written_once(self, corpus, tmp_path,
-                                                    monkeypatch, capfd):
-        use_cpus(monkeypatch, 2)
-        plan = make_folds(corpus["tiny"], seed=0)
-        # A buffered stdout on the captured descriptor, as outside pytest.
-        with open(os.dup(1), "w") as out, monkeypatch.context() as patch:
-            patch.setattr(sys, "stdout", out)
-            print("no newline yet", end="")
-            run_experiment(self.LABELER, plan, corpus, tmp_path)
-        assert len(fold_scores(tmp_path)) == plan.k
-        assert capfd.readouterr().out == "no newline yet"
-
-    # Runs a labeler experiment far too long to finish on two workers and
-    # appends each worker's PID to <out>/pids as it starts.
-    DRIVER = """
-import os, sys
-from chordbench import harness, workers
-data_root, name, out = sys.argv[1:]
-os.sched_getaffinity = lambda pid: {0, 1}
-start_worker = workers._start_worker
-def announce(stack, job):
-    proc, results = start_worker(stack, job)
-    with open(os.path.join(out, "pids"), "a") as fh:
-        fh.write(f"{proc.pid}\\n")
-    return proc, results
-workers._start_worker = announce
-corpus = harness.load_corpus(data_root, {name: name})
-config = harness.ExperimentConfig(
-    id=1, train_datasets=(name,), model="labeler", eval_datasets=(name,),
-    model_params={"model_dim": 8, "n_layers": 1, "n_heads": 2,
-                  "max_epochs": 100000, "patience": 100000})
-harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
-                       corpus, out)
-"""
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
-                        reason="reads process states from /proc")
-    def test_workers_end_when_the_parent_is_killed(self, tiny_dataset,
-                                                   tmp_path):
-        data_dir, _ = tiny_dataset
-        src_dir = os.path.dirname(os.path.dirname(harness.__file__))
-        pids_path = tmp_path / "pids"
-        with open(tmp_path / "driver.err", "wb") as err:
-            driver = subprocess.Popen(
-                [sys.executable, "-c", self.DRIVER, str(data_dir.parent),
-                 data_dir.name, str(tmp_path)],
-                stderr=err, env={**os.environ, "PYTHONPATH": src_dir})
-        pids = []
-        try:
-            deadline = time.monotonic() + 60
-            while len(pids) < 2 and driver.poll() is None:
-                assert time.monotonic() < deadline, "no two workers started"
-                time.sleep(0.05)
-                if pids_path.exists():
-                    pids = [int(p) for p in pids_path.read_text().split()]
-            assert len(pids) == 2, (tmp_path / "driver.err").read_text()
-            driver.kill()
-            driver.wait()
-            deadline = time.monotonic() + 5
-            while not all(map(ended, pids)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert [pid for pid in pids if not ended(pid)] == []
-        finally:
-            driver.kill()
-            driver.wait()
-            for pid in pids:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-
-    def test_each_worker_trains_on_its_own_cpu_share(self, corpus, tmp_path,
-                                                     monkeypatch, started):
-        cpus = os.sched_getaffinity(0)
-        if len(cpus) < 2:
-            pytest.skip(f"needs two usable CPUs, this machine has {len(cpus)}")
-        shares_dir = tmp_path / "shares"
-        shares_dir.mkdir()
-        echo = EchoFit(corpus)
-
-        def recording_fit(config, train, seed):
-            share = sorted(os.sched_getaffinity(0))
-            assert workers.usable_cpus() == len(share)
-            (shares_dir / str(os.getpid())).write_text(
-                " ".join(map(str, share)))
-            return echo(config, train, seed)
-
-        monkeypatch.setattr(harness, "fit", recording_fit)
-        plan = make_folds(corpus["tiny"], seed=0)
-        run_experiment(self.LABELER, plan, corpus, tmp_path / "run")
-        assert len(started) == min(plan.k, len(cpus))
-        shares = [set(map(int, path.read_text().split()))
-                  for path in shares_dir.iterdir()]
-        assert len(shares) == len(started)
-        assert sum(map(len, shares)) == len(cpus)  # disjoint ...
-        assert set().union(*shares) == cpus  # ... and covering
-        assert os.sched_getaffinity(0) == cpus
         assert no_child_left()
 
     # Runs one labeler experiment on two workers and prints the page faults
@@ -729,32 +578,6 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
             faults.append(int(proc.stdout))
         cold, warm = faults
         assert warm / cold < 2, faults
-
-
-def test_refused_cpu_share_keeps_the_affinity(monkeypatch):
-    # A worker whose share is refused, or whose platform has no affinity
-    # call, runs on the affinity it was started with.
-    before = os.sched_getaffinity(0)
-
-    def refuse(pid, cpus):
-        raise OSError(22, "Invalid argument")
-
-    monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    workers._take_cpu_share(1, 2)
-    assert os.sched_getaffinity(0) == before
-    monkeypatch.delattr(os, "sched_setaffinity")
-    workers._take_cpu_share(0, 2)
-    assert os.sched_getaffinity(0) == before
-    assert workers.usable_cpus() == len(before)
-
-
-def ended(pid):
-    """Whether process ``pid`` has exited: gone, or a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
 
 
 class TestReport:

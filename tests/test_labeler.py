@@ -7,14 +7,19 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import chordbench
-from chordbench import labeler, workers
+from chordbench import labeler
+from chordbench.annotations import SegmentTrack
 from chordbench.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
 from chordbench import templates
@@ -30,7 +35,7 @@ from chordbench.labeler import (AdamOptimizer, LabelerConfig, SequenceExample,
                                 windowed_examples)
 from chordbench.labels import N_MAJMIN_CLASSES
 from chordbench.templates import fold_to_chroma
-from conftest import use_cpus
+from conftest import mutate, use_cpus
 
 TINY = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=3)
 
@@ -830,19 +835,6 @@ class TestSplitStacks:
     # The stacks ``forward`` gets for a batch of n items, split in two.
     HALVES = {1: [1], 5: [3, 2], 8: [4, 4]}
 
-    def test_halves(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        assert labeler._halves(5) == [slice(0, 3), slice(3, 5)]
-        assert labeler._halves(8) == [slice(0, 4), slice(4, 8)]
-        assert labeler._halves(1) == [slice(0, 1)]
-        use_cpus(monkeypatch, 1)
-        assert labeler._halves(8) == [slice(0, 8)]
-        # os.cpu_count() alone, without the affinity call, never splits.
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert workers.usable_cpus() == 4
-        assert labeler._halves(8) == [slice(0, 8)]
-
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n_items", sorted(HALVES))
     def test_loss_and_grad_and_loss_value_keep_their_bytes(
@@ -914,30 +906,6 @@ class TestSplitStacks:
         assert 2 in sizes
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("error", [TrainingError("in the second half"),
-                                       ValueError("in the second half")])
-    def test_helper_error_reaches_the_caller_as_itself(self, monkeypatch,
-                                                       error):
-        use_cpus(monkeypatch, 2)
-        unhandled = []
-        monkeypatch.setattr(threading, "excepthook", unhandled.append)
-        caller = threading.current_thread()
-
-        def forward_failing_in_the_helper(*args, **kwargs):
-            if threading.current_thread() is not caller:
-                raise error
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(labeler, "forward", forward_failing_in_the_helper)
-        params = init_params(TINY, dtype=np.float64)
-        batch = make_batch(TINY, n_items=4)
-        before = threading.active_count()
-        with pytest.raises(type(error)) as caught:
-            loss_and_grad(params, TINY, batch)
-        assert caught.value is error
-        assert unhandled == []
-        assert threading.active_count() == before
-
     def test_forward_sweeps_run_one_stack_per_call(self, monkeypatch):
         # Only a gradient step splits: with two CPUs, the validation sweep
         # and loss_value still make one forward call per stack.
@@ -959,51 +927,6 @@ class TestSplitStacks:
         swept.clear()
         loss_value(init_params(TINY), TINY, make_batch(TINY, n_items=5))
         assert swept == [5]
-
-    def test_first_half_error_wins(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        caller = threading.current_thread()
-
-        def forward_failing_in_both_halves(*args, **kwargs):
-            if threading.current_thread() is caller:
-                raise ValueError("first half")
-            raise TrainingError("second half")
-
-        monkeypatch.setattr(labeler, "forward", forward_failing_in_both_halves)
-        batch = make_batch(TINY, n_items=4)
-        with pytest.raises(ValueError, match="first half"):
-            loss_and_grad(init_params(TINY), TINY, batch)
-
-    @pytest.mark.skipif(workers._openblas() is None,
-                        reason="no OpenBLAS is loaded")
-    def test_split_step_runs_openblas_on_one_thread(self, monkeypatch):
-        # Two halves, each on two BLAS threads, would spin four threads on
-        # two CPUs; the count is restored after the step, even a failed one.
-        use_cpus(monkeypatch, 2)
-        get, set_ = workers._openblas()
-        before = get()
-        seen, fail = [], []
-
-        def spy(*args, **kwargs):
-            seen.append(get())
-            if fail:
-                raise ValueError("failed step")
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(labeler, "forward", spy)
-        batch = make_batch(TINY, n_items=4)
-        set_(2)
-        try:
-            loss_and_grad(init_params(TINY), TINY, batch)
-            after_step = get()
-            fail.append(True)
-            with pytest.raises(ValueError, match="failed step"):
-                loss_and_grad(init_params(TINY), TINY, batch)
-            after_failure = get()
-        finally:
-            set_(before)
-        assert seen == [1] * 4
-        assert after_step == after_failure == 2
 
 
 def test_windowed_examples_targets_and_mask():
@@ -1315,6 +1238,18 @@ class TestRecognize:
         with pytest.raises(FeatureError, match=re.escape(
                 f"model takes cqt_log (144 bins) features, got {got}")):
             model.recognize(features, "t")
+
+    @pytest.mark.parametrize("warning_action", ["error", "ignore"])
+    def test_non_finite_scores_fail_naming_the_frame(self, warning_action):
+        # 2.4e38 is one float32 exponent-bit flip from an ordinary weight:
+        # the model loads, but its scores overflow.
+        params = init_params(TINY)
+        params["in_proj.w"][0, 0] = 2.4e38
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action)
+            with pytest.raises(FeatureError, match=(
+                    "^scores of frame 0 are not finite$")):
+                _tiny_model(params).recognize(MUTANT_INPUT, "t")
 
 
 class TestAdam:
@@ -1674,3 +1609,55 @@ class TestCheckpoint:
         p.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
+
+
+def _checkpoint_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(path, model)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# _tiny_model()'s checkpoint (docs/checkpoint.md): a 12-byte header, whose
+# u32 version and metadata length start at bytes 4 and 8, the metadata,
+# then the tensors, in_proj.w[0, 0] first.
+CKPT_BASE = _checkpoint_bytes(_tiny_model())
+CKPT_TENSORS = 12 + struct.unpack("<I", CKPT_BASE[8:12])[0]
+CKPT_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(CKPT_BASE) - 1),
+              st.integers(0, 7)),
+    st.tuples(st.just("word"), st.integers(0, len(CKPT_BASE) - 4),
+              st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("truncate"), st.integers(0, len(CKPT_BASE) - 1),
+              st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, len(CKPT_BASE)),
+              st.integers(0, 255)))
+# A fixed track of chroma12 features for _tiny_model()'s 6 inputs.
+MUTANT_INPUT = FeatureMatrix(
+    np.random.Generator(np.random.PCG64(7)).standard_normal((20, 6)),
+    "chroma12")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(CKPT_MUTATIONS)
+@example(("truncate", len(CKPT_BASE), 0))  # the base itself, unchanged
+# in_proj.w[0, 0] at 2.4e38: finite, so the checkpoint loads.
+@example(("word", CKPT_TENSORS,
+          struct.unpack("<I", struct.pack("<f", 2.4e38))[0]))
+def test_checkpoint_mutants_load_or_name_the_file(tmp_path, mutation):
+    """Each mutant raises :class:`CheckpointError` naming the file, or loads
+    as a model that labels a track or raises :class:`FeatureError`."""
+    p = tmp_path / "mutant.ckpt"
+    p.write_bytes(mutate(CKPT_BASE, mutation))
+    try:
+        model = load_checkpoint(p)
+    except CheckpointError as exc:
+        assert str(exc).startswith(f"{p}: "), str(exc)
+        return
+    try:
+        track = model.recognize(MUTANT_INPUT, "t")
+    except FeatureError:
+        return
+    assert isinstance(track, SegmentTrack)
