@@ -5,8 +5,9 @@ train, predict, and xval.  Features, template recognition, labeler
 training (``labeler.fit``) and labeler prediction
 (``TrainedLabeler.recognize``) come from the same library functions the
 harness calls.  ``extract``, and ``predict`` on WAV files, compute the
-log-CQT of each file on every usable CPU (:func:`_map_wavs`).  Run
-``chordbench <subcommand> --help`` for the flags of each.
+log-CQT of each file on every usable CPU
+(:func:`chordbench.features.map_wavs`).  Run ``chordbench <subcommand>
+--help`` for the flags of each.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 
 from . import (annotations, checkpoint, features, harness, labeler, metrics,
-               stats, synth, templates, workers)
+               stats, synth, templates)
 from .labels import N_MAJMIN_CLASSES, transpose_majmin
 
 
@@ -101,18 +102,6 @@ def _parse_shift_range(text):
     return range(int(m[1]), int(m[2]) + 1)
 
 
-def _map_wavs(fn, wav_paths):
-    """:func:`chordbench.workers.ordered_map` of ``fn`` over ``wav_paths``.
-
-    Where workers fork (Linux), up to one per usable CPU computes them, as
-    ``synth.emit_dataset`` renders tracks; elsewhere this process does.
-    The CQT kernels are built first, so that the workers share them.
-    """
-    features.build_cqt_kernels()
-    return workers.ordered_map(fn, wav_paths, workers.usable_cpus(),
-                               "log-CQT features")
-
-
 def _labelled_log_cqt(labels_dir, wav_path):
     """The log-CQT of ``wav_path`` and its frame labels, aligned from the
     ``.lab`` file of the same stem in ``labels_dir``."""
@@ -131,8 +120,8 @@ def cmd_extract(args):
         raise SystemExit(f"no .wav files in {args.indir}")
     # Every cache is written here, in input order, so the files, the
     # progress lines and the first error are those of a serial loop.
-    with _map_wavs(functools.partial(_labelled_log_cqt, args.labels),
-                   wavs) as tracks:
+    with features.map_wavs(functools.partial(_labelled_log_cqt, args.labels),
+                           wavs) as tracks:
         for wav_path, (logcqt, labels) in zip(wavs, tracks):
             stem = os.path.splitext(os.path.basename(wav_path))[0]
             for k in shifts:
@@ -220,7 +209,7 @@ def cmd_predict(args):
     else:
         recognize = checkpoint.load_checkpoint(args.model).recognize
     if suffix == ".wav":
-        source = _map_wavs(features.log_cqt_from_wav, inputs)
+        source = features.map_wavs(features.log_cqt_from_wav, inputs)
     else:
         source = contextlib.nullcontext(
             features.read_feature_cache(path)[0] for path in inputs)

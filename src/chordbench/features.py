@@ -43,6 +43,7 @@ import numpy as np
 
 from .labels import NOCHORD_CLASS, majmin_label, to_majmin
 from .annotations import SegmentTrack, TimedSegment, normalize
+from .workers import ordered_map, usable_cpus
 
 SAMPLE_RATE = 22050
 HOP = 2048
@@ -334,6 +335,19 @@ def build_cqt_kernels() -> None:
     its own 16.5 MB."""
     for lo in range(0, N_BINS, _GROUP_BINS):
         _group_kernel(lo)
+
+
+def map_wavs(fn, wav_paths):
+    """:func:`chordbench.workers.ordered_map` of ``fn`` over ``wav_paths``:
+    the one route by which ``chordbench extract``, ``chordbench predict``
+    and the ``xval`` feature store compute the log-CQT of many WAV files.
+
+    Where workers fork (Linux), up to one per usable CPU computes them, as
+    ``synth.emit_dataset`` renders tracks; elsewhere this process does.
+    The CQT kernels are built first, so that the workers share them.
+    """
+    build_cqt_kernels()
+    return ordered_map(fn, wav_paths, usable_cpus(), "log-CQT features")
 
 
 @functools.cache

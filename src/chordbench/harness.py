@@ -28,9 +28,12 @@ docs/cache.md, kind ``cqt_log``), so each recording is analysed once per
 output directory, and a rerun or resumed run reuses the stored features.
 While building the jobs, each WAV the folds to compute use is hashed once,
 by the first fold that uses it, so a changed WAV gets a new key in the next
-experiment, and its missing feature file is stored then, so workers only
-read the store.  The store does not record the feature recipe: after a
-recipe change, use a fresh output directory.
+experiment.  Before any fold runs, the missing feature files are computed
+in one ordered map on every usable CPU (forked workers on Linux, as for
+``chordbench extract``), and this process writes each of them, in
+first-use order, so fold workers only read the store.  The store does not
+record the feature recipe: after a recipe change, use a fresh output
+directory.
 
 Summary scores are duration-weighted within a fold and reported as
 ``mean +/- std`` over folds, in percent.
@@ -50,8 +53,8 @@ import numpy as np
 
 from .annotations import _open_utf8, normalize, read_lab
 from . import labeler
-from .features import (align_labels, log_cqt_from_wav, read_feature_cache,
-                       write_feature_cache)
+from .features import (align_labels, log_cqt_from_wav, map_wavs,
+                       read_feature_cache, write_feature_cache)
 from .metrics import TrackScore, aggregate_fold, evaluate_pair
 from .templates import fold_to_chroma, recognize_track
 from .synth import read_manifest
@@ -201,21 +204,34 @@ def _wav_key(audio_path) -> str:
         return hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
 
 
-def _store(store_dir, audio_path) -> str:
-    """The path of the WAV's store file in ``store_dir``, computed if missing.
+def _store_path(store_dir, audio_path) -> str:
+    """The path of the WAV's store file in ``store_dir``, named by the
+    blake2b digest of the WAV bytes."""
+    return os.path.join(store_dir, f"{_wav_key(audio_path)}.cbf")
 
-    The store file is named by the blake2b digest of the WAV bytes.  On a
-    miss the log-CQT is computed and written to a unique temporary name,
-    then renamed into place, so a failed write leaves no store file.  Every
-    caller reads the features back from the store, so every caller sees the
-    same stored float32 values.
+
+def _fill_store(config, misses) -> None:
+    """Compute and write the missing store files ``misses``.
+
+    ``misses`` maps each missing store file to ``(WAV path, fold)``: the
+    recording to analyse and the first fold that uses it, in first-use
+    order.  The log-CQTs are computed on every usable CPU
+    (:func:`~chordbench.features.map_wavs`); this process writes each
+    file, in that order, to a unique temporary name and renames it into
+    place, so a failed write leaves no store file.  An error is raised as
+    the :class:`FoldError` of the recording's first fold, and no later
+    file is written.
     """
-    path = os.path.join(store_dir, f"{_wav_key(audio_path)}.cbf")
-    if not os.path.exists(path):
-        os.makedirs(store_dir, exist_ok=True)
-        with replacing(path) as tmp_path:
-            write_feature_cache(tmp_path, log_cqt_from_wav(audio_path))
-    return path
+    if not misses:  # a warm store starts no worker
+        return
+    with map_wavs(log_cqt_from_wav,
+                  [audio_path for audio_path, _ in misses.values()]) as computed:
+        for path, (_, fold) in misses.items():
+            with _in_fold(config, fold):
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                logcqt = next(computed)
+                with replacing(path) as tmp_path:
+                    write_feature_cache(tmp_path, logcqt)
 
 
 def fit(config: ExperimentConfig, train, seed):
@@ -293,40 +309,57 @@ def _in_fold(config, fold):
 
 
 def _fold_jobs(config, fold_plan, corpus, todo, store_dir) -> list:
-    """The ``(fold, train, to_score)`` job of each fold in ``todo``.
+    """The ``(fold, train, to_score)`` job of each fold in ``todo``, with
+    every store file they read in place.
 
     ``train`` holds the fold's ``(store file, .lab path)`` training pairs,
     balanced if ``config`` asks for it, and ``to_score`` its ``(dataset,
-    song_id, store file, .lab path)`` rows.  A recording is hashed, and its
-    missing store file computed, by the first fold that uses it, so an error
-    there is raised as that fold's :class:`FoldError`.
+    song_id, store file, .lab path)`` rows.  A recording is hashed by the
+    first fold that uses it, and its missing store file is computed
+    (:func:`_fill_store`) after the jobs are built, so an error in either is
+    raised as that fold's :class:`FoldError`.  Where a fold fails while its
+    job is built, the store files that earlier folds miss are computed
+    first, so the error raised is the one that hashing and computing each
+    recording in turn would meet first.
     """
     stored = {}
+    misses = {}
 
-    def store(entry):
+    def store(entry, fold):
         if entry.audio_path not in stored:
-            stored[entry.audio_path] = _store(store_dir, entry.audio_path)
+            path = _store_path(store_dir, entry.audio_path)
+            if path not in misses and not os.path.exists(path):
+                misses[path] = (entry.audio_path, fold)
+            stored[entry.audio_path] = path
         return stored[entry.audio_path]
 
     jobs = []
-    for fold in todo:
-        with _in_fold(config, fold):
-            train_by_dataset = {
-                name: [e for e in corpus[name] if fold_plan.fold_of(e) != fold]
-                for name in config.train_datasets}
-            if config.balance:
-                quota = config.balance_quota
-                if quota is None:
-                    quota = min(len(v) for v in train_by_dataset.values())
-                train_by_dataset = balance_datasets(train_by_dataset,
-                                                    seed=config.seed,
-                                                    quota=quota)
-            train = [(store(e), e.label_path) for name in config.train_datasets
-                     for e in train_by_dataset[name]]
-            to_score = [(name, e.song_id, store(e), e.label_path)
-                        for name in config.eval_datasets for e in corpus[name]
-                        if fold_plan.fold_of(e) == fold]
-        jobs.append((fold, train, to_score))
+    try:
+        for fold in todo:
+            with _in_fold(config, fold):
+                train_by_dataset = {
+                    name: [e for e in corpus[name]
+                           if fold_plan.fold_of(e) != fold]
+                    for name in config.train_datasets}
+                if config.balance:
+                    quota = config.balance_quota
+                    if quota is None:
+                        quota = min(len(v) for v in train_by_dataset.values())
+                    train_by_dataset = balance_datasets(train_by_dataset,
+                                                        seed=config.seed,
+                                                        quota=quota)
+                train = [(store(e, fold), e.label_path)
+                         for name in config.train_datasets
+                         for e in train_by_dataset[name]]
+                to_score = [(name, e.song_id, store(e, fold), e.label_path)
+                            for name in config.eval_datasets
+                            for e in corpus[name]
+                            if fold_plan.fold_of(e) == fold]
+            jobs.append((fold, train, to_score))
+    except FoldError:
+        _fill_store(config, misses)  # an earlier recording's error wins
+        raise
+    _fill_store(config, misses)
     return jobs
 
 

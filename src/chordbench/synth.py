@@ -315,11 +315,13 @@ def _emit_track(spec, model, out_dir, index) -> dict:
 def read_manifest(path) -> list:
     """Read a JSON-lines dataset manifest (format in docs/manifest.md).
 
-    A line that is not a JSON object with ``id`` and ``path`` keys raises
+    A line that is not a JSON object whose ``id`` and ``path`` are
+    non-empty strings, or whose ``id`` an earlier line has, raises
     :class:`SynthError` naming ``<path>:<line>``, and bytes that are not
     UTF-8 raise ``AnnotationError`` naming it; blank lines are skipped.
     """
     entries = []
+    first_line_of = {}
     with _open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -334,5 +336,13 @@ def read_manifest(path) -> list:
             for key in ("id", "path"):
                 if key not in entry:
                     raise SynthError(f"{path}:{line_no}: missing key {key!r}")
+                if not (isinstance(entry[key], str) and entry[key]):
+                    raise SynthError(f"{path}:{line_no}: {key} must be a "
+                                     f"non-empty string, got {entry[key]!r}")
+            if entry["id"] in first_line_of:
+                raise SynthError(f"{path}:{line_no}: duplicate id "
+                                 f"{entry['id']!r} (line "
+                                 f"{first_line_of[entry['id']]})")
+            first_line_of[entry["id"]] = line_no
             entries.append(entry)
     return entries

@@ -4,8 +4,9 @@
 process per item and hands the results back in item order, so a caller
 that writes each result as it arrives writes the bytes one process would.
 ``harness.run_experiment`` runs its fold jobs through it,
-``synth.emit_dataset`` its tracks, and ``chordbench extract`` and
-``chordbench predict`` the log-CQT features of their WAV files.
+``synth.emit_dataset`` its tracks, and ``features.map_wavs`` the log-CQT
+features of WAV files: those of ``chordbench extract`` and ``chordbench
+predict``, and the missing files of the ``xval`` feature store.
 
 Workers are forked on Linux, so they start from this process's memory.
 Elsewhere the map runs in this process: macOS system libraries are not

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from chordbench import workers
+from chordbench import harness, workers
 from chordbench.synth import SynthSpec, default_pop_model, emit_dataset
 
 
@@ -44,6 +44,18 @@ def started(monkeypatch):
 
     monkeypatch.setattr(workers, "_start_worker", spy)
     return pairs
+
+
+def store_file(store_dir, audio_path):
+    """The file of ``audio_path`` in the feature store ``store_dir``, filled
+    by the harness if missing."""
+    path = harness._store_path(store_dir, audio_path)
+    if not os.path.exists(path):
+        config = harness.ExperimentConfig(id=0, train_datasets=(),
+                                          model="template",
+                                          eval_datasets=("any",))
+        harness._fill_store(config, {path: (audio_path, 0)})
+    return path
 
 
 def no_child_left():

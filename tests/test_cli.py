@@ -25,7 +25,7 @@ from chordbench.labels import NOCHORD_CLASS, transpose_majmin
 from chordbench.metrics import evaluate_pair
 from chordbench.stats import read_histogram_csv, read_transitions_csv
 from chordbench.synth import SynthSpec, default_pop_model, emit_dataset
-from conftest import needs_workers, no_child_left, use_cpus
+from conftest import needs_workers, no_child_left, store_file, use_cpus
 
 ARFF = """\
 @relation chords
@@ -300,7 +300,7 @@ class TestExtractTrainPredict:
             eval_datasets=("tiny",),
             model_params={"model_dim": 16, "n_heads": 2, "max_epochs": 10,
                           "patience": 10})
-        train = [(harness._store(store, e.audio_path), e.label_path)
+        train = [(store_file(store, e.audio_path), e.label_path)
                  for e in corpus[:4]]
         recognize = harness.fit(config, train, 3)
         save_checkpoint(tmp_path / "model.ckpt", recognize.__self__)
@@ -311,7 +311,7 @@ class TestExtractTrainPredict:
         for entry in corpus:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")
-            stored = harness._store(store, entry.audio_path)
+            stored = store_file(store, entry.audio_path)
             expected = recognize(read_feature_cache(stored)[0], entry.song_id)
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
@@ -695,7 +695,7 @@ class TestExtractTrainPredict:
         for entry in corpus["tiny"]:
             stem = os.path.splitext(os.path.basename(entry.audio_path))[0]
             written = read_lab(out / f"{stem}.lab")
-            stored = harness._store(store, entry.audio_path)
+            stored = store_file(store, entry.audio_path)
             expected = recognize(read_feature_cache(stored)[0], entry.song_id)
             assert [(s.start_s, s.end_s, s.label) for s in written] == [
                 (float(f"{s.start_s:.6f}"), float(f"{s.end_s:.6f}"), s.label)
@@ -1049,7 +1049,7 @@ class TestXval:
         out = tmp_path / "results"
         assert run("xval", "--experiments", str(cfg), "--data-root", str(root),
                    "--out", str(out)) == 1
-        assert len(started) == 2
+        assert len(started) == 4  # two fill the store, two run the folds
         # Captured at the file descriptors, so the workers' stderr is in it.
         _, err = capfd.readouterr()
         assert "Traceback" not in err

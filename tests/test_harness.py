@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from chordbench import features, harness, workers
 from chordbench.annotations import AnnotationError, normalize, read_lab
@@ -22,7 +24,8 @@ from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
                                 load_corpus, load_experiments, make_folds,
                                 run_experiment)
 from chordbench.synth import SynthError
-from conftest import needs_workers, no_child_left, use_cpus
+from conftest import (mutate, needs_workers, no_child_left, store_file,
+                      use_cpus)
 
 
 # The example matrix of docs/experiments.md.
@@ -278,9 +281,40 @@ class TestRunExperiment:
                              balance_quota=quota)
 
 
-def count_cqt_inputs(monkeypatch):
-    """Patch ``features.cqt`` to record a digest of every signal it analyses."""
-    seen = []
+class SharedLog:
+    """Lines appended to the file ``path`` by this process and by the
+    workers it forks, read back as a list: ``len``, iteration and ``==``
+    see every line written so far."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def append(self, line):
+        with open(self.path, "a") as fh:  # one write, at the end of the file
+            fh.write(f"{line}\n")
+
+    def lines(self):
+        return self.path.read_text().splitlines()
+
+    def __iter__(self):
+        return iter(self.lines())
+
+    def __len__(self):
+        return len(self.lines())
+
+    def __eq__(self, other):
+        return self.lines() == other
+
+    def __repr__(self):
+        return repr(self.lines())
+
+
+def count_cqt_inputs(monkeypatch, log_path):
+    """Patch ``features.cqt`` to record a digest of every signal it analyses,
+    in this process or in a worker forked while the patch holds, in the
+    :class:`SharedLog` at ``log_path``."""
+    seen = SharedLog(log_path)
     real_cqt = features.cqt
 
     def counting_cqt(audio):
@@ -328,7 +362,7 @@ class TestFeatureStore:
 
     def test_experiments_share_one_extraction_per_track(self, corpus, tmp_path,
                                                         monkeypatch):
-        seen = count_cqt_inputs(monkeypatch)
+        seen = count_cqt_inputs(monkeypatch, tmp_path / "cqt_inputs.txt")
         plan = make_folds(corpus["tiny"], seed=0)
         for config in (self.TEMPLATE, self.LABELER):
             run_experiment(config, plan, corpus, tmp_path)
@@ -344,7 +378,7 @@ class TestFeatureStore:
         assert len(first) == 12
         for path in first:
             os.remove(tmp_path / path)
-        seen = count_cqt_inputs(monkeypatch)
+        seen = count_cqt_inputs(monkeypatch, tmp_path / "cqt_inputs.txt")
         for config in (self.TEMPLATE, self.LABELER):
             run_experiment(config, plan, corpus, tmp_path)
         assert seen == []
@@ -375,7 +409,7 @@ class TestFeatureStore:
         first = fold_scores(tmp_path)
         os.remove(tmp_path / "exp_0" / "fold_2" / "scores.csv")
         hashed = count_wav_keys(monkeypatch)
-        seen = count_cqt_inputs(monkeypatch)
+        seen = count_cqt_inputs(monkeypatch, tmp_path / "cqt_inputs.txt")
         run_experiment(self.TEMPLATE, plan, corpus, tmp_path)
         assert hashed == [e.audio_path for e in corpus["tiny"]
                           if plan.fold_of(e) == 2]
@@ -395,6 +429,34 @@ class TestFeatureStore:
             run_experiment(self.TEMPLATE, plan, own_corpus, out)
         assert fold_scores(out) == {}
 
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("short_fold, missing_fold", [(1, 3), (3, 1)])
+    def test_the_first_fold_to_fail_names_the_error(
+            self, own_corpus, tmp_path, monkeypatch, n_cpus, short_fold,
+            missing_fold):
+        # A WAV too short to analyse fails when its features are computed, a
+        # missing one when it is hashed; each fails the fold that first uses
+        # it, and the earlier of those folds is the one raised.
+        use_cpus(monkeypatch, n_cpus)
+        entries = own_corpus["tiny"]
+        plan = make_folds(entries, seed=0)
+        (short,) = [e for e in entries if plan.fold_of(e) == short_fold]
+        (missing,) = [e for e in entries if plan.fold_of(e) == missing_fold]
+        save_wav(short.audio_path, features.AudioBuffer(np.zeros(1000)))
+        os.remove(missing.audio_path)
+        if short_fold < missing_fold:
+            message = (f"experiment 0, fold {short_fold}: {short.audio_path}: "
+                       "audio too short for analysis: 1000 samples")
+        else:
+            message = (f"experiment 0, fold {missing_fold}: [Errno 2] No such "
+                       f"file or directory: {missing.audio_path!r}")
+        out = tmp_path / "out"
+        with pytest.raises(FoldError, match=re.escape(message)):
+            run_experiment(self.TEMPLATE, plan, own_corpus, out)
+        assert fold_scores(out) == {}
+        # Fold 0's recording was stored before either failure.
+        assert len(list((out / "features").iterdir())) == 1
+
     def test_changed_wav_recomputes_only_that_track(self, own_corpus, tmp_path,
                                                     monkeypatch):
         entries = own_corpus["tiny"]
@@ -405,7 +467,7 @@ class TestFeatureStore:
         save_wav(entries[0].audio_path,
                  features.AudioBuffer(0.5 * audio.samples))
         shutil.rmtree(out / "exp_0")
-        seen = count_cqt_inputs(monkeypatch)
+        seen = count_cqt_inputs(monkeypatch, tmp_path / "cqt_inputs.txt")
         run_experiment(self.TEMPLATE, plan, own_corpus, out)
         assert seen == [hashlib.blake2b(
             load_wav(entries[0].audio_path).samples.tobytes()).hexdigest()]
@@ -434,18 +496,16 @@ class TestFeatureStore:
     def test_stored_features_match_recipe_within_float32(self, corpus, tmp_path):
         wav = corpus["tiny"][0].audio_path
         fresh = log_cqt_from_wav(wav)
-        stored = read_feature_cache(harness._store(tmp_path / "store", wav))[0]
-        (path,) = (tmp_path / "store").glob("*.cbf")
+        plan = make_folds(corpus["tiny"], seed=0)
+        run_experiment(self.TEMPLATE, plan, corpus, tmp_path)
         with open(wav, "rb") as fh:
             key = hashlib.blake2b(fh.read(), digest_size=20).hexdigest()
-        assert path.stem == key
+        path = tmp_path / "features" / f"{key}.cbf"
+        stored = read_feature_cache(path)[0]
         assert stored.bin_kind == fresh.bin_kind == "cqt_log"
         assert np.array_equal(stored.values,
                               fresh.values.astype(np.float32).astype(np.float64))
         assert np.allclose(stored.values, fresh.values, rtol=2.0 ** -24, atol=0)
-        again = read_feature_cache(harness._store(tmp_path / "store", wav))[0]
-        assert np.array_equal(again.values, stored.values)
-        assert np.array_equal(read_feature_cache(path)[0].values, stored.values)
 
 
 def corrupt_label(entry):
@@ -473,10 +533,10 @@ class TestFoldWorkers:
         plan = make_folds(corpus["tiny"], seed=0)
         use_cpus(monkeypatch, 2)
         parallel = run_experiment(self.LABELER, plan, corpus, tmp_path / "a")
-        assert len(started) == 2
+        assert len(started) == 4  # two fill the store, two run the folds
         use_cpus(monkeypatch, 1)
         serial = run_experiment(self.LABELER, plan, corpus, tmp_path / "b")
-        assert len(started) == 2  # one usable CPU: no worker
+        assert len(started) == 4  # one usable CPU: no worker
         assert parallel == serial
         in_workers = fold_scores(tmp_path / "a")
         assert len(in_workers) == 6
@@ -497,23 +557,61 @@ class TestFoldWorkers:
             with pytest.raises(FoldError, match=re.escape(
                     "experiment 1, fold 3: fold 3 warns")):
                 run_experiment(self.LABELER, plan, corpus, tmp_path / "c")
-        assert len(started) == 4
+        assert len(started) == 8
         assert len(fold_scores(tmp_path / "c")) == 3
         assert no_child_left()
 
-    def test_features_are_computed_in_the_parent(self, corpus, tmp_path,
-                                                 monkeypatch, started):
+    def test_features_are_computed_once_in_fill_workers(self, corpus, tmp_path,
+                                                        monkeypatch, started):
         use_cpus(monkeypatch, 2)
-        seen = count_cqt_inputs(monkeypatch)
+        computed = SharedLog(tmp_path / "computed.txt")
+        real_cqt = features.cqt
+
+        def recording_cqt(audio):
+            digest = hashlib.blake2b(audio.samples.tobytes()).hexdigest()
+            computed.append(f"{os.getpid()} {digest}")
+            return real_cqt(audio)
+
+        monkeypatch.setattr(features, "cqt", recording_cqt)
+        fill_pids, fold_pids = set(), set()
+        start_worker = workers._start_worker
+
+        def spy(stack, job):
+            proc, results = start_worker(stack, job)
+            is_fill = job[0] is log_cqt_from_wav
+            (fill_pids if is_fill else fold_pids).add(proc.pid)
+            return proc, results
+
+        monkeypatch.setattr(workers, "_start_worker", spy)
         plan = make_folds(corpus["tiny"], seed=0)
-        run_experiment(self.LABELER, plan, corpus, tmp_path)
-        assert len(started) == 2
-        assert len(seen) == len(set(seen)) == len(corpus["tiny"])
-        assert len(list((tmp_path / "features").glob("*.cbf"))) == len(seen)
+        run_experiment(self.LABELER, plan, corpus, tmp_path / "a")
+        assert len(fill_pids) == len(fold_pids) == 2
+        pids, digests = zip(*(line.split() for line in computed))
+        assert len(digests) == len(set(digests)) == len(corpus["tiny"])
+        assert {int(pid) for pid in pids} == fill_pids
+        assert len(list((tmp_path / "a" / "features").glob("*.cbf"))) == 6
         assert no_child_left()
+        # The same store files, and no worker, on one CPU.
+        use_cpus(monkeypatch, 1)
+        run_experiment(self.LABELER, plan, corpus, tmp_path / "b")
+        assert len(fill_pids) == len(fold_pids) == 2
+        assert ({p.name: p.read_bytes()
+                 for p in (tmp_path / "a" / "features").iterdir()}
+                == {p.name: p.read_bytes()
+                    for p in (tmp_path / "b" / "features").iterdir()})
+
+    def test_a_warm_store_starts_no_worker(self, corpus, tmp_path, monkeypatch,
+                                           started):
+        use_cpus(monkeypatch, 2)
+        plan = make_folds(corpus["tiny"], seed=0)
         run_experiment(TestFeatureStore.TEMPLATE, plan, corpus, tmp_path)
-        assert len(started) == 2  # template folds run in-process
-        assert len(seen) == len(corpus["tiny"])
+        assert len(started) == 2  # the store fill; template folds in-process
+        first = fold_scores(tmp_path)
+        shutil.rmtree(tmp_path / "exp_0")
+        started.clear()
+        run_experiment(TestFeatureStore.TEMPLATE, plan, corpus, tmp_path)
+        assert started == []
+        assert fold_scores(tmp_path) == first
 
     def test_failed_fold_in_a_worker_ends_the_run(self, own_corpus, tmp_path,
                                                   monkeypatch, started):
@@ -526,29 +624,45 @@ class TestFoldWorkers:
         with pytest.raises(FoldError, match=re.escape(
                 f"experiment 1, fold 0: {entry.label_path}:3: bad time field")):
             run_experiment(self.LABELER, plan, own_corpus, out)
-        assert len(started) == 2
+        assert len(started) == 4  # two fill the store, two run the folds
         assert fold_scores(out) == {}
         assert no_child_left()
 
     def test_worker_that_dies_names_its_fold_and_exit_code(
             self, corpus, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(workers, "_worker", worker_that_exits_3)
         plan = make_folds(corpus["tiny"], seed=0)
+        # The store is full, so the workers that die are fold workers.
+        run_experiment(TestFeatureStore.TEMPLATE, plan, corpus, tmp_path)
+        monkeypatch.setattr(workers, "_worker", worker_that_exits_3)
         with pytest.raises(FoldError, match=re.escape(
                 "experiment 1, fold 0: worker process exited with code 3 "
                 "before returning the fold")):
             run_experiment(self.LABELER, plan, corpus, tmp_path)
-        assert fold_scores(tmp_path) == {}
+        assert not (tmp_path / "exp_1").exists()
         assert no_child_left()
 
-    # Runs one labeler experiment on two workers and prints the page faults
-    # of its waited-for workers.
+    def test_fill_worker_that_dies_names_the_first_fold_of_its_recording(
+            self, corpus, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(workers, "_worker", worker_that_exits_3)
+        plan = make_folds(corpus["tiny"], seed=0)
+        with pytest.raises(FoldError, match=re.escape(
+                "experiment 0, fold 0: worker process exited with code 3 "
+                "before returning the log-CQT features")):
+            run_experiment(TestFeatureStore.TEMPLATE, plan, corpus, tmp_path)
+        assert fold_scores(tmp_path) == {}
+        assert list((tmp_path / "features").iterdir()) == []
+        assert no_child_left()
+
+    # Runs one labeler experiment on two workers, after freeing a buffer of
+    # the given size, and prints the page faults of its waited-for workers.
     FAULTS = """
 import os, resource, sys
 os.sched_getaffinity = lambda pid: {0, 1}
 from chordbench import harness
-data_root, name, out, exp_id = sys.argv[1:]
+data_root, name, out, exp_id, freed_mb = sys.argv[1:]
+bytearray(int(freed_mb) << 20)  # freed at once
 corpus = harness.load_corpus(data_root, {name: name})
 config = harness.ExperimentConfig(
     id=int(exp_id), train_datasets=(name,), model="labeler",
@@ -558,20 +672,25 @@ harness.run_experiment(config, harness.make_folds(corpus[name], seed=0),
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
 """
 
-    def test_workers_on_a_warm_store_fault_as_on_a_cold_one(self, tiny_dataset,
+    def test_workers_on_a_warm_store_fault_as_on_a_cold_one(self, corpus,
+                                                           tiny_dataset,
                                                            tmp_path):
-        # Each run is a fresh interpreter.  The first fills the store, and
-        # freeing the CQT's large buffers raises glibc's dynamic mmap
-        # threshold that its forked workers inherit; the second only reads
-        # the store, and its workers would map and unmap every large
-        # training temporary anew.
+        # A fold worker inherits glibc's dynamic mmap threshold from the
+        # parent, where it rises only when a large buffer is freed, as a
+        # parent that computes log-CQTs itself frees them; a parent that
+        # only reads the store frees none, and its workers would map and
+        # unmap every large training temporary anew.  The store is filled
+        # first, so that each run, a fresh interpreter, only reads it: the
+        # first after freeing 16 MB, the second after freeing nothing.
+        for entry in corpus["tiny"]:
+            store_file(tmp_path / "features", entry.audio_path)
         data_dir, _ = tiny_dataset
         src_dir = os.path.dirname(os.path.dirname(harness.__file__))
         faults = []
-        for exp_id in (1, 2):
+        for exp_id, freed_mb in ((1, 16), (2, 0)):
             proc = subprocess.run(
                 [sys.executable, "-c", self.FAULTS, str(data_dir.parent),
-                 data_dir.name, str(tmp_path), str(exp_id)],
+                 data_dir.name, str(tmp_path), str(exp_id), str(freed_mb)],
                 capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": src_dir})
             assert proc.returncode == 0, proc.stderr
@@ -822,6 +941,11 @@ class TestLoadCorpus:
         ('{"path": "x.wav"}', "missing key 'id'"),
         ('{"id": "x", "path": ', "not JSON: Expecting value"),
         ('["x.wav"]', "not a JSON object"),
+        ('{"id": "x", "path": 5}', "path must be a non-empty string, got 5"),
+        ('{"id": ["x"], "path": "x.wav"}',
+         "id must be a non-empty string, got ['x']"),
+        ('{"id": "", "path": "x.wav"}', "id must be a non-empty string, got ''"),
+        ('{"id": "a", "path": "b.wav"}', "duplicate id 'a' (line 1)"),
     ])
     def test_bad_manifest_line_names_file_and_line(self, tmp_path, line, reason):
         manifest = tmp_path / "d" / "manifest.jsonl"
@@ -839,3 +963,61 @@ class TestLoadCorpus:
                 f"{manifest}:2: not UTF-8 text: invalid continuation byte "
                 "(byte 0xc8)")):
             load_corpus(tmp_path, {"d": "d"})
+
+
+# Two lines as emit_dataset writes them (docs/manifest.md).
+MANIFEST_LINES = [
+    {"duration": 12.0, "id": "synth_0000", "path": "synth_0000.wav", "seed": 7},
+    {"duration": 12.0, "id": "synth_0001", "path": "synth_0001.wav", "seed": 8}]
+MANIFEST_BASE = "".join(json.dumps(line, sort_keys=True) + "\n"
+                        for line in MANIFEST_LINES).encode()
+MANIFEST_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(MANIFEST_BASE) - 1),
+              st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, len(MANIFEST_BASE) - 1),
+              st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, len(MANIFEST_BASE)),
+              st.integers(0, 255)),
+    # One key's value on one line replaced by another JSON value.
+    st.tuples(st.just("value"),
+              st.tuples(st.integers(0, len(MANIFEST_LINES) - 1),
+                        st.sampled_from(["id", "path", "duration", "seed"])),
+              st.sampled_from([5, -1.5, True, None, "", [], ["x"], {},
+                               "synth_0000", "synth_0001.wav", "../x.wav"])))
+
+
+def mutate_manifest(mutation):
+    kind, at, value = mutation
+    if kind != "value":
+        return mutate(MANIFEST_BASE, mutation)
+    line, key = at
+    lines = [dict(entry) for entry in MANIFEST_LINES]
+    lines[line][key] = value
+    return "".join(json.dumps(entry) + "\n" for entry in lines).encode()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(MANIFEST_MUTATIONS)
+@example(("truncate", len(MANIFEST_BASE), 0))  # the base itself, unchanged
+@example(("value", (0, "path"), 5))
+@example(("value", (1, "id"), ["x"]))
+@example(("value", (1, "id"), "synth_0000"))  # the id of line 1
+def test_manifest_mutants_load_or_name_the_file(tmp_path, mutation):
+    """Each mutant loads as song entries with distinct string ids and
+    string paths, or raises an error whose message starts with the
+    manifest's path."""
+    manifest = tmp_path / "d" / "manifest.jsonl"
+    manifest.parent.mkdir(exist_ok=True)
+    manifest.write_bytes(mutate_manifest(mutation))
+    try:
+        entries = load_corpus(tmp_path, {"d": "d"})["d"]
+    except ValueError as exc:
+        assert str(exc).startswith(f"{manifest}:"), str(exc)
+        return
+    song_ids = [e.song_id for e in entries]
+    assert len(set(song_ids)) == len(song_ids)
+    for e in entries:
+        assert isinstance(e.song_id, str) and e.song_id.startswith("d/")
+        assert len(e.song_id) > len("d/")
+        assert isinstance(e.audio_path, str) and isinstance(e.label_path, str)
