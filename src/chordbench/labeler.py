@@ -23,6 +23,14 @@ per item.  Only a validation set is swept forward between epochs, one
 unsplit stack at a time, for early stopping; without one, :func:`train`
 runs every epoch and keeps the last parameters.
 
+Training keeps the parameters, each step's summed gradient and Adam's two
+moments as one contiguous vector each, laid out in :func:`param_shapes`
+order.  Each named tensor is a reshaped view of its vector
+(:func:`param_views`), so Adam updates every parameter with one pass per
+operation and :func:`train` keeps its best epoch as one copy.  A step's
+per-item gradient parts are the rows of one ``(items, values)`` buffer in
+the same layout, which the backward pass writes into.
+
 Each elementwise step makes one pass over an array: bias adds, residual
 adds, the softmax and the layer-norm arithmetic update their operand in
 place.  They do so only on arrays the function has just computed, never on
@@ -46,9 +54,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .annotations import SegmentTrack
-from .features import (BIN_KINDS, WINDOW_FRAMES, FeatureError, FeatureMatrix,
-                       NormStats, check_labels, decode_scores, window_slices,
-                       zscore_apply, zscore_fit)
+from .features import (BIN_KINDS, N_BINS, WINDOW_FRAMES, FeatureError,
+                       FeatureMatrix, NormStats, check_labels, decode_scores,
+                       window_slices, zscore_apply, zscore_fit)
 from .labels import N_MAJMIN_CLASSES
 from .templates import fold_to_chroma
 from .workers import _halves, _on_halves
@@ -58,6 +66,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # :func:`fit`'s training hyperparameters at ``chordbench train``'s defaults.
 DEFAULTS = {"model_dim": 64, "n_layers": 2, "n_heads": 4, "lr": 1e-3,
             "batch_size": 8, "max_epochs": 50, "patience": 5}
+# The most parameter values a hyperparameter file may ask for, with
+# ``N_BINS`` input bins: 64 MiB of float32, against 77,849 values at the
+# defaults.  A training step holds the parameters, the gradient, Adam's two
+# moments and one gradient row per batch item, each of this many values.
+MAX_VALUES = 2 ** 24
 
 
 class TrainingError(RuntimeError):
@@ -168,21 +181,50 @@ def param_shapes(config: LabelerConfig):
     yield "classifier.b", (N_MAJMIN_CLASSES,)
 
 
+def _n_values(config: LabelerConfig) -> int:
+    """How many values the parameters of ``config`` hold in all."""
+    return sum(math.prod(shape) for _, shape in param_shapes(config))
+
+
+def param_views(config: LabelerConfig, buffer: np.ndarray) -> dict:
+    """Each parameter of ``config`` as a view of ``buffer``'s last axis.
+
+    The tensors lie one after another in :func:`param_shapes` order, as
+    :func:`flatten_params` lays them out.  A vector of ``n`` values gives
+    tensors of their own shapes; an ``(items, n)`` array gives
+    ``(items, *shape)`` views, one row per item.  Writing to a view writes
+    to ``buffer``.
+    """
+    lead = buffer.shape[:-1]
+    views, start = {}, 0
+    for name, shape in param_shapes(config):
+        stop = start + math.prod(shape)
+        views[name] = buffer[..., start:stop].reshape(lead + shape)
+        start = stop
+    return views
+
+
+def _vector(views: dict) -> np.ndarray:
+    """The vector that :func:`param_views` made ``views`` from, where that
+    vector owns its memory (numpy then makes it each view's ``base``)."""
+    return views["in_proj.w"].base
+
+
 def init_params(config: LabelerConfig, dtype=np.float32) -> dict:
-    """Seeded parameter initialization.
+    """Seeded parameter initialization, as views of one new vector
+    (:func:`param_views`).
 
     Weight matrices are drawn ~ N(0, 1/fan_in) in :func:`param_shapes`
     order; layer-norm gains (``.g``) start at 1 and biases at 0.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = {}
-    for name, shape in param_shapes(config):
-        if len(shape) == 2:
-            params[name] = (rng.standard_normal(shape)
-                            / np.sqrt(shape[0])).astype(dtype)
+    params = param_views(config, np.empty(_n_values(config), dtype=dtype))
+    for name, value in params.items():
+        if value.ndim == 2:
+            value[...] = (rng.standard_normal(value.shape)
+                          / np.sqrt(value.shape[0])).astype(dtype)
         else:
-            params[name] = np.full(shape, 1.0 if name.endswith(".g") else 0.0,
-                                   dtype=dtype)
+            value[...] = 1.0 if name.endswith(".g") else 0.0
     return params
 
 
@@ -236,18 +278,19 @@ def _layer_norm(x, g, b):
     return y, (x, inv, g)
 
 
-def _layer_norm_backward(dy, cache):
-    """``(dx, dg, db)`` of a stack; ``dg`` and ``db`` hold a part per item."""
+def _layer_norm_backward(dy, cache, dg, db):
+    """``dx`` of a stack; each item's part of the gain and bias gradients
+    is written into its row of ``dg`` and ``db``."""
     xhat, inv, g = cache
     n = dy.shape[-1]
-    dg = np.einsum("...ij,...ij->...j", dy, xhat)
-    db = _bias_grad(dy)
+    np.einsum("...ij,...ij->...j", dy, xhat, out=dg)
+    _bias_grad(dy, db)
     dx = dy * g  # the gradient for xhat, turned into that for x in place
     mean_dxhat_xhat = np.einsum("...j,...j->...", dx, xhat)[..., None] / n
     dx -= dx.sum(axis=-1, keepdims=True) / n
     dx -= xhat * mean_dxhat_xhat
     dx *= inv
-    return dx, dg, db
+    return dx
 
 
 def _softmax_inplace(x):
@@ -337,32 +380,36 @@ def forward(params: dict, config: LabelerConfig, inputs: np.ndarray,
     return scores
 
 
-def _weight_grad(a, b):
-    """``a.T @ b`` of each item of a stack, one product per item.
+def _weight_grad(a, b, out):
+    """``a.T @ b`` of each item of a stack into ``out``, one product per item.
 
     A single product over all rows would be faster, but would sum in
     another order than one pass per item.
     """
-    return a.swapaxes(-1, -2) @ b
+    np.matmul(a.swapaxes(-1, -2), b, out=out)
 
 
-def _bias_grad(d):
-    """Sum of each item of a stack over its frames."""
-    return d.sum(axis=-2)
+def _bias_grad(d, out):
+    """Sum of each item of a stack over its frames, into ``out``."""
+    d.sum(axis=-2, out=out)
 
 
-def _backward(params, config, state, dscores):
-    """Each parameter's gradient parts for a stack of items, given ``dscores``.
+def _backward(params, config, state, dscores, parts):
+    """Write each parameter's gradient parts for a stack of items, given
+    ``dscores``, into ``parts``, and return them as :func:`param_views`.
 
-    ``state`` is what :func:`forward` returns for the stack.  The result maps
-    each parameter name to an ``(items, *shape)`` array: item ``i``'s part is
-    the gradient of one pass over item ``i`` alone, and the parts summed
-    over axis 0 are the stack's gradient.
+    ``state`` is what :func:`forward` returns for the stack, and ``parts``
+    is an ``(items, values)`` array laid out as :func:`param_views` lays out
+    a vector, such as some rows of a larger buffer; every value of it is
+    written.  Row ``i`` is the gradient of one pass over item ``i`` alone,
+    and the rows summed over axis 0 are the stack's gradient.  The products,
+    sums and einsums write their results straight into the rows, with no
+    copy.
     """
-    grads = {}
+    grads = param_views(config, parts)
     h = state["h_final"]
-    grads["classifier.w"] = _weight_grad(h, dscores)
-    grads["classifier.b"] = _bias_grad(dscores)
+    _weight_grad(h, dscores, grads["classifier.w"])
+    _bias_grad(dscores, grads["classifier.b"])
     dh = dscores @ params["classifier.w"].T
     scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.n_layers)):
@@ -370,23 +417,23 @@ def _backward(params, config, state, dscores):
         qh, kh, vh, ctx, ln1_cache, h1, u, ln2_cache = state[f"layer.{i}"]
         attn = state[f"attn.{i}"]
 
-        dr2, grads[f"{p}.ln2.g"], grads[f"{p}.ln2.b"] = _layer_norm_backward(
-            dh, ln2_cache)
+        dr2 = _layer_norm_backward(dh, ln2_cache, grads[f"{p}.ln2.g"],
+                                   grads[f"{p}.ln2.b"])
         # r2 = h1 + relu(h1 W1 + b1) W2 + b2
-        grads[f"{p}.ff.w2"] = _weight_grad(u, dr2)
-        grads[f"{p}.ff.b2"] = _bias_grad(dr2)
+        _weight_grad(u, dr2, grads[f"{p}.ff.w2"])
+        _bias_grad(dr2, grads[f"{p}.ff.b2"])
         dz1 = dr2 @ params[f"{p}.ff.w2"].T
         dz1 *= (u > 0)
-        grads[f"{p}.ff.w1"] = _weight_grad(h1, dz1)
-        grads[f"{p}.ff.b1"] = _bias_grad(dz1)
+        _weight_grad(h1, dz1, grads[f"{p}.ff.w1"])
+        _bias_grad(dz1, grads[f"{p}.ff.b1"])
         dh1 = dz1 @ params[f"{p}.ff.w1"].T
         dh1 += dr2
 
-        dr1, grads[f"{p}.ln1.g"], grads[f"{p}.ln1.b"] = _layer_norm_backward(
-            dh1, ln1_cache)
+        dr1 = _layer_norm_backward(dh1, ln1_cache, grads[f"{p}.ln1.g"],
+                                   grads[f"{p}.ln1.b"])
         # r1 = h_in + (attn context) Wo + bo; the scores are (q * scale) k^T
-        grads[f"{p}.attn.wo"] = _weight_grad(ctx, dr1)
-        grads[f"{p}.attn.bo"] = _bias_grad(dr1)
+        _weight_grad(ctx, dr1, grads[f"{p}.attn.wo"])
+        _bias_grad(dr1, grads[f"{p}.attn.bo"])
         dctx_h = _split_heads(dr1 @ params[f"{p}.attn.wo"].T, config.n_heads)
         dattn = dctx_h @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ dctx_h
@@ -400,24 +447,16 @@ def _backward(params, config, state, dscores):
         dv = _merge_heads(dvh)
 
         h_in = state[f"h_in.{i}"]
-        grads[f"{p}.attn.wq"] = _weight_grad(h_in, dq)
-        grads[f"{p}.attn.bq"] = _bias_grad(dq)
-        grads[f"{p}.attn.wk"] = _weight_grad(h_in, dk)
-        grads[f"{p}.attn.bk"] = _bias_grad(dk)
-        grads[f"{p}.attn.wv"] = _weight_grad(h_in, dv)
-        grads[f"{p}.attn.bv"] = _bias_grad(dv)
+        for name, d in (("q", dq), ("k", dk), ("v", dv)):
+            _weight_grad(h_in, d, grads[f"{p}.attn.w{name}"])
+            _bias_grad(d, grads[f"{p}.attn.b{name}"])
         dh = dq @ params[f"{p}.attn.wq"].T
         dh += dk @ params[f"{p}.attn.wk"].T
         dh += dv @ params[f"{p}.attn.wv"].T
         dh += dr1
-    grads["in_proj.w"] = _weight_grad(state["x"], dh)
-    grads["in_proj.b"] = _bias_grad(dh)
+    _weight_grad(state["x"], dh, grads["in_proj.w"])
+    _bias_grad(dh, grads["in_proj.b"])
     return grads
-
-
-def _joined(arrays):
-    """``arrays`` concatenated along axis 0; one array is returned as is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def loss_value(params: dict, config: LabelerConfig, batch) -> float:
@@ -485,19 +524,24 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch):
     The batch's items must have equal lengths, else ``ValueError``: they
     are stacked into one ``(items, frames, bins)`` array, whose halves each
     take one :func:`forward` and one backward pass, at the same time (see
-    :mod:`chordbench.workers`).  Each half's backward pass gives
-    every item's gradient part (per-item weight products, and bias or gain
-    sums over frames); the parts of both halves are joined in item order
-    and summed over the items into zeroed gradients, and the loss terms are
-    subtracted in item order.  These are the float additions, in the same
-    order, of one pass per item added in turn into zeroed gradients, so the
-    results are bit-identical to that loop, split or not.
+    :mod:`chordbench.workers`).  Each half's backward pass writes every
+    item's gradient part (per-item weight products, and bias or gain sums
+    over frames) into that item's row of one ``(items, values)`` buffer,
+    laid out as :func:`param_views` lays out a vector; the two halves write
+    disjoint rows.  One sum over the rows, added into a zeroed vector, is
+    the gradient, and ``grads`` holds its named views (:func:`param_views`).
+    The loss terms are subtracted in item order.  These are the float
+    additions, in the same order, of one pass per item added in turn into
+    zeroed gradients, so the results are bit-identical to that loop, split
+    or not.  The add into zeros also turns a ``-0.0`` sum into ``+0.0``, as
+    that loop does.
     """
     batch = list(batch)
     n_valid = sum(int(item.valid_mask().sum()) for item in batch)
     if n_valid == 0:
         raise ValueError("batch has no valid frames")
     inputs, targets, masks = _stack(batch, params["in_proj.w"].dtype)
+    parts = np.empty((len(batch), _n_values(config)), dtype=inputs.dtype)
 
     def step(part):
         scores, state = forward(params, config, inputs[part], return_state=True)
@@ -510,55 +554,61 @@ def loss_and_grad(params: dict, config: LabelerConfig, batch):
         dscores[items, frames, part_targets] -= 1.0
         dscores *= part_masks[..., None]
         dscores /= n_valid
-        return terms, correct, _backward(
-            params, config, state, dscores.astype(scores.dtype, copy=False))
+        _backward(params, config, state,
+                  dscores.astype(scores.dtype, copy=False), parts[part])
+        return terms, correct
 
     halves = _on_halves(step, _halves(len(batch)))
     total = 0.0
-    for term in _joined([terms for terms, _, _ in halves]).tolist():
-        total -= term
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    for k, grad in grads.items():
-        grad += _joined([item_grads[k] for _, _, item_grads in halves]).sum(
-            axis=0)
+    for terms, _ in halves:
+        for term in terms.tolist():
+            total -= term
+    grad = np.zeros(parts.shape[1], dtype=parts.dtype)
+    grad += parts.sum(axis=0)
     loss = total / n_valid
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss: {loss}")
-    return loss, grads, sum(correct for _, correct, _ in halves)
+    return loss, param_views(config, grad), sum(correct for _, correct in halves)
 
 
 class AdamOptimizer:
-    """Adaptive moment estimation over a named parameter dict."""
+    """Adaptive moment estimation over one flat parameter vector.
 
-    def __init__(self, params: dict, *, lr):
+    ``params`` and the gradient that :meth:`step` takes are vectors laid out
+    as :func:`param_views` lays them out, and the moments ``m`` and ``v``
+    are vectors of the same size, so every operation of a step is one pass
+    over all the parameters.  Every value follows the same formulas as it
+    would alone, so a step is bit-identical to one over each tensor.
+    """
+
+    def __init__(self, params: np.ndarray, *, lr):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update the vector ``params`` in place, given its gradient."""
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        for k in params:
-            g = grads[k]
-            # In place, in the order of m = b1 m + (1 - b1) g and
-            # v = b2 v + ((1 - b2) g) g, so every step is bit-identical to
-            # the same formulas computed into new arrays.
-            m, v = self.m[k], self.v[k]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            g2 = (1.0 - ADAM_BETA2) * g
-            g2 *= g
-            v += g2
-            denom = v / b2c
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            update = m / b1c
-            update *= self.lr
-            update /= denom
-            params[k] -= update
+        # In place, in the order of m = b1 m + (1 - b1) g and
+        # v = b2 v + ((1 - b2) g) g, so every step is bit-identical to the
+        # same formulas computed into new arrays.
+        m, v = self.m, self.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grads
+        v *= ADAM_BETA2
+        g2 = (1.0 - ADAM_BETA2) * grads
+        g2 *= grads
+        v += g2
+        denom = v / b2c
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update = m / b1c
+        update *= self.lr
+        update /= denom
+        params -= update
 
 
 def train(config: LabelerConfig, train_items, val_items=None, *, lr,
@@ -569,7 +619,9 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
     and backward pass (:func:`loss_and_grad`), as two halves at the same
     time where the process's CPU affinity holds two CPUs or more.
     Deterministic given ``config.seed``, and bit-identical to a loop of one
-    pass per item.
+    pass per item.  Adam steps the one parameter vector with the one
+    gradient vector (:class:`AdamOptimizer`), and the parameters come back
+    as :func:`param_views` of one vector.
 
     With ``val_items``, one forward sweep over them after each epoch, one
     unsplit :func:`forward` call per stack of ``batch_size``, gives the
@@ -595,11 +647,12 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
     val_items = list(val_items or ())
     n_train_frames = sum(int(item.valid_mask().sum()) for item in train_items)
     params = init_params(config)
-    optimizer = AdamOptimizer(params, lr=lr)
+    values = _vector(params)
+    optimizer = AdamOptimizer(values, lr=lr)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     report = TrainReport()
     best_loss = np.inf
-    best_params = params  # a copy from the first validation sweep on
+    best = values  # a copy from the first validation sweep on
     epochs_since_best = 0
     for _ in range(max_epochs):
         order = rng.permutation(len(train_items))
@@ -607,7 +660,7 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
         for start in range(0, len(order), batch_size):
             batch = [train_items[j] for j in order[start:start + batch_size]]
             loss, grads, correct = loss_and_grad(params, config, batch)
-            optimizer.step(params, grads)
+            optimizer.step(values, _vector(grads))
             epoch_loss += loss
             n_batches += 1
             n_correct += correct
@@ -623,13 +676,13 @@ def train(config: LabelerConfig, train_items, val_items=None, *, lr,
             raise TrainingError(f"non-finite validation loss: {monitored}")
         if monitored < best_loss:
             best_loss = monitored
-            best_params = {k: v.copy() for k, v in params.items()}
+            best = values.copy()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best > patience:
                 break
-    return best_params, report
+    return param_views(config, best), report
 
 
 @dataclass(frozen=True)
@@ -711,14 +764,30 @@ def _check_divisible(model_dim, n_heads) -> None:
                          f"n_heads {n_heads}")
 
 
+def _check_size(model_dim, n_layers, n_heads) -> None:
+    """Raise ``ValueError`` if the model of these hyperparameters, with
+    ``N_BINS`` input bins, holds more than :data:`MAX_VALUES` values.  The
+    walk over :func:`param_shapes` stops there, so a huge config costs no
+    more than a small one."""
+    config = LabelerConfig(input_dim=N_BINS, model_dim=model_dim,
+                           n_layers=n_layers, n_heads=n_heads, seed=0)
+    n_values = 0
+    for _, shape in param_shapes(config):
+        n_values += math.prod(shape)
+        if n_values > MAX_VALUES:
+            raise ValueError(f"model_dim {model_dim} and n_layers {n_layers} "
+                             f"make a model of more than {MAX_VALUES} values")
+
+
 def check_hyperparameters(params: dict, known, what: str) -> None:
     """Check :func:`fit` keyword arguments read from a config file.
 
     ``params`` must be a dict and each of its keys must be in ``known``,
     the dict of default values.  Each value must be of its key's kind and
-    in its range (:func:`_check_value`), and ``model_dim`` be divisible by
-    ``n_heads``, each read from ``params`` or else ``known``.  The first bad
-    key raises ``ValueError``, which calls the key ``what`` (e.g.
+    in its range (:func:`_check_value`), ``model_dim`` be divisible by
+    ``n_heads``, and the model hold at most :data:`MAX_VALUES` values
+    (:func:`_check_size`), each read from ``params`` or else ``known``.  The
+    first bad key raises ``ValueError``, which calls the key ``what`` (e.g.
     ``"model_params key"``).
     """
     if not isinstance(params, dict):
@@ -729,6 +798,7 @@ def check_hyperparameters(params: dict, known, what: str) -> None:
         _check_value(key, params[key], f"{what} {key!r}")
     merged = {**known, **params}
     _check_divisible(merged["model_dim"], merged["n_heads"])
+    _check_size(merged["model_dim"], merged["n_layers"], merged["n_heads"])
 
 
 def fit(pairs, seed, model_dim, n_layers, n_heads, lr, batch_size,

@@ -316,9 +316,10 @@ def read_manifest(path) -> list:
     """Read a JSON-lines dataset manifest (format in docs/manifest.md).
 
     A line that is not a JSON object whose ``id`` and ``path`` are
-    non-empty strings, or whose ``id`` an earlier line has, raises
-    :class:`SynthError` naming ``<path>:<line>``, and bytes that are not
-    UTF-8 raise ``AnnotationError`` naming it; blank lines are skipped.
+    non-empty strings, whose ``path`` is absolute, or whose ``id`` an
+    earlier line has, raises :class:`SynthError` naming ``<path>:<line>``,
+    and bytes that are not UTF-8 raise ``AnnotationError`` naming it; blank
+    lines are skipped.
     """
     entries = []
     first_line_of = {}
@@ -339,6 +340,9 @@ def read_manifest(path) -> list:
                 if not (isinstance(entry[key], str) and entry[key]):
                     raise SynthError(f"{path}:{line_no}: {key} must be a "
                                      f"non-empty string, got {entry[key]!r}")
+            if os.path.isabs(entry["path"]):
+                raise SynthError(f"{path}:{line_no}: path must be relative to "
+                                 f"the dataset directory, got {entry['path']!r}")
             if entry["id"] in first_line_of:
                 raise SynthError(f"{path}:{line_no}: duplicate id "
                                  f"{entry['id']!r} (line "

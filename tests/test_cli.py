@@ -452,10 +452,13 @@ class TestExtractTrainPredict:
          "key 'val_fraction' must be at least 0 and below 1, got 1.0"),
         ({"model_dim": 8, "n_heads": 3},
          "model_dim 8 is not divisible by n_heads 3"),
+        ({"n_layers": 10 ** 6},
+         "model_dim 64 and n_layers 1000000 make a model of more than "
+         "16777216 values"),
     ], ids=["val_fraction-str", "max_epochs-str", "lr-bool", "batch_size-bool",
             "n_layers-float", "list", "max_epochs-0", "batch_size-0",
             "lr-negative", "patience-negative", "seed-negative",
-            "val_fraction-1", "model_dim-n_heads"])
+            "val_fraction-1", "model_dim-n_heads", "n_layers-huge"])
     def test_train_rejects_config_value_of_wrong_type(
             self, pipeline_dirs, tmp_path, capsys, config, message):
         _, cache = pipeline_dirs
@@ -928,7 +931,11 @@ class TestXval:
          "model_params key 'max_epochs' must be at least 1, got 0"),
         ({"model_params": {"model_dim": 8, "n_heads": 3}},
          "model_dim 8 is not divisible by n_heads 3"),
-    ], ids=["seed-float", "seed-negative", "max_epochs-0", "model_dim-n_heads"])
+        ({"model_params": {"model_dim": 10 ** 9}},
+         "model_dim 1000000000 and n_layers 1 make a model of more than "
+         "16777216 values"),
+    ], ids=["seed-float", "seed-negative", "max_epochs-0", "model_dim-n_heads",
+            "model_dim-huge"])
     def test_bad_experiment_stops_before_any_experiment(
             self, tiny_dataset, tmp_path, capsys, change, reason):
         data_dir, _ = tiny_dataset

@@ -8,21 +8,21 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chordbench import features, harness, workers
+from chordbench import features, harness, labeler, workers
 from chordbench.annotations import AnnotationError, normalize, read_lab
 from chordbench.features import (load_wav, log_cqt_from_wav,
                                  read_feature_cache, save_wav)
-from chordbench.harness import (ExperimentConfig, FoldError, HarnessError,
-                                SongEntry, balance_datasets, emit_report,
-                                load_corpus, load_experiments, make_folds,
-                                run_experiment)
+from chordbench.harness import (LABELER_DEFAULTS, ExperimentConfig, FoldError,
+                                HarnessError, SongEntry, balance_datasets,
+                                emit_report, load_corpus, load_experiments,
+                                make_folds, run_experiment)
 from chordbench.synth import SynthError
 from conftest import (mutate, needs_workers, no_child_left, store_file,
                       use_cpus)
@@ -935,6 +935,67 @@ class TestExperimentsConfig:
             load_experiments(p)
 
 
+EXPERIMENTS_BASE = EXAMPLE_MATRIX.read_bytes()
+EXPERIMENT_KEYS = [f.name for f in fields(ExperimentConfig)]
+EXPERIMENTS_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(EXPERIMENTS_BASE) - 1),
+              st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, len(EXPERIMENTS_BASE) - 1),
+              st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, len(EXPERIMENTS_BASE)),
+              st.integers(0, 255)),
+    # One key of one experiment set to another JSON value, the key added
+    # where the experiment lacks it.
+    st.tuples(st.just("value"),
+              st.tuples(st.integers(0, 3), st.sampled_from(EXPERIMENT_KEYS)),
+              st.sampled_from([5, -1, 0, 1.5, 1e300, 10 ** 30, True, None, "",
+                               "labeler", "template", [], ["synthA"],
+                               ["synthC"], [5], {}, {"model_dim": 16},
+                               {"model_dim": 10 ** 9}, {"n_layers": 10 ** 6},
+                               {"n_heads": 3}, {"lr": -1}, {"seed": 1}])))
+
+
+def mutate_experiments(mutation):
+    kind, at, value = mutation
+    if kind != "value":
+        return mutate(EXPERIMENTS_BASE, mutation)
+    index, key = at
+    matrix = example_matrix()
+    matrix["experiments"][index][key] = value
+    return json.dumps(matrix).encode()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(EXPERIMENTS_MUTATIONS)
+@example(("truncate", len(EXPERIMENTS_BASE), 0))  # the file itself, unchanged
+@example(("value", (1, "model_params"), {"model_dim": 10 ** 9}))
+@example(("value", (2, "model_params"), {"n_layers": 10 ** 6}))
+@example(("value", (3, "model_params"), {"model_dim": 16}))
+def test_experiments_mutants_load_or_name_the_file(tmp_path, mutation):
+    """Each mutant of docs/experiments.json loads as checked experiments
+    whose labelers can be built, or raises an error whose message starts
+    with the file's path."""
+    p = tmp_path / "experiments.json"
+    p.write_bytes(mutate_experiments(mutation))
+    try:
+        datasets, experiments = load_experiments(p)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{p}:"), str(exc)
+        return
+    assert all(isinstance(v, str) for v in datasets.values())
+    assert len({e.id for e in experiments}) == len(experiments)
+    for e in experiments:
+        assert set(e.train_datasets + e.eval_datasets) <= set(datasets)
+        if e.model == "labeler":
+            hyper = {**LABELER_DEFAULTS, **e.model_params}
+            config = labeler.LabelerConfig(
+                input_dim=features.N_BINS, model_dim=hyper["model_dim"],
+                n_layers=hyper["n_layers"], n_heads=hyper["n_heads"],
+                seed=e.seed)
+            assert labeler._n_values(config) <= labeler.MAX_VALUES
+
+
 class TestLoadCorpus:
     @pytest.mark.parametrize("line, reason", [
         ('{"id": "x"}', "missing key 'path'"),
@@ -946,6 +1007,8 @@ class TestLoadCorpus:
          "id must be a non-empty string, got ['x']"),
         ('{"id": "", "path": "x.wav"}', "id must be a non-empty string, got ''"),
         ('{"id": "a", "path": "b.wav"}', "duplicate id 'a' (line 1)"),
+        ('{"id": "x", "path": "/x.wav"}', "path must be relative to the "
+         "dataset directory, got '/x.wav'"),
     ])
     def test_bad_manifest_line_names_file_and_line(self, tmp_path, line, reason):
         manifest = tmp_path / "d" / "manifest.jsonl"
@@ -983,7 +1046,8 @@ MANIFEST_MUTATIONS = st.one_of(
               st.tuples(st.integers(0, len(MANIFEST_LINES) - 1),
                         st.sampled_from(["id", "path", "duration", "seed"])),
               st.sampled_from([5, -1.5, True, None, "", [], ["x"], {},
-                               "synth_0000", "synth_0001.wav", "../x.wav"])))
+                               "synth_0000", "synth_0001.wav", "../x.wav",
+                               "/x.wav"])))
 
 
 def mutate_manifest(mutation):
@@ -1003,10 +1067,11 @@ def mutate_manifest(mutation):
 @example(("value", (0, "path"), 5))
 @example(("value", (1, "id"), ["x"]))
 @example(("value", (1, "id"), "synth_0000"))  # the id of line 1
+@example(("value", (0, "path"), "/x.wav"))
 def test_manifest_mutants_load_or_name_the_file(tmp_path, mutation):
     """Each mutant loads as song entries with distinct string ids and
-    string paths, or raises an error whose message starts with the
-    manifest's path."""
+    string paths under the dataset directory, or raises an error whose
+    message starts with the manifest's path."""
     manifest = tmp_path / "d" / "manifest.jsonl"
     manifest.parent.mkdir(exist_ok=True)
     manifest.write_bytes(mutate_manifest(mutation))
@@ -1021,3 +1086,4 @@ def test_manifest_mutants_load_or_name_the_file(tmp_path, mutation):
         assert isinstance(e.song_id, str) and e.song_id.startswith("d/")
         assert len(e.song_id) > len("d/")
         assert isinstance(e.audio_path, str) and isinstance(e.label_path, str)
+        assert e.audio_path.startswith(str(manifest.parent) + os.sep)

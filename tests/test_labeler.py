@@ -211,8 +211,9 @@ def reference_train(config, train_items, val_items=None, lr=1e-3,
     training accuracy when there is no validation set, and the validation
     windows after each epoch, which pick the best epoch when there is."""
     train_items = list(train_items)
-    params = init_params(config, dtype=dtype)
-    optimizer = AdamOptimizer(params, lr=lr)
+    values = flatten_params(init_params(config, dtype=dtype))
+    params = labeler.param_views(config, values)
+    optimizer = AdamOptimizer(values, lr=lr)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     report = labeler.TrainReport()
     best_loss = np.inf
@@ -227,7 +228,7 @@ def reference_train(config, train_items, val_items=None, lr=1e-3,
             n_correct += correct
             n_valid += valid
             loss, grads, _ = loss_and_grad(params, config, batch)
-            optimizer.step(params, grads)
+            optimizer.step(values, flatten_params(grads))
             epoch_loss += loss
             n_batches += 1
         report.losses.append(epoch_loss / n_batches)
@@ -537,8 +538,9 @@ class TestGradient:
             dscores[frames, item.targets] -= 1.0
             dscores *= mask[:, None]
             dscores /= n_valid
-            item_grads = labeler._backward(params, config, state,
-                                           dscores.astype(dtype)[None])
+            item_grads = labeler._backward(
+                params, config, state, dscores.astype(dtype)[None],
+                np.empty((1, count_params(params)), dtype=dtype))
             for k, grad in want_grads.items():
                 grad += item_grads[k][0]
         loss, grads, _ = loss_and_grad(params, config, batch)
@@ -622,7 +624,7 @@ class TestTraining:
 
         def recording_step(optimizer, params, grads):
             step(optimizer, params, grads)
-            steps.append({k: v.copy() for k, v in params.items()})
+            steps.append(params.copy())
 
         monkeypatch.setattr(AdamOptimizer, "step", recording_step)
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=4)
@@ -631,8 +633,7 @@ class TestTraining:
         assert report.epochs_run == len(steps) == 50
         assert report.val_losses == []
         assert min(report.losses) < report.losses[-1]
-        for k, value in params.items():
-            assert np.array_equal(value, steps[-1][k]), k
+        assert np.array_equal(flatten_params(params), steps[-1])
 
     def test_loss_non_increasing_small_lr_full_batch(self):
         cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2, seed=6)
@@ -927,6 +928,94 @@ class TestSplitStacks:
         swept.clear()
         loss_value(init_params(TINY), TINY, make_batch(TINY, n_items=5))
         assert swept == [5]
+
+
+def _views_of_one_vector(views, config):
+    """Assert that ``views`` are the :func:`param_views` of one vector of
+    ``config``'s size, in ``param_shapes`` order, and return that vector."""
+    vector = labeler._vector(views)
+    assert vector.ndim == 1 and vector.size == count_params(views)
+    assert list(views) == [name for name, _ in param_shapes(config)]
+    for k, value in views.items():
+        assert np.shares_memory(value, vector), k
+    assert np.array_equal(flatten_params(views), vector)
+    return vector
+
+
+class TestFlatBuffers:
+    """Parameters, the summed gradient and Adam's moments are each one
+    vector, and each named tensor is a view of it."""
+
+    def test_init_params_are_views_of_one_vector(self):
+        params = init_params(D64)
+        vector = _views_of_one_vector(params, D64)
+        assert vector.dtype == np.float32
+        names = list(params)
+        for a, b in zip(names, names[1:]):
+            assert not np.shares_memory(params[a], params[b]), (a, b)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_gradients_are_views_of_one_vector(self, monkeypatch, n_cpus):
+        use_cpus(monkeypatch, n_cpus)
+        params = init_params(TINY)
+        _, grads, _ = loss_and_grad(params, TINY, make_batch(TINY, n_items=5))
+        assert not np.shares_memory(_views_of_one_vector(grads, TINY),
+                                    labeler._vector(params))
+
+    @pytest.mark.parametrize("n_cpus, rows", [(1, [(0, 5)]),
+                                              (2, [(0, 3), (3, 5)])])
+    def test_each_half_writes_its_own_rows_of_one_buffer(
+            self, monkeypatch, n_cpus, rows):
+        use_cpus(monkeypatch, n_cpus)
+        written = []
+        backward = labeler._backward
+
+        def spy(params, config, state, dscores, parts):
+            written.append(parts)
+            return backward(params, config, state, dscores, parts)
+
+        monkeypatch.setattr(labeler, "_backward", spy)
+        loss_and_grad(init_params(TINY), TINY, make_batch(TINY, n_items=5))
+        buffer = written[0].base
+        assert buffer.shape == (5, count_params(init_params(TINY)))
+        got = []
+        for parts in written:
+            assert parts.base is buffer
+            first = (parts.ctypes.data - buffer.ctypes.data) // buffer.strides[0]
+            got.append((first, first + len(parts)))
+        assert sorted(got) == rows
+
+    def test_adam_and_train_keep_one_vector_each(self, monkeypatch):
+        seen = []
+        step = AdamOptimizer.step
+
+        def recording_step(optimizer, params, grads):
+            seen.append((optimizer, params, grads))
+            step(optimizer, params, grads)
+
+        monkeypatch.setattr(AdamOptimizer, "step", recording_step)
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
+                            seed=4)
+        params, _ = train(cfg, TestTraining().toy_items(n=6), lr=1e-2,
+                          batch_size=4, max_epochs=2, patience=2)
+        values = _views_of_one_vector(params, cfg)
+        optimizer = seen[0][0]
+        for opt, vector, grads in seen:
+            assert opt is optimizer and vector is values
+            assert grads.shape == values.shape == optimizer.m.shape
+        assert optimizer.v.shape == values.shape
+        buffers = [values, optimizer.m, optimizer.v, seen[-1][2]]
+        for i, a in enumerate(buffers):
+            for b in buffers[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_best_epoch_is_kept_as_one_copy(self):
+        cfg = LabelerConfig(input_dim=6, model_dim=8, n_layers=1, n_heads=2,
+                            seed=12)
+        params, _ = train(cfg, TestTraining().toy_items(),
+                          TestTraining().toy_items(n=4, seed=3), lr=0.5,
+                          batch_size=6, max_epochs=30, patience=3)
+        _views_of_one_vector(params, cfg)
 
 
 def test_windowed_examples_targets_and_mask():
@@ -1254,26 +1343,28 @@ class TestRecognize:
 
 class TestAdam:
     def test_bias_corrected_first_step(self):
-        params = {"w": np.array([1.0, 2.0])}
-        grads = {"w": np.array([0.5, -0.5])}
+        params = np.array([1.0, 2.0])
         opt = AdamOptimizer(params, lr=0.1)
-        opt.step(params, grads)
+        opt.step(params, np.array([0.5, -0.5]))
         # first step moves by ~lr in the gradient direction
-        assert params["w"][0] == pytest.approx(1.0 - 0.1, abs=1e-6)
-        assert params["w"][1] == pytest.approx(2.0 + 0.1, abs=1e-6)
+        assert params[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
+        assert params[1] == pytest.approx(2.0 + 0.1, abs=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_steps_are_bit_identical_to_the_formulas(self, dtype):
-        params = init_params(TINY, dtype=dtype)
+        # One step over the whole vector gives each tensor the floats of
+        # the formulas computed for it alone, into new arrays.
+        values = flatten_params(init_params(TINY, dtype=dtype))
+        params = labeler.param_views(TINY, values)
         want = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros_like(v) for k, v in params.items()}
         v = {k: np.zeros_like(x) for k, x in params.items()}
-        opt = AdamOptimizer(params, lr=3e-3)
+        opt = AdamOptimizer(values, lr=3e-3)
         rng = np.random.Generator(np.random.PCG64(19))
         for t in range(1, 6):
             grads = {k: rng.standard_normal(p.shape).astype(dtype)
                      for k, p in params.items()}
-            opt.step(params, grads)
+            opt.step(values, flatten_params(grads))
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
